@@ -8,13 +8,7 @@ verifier recomputes all-pairs distances and certifies every claimed bound.
 """
 
 from .graph import WeightedGraph, normalize_weights
-from .shortest import (
-    CanonicalPath,
-    ShortestPathIndex,
-    build_index,
-    canonical_path,
-    sssp_canonical,
-)
+from .shortest import ShortestPathIndex, build_index, sssp_canonical
 from .light import LightInit, is_t_light_neighbor, t_light_init
 from .greedy import (
     PairOrder,
@@ -41,10 +35,8 @@ from .generators import GenSpec, generate
 __all__ = [
     "WeightedGraph",
     "normalize_weights",
-    "CanonicalPath",
     "ShortestPathIndex",
     "build_index",
-    "canonical_path",
     "sssp_canonical",
     "LightInit",
     "t_light_init",

@@ -15,23 +15,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .emulator import build_4w_emulator
-from .fast2w import build_fast_2w
+from .algos import ALGOS, parse_algo
 from .generators import GenSpec, generate
-from .greedy import (
-    build_6eps_spanner,
-    build_poly_spanner,
-    build_subsetwise_spanner,
-    greedy_multiplicative,
-    poly_stretch_factor,
-)
 from .shortest import build_index
-from .verify import verify_additive_W, verify_multiplicative, verify_non_contracting
-
-# algorithms whose stretch guarantee is deterministic: a verification
-# failure is a bug, not bad luck
-DETERMINISTIC_ALGOS = {"mult", "6w", "poly", "subsetwise"}
-SEEDLESS_ALGOS = {"mult", "6w", "poly"}
 
 
 @dataclass
@@ -51,35 +37,6 @@ class BenchRecord:
         return asdict(self)
 
 
-def parse_algo(spec: str) -> tuple[str, dict]:
-    """Parse an algorithm spec string like "6w:0.5" or "subsetwise:1:sqrt".
-
-    Forms: mult:K | 6w:EPS | poly:EPS[:C] | subsetwise:EPS[:SIZE] |
-    fast2w[:C] | emulator4w.  SIZE is an integer or "sqrt"/"quarter".
-    """
-    parts = spec.split(":")
-    name = parts[0]
-    try:
-        if name == "mult":
-            return name, {"k": int(parts[1])}
-        if name == "6w":
-            return name, {"eps": float(parts[1])}
-        if name == "poly":
-            return name, {"eps": float(parts[1]), "c": float(parts[2]) if len(parts) > 2 else 16.0}
-        if name == "subsetwise":
-            size = parts[2] if len(parts) > 2 else "sqrt"
-            if size not in ("sqrt", "quarter"):
-                size = int(size)
-            return name, {"eps": float(parts[1]), "size": size}
-        if name == "fast2w":
-            return name, {"c": float(parts[1]) if len(parts) > 1 else 4.0}
-        if name == "emulator4w":
-            return name, {}
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"malformed algorithm spec {spec!r}") from exc
-    raise ValueError(f"unknown algorithm {name!r}")
-
-
 def _subset_for(n: int, size_spec, seed: int) -> list[int]:
     if size_spec == "sqrt":
         size = max(1, math.ceil(math.sqrt(n)))
@@ -94,43 +51,14 @@ def _subset_for(n: int, size_spec, seed: int) -> list[int]:
 
 def _one_run(g, idx, name: str, params: dict, seed: int):
     """Build + verify one (algo, seed) on a prepared instance."""
+    algo = ALGOS[name]
+    subset = _subset_for(g.n, params["size"], seed) if algo.takes_subset else None
     t0 = time.perf_counter()
-    if name == "mult":
-        res = greedy_multiplicative(g, params["k"])
-    elif name == "6w":
-        res = build_6eps_spanner(g, params["eps"], idx=idx)
-    elif name == "poly":
-        res = build_poly_spanner(g, params["eps"], params["c"], idx=idx)
-    elif name == "subsetwise":
-        subset = _subset_for(g.n, params["size"], seed)
-        res = build_subsetwise_spanner(g, subset, params["eps"], idx=idx)
-    elif name == "fast2w":
-        res = build_fast_2w(g, params["c"], seed)
-    elif name == "emulator4w":
-        res = build_4w_emulator(g, seed, idx=idx)
-    else:
-        raise ValueError(f"unknown algorithm {name!r}")
+    res = algo.build(g, params, idx=idx, seed=seed, subset=subset)
     wall_ms = (time.perf_counter() - t0) * 1000.0
-
-    if name == "mult":
-        report = verify_multiplicative(g, res.to_graph(g), 2 * params["k"] - 1, idx=idx)
-    elif name == "6w":
-        report = verify_additive_W(g, res.to_graph(g), 6.0 + params["eps"], idx=idx)
-    elif name == "poly":
-        factor = poly_stretch_factor(g.n, params["eps"], params["c"])
-        report = verify_additive_W(g, res.to_graph(g), factor, idx=idx)
-    elif name == "subsetwise":
-        report = verify_additive_W(g, res.to_graph(g), 2.0 + params["eps"], pair_class=subset, idx=idx)
-    elif name == "fast2w":
-        report = verify_additive_W(g, res.to_graph(g), 2.0, idx=idx)
-    else:
-        h = res.to_graph()
-        lower = verify_non_contracting(g, h, idx=idx)
-        upper = verify_additive_W(g, h, 4.0, idx=idx)
-        ratio = upper.max_slack_ratio
-        return res, wall_ms, lower.passed and upper.passed, ratio
-
-    return res, wall_ms, report.passed, report.max_slack_ratio
+    h = res.to_graph() if algo.emulator else res.to_graph(g)
+    reports = algo.certify(g, h, params, idx=idx, subset=subset)
+    return res, wall_ms, all(r.passed for r in reports), reports[-1].max_slack_ratio
 
 
 def _run_instance(task: tuple[GenSpec, list[tuple[str, dict]], list[int]]) -> list[dict]:
@@ -141,7 +69,7 @@ def _run_instance(task: tuple[GenSpec, list[tuple[str, dict]], list[int]]) -> li
     for name, params in algos:
         cached = None
         for seed in seeds:
-            if name in SEEDLESS_ALGOS:
+            if not ALGOS[name].seeded:
                 if cached is None:
                     cached = _one_run(g, idx, name, params, seed)
                 res, wall_ms, ok, ratio = cached
@@ -185,5 +113,5 @@ def run_bench(
     else:
         per_instance = [_run_instance(t) for t in tasks]
     records = [r for chunk in per_instance for r in chunk]
-    det_fail = any(r["algo"] in DETERMINISTIC_ALGOS and not r["verify_pass"] for r in records)
+    det_fail = any(ALGOS[r["algo"]].deterministic and not r["verify_pass"] for r in records)
     return records, det_fail

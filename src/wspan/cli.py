@@ -13,17 +13,9 @@ import os
 import sys
 from collections import defaultdict
 
+from .algos import ALGOS, parse_bound
 from .bench import run_bench
-from .emulator import build_4w_emulator
-from .fast2w import build_fast_2w
 from .generators import FAMILIES, WEIGHT_MODELS, GenSpec, generate
-from .greedy import (
-    build_6eps_spanner,
-    build_poly_spanner,
-    build_subsetwise_spanner,
-    greedy_multiplicative,
-    poly_stretch_factor,
-)
 from .io import (
     GraphFormatError,
     read_emulator,
@@ -35,17 +27,12 @@ from .io import (
     write_jsonl,
 )
 from .shortest import build_index
-from .verify import (
-    size_scaling_fit,
-    verify_additive_W,
-    verify_multiplicative,
-    verify_non_contracting,
-)
+from .verify import size_scaling_fit
 
 FORMAT_HELP = """\
 file formats:
   graph files     first line "n m", then one edge per line: "u v w" with
-                  0-based vertex ids and a positive decimal weight
+                  0-based vertex ids and a positive, finite decimal weight
   emulator files  same, plus a tag column: "g" original edge, "v" virtual
   subset files    one vertex id per line
   bench records   one JSON object per line (keys: algo, params, n, m_in,
@@ -85,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("-o", "--out", required=True)
 
     b = sub.add_parser("build", help="build a spanner or emulator from a graph file")
-    b.add_argument("--algo", required=True, choices=["mult", "6w", "subsetwise", "poly", "fast2w", "emulator4w"])
+    b.add_argument("--algo", required=True, choices=list(ALGOS))
     b.add_argument("--graph", required=True)
     b.add_argument("-o", "--out", required=True)
     b.add_argument("--eps", type=float, help="additive stretch slack (6w, subsetwise, poly)")
@@ -101,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--bound",
         required=True,
-        help="6w:EPS | 2w | 4w-emu | poly:EPS:C | mult:ALPHA | subset:EPS:SFILE",
+        help="6w:EPS | 2w | 4w-emu | poly:EPS[:C] (C defaults to 16) | mult:ALPHA | subset:EPS:SFILE",
     )
 
     r = sub.add_parser("bench", help="run build+verify pipelines over a corpus")
@@ -138,55 +125,40 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _require(args, flag: str, algo: str):
+def _require(args, flag: str, algo: str, default=None):
     value = getattr(args, flag)
     if value is None:
-        raise ValueError(f"--{flag} is required for --algo {algo}")
+        if default is None:
+            raise ValueError(f"--{flag} is required for --algo {algo}")
+        return default
     return value
 
 
 def _cmd_build(args) -> int:
     g = read_graph(args.graph)
     seed = args.seed if args.seed is not None else _default_seed()
-    algo = args.algo
-    if algo == "mult":
-        res = greedy_multiplicative(g, int(_require(args, "k", algo)))
-    elif algo == "6w":
-        res = build_6eps_spanner(g, _require(args, "eps", algo))
-    elif algo == "subsetwise":
-        subset = read_subset(_require(args, "subset", algo))
-        res = build_subsetwise_spanner(g, subset, _require(args, "eps", algo))
-    elif algo == "poly":
-        res = build_poly_spanner(g, _require(args, "eps", algo), args.c if args.c is not None else 16.0)
-    elif algo == "fast2w":
-        res = build_fast_2w(g, args.c if args.c is not None else 4.0, seed)
-    else:
-        res = build_4w_emulator(g, seed)
+    name = args.algo
+    algo = ALGOS[name]
+    # the CLI reads the subset from --subset; a size field only matters to bench
+    subset = read_subset(_require(args, "subset", name)) if algo.takes_subset else None
+    params = {
+        f.name: _require(args, f.name, name, f.default) for f in algo.fields if f.name != "size"
+    }
+    res = algo.build(g, params, idx=None, seed=seed, subset=subset)
 
-    if algo == "emulator4w":
+    stats = {"algo": name, "params": res.params, "n": g.n, "m_in": g.m, "m_out": res.m}
+    if algo.emulator:
         write_emulator(res, args.out)
-        stats = {
-            "algo": algo,
-            "params": res.params,
-            "n": g.n,
-            "m_in": g.m,
-            "m_out": res.m,
-            "paths_bought": 0,
-            "phase_edge_counts": {"light_init": res.m - res.virtual_count, "virtual": res.virtual_count},
-            "sampled_set_size": len(res.S),
-            "virtual_edges": res.virtual_count,
-        }
+        stats.update(
+            paths_bought=0,
+            phase_edge_counts={"light_init": res.m - res.virtual_count, "virtual": res.virtual_count},
+            sampled_set_size=len(res.S),
+            virtual_edges=res.virtual_count,
+        )
     else:
         write_graph(res.to_graph(g), args.out)
-        stats = {
-            "algo": algo,
-            "params": res.params,
-            "n": g.n,
-            "m_in": g.m,
-            "m_out": res.m,
-            "paths_bought": len(res.paths_added),
-            "phase_edge_counts": res.stats.get("phase_edge_counts", {}),
-        }
+        stats["paths_bought"] = len(res.paths_added)
+        stats["phase_edge_counts"] = res.stats.get("phase_edge_counts", {})
         if "levels" in res.stats:
             stats["levels"] = res.stats["levels"]
     out = json.dumps(stats, sort_keys=True)
@@ -198,38 +170,12 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    name, params = parse_bound(args.bound)
+    algo = ALGOS[name]
     g = read_graph(args.graph)
-    parts = args.bound.split(":")
-    kind = parts[0]
-    idx = build_index(g)
-    reports = []
-    try:
-        if kind == "6w":
-            h = read_graph(args.spanner)
-            reports.append(verify_additive_W(g, h, 6.0 + float(parts[1]), idx=idx))
-        elif kind == "2w":
-            h = read_graph(args.spanner)
-            reports.append(verify_additive_W(g, h, 2.0, idx=idx))
-        elif kind == "4w-emu":
-            em = read_emulator(args.spanner)
-            h = em.to_graph()
-            reports.append(verify_non_contracting(g, h, idx=idx))
-            reports.append(verify_additive_W(g, h, 4.0, idx=idx))
-        elif kind == "poly":
-            h = read_graph(args.spanner)
-            factor = poly_stretch_factor(g.n, float(parts[1]), float(parts[2]))
-            reports.append(verify_additive_W(g, h, factor, idx=idx))
-        elif kind == "mult":
-            h = read_graph(args.spanner)
-            reports.append(verify_multiplicative(g, h, float(parts[1]), idx=idx))
-        elif kind == "subset":
-            h = read_graph(args.spanner)
-            subset = read_subset(parts[2])
-            reports.append(verify_additive_W(g, h, 2.0 + float(parts[1]), pair_class=subset, idx=idx))
-        else:
-            raise ValueError(f"unknown bound kind {kind!r}")
-    except IndexError:
-        raise ValueError(f"malformed bound spec {args.bound!r}") from None
+    h = read_emulator(args.spanner).to_graph() if algo.emulator else read_graph(args.spanner)
+    subset = read_subset(params["subset"]) if algo.takes_subset else None
+    reports = algo.certify(g, h, params, idx=build_index(g), subset=subset)
     payload = {"bound": args.bound, "reports": [r.to_dict() for r in reports]}
     print(json.dumps(payload, sort_keys=True))
     return 0 if all(r.passed for r in reports) else 1

@@ -117,7 +117,7 @@ def _spt_edges(n: int, items: list[tuple[int, int, float]], roots: list[int]) ->
     ea = EdgeArrays(n, items)
     dist = _sp_dijkstra(graph_csr(n, items), directed=True, indices=roots)
     for row, r in zip(dist, roots):
-        parent, _, _ = canonical_tree_arrays(ea, r, row, need_weights=False)
+        parent, _ = canonical_tree_arrays(ea, r, row, need_weights=False)
         for v, pu in enumerate(parent):
             if pu >= 0:
                 out.add(edge_key(v, pu))

@@ -7,6 +7,7 @@ safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 
 
@@ -19,7 +20,7 @@ class WeightedGraph:
     """Simple undirected graph with positive real edge weights.
 
     Rejects self-loops, parallel edges, out-of-range vertex ids, and
-    non-positive weights at construction time.
+    non-positive or non-finite weights at construction time.
     """
 
     __slots__ = ("n", "_w", "_adj")
@@ -38,8 +39,8 @@ class WeightedGraph:
             if key in w:
                 raise ValueError(f"parallel edge {key}")
             weight = float(weight)
-            if not weight > 0:
-                raise ValueError(f"non-positive weight {weight} on edge {key}")
+            if not 0 < weight < math.inf:
+                raise ValueError(f"non-positive or non-finite weight {weight} on edge {key}")
             w[key] = weight
         self._w = w
         self._adj: tuple[tuple[tuple[int, float], ...], ...] | None = None

@@ -10,6 +10,7 @@ offending path and line number.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .emulator import EmulatorResult
@@ -52,6 +53,8 @@ def _parse_edge_line(path, lineno: int, line: str, n: int, columns: int) -> tupl
         _fail(path, lineno, f"self-loop at vertex {u}")
     if not w > 0:
         _fail(path, lineno, f"non-positive weight {w}")
+    if w == math.inf:
+        _fail(path, lineno, f"non-finite weight {parts[2]!r}")
     tag = parts[3] if columns == 4 else "g"
     if tag not in ("g", "v"):
         _fail(path, lineno, f"edge tag must be 'g' or 'v', got {tag!r}")

@@ -20,10 +20,8 @@ weights (ties have probability zero).
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -36,26 +34,6 @@ INF = math.inf
 Adjacency = list[list[tuple[int, float]]]
 
 
-@dataclass(frozen=True)
-class CanonicalPath:
-    """The canonical shortest path between two vertices.
-
-    max_edge_weight is the weight of the heaviest edge on the path (0 for a
-    single-vertex path).
-    """
-
-    vertices: tuple[int, ...]
-    total_weight: float
-    max_edge_weight: float
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def hops(self) -> int:
-        return len(self.vertices) - 1
-
-
 class ShortestPathIndex:
     """All-pairs canonical shortest-path data for one graph.
 
@@ -64,19 +42,17 @@ class ShortestPathIndex:
                  disconnected, 0 on the diagonal)
     parent[s][v] predecessor of v on the canonical path from s (-1 for the
                  source itself and for unreachable vertices)
-    hops[s][v]   edge count of the canonical path from s to v
 
     Immutable after construction; safe for concurrent reads.
     """
 
-    __slots__ = ("n", "dist", "W", "parent", "hops")
+    __slots__ = ("n", "dist", "W", "parent")
 
-    def __init__(self, n: int, dist: np.ndarray, W: np.ndarray, parent: np.ndarray, hops: np.ndarray):
+    def __init__(self, n: int, dist: np.ndarray, W: np.ndarray, parent: np.ndarray):
         self.n = n
         self.dist = dist
         self.W = W
         self.parent = parent
-        self.hops = hops
 
 
 def graph_csr(n: int, items: list[tuple[int, int, float]]) -> csr_matrix:
@@ -94,29 +70,10 @@ def distance_matrix(n: int, items: list[tuple[int, int, float]]) -> np.ndarray:
     return _sp_dijkstra(graph_csr(n, items), directed=True)
 
 
-def _dijkstra_dist(adj: Adjacency, s: int) -> list[float]:
-    n = len(adj)
-    dist = [INF] * n
-    dist[s] = 0.0
-    done = [False] * n
-    heap = [(0.0, s)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
 def canonical_tree_from_dist(
     adj: Adjacency, s: int, dist: list[float]
-) -> tuple[list[int], list[int], list[float]]:
-    """Canonical parents, hop counts, and running-max edge weights.
+) -> tuple[list[int], list[float]]:
+    """Canonical parents and running-max edge weights.
 
     dist must be the exact shortest-path distances from s over adj.  Among
     the predecessors u with dist[u] + w == dist[v], the parent minimizes the
@@ -170,14 +127,7 @@ def canonical_tree_from_dist(
         hops[v] = best_h
         heavy[v] = heavy[u] if heavy[u] >= w else w
         ties[v] = best_tie
-    return parent, hops, heavy
-
-
-def canonical_sssp_adj(adj: Adjacency, s: int) -> tuple[list[float], list[int], list[int], list[float]]:
-    """Single-source canonical shortest paths over an adjacency list."""
-    dist = _dijkstra_dist(adj, s)
-    parent, hops, heavy = canonical_tree_from_dist(adj, s, dist)
-    return dist, parent, hops, heavy
+    return parent, heavy
 
 
 class EdgeArrays:
@@ -202,7 +152,7 @@ class EdgeArrays:
 
 def canonical_tree_arrays(
     ea: EdgeArrays, s: int, dist_row: np.ndarray, need_weights: bool = True
-) -> tuple[list[int], list[int], list[float]]:
+) -> tuple[list[int], list[float]]:
     """Canonical tree for one source, vectorized when no distance ties exist.
 
     Every exact shortest-path predecessor is found with one array pass; if
@@ -221,7 +171,6 @@ def canonical_tree_arrays(
     parent_arr = np.full(n, -1, dtype=np.int64)
     parent_arr[heads] = ea.us[mask]
     parent = parent_arr.tolist()
-    hops = [0] * n
     heavy = [0.0] * n
     if need_weights:
         wpar_arr = np.zeros(n)
@@ -230,9 +179,8 @@ def canonical_tree_arrays(
         for v in np.argsort(dist_row, kind="stable").tolist():
             p = parent[v]
             if p >= 0:
-                hops[v] = hops[p] + 1
                 heavy[v] = heavy[p] if heavy[p] >= wpar[v] else wpar[v]
-    return parent, hops, heavy
+    return parent, heavy
 
 
 def sssp_canonical(g: WeightedGraph, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -243,37 +191,34 @@ def sssp_canonical(g: WeightedGraph, s: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range for n={g.n}")
-    adj = [list(nbrs) for nbrs in g.adjacency()]
-    dist, parent, _, _ = canonical_sssp_adj(adj, s)
-    return np.array(dist, dtype=float), np.array(parent, dtype=np.int32)
+    dist = _sp_dijkstra(graph_csr(g.n, g.edge_items()), directed=True, indices=s)
+    parent, _ = canonical_tree_from_dist(g.adjacency(), s, dist.tolist())
+    return dist, np.array(parent, dtype=np.int32)
 
 
 def build_index(g: WeightedGraph) -> ShortestPathIndex:
     """All-pairs canonical index: n single-source computations.
 
-    The distance phase is batched through scipy (same relaxation arithmetic
-    as the in-package Dijkstra); parent selection and heaviest-edge tracking
-    run the canonical rule per source.
+    The distance phase is batched through scipy; parent selection and
+    heaviest-edge tracking run the canonical rule per source.
     """
     n = g.n
     if n == 0:
         z = np.zeros((0, 0))
-        return ShortestPathIndex(0, z, z.copy(), z.astype(np.int32), z.astype(np.int32))
+        return ShortestPathIndex(0, z, z.copy(), z.astype(np.int32))
     items = g.edge_items()
     ea = EdgeArrays(n, items)
     dist = _sp_dijkstra(graph_csr(n, items), directed=True)
     W = np.full((n, n), INF)
     parent = np.full((n, n), -1, dtype=np.int32)
-    hops = np.zeros((n, n), dtype=np.int32)
     for s in range(n):
-        p, h, heavy = canonical_tree_arrays(ea, s, dist[s])
+        p, heavy = canonical_tree_arrays(ea, s, dist[s])
         parent[s] = p
-        hops[s] = h
         wrow = np.array(heavy)
         wrow[np.isinf(dist[s])] = INF
         W[s] = wrow
         W[s, s] = 0.0
-    return ShortestPathIndex(n, dist, W, parent, hops)
+    return ShortestPathIndex(n, dist, W, parent)
 
 
 def path_vertices(idx: ShortestPathIndex, u: int, v: int) -> list[int]:
@@ -290,13 +235,3 @@ def path_vertices(idx: ShortestPathIndex, u: int, v: int) -> list[int]:
         seq.append(x)
     seq.reverse()
     return seq
-
-
-def canonical_path(idx: ShortestPathIndex, u: int, v: int) -> CanonicalPath:
-    """Reconstruct the canonical path between u and v from the index."""
-    seq = path_vertices(idx, u, v)
-    return CanonicalPath(
-        vertices=tuple(seq),
-        total_weight=float(idx.dist[u][v]),
-        max_edge_weight=float(idx.W[u][v]) if u != v else 0.0,
-    )

@@ -140,6 +140,9 @@ def verify_additive_W(
     """
     if h.n != g.n:
         raise ValueError(f"vertex set mismatch: g has n={g.n}, h has n={h.n}")
+    for s in pair_class or ():
+        if not 0 <= s < g.n:
+            raise ValueError(f"subset vertex {s} out of range")
     if idx is None:
         idx = build_index(g)
     c = float(c_of_n(g.n)) if callable(c_of_n) else float(c_of_n)

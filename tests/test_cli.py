@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from wspan.bench import parse_algo, run_bench
-from wspan.cli import main
+from wspan.algos import ALGOS, BOUNDS, parse_algo, parse_bound
+from wspan.bench import run_bench
+from wspan.cli import _build_parser, main
 from wspan.generators import GenSpec
 from wspan.io import read_graph, read_jsonl, write_graph, write_subset
 
@@ -126,6 +127,71 @@ def test_parse_error_is_exit_2(capsys, tmp_path):
     assert "non-positive" in err
 
 
+def test_non_finite_weight_is_exit_2(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("3 2\n0 1 inf\n1 2 1.0\n")
+    span = tmp_path / "span.txt"
+    span.write_text("3 1\n1 2 1.0\n")
+    code, out, err = run(
+        capsys, "verify", "--graph", str(bad), "--spanner", str(span), "--bound", "6w:1"
+    )
+    assert code == 2 and out == ""
+    assert "bad.txt:2: non-finite weight" in err
+
+
+def test_bound_spec_extra_fields_are_exit_2(capsys, tmp_path):
+    graph, _ = gen_graph(capsys, tmp_path)
+    for bound in ("2w:junk", "6w:1:2", "4w-emu:1", "poly:0.5:16:3"):
+        code, out, err = run(
+            capsys, "verify", "--graph", str(graph), "--spanner", str(graph), "--bound", bound
+        )
+        assert code == 2 and out == "", bound
+        assert "malformed bound spec" in err
+
+
+def test_subset_bound_path_may_contain_colon(capsys, tmp_path):
+    graph, _ = gen_graph(capsys, tmp_path)
+    sdir = tmp_path / "a:b"
+    sdir.mkdir()
+    sfile = sdir / "s.txt"
+    write_subset([0, 3, 7], sfile)
+    code, out, _ = run(
+        capsys, "verify", "--graph", str(graph), "--spanner", str(graph),
+        "--bound", f"subset:0.5:{sfile}",
+    )
+    assert code == 0
+    assert json.loads(out)["reports"][0]["params"]["pair_class"] == "subset"
+
+
+def test_subset_bound_vertex_out_of_range_is_exit_2(capsys, tmp_path):
+    graph, _ = gen_graph(capsys, tmp_path)
+    sfile = tmp_path / "s.txt"
+    write_subset([0, 999], sfile)
+    code, out, err = run(
+        capsys, "verify", "--graph", str(graph), "--spanner", str(graph),
+        "--bound", f"subset:0.5:{sfile}",
+    )
+    assert code == 2 and out == ""
+    assert "subset vertex 999 out of range" in err
+
+
+def test_poly_bound_defaults_c_to_16(capsys, tmp_path):
+    graph, _ = gen_graph(capsys, tmp_path)
+    span = tmp_path / "poly.txt"
+    code, _, _ = run(
+        capsys, "build", "--algo", "poly", "--eps", "0.5", "--graph", str(graph), "-o", str(span)
+    )
+    assert code == 0
+    reports = []
+    for bound in ("poly:0.5", "poly:0.5:16"):
+        code, out, _ = run(
+            capsys, "verify", "--graph", str(graph), "--spanner", str(span), "--bound", bound
+        )
+        assert code == 0
+        reports.append(json.loads(out)["reports"])
+    assert reports[0] == reports[1]
+
+
 def test_default_seed_from_environment(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("WSPAN_SEED", "123")
     p1 = tmp_path / "a.txt"
@@ -156,7 +222,27 @@ def test_parse_algo_specs():
     with pytest.raises(ValueError):
         parse_algo("6w:fast")
     with pytest.raises(ValueError):
+        parse_algo("emulator4w:1")
+    with pytest.raises(ValueError):
         parse_algo("steiner:2")
+
+
+def test_algo_table_is_the_cli_vocabulary():
+    sub = next(a for a in _build_parser()._actions if a.dest == "cmd")
+    algo = next(a for a in sub.choices["build"]._actions if a.dest == "algo")
+    assert list(algo.choices) == list(ALGOS)
+    bound_help = next(a for a in sub.choices["verify"]._actions if a.dest == "bound").help
+    documented = ["6w:0.5", "2w", "4w-emu", "poly:0.5:16", "mult:3", "subset:0.5:s.txt"]
+    assert sorted(spec.split(":")[0] for spec in documented) == sorted(BOUNDS)
+    for spec in documented:
+        assert spec.split(":")[0] in bound_help
+        name, _ = parse_bound(spec)
+        assert name in ALGOS
+    assert parse_bound("mult:3") == ("mult", {"alpha": 3.0})
+    assert parse_bound("poly:0.5") == ("poly", {"eps": 0.5, "c": 16.0})
+    assert parse_bound("subset:0.5:x:y") == ("subsetwise", {"eps": 0.5, "subset": "x:y"})
+    with pytest.raises(ValueError, match="unknown bound kind"):
+        parse_bound("fast2w")
 
 
 def test_run_bench_empty_algos_is_empty():

@@ -20,6 +20,12 @@ def test_rejects_nonpositive_weight():
         WeightedGraph(2, [(0, 1, -3.0)])
 
 
+def test_rejects_non_finite_weight():
+    for w in (float("inf"), 1e308 * 10, float("nan")):
+        with pytest.raises(ValueError, match="non-finite"):
+            WeightedGraph(3, [(0, 1, w), (1, 2, 1.0)])
+
+
 def test_rejects_out_of_range_vertex():
     with pytest.raises(ValueError, match="out of range"):
         WeightedGraph(2, [(0, 2, 1.0)])

@@ -45,6 +45,14 @@ def test_negative_weight_rejected(tmp_path):
         read_graph(path)
 
 
+def test_non_finite_weight_rejected(tmp_path):
+    path = tmp_path / "bad.txt"
+    for w in ("inf", "1e400"):
+        path.write_text(f"3 2\n0 1 {w}\n1 2 1.0\n")
+        with pytest.raises(GraphFormatError, match=r"bad\.txt:2: non-finite weight"):
+            read_graph(path)
+
+
 def test_header_and_count_mismatches(tmp_path):
     p1 = tmp_path / "h1.txt"
     p1.write_text("2\n")

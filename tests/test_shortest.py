@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from wspan import (
-    GenSpec,
-    WeightedGraph,
-    build_index,
-    canonical_path,
-    generate,
-    sssp_canonical,
-)
+from wspan import GenSpec, WeightedGraph, build_index, generate, sssp_canonical
 from wspan.shortest import path_vertices
 
 from conftest import (
@@ -78,36 +71,34 @@ def test_index_star_heaviest_of_two_legs():
 def test_canonical_path_identity():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     idx = build_index(g)
-    p = canonical_path(idx, 1, 1)
-    assert p.vertices == (1,)
-    assert p.total_weight == 0.0
-    assert p.max_edge_weight == 0.0
+    assert path_vertices(idx, 1, 1) == [1]
+    assert idx.dist[1][1] == 0.0
+    assert idx.W[1][1] == 0.0
 
 
 def test_canonical_path_whole_path_graph():
     g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0)])
     idx = build_index(g)
-    p = canonical_path(idx, 0, 3)
-    assert p.vertices == (0, 1, 2, 3)
-    assert p.total_weight == 4.0
-    assert p.max_edge_weight == 2.0
+    assert path_vertices(idx, 0, 3) == [0, 1, 2, 3]
+    assert idx.dist[0][3] == 4.0
+    assert idx.W[0][3] == 2.0
 
 
 def test_canonical_path_disconnected_errors():
     g = WeightedGraph(3, [(0, 1, 1.0)])
     idx = build_index(g)
     with pytest.raises(ValueError, match="no path"):
-        canonical_path(idx, 0, 2)
+        path_vertices(idx, 0, 2)
 
 
 def test_grid_corner_path_matches_oracle_and_is_stable():
     g = generate(GenSpec(family="grid", n=9, rows=3, cols=3, wmodel="unit", seed=0))
     idx = build_index(g)
     expected = oracle_canonical_path(g, 0, 8)
-    first = canonical_path(idx, 0, 8).vertices
-    assert first == expected
+    first = path_vertices(idx, 0, 8)
+    assert tuple(first) == expected
     for _ in range(3):
-        assert canonical_path(idx, 0, 8).vertices == first
+        assert path_vertices(idx, 0, 8) == first
     # the staircase is monotone: row and column indices never decrease
     rows = [v // 3 for v in first]
     cols = [v % 3 for v in first]
@@ -144,7 +135,7 @@ def test_index_structural_invariants(g):
         for v in range(u + 1, n):
             if not math.isfinite(idx.dist[u][v]):
                 continue
-            h = int(idx.hops[u][v])
+            h = len(path_vertices(idx, u, v)) - 1
             assert h >= 1
             assert idx.W[u][v] >= idx.dist[u][v] / h
             assert idx.W[u][v] <= idx.dist[u][v]

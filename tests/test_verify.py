@@ -86,6 +86,12 @@ def test_pair_class_restriction():
     assert rep.pairs_checked == 3
 
 
+def test_pair_class_out_of_range_rejected():
+    g = four_cycle()
+    with pytest.raises(ValueError, match="subset vertex 999 out of range"):
+        verify_additive_W(g, g, 1.0, pair_class=[0, 999])
+
+
 # -------------------------------------------------------- multiplicative
 
 
