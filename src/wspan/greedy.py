@@ -9,10 +9,13 @@ edges instead of pairs.
 Distance queries against the growing spanner use an upper-bound row cache:
 since the spanner only gains edges, any previously computed distance is a
 valid upper bound, so a pair whose cached estimate already meets its
-threshold can be skipped without recomputation.  Pairs that still look
-violating get a fresh single-source run (C-speed) before the trigger is
-evaluated, so the scan-time semantics are exactly "query the current
-spanner".
+threshold can be skipped without recomputation.  Before the scan, one
+batched Dijkstra run on the initial spanner fills the rows of the vertices
+that appear in the scan, the only rows ever read: every vertex with a
+connected partner for the all-pairs variants, vertices of S only for the
+subsetwise one.  Pairs that still look violating get a fresh single-source
+run (C-speed) before the trigger is evaluated, so the scan-time semantics
+are exactly "query the current spanner".
 """
 
 from __future__ import annotations
@@ -89,11 +92,11 @@ class _GrowingDistances:
         self._csr = None
         self._rows: dict[int, np.ndarray] = {}
 
-    def prime_all(self) -> None:
-        """Compute every row at the current version in one batch."""
-        dist = _sp_dijkstra(self._matrix(), directed=True)
-        for u in range(self.n):
-            self._rows[u] = dist[u]
+    def prime(self, rows: list[int]) -> None:
+        """Compute the given rows at the current version in one batch."""
+        dist = _sp_dijkstra(self._matrix(), directed=True, indices=rows)
+        for u, row in zip(rows, dist):
+            self._rows[u] = row
 
     def _matrix(self):
         if self._csr is None:
@@ -142,12 +145,13 @@ def _buy_paths(
     """Scan (u, v, threshold) triples in order, buying canonical paths.
 
     A pair's canonical path is added when the current spanner distance
-    strictly exceeds its threshold.  Returns (final edges, pairs bought,
-    edges added by paths).
+    strictly exceeds its threshold.  The oracle is primed with the rows of
+    the vertices the scan names, the only rows upper() and refresh() read.
+    Returns (final edges, pairs bought, edges added by paths).
     """
     edges = set(start_edges)
     oracle = _GrowingDistances(g.n, {k: g.weight(*k) for k in edges})
-    oracle.prime_all()
+    oracle.prime(sorted({x for u, v, _ in scan for x in (u, v)}))
     bought: list[tuple[int, int]] = []
     added = 0
     for u, v, thresh in scan:

@@ -65,9 +65,15 @@ def graph_csr(n: int, items: list[tuple[int, int, float]]) -> csr_matrix:
     return csr_matrix((ws, (us, vs)), shape=(n, n))
 
 
-def distance_matrix(n: int, items: list[tuple[int, int, float]]) -> np.ndarray:
-    """All-pairs distances of an arbitrary weighted edge list (C-speed)."""
-    return _sp_dijkstra(graph_csr(n, items), directed=True)
+def distance_matrix(
+    n: int, items: list[tuple[int, int, float]], sources: list[int] | None = None
+) -> np.ndarray:
+    """Distances of an arbitrary weighted edge list (C-speed).
+
+    Row i holds the distances from sources[i]; sources None means every
+    vertex, giving the n x n all-pairs matrix.
+    """
+    return _sp_dijkstra(graph_csr(n, items), directed=True, indices=sources)
 
 
 def canonical_tree_from_dist(

@@ -1,10 +1,15 @@
 """Exact brute-force certification of stretch bounds and size scaling.
 
-Every check recomputes full all-pairs distances on both graphs, so a passing
-report is a proof for the instance at hand (up to the stated float
-tolerance).  Pairs that are connected in the base graph but not in the
-candidate are reported as a distinct "unreachable" violation kind so that
-construction bugs are not conflated with stretch failures.
+G's distances and heaviest path edges come from its ShortestPathIndex.  A
+candidate H's distances are computed exactly by Dijkstra: from every vertex
+for all-pairs classes, or, for a subset pair class S, from the vertices of S
+only.  H's all-pairs matrix is computed at most once per graph object and
+kept on it (WeightedGraph._dist) until the graph is freed, so the lower- and
+upper-bound checks of an emulator share one run.  A passing report is a
+proof for the instance at hand (up to the stated float tolerance).  Pairs
+that are connected in the base graph but not in the candidate are reported
+as a distinct "unreachable" violation kind so that construction bugs are not
+conflated with stretch failures.
 """
 
 from __future__ import annotations
@@ -71,20 +76,25 @@ class StretchReport:
         }
 
 
-def _h_distances(h: WeightedGraph) -> np.ndarray:
-    return distance_matrix(h.n, h.edge_items())
+def _h_distances(h: WeightedGraph, sources: list[int] | None = None) -> np.ndarray:
+    """Rows of H's distance matrix: all n, or those of the given sources.
+
+    The all-pairs matrix is computed on first request and kept read-only on
+    h.  A sources request reads it when it is there and otherwise runs
+    Dijkstra from the sources alone, without filling the memo.
+    """
+    if h._dist is None:
+        if sources is not None:
+            return distance_matrix(h.n, h.edge_items(), sources=sources)
+        dist = distance_matrix(h.n, h.edge_items())
+        dist.setflags(write=False)
+        h._dist = dist
+    return h._dist if sources is None else h._dist[sources]
 
 
-def _pair_mask(n: int, subset: list[int] | None) -> np.ndarray:
-    """Upper-triangle mask of the pairs in the checked class."""
-    mask = np.zeros((n, n), dtype=bool)
-    if subset is None:
-        mask[np.triu_indices(n, k=1)] = True
-    else:
-        vs = np.array(sorted(set(subset)))
-        mask[np.ix_(vs, vs)] = True
-        mask &= np.triu(np.ones((n, n), dtype=bool), k=1)
-    return mask
+def _upper(n: int) -> np.ndarray:
+    """Mask of the pairs i < j of an n x n block."""
+    return np.triu(np.ones((n, n), dtype=bool), k=1)
 
 
 def _slack_ratio(dg: np.ndarray, dh: np.ndarray, W: np.ndarray, mask: np.ndarray) -> float:
@@ -99,24 +109,31 @@ def _collect(
     dg: np.ndarray,
     dh: np.ndarray,
     W: np.ndarray,
-    mask: np.ndarray,
     bound: np.ndarray,
+    ids: list[int] | None = None,
 ) -> StretchReport:
-    """Shared violation sweep: bound holds, up to relative tolerance."""
+    """Shared violation sweep: bound holds, up to relative tolerance.
+
+    The arrays are square blocks over the same vertices, and the pairs i < j
+    of the block are checked.  Row/column i is vertex ids[i], or vertex i
+    when ids is None.
+    """
+    mask = _upper(dg.shape[0])
     connected = mask & np.isfinite(dg)
     report.pairs_checked = int(connected.sum())
     unreachable = connected & ~np.isfinite(dh)
     with np.errstate(invalid="ignore"):  # inf-inf on pairs the masks discard
         tol = REL_TOL * np.maximum(1.0, np.abs(bound))
         over = connected & np.isfinite(dh) & (dh - bound > tol)
+    vid = (lambda i: int(i)) if ids is None else (lambda i: int(ids[i]))
     for u, v in np.argwhere(unreachable):
         report.violations.append(
-            Violation(int(u), int(v), float(dg[u, v]), math.inf, float(W[u, v]), math.inf, "unreachable")
+            Violation(vid(u), vid(v), float(dg[u, v]), math.inf, float(W[u, v]), math.inf, "unreachable")
         )
     for u, v in np.argwhere(over):
         report.violations.append(
             Violation(
-                int(u), int(v), float(dg[u, v]), float(dh[u, v]), float(W[u, v]),
+                vid(u), vid(v), float(dg[u, v]), float(dh[u, v]), float(W[u, v]),
                 float(dh[u, v] - bound[u, v]),
             )
         )
@@ -136,26 +153,35 @@ def verify_additive_W(
     W(u,v) is the heaviest edge on the canonical shortest u-v path of g.
     c_of_n may be a constant or a function of the vertex count (for bounds
     like c * sqrt(n) * log n).  pair_class None means all pairs; otherwise
-    only pairs inside the given subset are checked.
+    only pairs inside the given (nonempty) subset are checked, and H's
+    distances are computed from the subset's vertices only.
     """
     if h.n != g.n:
         raise ValueError(f"vertex set mismatch: g has n={g.n}, h has n={h.n}")
-    for s in pair_class or ():
-        if not 0 <= s < g.n:
-            raise ValueError(f"subset vertex {s} out of range")
+    S = None
+    if pair_class is not None:
+        S = sorted(set(pair_class))
+        if not S:
+            raise ValueError("subset must be nonempty")
+        for s in pair_class:
+            if not 0 <= s < g.n:
+                raise ValueError(f"subset vertex {s} out of range")
     if idx is None:
         idx = build_index(g)
     c = float(c_of_n(g.n)) if callable(c_of_n) else float(c_of_n)
-    dh = _h_distances(h)
-    mask = _pair_mask(g.n, pair_class)
-    bound = idx.dist + c * np.where(np.isfinite(idx.W), idx.W, 0.0)
     report = StretchReport(
         bound_kind="additive-cW",
-        params={"c": c, "pair_class": "all" if pair_class is None else "subset"},
+        params={"c": c, "pair_class": "all" if S is None else "subset"},
         pairs_checked=0,
         size=h.m,
     )
-    return _collect(report, idx.dist, dh, idx.W, mask, bound)
+    if S is None:
+        dg, W, dh = idx.dist, idx.W, _h_distances(h)
+    else:
+        block = np.ix_(S, S)
+        dg, W, dh = idx.dist[block], idx.W[block], _h_distances(h, S)[:, S]
+    bound = dg + c * np.where(np.isfinite(W), W, 0.0)
+    return _collect(report, dg, dh, W, bound, S)
 
 
 def verify_multiplicative(
@@ -171,13 +197,10 @@ def verify_multiplicative(
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     if idx is None:
         idx = build_index(g)
-    dh = _h_distances(h)
-    mask = _pair_mask(g.n, None)
-    bound = alpha * idx.dist
     report = StretchReport(
         bound_kind="multiplicative-alpha", params={"alpha": alpha}, pairs_checked=0, size=h.m
     )
-    return _collect(report, idx.dist, dh, idx.W, mask, bound)
+    return _collect(report, idx.dist, _h_distances(h), idx.W, alpha * idx.dist)
 
 
 def verify_subgraph(g: WeightedGraph, h: WeightedGraph) -> bool:
@@ -203,7 +226,7 @@ def verify_non_contracting(
     if idx is None:
         idx = build_index(g)
     dh = _h_distances(h)
-    mask = _pair_mask(g.n, None)
+    mask = _upper(g.n)
     report = StretchReport(bound_kind="exact", params={"direction": "lower"}, pairs_checked=0, size=h.m)
     connected = mask & np.isfinite(idx.dist)
     report.pairs_checked = int(connected.sum())

@@ -2,8 +2,9 @@
 
 The oracles here are deliberately independent of the package's shortest-path
 code: Floyd-Warshall for distances, exhaustive path enumeration for the
-canonical-path rule, and a rebuild-from-scratch greedy simulation.  Expected
-values in the tests are computed by these, never by the code under test.
+canonical-path rule, and rebuild-from-scratch simulations of the greedy
+multiplicative spanner and of path buying.  Expected values in the tests are
+computed by these, never by the code under test.
 """
 
 from __future__ import annotations
@@ -83,6 +84,40 @@ def greedy_mult_oracle(g: WeightedGraph, k: int) -> set[tuple[int, int]]:
         if d > stretch * w:
             kept.append((u, v, w))
     return {(u, v) for u, v, _ in kept}
+
+
+def path_buying_oracle(
+    g: WeightedGraph,
+    start: set[tuple[int, int]],
+    pairs: list[tuple[int, int]],
+    c: float,
+    by_dist: bool,
+) -> tuple[set[tuple[int, int]], list[tuple[int, int]]]:
+    """Simulate path buying with a from-scratch distance per scanned pair.
+
+    The connected pairs (u < v) are scanned by (W, d_G, u, v) when by_dist,
+    else by (W, u, v), where W is the heaviest edge of the oracle canonical
+    path.  Each pair's current d_H is recomputed with brute_force_apsp on
+    the edges held so far, and its canonical path is bought when d_H exceeds
+    d_G + c * W.  Returns (final edges, pairs bought).  Use integer weights,
+    so that Floyd-Warshall sums are exact.
+    """
+    d = brute_force_apsp(g)
+    scan = []
+    for u, v in pairs:
+        if not math.isfinite(d[u, v]):
+            continue
+        path = oracle_canonical_path(g, u, v)
+        w = max(g.weight(a, b) for a, b in zip(path, path[1:]))
+        key = (w, d[u, v], u, v) if by_dist else (w, u, v)
+        scan.append((key, u, v, path, d[u, v] + c * w))
+    edges = set(start)
+    bought = []
+    for _, u, v, path, thresh in sorted(scan):
+        if brute_force_apsp(g.subgraph(edges))[u, v] > thresh:
+            edges.update((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
+            bought.append((u, v))
+    return edges, bought
 
 
 def connected_pairs(g: WeightedGraph) -> list[tuple[int, int]]:

@@ -175,6 +175,20 @@ def test_subset_bound_vertex_out_of_range_is_exit_2(capsys, tmp_path):
     assert "subset vertex 999 out of range" in err
 
 
+def test_subset_bound_empty_subset_is_exit_2(capsys, tmp_path):
+    graph, _ = gen_graph(capsys, tmp_path)
+    sfile = tmp_path / "s.txt"
+    write_subset([], sfile)
+    for argv in (
+        ["build", "--algo", "subsetwise", "--eps", "0.5", "--subset", str(sfile),
+         "--graph", str(graph), "-o", str(tmp_path / "h.txt")],
+        ["verify", "--graph", str(graph), "--spanner", str(graph), "--bound", f"subset:0.5:{sfile}"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "subset must be nonempty" in err
+
+
 def test_poly_bound_defaults_c_to_16(capsys, tmp_path):
     graph, _ = gen_graph(capsys, tmp_path)
     span = tmp_path / "poly.txt"

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wspan import (
     GenSpec,
@@ -13,17 +15,46 @@ from wspan import (
     generate,
     greedy_multiplicative,
     make_pair_order,
+    t_light_init,
     verify_additive_W,
     verify_multiplicative,
     verify_subgraph,
 )
 from wspan.greedy import multiplicative_k_for, poly_stretch_factor
 
-from conftest import greedy_mult_oracle, small_graphs
+from conftest import greedy_mult_oracle, path_buying_oracle, small_graphs
 
 
 def random_tree(n=12, seed=3):
     return generate(GenSpec(family="tree", n=n, wmodel="uniform", seed=seed))
+
+
+@st.composite
+def clustered_graphs(draw, max_n: int = 9):
+    """Two clusters of light edges joined by heavy ones.
+
+    Each cluster holds a cycle through its vertices, so every vertex has two
+    edges lighter than any cross edge and a 2-light initialization keeps the
+    clusters apart; path buying then has to join them.  Random graphs this
+    small rarely buy a path at all.
+    """
+    n = draw(st.integers(min_value=6, max_value=max_n))
+    k = draw(st.integers(min_value=3, max_value=n - 3))
+    light = st.integers(1, 3).map(float)
+    heavy = st.integers(8, 20).map(float)
+    cycles = {(i, i + 1) for i in range(k - 1)} | {(0, k - 1)}
+    cycles |= {(i, i + 1) for i in range(k, n - 1)} | {(k, n - 1)}
+    edges = []
+    for u, v in itertools.combinations(range(n), 2):
+        inside = (u < k) == (v < k)
+        if (u, v) in cycles or draw(st.booleans()):
+            edges.append((u, v, draw(light if inside else heavy)))
+    if not any((u < k) != (v < k) for u, v, _ in edges):
+        edges.append((k - 1, k, draw(heavy)))
+    return WeightedGraph(n, edges)
+
+
+buying_graphs = st.one_of(small_graphs(max_n=8), clustered_graphs())
 
 
 # ---------------------------------------------------------------- pair order
@@ -151,6 +182,17 @@ def test_6eps_bound_holds_on_random_graphs(g):
     assert verify_additive_W(g, res.to_graph(g), 6.25, idx=idx).passed
 
 
+@settings(max_examples=40, deadline=None)
+@given(buying_graphs, st.sampled_from([0.25, 1.0]))
+def test_6eps_matches_path_buying_oracle(g, eps):
+    res = build_6eps_spanner(g, eps)
+    start = t_light_init(g, res.params["t"]).kept_edges if g.m else set()
+    pairs = list(itertools.combinations(range(g.n), 2))
+    edges, bought = path_buying_oracle(g, start, pairs, 6.0 + eps, by_dist=True)
+    assert res.edges == edges
+    assert res.paths_added == bought
+
+
 # ------------------------------------------------------------- subsetwise
 
 
@@ -177,6 +219,18 @@ def test_subsetwise_bound_only_inside_subset():
     assert inside.passed
     outside = verify_additive_W(g, res.to_graph(g), 2.5, idx=idx)
     assert outside.pairs_checked > inside.pairs_checked  # both classes were measured
+
+
+@settings(max_examples=40, deadline=None)
+@given(buying_graphs, st.data())
+def test_subsetwise_matches_path_buying_oracle(g, data):
+    S = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n), label="S")
+    res = build_subsetwise_spanner(g, S, 0.5)
+    start = t_light_init(g, res.params["t"]).kept_edges if g.m else set()
+    pairs = list(itertools.combinations(sorted(set(S)), 2))
+    edges, bought = path_buying_oracle(g, start, pairs, 2.5, by_dist=False)
+    assert res.edges == edges
+    assert res.paths_added == bought
 
 
 def test_subsetwise_rejects_empty_and_bad_subset():

@@ -1,11 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import wspan.verify
 
 from wspan import (
     WeightedGraph,
+    build_4w_emulator,
     build_index,
     size_scaling_fit,
     verify_additive_W,
@@ -13,9 +18,10 @@ from wspan import (
     verify_non_contracting,
     verify_subgraph,
 )
-from wspan.verify import minimax_path_weight
+from wspan.algos import ALGOS
+from wspan.verify import REL_TOL, Violation, minimax_path_weight
 
-from conftest import small_graphs
+from conftest import brute_force_apsp, small_graphs
 
 
 def triangle_heavy():
@@ -86,10 +92,99 @@ def test_pair_class_restriction():
     assert rep.pairs_checked == 3
 
 
+def test_pair_class_empty_rejected():
+    g = four_cycle()
+    with pytest.raises(ValueError, match="subset must be nonempty"):
+        verify_additive_W(g, g, 1.0, pair_class=[])
+
+
 def test_pair_class_out_of_range_rejected():
     g = four_cycle()
     with pytest.raises(ValueError, match="subset vertex 999 out of range"):
         verify_additive_W(g, g, 1.0, pair_class=[0, 999])
+
+
+def full_matrix_report(idx, dh: np.ndarray, c: float, pairs) -> tuple[list, int, float]:
+    """(violations, pairs checked, max slack ratio) of d_H <= d_G + c*W, pair
+    by pair over full n x n matrices, in the verifier's order: unreachable
+    pairs first, then stretch violations, each by (u, v)."""
+    unreachable, over, ratios = [], [], []
+    checked = 0
+    for u, v in pairs:
+        dg, w, d = float(idx.dist[u, v]), float(idx.W[u, v]), float(dh[u, v])
+        if not math.isfinite(dg):
+            continue
+        checked += 1
+        if not math.isfinite(d):
+            unreachable.append(Violation(u, v, dg, math.inf, w, math.inf, "unreachable"))
+            continue
+        bound = dg + c * w
+        if d - bound > REL_TOL * max(1.0, abs(bound)):
+            over.append(Violation(u, v, dg, d, w, d - bound))
+        ratios.append((d - dg) / w)
+    return unreachable + over, checked, max(ratios) if ratios else math.nan
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(max_n=9), st.data())
+def test_subset_report_matches_full_matrix_reference(g, data):
+    keys = sorted(g.edge_keys())
+    kept = data.draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)), label="kept")
+    h = g.subgraph([k for k, keep in zip(keys, kept) if keep])
+    S = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n), label="S")
+    c = data.draw(st.sampled_from([0.0, 0.5, 2.0]), label="c")
+    if data.draw(st.booleans(), label="memo filled"):
+        verify_non_contracting(g, h)
+    idx = build_index(g)
+    dh = brute_force_apsp(h)
+    for pair_class, pairs in (
+        (S, itertools.combinations(sorted(set(S)), 2)),
+        (None, itertools.combinations(range(g.n), 2)),
+    ):
+        rep = verify_additive_W(g, h, c, pair_class=pair_class, idx=idx)
+        violations, checked, ratio = full_matrix_report(idx, dh, c, pairs)
+        assert rep.violations == violations
+        assert rep.pairs_checked == checked
+        assert rep.max_slack_ratio == ratio or (math.isnan(rep.max_slack_ratio) and math.isnan(ratio))
+
+
+def counted_distance_matrix(monkeypatch) -> list:
+    """Record the sources of every H distance computation the verifier makes."""
+    calls = []
+    real = wspan.verify.distance_matrix
+
+    def counting(n, items, sources=None):
+        calls.append(sources)
+        return real(n, items, sources=sources)
+
+    monkeypatch.setattr(wspan.verify, "distance_matrix", counting)
+    return calls
+
+
+def test_emulator_certify_runs_one_apsp_on_h(monkeypatch, medium_gnp):
+    g = WeightedGraph(medium_gnp.n, medium_gnp.edge_items())  # a fresh, unshared object
+    idx = build_index(g)
+    res = build_4w_emulator(g, seed=3, idx=idx)
+    calls = counted_distance_matrix(monkeypatch)
+    h = res.to_graph()
+    reports = ALGOS["emulator4w"].certify(g, h, {}, idx=idx, subset=None)
+    assert calls == [None]
+    again = ALGOS["emulator4w"].certify(g, h, {}, idx=idx, subset=None)
+    assert calls == [None]  # the memo answers a second certification
+    fresh = ALGOS["emulator4w"].certify(g, res.to_graph(), {}, idx=idx, subset=None)
+    assert calls == [None, None]
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in again]
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in fresh]
+    assert g._dist is None  # build_index neither reads nor fills the memo
+
+
+def test_subset_certify_asks_for_subset_sources_only(monkeypatch, medium_gnp):
+    g = medium_gnp
+    S = [3, 17, 4, 40, 17]
+    calls = counted_distance_matrix(monkeypatch)
+    reports = ALGOS["subsetwise"].certify(g, g.subgraph([]), {"eps": 0.5}, idx=build_index(g), subset=S)
+    assert calls == [[3, 4, 17, 40]]
+    assert reports[0].pairs_checked == 6
 
 
 # -------------------------------------------------------- multiplicative
