@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .graph import WeightedGraph, edge_key
 from .greedy import SpannerResult
-from .shortest import EdgeArrays, canonical_tree_arrays, graph_csr
+from .shortest import canonical_rows
 
 EdgeSet = set[tuple[int, int]]
 
@@ -109,19 +108,18 @@ def sample_levels(g: WeightedGraph, c: float, seed: int) -> LevelStructure:
     return LevelStructure(k=k, s=s, V=V, D=D, pivot=pivot, estar=estar, E=E, rng_seed=seed, c=c)
 
 
-def _spt_edges(n: int, items: list[tuple[int, int, float]], roots: list[int]) -> EdgeSet:
-    """Union of canonical shortest-path-tree edges over the given roots."""
-    out: EdgeSet = set()
-    if not roots or not items:
-        return out
-    ea = EdgeArrays(n, items)
-    dist = _sp_dijkstra(graph_csr(n, items), directed=True, indices=roots)
-    for row, r in zip(dist, roots):
-        parent, _ = canonical_tree_arrays(ea, r, row, need_weights=False)
-        for v, pu in enumerate(parent):
-            if pu >= 0:
-                out.add(edge_key(v, pu))
-    return out
+def _spt_edges(g: WeightedGraph, roots: list[int]) -> EdgeSet:
+    """Union of canonical shortest-path-tree edges of g over the given roots."""
+    if not roots:
+        return set()
+    _, _, parent = canonical_rows(g, roots, need_weights=False)
+    # each vertex's distinct parents, found down its column without a k x n index array
+    parent.sort(axis=0)
+    fresh = parent >= 0
+    fresh[1:] &= parent[1:] != parent[:-1]
+    u = parent[fresh].astype(np.int64)
+    v = np.nonzero(fresh)[1]
+    return set(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
 
 
 def build_fast_2w(g: WeightedGraph, c: float = 4.0, seed: int = 0) -> SpannerResult:
@@ -136,9 +134,7 @@ def build_fast_2w(g: WeightedGraph, c: float = 4.0, seed: int = 0) -> SpannerRes
     edges: EdgeSet = set()
     per_level_tree_edges = []
     for i in range(1, ls.k + 1):
-        keys = ls.E[i] | ls.estar[i]
-        items = [(u, v, g.weight(u, v)) for u, v in keys]
-        tree = _spt_edges(g.n, items, sorted(ls.D[i]))
+        tree = _spt_edges(g.subgraph(ls.E[i] | ls.estar[i]), sorted(ls.D[i]))
         per_level_tree_edges.append(len(tree))
         edges |= tree
     edges |= ls.E[ls.k + 1]

@@ -13,6 +13,18 @@ The rule prefers the lower-id neighbor in the common symmetric cases (e.g.
 both shortest paths around an even cycle) while remaining consistent across
 sources, which a naive "smaller predecessor id" relaxation is not.
 
+One kernel, canonical_rows, computes the canonical trees behind
+build_index, sssp_canonical, fast2w's shortest-path trees and the subset
+verifier.  scipy gives the exact distances from the requested sources.  The
+sources are then taken a block at a time: one gather-and-compare over the
+edge arrays finds every tight edge of the block, a source is tie-free when
+each reachable vertex has exactly one tight in-edge (which is then its
+parent), and W(s, v) follows for the whole block by pointer doubling up the
+parent trees.  Each source whose distances tie goes alone through the
+per-vertex rule in canonical_tree_from_dist.  Blocks are sized from n and m
+so that the kernel's temporaries beyond the returned arrays stay within
+_BLOCK_BYTES (1 MiB).
+
 Distance ties are detected with exact float equality: the intended regimes
 are integer-valued weights (float arithmetic is exact) and continuous random
 weights (ties have probability zero).
@@ -22,6 +34,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -31,7 +44,7 @@ from .graph import WeightedGraph
 
 INF = math.inf
 
-Adjacency = list[list[tuple[int, float]]]
+Adjacency = Sequence[Sequence[tuple[int, float]]]
 
 
 class ShortestPathIndex:
@@ -136,57 +149,127 @@ def canonical_tree_from_dist(
     return parent, heavy
 
 
-class EdgeArrays:
-    """Directed edge arrays (both orientations) for vectorized DAG tests."""
-
-    __slots__ = ("n", "us", "vs", "ws", "adj")
-
-    def __init__(self, n: int, items: list[tuple[int, int, float]]):
-        self.n = n
-        us = [e[0] for e in items] + [e[1] for e in items]
-        vs = [e[1] for e in items] + [e[0] for e in items]
-        ws = [e[2] for e in items] * 2
-        self.us = np.array(us, dtype=np.int64)
-        self.vs = np.array(vs, dtype=np.int64)
-        self.ws = np.array(ws, dtype=float)
-        adj: Adjacency = [[] for _ in range(n)]
-        for u, v, w in items:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        self.adj = adj
+# Bytes of temporaries one block of sources may hold in _tree_block.  Small
+# blocks also keep the block's working set in a core's L2 cache.
+_BLOCK_BYTES = 1 << 20
 
 
-def canonical_tree_arrays(
-    ea: EdgeArrays, s: int, dist_row: np.ndarray, need_weights: bool = True
-) -> tuple[list[int], list[float]]:
-    """Canonical tree for one source, vectorized when no distance ties exist.
+def _block_rows(n: int, m: int) -> int:
+    """Sources per block: the most whose _tree_block temporaries fit _BLOCK_BYTES.
 
-    Every exact shortest-path predecessor is found with one array pass; if
-    each reachable vertex has a unique predecessor the parents are forced
-    and no tie-breaking is involved.  Otherwise the reference per-vertex
-    rule in canonical_tree_from_dist decides.  Both paths produce identical
-    results on tie-free inputs.
+    Per source the block holds at most about 26 bytes per edge (two gathered
+    distance rows, their sums and the tight-edge masks) and 64 per vertex
+    (the NaN-marked row and the index arrays of the tight edges and of the
+    pointer doubling).
     """
-    n = ea.n
-    reach = np.isfinite(dist_row)
-    mask = reach[ea.us] & reach[ea.vs] & (dist_row[ea.us] + ea.ws == dist_row[ea.vs])
-    heads = ea.vs[mask]
-    counts = np.bincount(heads, minlength=n)
-    if (counts > 1).any():
-        return canonical_tree_from_dist(ea.adj, s, dist_row.tolist())
-    parent_arr = np.full(n, -1, dtype=np.int64)
-    parent_arr[heads] = ea.us[mask]
-    parent = parent_arr.tolist()
-    heavy = [0.0] * n
-    if need_weights:
-        wpar_arr = np.zeros(n)
-        wpar_arr[heads] = ea.ws[mask]
-        wpar = wpar_arr.tolist()
-        for v in np.argsort(dist_row, kind="stable").tolist():
-            p = parent[v]
-            if p >= 0:
-                heavy[v] = heavy[p] if heavy[p] >= wpar[v] else wpar[v]
-    return parent, heavy
+    return max(1, _BLOCK_BYTES // (26 * m + 64 * n))
+
+
+def _tree_block(
+    dist: np.ndarray,
+    ea: tuple[np.ndarray, ...],
+    parent: np.ndarray,
+    W: np.ndarray | None,
+    buf: tuple[np.ndarray, ...],
+) -> np.ndarray:
+    """Canonical parents (and W rows) of one block's tie-free sources.
+
+    dist holds exact distance rows, one per source.  ea is (a, b, w, tails,
+    heads, ws): the undirected edge arrays, then the same edges in both
+    directions (a->b first, then b->a).  parent and W are the block's output
+    rows, parent filled with -1 beforehand.  buf holds the per-edge work
+    arrays, allocated once for the largest block and reused by every block.
+
+    An edge u->v is tight in a row when dist[u] + w == dist[v].  Dijkstra's
+    final predecessor of every reachable vertex is tight, so a row is
+    tie-free iff its tight edges number one less than its reachable
+    vertices; then every reachable vertex other than the source has exactly
+    one tight in-edge, which is its canonical parent.  W follows by pointer
+    doubling up the parent tree.  Rows with ties are left as they are; their
+    indices are returned.
+    """
+    a, b, w, tails, heads, ws = ea
+    k, n = dist.shape
+    m = len(w)
+    reach = np.isfinite(dist)
+    # NaN compares unequal, so no edge between unreachable vertices is tight
+    d = np.where(reach, dist, np.nan)
+    da, db, sums, tight = (x[..., :k, :] for x in buf)
+    # mode clip: the ids are in range, and the default mode copies through a buffer
+    np.take(d, a, axis=1, out=da, mode="clip")
+    np.take(d, b, axis=1, out=db, mode="clip")
+    del d
+    np.add(da, w, out=sums)
+    np.equal(sums, db, out=tight[0])
+    np.add(db, w, out=sums)
+    np.equal(sums, da, out=tight[1])
+    tied = np.zeros(0, dtype=np.int64)
+    if np.count_nonzero(tight) != np.count_nonzero(reach) - k:
+        per_row = np.count_nonzero(tight, axis=2).sum(axis=0)
+        tied = np.flatnonzero(per_row != np.count_nonzero(reach, axis=1) - 1)
+        tight[:, tied] = False
+    # at most n - 1 tight edges per row remain
+    side, hit = np.divmod(np.flatnonzero(tight), k * m)
+    row, e = np.divmod(hit, m)
+    e += side * m  # index into the directed arrays
+    del side, hit
+    at = row * n + heads[e]
+    parent.reshape(-1)[at] = tails[e]
+    if W is None:
+        return tied
+    heavy = W.reshape(-1)  # a view: W is a run of whole rows
+    heavy.fill(0.0)
+    heavy[at] = ws[e]
+    # jump[x] climbs toward the root; heavy[x] is the max over the edges climbed
+    jump = np.arange(k * n)
+    jump[at] = row * n + tails[e]
+    del row, e, at
+    while True:
+        nxt = jump[jump]
+        if np.array_equal(nxt, jump):
+            break
+        np.maximum(heavy, heavy[jump], out=heavy)
+        jump = nxt
+    W[~reach] = INF
+    return tied
+
+
+def canonical_rows(
+    g: WeightedGraph, sources: list[int] | None = None, need_weights: bool = True
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """(dist, W, parent) rows of the canonical trees from the given sources.
+
+    Row i belongs to sources[i]; sources None means every vertex.  W is
+    None when need_weights is false.  Tie-free sources are handled a block
+    at a time by _tree_block; each source whose distances tie goes through
+    canonical_tree_from_dist on its own.
+    """
+    n = g.n
+    items = g.edge_items()
+    dist = _sp_dijkstra(graph_csr(n, items), directed=True, indices=sources)
+    e = np.array(items, dtype=float).reshape(-1, 3)
+    del items
+    a, b, w = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64), e[:, 2].copy()
+    ea = (a, b, w, np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w]))
+    del e
+    src = np.arange(n) if sources is None else np.asarray(sources, dtype=np.int64)
+    k, m = len(src), len(w)
+    parent = np.full((k, n), -1, dtype=np.int32)
+    W = np.empty((k, n)) if need_weights else None
+    rows = max(1, min(k, _block_rows(n, m)))
+    buf = (*(np.empty((rows, m)) for _ in range(3)), np.empty((2, rows, m), dtype=bool))
+    for lo in range(0, k, rows):
+        blk = slice(lo, min(lo + rows, k))
+        Wb = None if W is None else W[blk]
+        for i in _tree_block(dist[blk], ea, parent[blk], Wb, buf).tolist():
+            s = int(src[lo + i])
+            p, heavy = canonical_tree_from_dist(g.adjacency(), s, dist[lo + i].tolist())
+            parent[lo + i] = p
+            if W is not None:
+                W[lo + i] = heavy
+                W[lo + i, ~np.isfinite(dist[lo + i])] = INF
+                W[lo + i, s] = 0.0
+    return dist, W, parent
 
 
 def sssp_canonical(g: WeightedGraph, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,33 +280,23 @@ def sssp_canonical(g: WeightedGraph, s: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range for n={g.n}")
-    dist = _sp_dijkstra(graph_csr(g.n, g.edge_items()), directed=True, indices=s)
-    parent, _ = canonical_tree_from_dist(g.adjacency(), s, dist.tolist())
-    return dist, np.array(parent, dtype=np.int32)
+    dist, _, parent = canonical_rows(g, [s], need_weights=False)
+    return dist[0], parent[0]
 
 
 def build_index(g: WeightedGraph) -> ShortestPathIndex:
-    """All-pairs canonical index: n single-source computations.
+    """All-pairs canonical index: canonical_rows from every source.
 
-    The distance phase is batched through scipy; parent selection and
-    heaviest-edge tracking run the canonical rule per source.
+    One scipy call computes all distances.  The tie-free sources then get
+    their parents and W rows from the blocked kernel, whose temporaries stay
+    within _BLOCK_BYTES (1 MiB) beyond the returned 20 * n^2 bytes; each
+    source whose distances tie falls back to canonical_tree_from_dist.
     """
     n = g.n
     if n == 0:
         z = np.zeros((0, 0))
         return ShortestPathIndex(0, z, z.copy(), z.astype(np.int32))
-    items = g.edge_items()
-    ea = EdgeArrays(n, items)
-    dist = _sp_dijkstra(graph_csr(n, items), directed=True)
-    W = np.full((n, n), INF)
-    parent = np.full((n, n), -1, dtype=np.int32)
-    for s in range(n):
-        p, heavy = canonical_tree_arrays(ea, s, dist[s])
-        parent[s] = p
-        wrow = np.array(heavy)
-        wrow[np.isinf(dist[s])] = INF
-        W[s] = wrow
-        W[s, s] = 0.0
+    dist, W, parent = canonical_rows(g)
     return ShortestPathIndex(n, dist, W, parent)
 
 

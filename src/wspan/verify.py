@@ -1,15 +1,17 @@
 """Exact brute-force certification of stretch bounds and size scaling.
 
-G's distances and heaviest path edges come from its ShortestPathIndex.  A
-candidate H's distances are computed exactly by Dijkstra: from every vertex
-for all-pairs classes, or, for a subset pair class S, from the vertices of S
-only.  H's all-pairs matrix is computed at most once per graph object and
-kept on it (WeightedGraph._dist) until the graph is freed, so the lower- and
-upper-bound checks of an emulator share one run.  A passing report is a
-proof for the instance at hand (up to the stated float tolerance).  Pairs
-that are connected in the base graph but not in the candidate are reported
-as a distinct "unreachable" violation kind so that construction bugs are not
-conflated with stretch failures.
+G's distances and heaviest path edges come from its ShortestPathIndex, or,
+for a subset pair class S checked without one, from G's canonical rows of S
+alone (shortest.canonical_rows).  A candidate H's distances are computed
+exactly by Dijkstra: from every vertex for all-pairs classes, or, for a
+subset pair class S, from the vertices of S only.  H's all-pairs matrix is
+computed at most once per graph object and kept on it (WeightedGraph._dist)
+until the graph is freed, so the lower- and upper-bound checks of an
+emulator share one run.  A passing report is a proof for the instance at
+hand (up to the stated float tolerance).  Pairs that are connected in the
+base graph but not in the candidate are reported as a distinct "unreachable"
+violation kind so that construction bugs are not conflated with stretch
+failures.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .graph import WeightedGraph
-from .shortest import ShortestPathIndex, build_index, distance_matrix
+from .shortest import ShortestPathIndex, build_index, canonical_rows, distance_matrix
 
 REL_TOL = 1e-9
 
@@ -153,8 +155,9 @@ def verify_additive_W(
     W(u,v) is the heaviest edge on the canonical shortest u-v path of g.
     c_of_n may be a constant or a function of the vertex count (for bounds
     like c * sqrt(n) * log n).  pair_class None means all pairs; otherwise
-    only pairs inside the given (nonempty) subset are checked, and H's
-    distances are computed from the subset's vertices only.
+    only pairs inside the given (nonempty) subset are checked, and the
+    distances of H, and of g when idx is None, are computed from the
+    subset's vertices only.
     """
     if h.n != g.n:
         raise ValueError(f"vertex set mismatch: g has n={g.n}, h has n={h.n}")
@@ -166,8 +169,6 @@ def verify_additive_W(
         for s in pair_class:
             if not 0 <= s < g.n:
                 raise ValueError(f"subset vertex {s} out of range")
-    if idx is None:
-        idx = build_index(g)
     c = float(c_of_n(g.n)) if callable(c_of_n) else float(c_of_n)
     report = StretchReport(
         bound_kind="additive-cW",
@@ -176,10 +177,15 @@ def verify_additive_W(
         size=h.m,
     )
     if S is None:
+        if idx is None:
+            idx = build_index(g)
         dg, W, dh = idx.dist, idx.W, _h_distances(h)
     else:
-        block = np.ix_(S, S)
-        dg, W, dh = idx.dist[block], idx.W[block], _h_distances(h, S)[:, S]
+        if idx is None:
+            dg, W, _ = canonical_rows(g, S)
+        else:
+            dg, W = idx.dist[S], idx.W[S]
+        dg, W, dh = dg[:, S], W[:, S], _h_distances(h, S)[:, S]
     bound = dg + c * np.where(np.isfinite(W), W, 0.0)
     return _collect(report, dg, dh, W, bound, S)
 

@@ -130,12 +130,20 @@ def connected_pairs(g: WeightedGraph) -> list[tuple[int, int]]:
 
 
 @st.composite
-def small_graphs(draw, max_n: int = 10, integer_weights: bool = True, connected: bool = False):
-    """Random small weighted graphs; integer weights make ties exact."""
+def small_graphs(
+    draw, max_n: int = 10, integer_weights: bool = True, connected: bool = False, weights=None
+):
+    """Random small weighted graphs; integer weights make ties exact.
+
+    weights, a strategy of floats, replaces the integer or continuous
+    weight choice when given.
+    """
     n = draw(st.integers(min_value=2, max_value=max_n))
     pairs = list(itertools.combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    if integer_weights:
+    if weights is not None:
+        wgen = weights
+    elif integer_weights:
         wgen = st.integers(min_value=1, max_value=5).map(float)
     else:
         wgen = st.floats(min_value=1.0, max_value=50.0, allow_nan=False, allow_infinity=False)

@@ -2,11 +2,15 @@ import json
 
 import pytest
 
+import wspan.cli
+import wspan.verify
 from wspan.algos import ALGOS, BOUNDS, parse_algo, parse_bound
 from wspan.bench import run_bench
 from wspan.cli import _build_parser, main
 from wspan.generators import GenSpec
 from wspan.io import read_graph, read_jsonl, write_graph, write_subset
+from wspan.shortest import build_index
+from wspan.verify import verify_additive_W
 
 
 def run(capsys, *argv):
@@ -72,6 +76,35 @@ def test_build_subsetwise_with_subset_file(capsys, tmp_path):
         "--bound", f"subset:0.5:{sfile}",
     )
     assert code == 0
+
+
+def test_subset_bound_builds_no_full_index(capsys, tmp_path, monkeypatch):
+    graph, _ = gen_graph(capsys, tmp_path, n=40, p=0.15)
+    g = read_graph(graph)
+    sfile = tmp_path / "s.txt"
+    S = [0, 3, 7, 11, 19, 33]
+    write_subset(S, sfile)
+    sparse = tmp_path / "sparse.txt"
+    write_graph(g.subgraph(sorted(g.edge_keys())[::3]), sparse)
+    bound = f"subset:0.5:{sfile}"
+    # what the verifier printed when it was handed the full index of G
+    expected = {}
+    for h_path in (graph, sparse):
+        rep = verify_additive_W(g, read_graph(h_path), 2.5, pair_class=S, idx=build_index(g))
+        payload = json.dumps({"bound": bound, "reports": [rep.to_dict()]}, sort_keys=True)
+        expected[h_path] = (0 if rep.passed else 1, payload + "\n")
+    assert expected[graph][0] == 0 and expected[sparse][0] == 1
+
+    def no_index(_):
+        raise AssertionError("full index built for a subset bound")
+
+    monkeypatch.setattr(wspan.cli, "build_index", no_index)
+    monkeypatch.setattr(wspan.verify, "build_index", no_index)
+    for h_path in (graph, sparse):
+        code, out, _ = run(
+            capsys, "verify", "--graph", str(graph), "--spanner", str(h_path), "--bound", bound
+        )
+        assert (code, out) == expected[h_path]
 
 
 def test_build_emulator_and_verify(capsys, tmp_path):

@@ -1,11 +1,24 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wspan import GenSpec, WeightedGraph, build_index, generate, sssp_canonical
-from wspan.shortest import path_vertices
+import wspan.shortest as shortest
+from wspan import (
+    GenSpec,
+    WeightedGraph,
+    build_fast_2w,
+    build_index,
+    generate,
+    sample_levels,
+    sssp_canonical,
+)
+from wspan.fast2w import _spt_edges
+from wspan.graph import edge_key
+from wspan.shortest import canonical_rows, canonical_tree_from_dist, distance_matrix, path_vertices
 
 from conftest import (
     brute_force_apsp,
@@ -196,3 +209,148 @@ def test_index_agrees_with_per_source_sssp_on_ties(medium_grid):
         dist, parent = sssp_canonical(medium_grid, s)
         assert np.array_equal(dist, idx.dist[s])
         assert np.array_equal(parent, idx.parent[s])
+
+
+# weight sets: all ties, small integers, decimals whose float sums are
+# inexact, and continuous weights (no ties)
+WEIGHTS = {
+    "unit": st.just(1.0),
+    "int": st.integers(min_value=1, max_value=5).map(float),
+    "decimal": st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.1]),
+    "float": st.floats(min_value=1.0, max_value=50.0, allow_nan=False, allow_infinity=False),
+}
+
+
+@st.composite
+def mixed_graphs(draw):
+    """Disjoint unions of one or two small graphs, each with its own weight set.
+
+    A union of a tied and a tie-free part puts sources with and without
+    distance ties in one block.
+    """
+    edges, n = [], 0
+    for kind in draw(st.lists(st.sampled_from(sorted(WEIGHTS)), min_size=1, max_size=2)):
+        part = draw(small_graphs(max_n=7, weights=WEIGHTS[kind]))
+        edges += [(u + n, v + n, w) for u, v, w in part.edge_items()]
+        n += part.n
+    return WeightedGraph(n, edges)
+
+
+def per_source_reference(g):
+    """(dist, W, parent) from canonical_tree_from_dist on every source."""
+    n = g.n
+    dist = distance_matrix(n, g.edge_items())
+    W = np.full((n, n), math.inf)
+    parent = np.full((n, n), -1, dtype=np.int32)
+    for s in range(n):
+        p, heavy = canonical_tree_from_dist(g.adjacency(), s, dist[s].tolist())
+        parent[s] = p
+        reach = np.isfinite(dist[s])
+        W[s, reach] = np.array(heavy)[reach]
+        W[s, s] = 0.0
+    return dist, W, parent
+
+
+def tied_source(g, s):
+    """True iff some vertex has two exact shortest-path predecessors from s."""
+    dist = distance_matrix(g.n, g.edge_items(), sources=[s])[0]
+    adj = g.adjacency()
+    for v in range(g.n):
+        if v != s and math.isfinite(dist[v]):
+            if sum(1 for u, w in adj[v] if dist[u] + w == dist[v]) > 1:
+                return True
+    return False
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(g=mixed_graphs(), data=st.data())
+def test_blocked_kernel_matches_per_source_rule(rows, g, data):
+    dist, W, parent = per_source_reference(g)
+    roots = data.draw(st.lists(st.integers(min_value=0, max_value=g.n - 1), min_size=1, max_size=6))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shortest, "_block_rows", lambda n, m: rows)
+        idx = build_index(g)
+        sub = canonical_rows(g, roots)
+        spt = _spt_edges(g, roots)
+        single = [sssp_canonical(g, s) for s in range(g.n)]
+    assert np.array_equal(idx.dist, dist)
+    assert np.array_equal(idx.W, W)
+    assert idx.parent.dtype == np.int32 and np.array_equal(idx.parent, parent)
+    assert np.array_equal(sub[0], dist[roots]) and np.array_equal(sub[1], W[roots])
+    assert np.array_equal(sub[2], parent[roots])
+    for s, (d, p) in enumerate(single):
+        assert np.array_equal(d, dist[s]) and p.dtype == np.int32 and np.array_equal(p, parent[s])
+    # the fast2w tree union, as the per-root loop over parent lists built it
+    union = {edge_key(v, int(u)) for r in roots for v, u in enumerate(parent[r]) if u >= 0}
+    assert spt == union
+    assert all(type(x) is int for key in spt for x in key)
+
+
+def counting_tie_rule(monkeypatch):
+    calls = []
+    orig = shortest.canonical_tree_from_dist
+
+    def counted(adj, s, dist):
+        calls.append(s)
+        return orig(adj, s, dist)
+
+    monkeypatch.setattr(shortest, "canonical_tree_from_dist", counted)
+    return calls
+
+
+def test_tie_rule_runs_once_per_tied_source(monkeypatch):
+    # a unit 4-cycle (every source ties) beside a path (no source ties)
+    g = WeightedGraph(
+        7, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0), (4, 5, 2.0), (5, 6, 3.0)]
+    )
+    grid = generate(GenSpec(family="grid", n=36, rows=6, cols=6, wmodel="unit"))
+    grid_tied = [s for s in range(grid.n) if tied_source(grid, s)]
+    calls = counting_tie_rule(monkeypatch)
+    for rows in (1, 3, 7):
+        monkeypatch.setattr(shortest, "_block_rows", lambda n, m: rows)
+        calls.clear()
+        build_index(g)
+        assert sorted(calls) == [0, 1, 2, 3]
+        calls.clear()
+        build_index(grid)
+        assert sorted(calls) == grid_tied
+
+
+def test_tie_rule_runs_once_per_tied_fast2w_root(monkeypatch):
+    g = generate(GenSpec(family="gnp", n=40, p=0.15, wmodel="unit", seed=2))
+    ls = sample_levels(g, 4.0, seed=3)
+    expected = sum(
+        tied_source(g.subgraph(ls.E[i] | ls.estar[i]), r)
+        for i in range(1, ls.k + 1)
+        for r in ls.D[i]
+    )
+    assert expected > 0
+    calls = counting_tie_rule(monkeypatch)
+    build_fast_2w(g, 4.0, seed=3)
+    assert len(calls) == expected
+
+
+def test_tie_rule_never_runs_without_ties(monkeypatch):
+    g = generate(GenSpec(family="gnp", n=60, p=0.12, wmodel="uniform", seed=5))
+    calls = counting_tie_rule(monkeypatch)
+    build_index(g)
+    build_fast_2w(g, 4.0, seed=1)
+    sssp_canonical(g, 0)
+    assert calls == []
+
+
+def test_index_temporaries_stay_within_block_budget():
+    g = generate(GenSpec(family="geometric", n=400, radius=0.12, seed=3, keep_lcc=True))
+    assert g.n > 300 and g.m > 2000
+    build_index(g)  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        idx = build_index(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = idx.dist.nbytes + idx.W.nbytes + idx.parent.nbytes
+    # slack: the edge list, scipy's CSR copies and the directed edge arrays
+    assert peak - base - returned < shortest._BLOCK_BYTES + (1 << 20)

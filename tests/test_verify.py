@@ -137,11 +137,12 @@ def test_subset_report_matches_full_matrix_reference(g, data):
         verify_non_contracting(g, h)
     idx = build_index(g)
     dh = brute_force_apsp(h)
-    for pair_class, pairs in (
-        (S, itertools.combinations(sorted(set(S)), 2)),
-        (None, itertools.combinations(range(g.n), 2)),
+    for pair_class, pairs, given in (
+        (S, itertools.combinations(sorted(set(S)), 2), idx),
+        (S, itertools.combinations(sorted(set(S)), 2), None),  # G's rows of S only
+        (None, itertools.combinations(range(g.n), 2), idx),
     ):
-        rep = verify_additive_W(g, h, c, pair_class=pair_class, idx=idx)
+        rep = verify_additive_W(g, h, c, pair_class=pair_class, idx=given)
         violations, checked, ratio = full_matrix_report(idx, dh, c, pairs)
         assert rep.violations == violations
         assert rep.pairs_checked == checked
@@ -185,6 +186,20 @@ def test_subset_certify_asks_for_subset_sources_only(monkeypatch, medium_gnp):
     reports = ALGOS["subsetwise"].certify(g, g.subgraph([]), {"eps": 0.5}, idx=build_index(g), subset=S)
     assert calls == [[3, 4, 17, 40]]
     assert reports[0].pairs_checked == 6
+
+
+def test_subset_check_without_index_builds_no_full_index(monkeypatch, medium_grid):
+    g = medium_grid  # unit weights: every source takes the tie rule
+    h = g.subgraph(sorted(g.edge_keys())[::2])
+    S = [40, 3, 17, 3, 25]
+    expected = verify_additive_W(g, h, 2.5, pair_class=S, idx=build_index(g)).to_dict()
+    assert not expected["passed"]
+
+    def no_index(_):
+        raise AssertionError("full index built for a subset check")
+
+    monkeypatch.setattr(wspan.verify, "build_index", no_index)
+    assert verify_additive_W(g, h, 2.5, pair_class=S).to_dict() == expected
 
 
 # -------------------------------------------------------- multiplicative
