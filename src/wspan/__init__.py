@@ -7,7 +7,7 @@ the shortest u-v path.  Everything is exactly verifiable at desk scale: the
 verifier recomputes all-pairs distances and certifies every claimed bound.
 """
 
-from .graph import WeightedGraph, normalize_weights
+from .graph import WeightedGraph
 from .shortest import ShortestPathIndex, build_index, sssp_canonical
 from .light import LightInit, is_t_light_neighbor, t_light_init
 from .greedy import (
@@ -34,7 +34,6 @@ from .generators import GenSpec, generate
 
 __all__ = [
     "WeightedGraph",
-    "normalize_weights",
     "ShortestPathIndex",
     "build_index",
     "sssp_canonical",

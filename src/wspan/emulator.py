@@ -62,9 +62,8 @@ def build_4w_emulator(
         idx = build_index(g)
     t = max(1, math.ceil(2.0 * n ** (1.0 / 3.0) * math.log(n)))
     edges: dict[tuple[int, int], tuple[float, str]] = {}
-    if g.m:
-        for u, v in t_light_init(g, t).kept_edges:
-            edges[(u, v)] = (g.weight(u, v), "g")
+    for u, v in t_light_init(g, t).kept_edges:
+        edges[(u, v)] = (g.weight(u, v), "g")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sample = np.nonzero(rng.random(n) < n ** (-1.0 / 3.0))[0].tolist()
     for i, a in enumerate(sample):

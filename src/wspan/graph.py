@@ -104,18 +104,3 @@ class WeightedGraph:
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, m={self.m})"
 
-
-def normalize_weights(g: WeightedGraph) -> WeightedGraph:
-    """Rescale all weights so the minimum edge weight is exactly 1.
-
-    Distance ratios are preserved; a graph whose minimum weight is already 1
-    is returned unchanged (same weights, new object).
-    """
-    if g.m == 0:
-        raise ValueError("no edges to normalize")
-    w_min = min(g.weights().values())
-    if not w_min > 0:
-        raise ValueError(f"non-positive minimum weight {w_min}")
-    if w_min == 1.0:
-        return WeightedGraph(g.n, g.edge_items())
-    return WeightedGraph(g.n, [(u, v, w / w_min) for u, v, w in g.edge_items()])

@@ -6,6 +6,12 @@ shortest path, and buy the whole canonical shortest path for every pair
 whose current stretch exceeds the trigger.  The multiplicative greedy scans
 edges instead of pairs.
 
+The pairs stay numpy arrays from start to scan: the connected pairs are the
+nonzero entries of the upper triangle of the finite-distance mask, one
+lexsort orders them into a k x 2 array, and every pair's threshold
+d_G + c*W is computed once as an array before the loop.  The spanner's one
+edge set is the distance oracle's weight dict.
+
 Distance queries against the growing spanner use an upper-bound row cache:
 since the spanner only gains edges, any previously computed distance is a
 valid upper bound, so a pair whose cached estimate already meets its
@@ -21,6 +27,7 @@ are exactly "query the current spanner".
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,34 +55,37 @@ class SpannerResult:
         return g.subgraph(self.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairOrder:
-    """Deterministic processing order for vertex pairs."""
+    """Deterministic processing order for vertex pairs.
 
-    pairs: tuple[tuple[int, int], ...]
+    pairs is a k x 2 int64 array whose rows are (min id, max id), in
+    processing order; an empty order has shape (0, 2).
+    """
+
+    pairs: np.ndarray
     mode: str
 
 
 def make_pair_order(
-    idx: ShortestPathIndex, pairs: list[tuple[int, int]], mode: str = "W-then-dist"
+    idx: ShortestPathIndex, pairs: Sequence[tuple[int, int]] | np.ndarray, mode: str = "W-then-dist"
 ) -> PairOrder:
     """Sort pairs by heaviest-path-edge weight, optionally then by distance.
 
-    mode "W-then-dist": key (W, d, min id, max id); mode "W-only": key
-    (W, min id, max id).  Both orders are total and deterministic.
+    pairs is any sequence of vertex pairs or a k x 2 integer array, in
+    either orientation.  mode "W-then-dist": key (W, d, min id, max id);
+    mode "W-only": key (W, min id, max id).  Both orders are total and
+    deterministic.
     """
     if mode not in ("W-then-dist", "W-only"):
         raise ValueError(f"unknown pair order mode {mode!r}")
-    if not pairs:
-        return PairOrder((), mode)
-    us = np.array([min(p) for p in pairs])
-    vs = np.array([max(p) for p in pairs])
-    wkey = idx.W[us, vs]
+    uv = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+    us, vs = uv[:, 0], uv[:, 1]
     if mode == "W-then-dist":
-        order = np.lexsort((vs, us, idx.dist[us, vs], wkey))
+        order = np.lexsort((vs, us, idx.dist[us, vs], idx.W[us, vs]))
     else:
-        order = np.lexsort((vs, us, wkey))
-    return PairOrder(tuple((int(us[i]), int(vs[i])) for i in order), mode)
+        order = np.lexsort((vs, us, idx.W[us, vs]))
+    return PairOrder(uv[order], mode)
 
 
 class _GrowingDistances:
@@ -83,12 +93,13 @@ class _GrowingDistances:
 
     Cached rows are exact for the version at which they were computed and
     remain valid upper bounds afterwards.  refresh() recomputes one row
-    against the current edges.
+    against the current edges.  weights, the edge set with its weights, is
+    owned by the oracle and grows with add_edge.
     """
 
     def __init__(self, n: int, weights: dict[tuple[int, int], float]):
         self.n = n
-        self.weights = dict(weights)
+        self.weights = weights
         self._csr = None
         self._rows: dict[int, np.ndarray] = {}
 
@@ -140,57 +151,46 @@ def _buy_paths(
     g: WeightedGraph,
     idx: ShortestPathIndex,
     start_edges: set[tuple[int, int]],
-    scan: list[tuple[int, int, float]],
+    pairs: np.ndarray,
+    c: float,
 ) -> tuple[set[tuple[int, int]], list[tuple[int, int]], int]:
-    """Scan (u, v, threshold) triples in order, buying canonical paths.
+    """Scan ordered pairs, buying canonical paths.
 
-    A pair's canonical path is added when the current spanner distance
-    strictly exceeds its threshold.  The oracle is primed with the rows of
-    the vertices the scan names, the only rows upper() and refresh() read.
-    Returns (final edges, pairs bought, edges added by paths).
+    pairs is a PairOrder's k x 2 array.  The thresholds d_G + c*W of all
+    pairs are computed once, as an array; a pair's canonical path is added
+    when the current spanner distance strictly exceeds its threshold.  The
+    oracle is primed with the rows of the vertices the pairs name, the only
+    rows upper() and refresh() read, and its weight dict is the one edge
+    set.  Returns (final edges, pairs bought, edges added by paths).
     """
-    edges = set(start_edges)
-    oracle = _GrowingDistances(g.n, {k: g.weight(*k) for k in edges})
-    oracle.prime(sorted({x for u, v, _ in scan for x in (u, v)}))
+    us, vs = pairs[:, 0], pairs[:, 1]
+    thresh = idx.dist[us, vs] + c * idx.W[us, vs]
+    oracle = _GrowingDistances(g.n, {k: g.weight(*k) for k in start_edges})
+    oracle.prime(np.unique(pairs).tolist())
     bought: list[tuple[int, int]] = []
     added = 0
-    for u, v, thresh in scan:
-        if oracle.upper(u, v) <= thresh:
+    for u, v, t in zip(us.tolist(), vs.tolist(), thresh.tolist()):
+        if oracle.upper(u, v) <= t:
             continue
         row = oracle.refresh(u)
-        if row[v] <= thresh:
+        if row[v] <= t:
             continue
         seq = path_vertices(idx, u, v)
         for a, b in zip(seq, seq[1:]):
-            key = edge_key(a, b)
-            if key not in edges:
-                edges.add(key)
-                oracle.add_edge(a, b, g.weight(a, b))
-                added += 1
+            added += oracle.add_edge(a, b, g.weight(a, b))
         bought.append((u, v))
-    return edges, bought, added
+    return set(oracle.weights), bought, added
 
 
-def _connected_pairs(idx: ShortestPathIndex, vertices: list[int] | None = None) -> list[tuple[int, int]]:
-    """Unordered connected pairs (u < v), optionally restricted to a subset."""
+def _connected_pairs(idx: ShortestPathIndex, vertices: list[int] | None = None) -> np.ndarray:
+    """Connected pairs as a k x 2 int64 array of (u, v) rows with u < v.
+
+    With vertices, only pairs inside that subset are returned.
+    """
     if vertices is None:
-        finite = np.isfinite(idx.dist)
-        iu, iv = np.nonzero(np.triu(finite, k=1))
-        return list(zip(iu.tolist(), iv.tolist()))
-    vs = np.array(sorted(vertices))
-    sub = idx.dist[np.ix_(vs, vs)]
-    iu, iv = np.nonzero(np.triu(np.isfinite(sub), k=1))
-    return list(zip(vs[iu].tolist(), vs[iv].tolist()))
-
-
-def _scan_list(idx: ShortestPathIndex, order: PairOrder, c: float) -> list[tuple[int, int, float]]:
-    """Attach per-pair thresholds d_G + c*W to an ordered pair list."""
-    if not order.pairs:
-        return []
-    us = np.array([p[0] for p in order.pairs])
-    vs = np.array([p[1] for p in order.pairs])
-    th = idx.dist[us, vs] + c * idx.W[us, vs]
-    return [(int(u), int(v), float(t)) for u, v, t in zip(us, vs, th)]
+        return np.argwhere(np.triu(np.isfinite(idx.dist), k=1))
+    vs = np.array(sorted(vertices), dtype=np.int64)
+    return vs[np.argwhere(np.triu(np.isfinite(idx.dist[np.ix_(vs, vs)]), k=1))]
 
 
 def greedy_multiplicative(g: WeightedGraph, k: int) -> SpannerResult:
@@ -202,15 +202,14 @@ def greedy_multiplicative(g: WeightedGraph, k: int) -> SpannerResult:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     stretch = 2 * k - 1
-    edges: set[tuple[int, int]] = set()
     oracle = _GrowingDistances(g.n, {})
     for u, v, w in sorted(g.edge_items(), key=lambda e: (e[2], e[0], e[1])):
         thresh = stretch * w
         # distances == limit survive the bounded search, so an inf result
         # means the current distance strictly exceeds thresh
         if oracle.bounded_query(u, v, thresh) > thresh:
-            edges.add(edge_key(u, v))
             oracle.add_edge(u, v, w)
+    edges = set(oracle.weights)
     return SpannerResult(
         edges=edges,
         params={"algo": "mult", "k": k, "stretch": stretch},
@@ -233,9 +232,9 @@ def build_6eps_spanner(
     if idx is None:
         idx = build_index(g)
     t = max(1, math.ceil(g.n ** (1.0 / 3.0)))
-    start = set(t_light_init(g, t).kept_edges) if g.m else set()
+    start = t_light_init(g, t).kept_edges
     order = make_pair_order(idx, _connected_pairs(idx), "W-then-dist")
-    edges, bought, added = _buy_paths(g, idx, start, _scan_list(idx, order, 6.0 + eps))
+    edges, bought, added = _buy_paths(g, idx, start, order.pairs, 6.0 + eps)
     return SpannerResult(
         edges=edges,
         params={"algo": "6w", "eps": eps, "t": t},
@@ -263,9 +262,9 @@ def build_subsetwise_spanner(
     if idx is None:
         idx = build_index(g)
     t = max(1, math.ceil(math.sqrt(len(S))))
-    start = set(t_light_init(g, t).kept_edges) if g.m else set()
+    start = t_light_init(g, t).kept_edges
     order = make_pair_order(idx, _connected_pairs(idx, S), "W-only")
-    edges, bought, added = _buy_paths(g, idx, start, _scan_list(idx, order, 2.0 + eps))
+    edges, bought, added = _buy_paths(g, idx, start, order.pairs, 2.0 + eps)
     return SpannerResult(
         edges=edges,
         params={"algo": "subsetwise", "eps": eps, "t": t, "subset_size": len(S)},
@@ -312,7 +311,7 @@ def build_poly_spanner(
         idx = build_index(g)
     n = g.n
     t = max(1, math.ceil(n**eps))
-    start = set(t_light_init(g, t).kept_edges) if g.m else set()
+    start = set(t_light_init(g, t).kept_edges)
     light_count = len(start)
     k = multiplicative_k_for(n)
     if mult is None:
@@ -323,7 +322,7 @@ def build_poly_spanner(
     start |= mult.edges
     factor = poly_stretch_factor(n, eps, c)
     order = make_pair_order(idx, _connected_pairs(idx), "W-only")
-    edges, bought, added = _buy_paths(g, idx, start, _scan_list(idx, order, factor))
+    edges, bought, added = _buy_paths(g, idx, start, order.pairs, factor)
     return SpannerResult(
         edges=edges,
         params={"algo": "poly", "eps": eps, "c": c, "t": t, "mult_k": k, "stretch_factor": factor},

@@ -89,6 +89,15 @@ def distance_matrix(
     return _sp_dijkstra(graph_csr(n, items), directed=True, indices=sources)
 
 
+def _absorbed(s: int, v: int) -> ValueError:
+    # a tight predecessor not yet placed sits at v's own distance: dist[u] + w
+    # rounded back to dist[u], so the float sums cannot order the two
+    return ValueError(
+        f"source {s}: vertex {v} has a tight neighbor at its own distance; float sums "
+        "absorbed an edge weight, so shortest paths cannot be told apart"
+    )
+
+
 def canonical_tree_from_dist(
     adj: Adjacency, s: int, dist: list[float]
 ) -> tuple[list[int], list[float]]:
@@ -98,7 +107,8 @@ def canonical_tree_from_dist(
     the predecessors u with dist[u] + w == dist[v], the parent minimizes the
     hop count and then the sorted edge-key list of the whole path.  Edge keys
     are encoded as min(u,v)*n + max(u,v) so the tie lists are flat int
-    tuples.
+    tuples.  Raises ValueError when a float sum absorbed an edge weight (a
+    tight neighbor at v's own distance) or dist does not fit adj.
     """
     n = len(adj)
     parent = [-1] * n
@@ -122,11 +132,14 @@ def canonical_tree_from_dist(
                 elif h == best_h:
                     cands.append((u, w))
         if not cands:
-            raise AssertionError(f"no exact predecessor for vertex {v}; inconsistent dist array")
+            raise ValueError(
+                f"source {s}: vertex {v} has no exact predecessor; inconsistent dist array"
+            )
         if len(cands) == 1:
             u, w = cands[0]
             tie_u = ties[u]
-            assert tie_u is not None
+            if tie_u is None:
+                raise _absorbed(s, v)
             ek = u * n + v if u < v else v * n + u
             pos = bisect_left(tie_u, ek)
             best_tie = tie_u[:pos] + (ek,) + tie_u[pos:]
@@ -135,7 +148,8 @@ def canonical_tree_from_dist(
             u, w = cands[0]
             for cu, cw in cands:
                 tie_u = ties[cu]
-                assert tie_u is not None
+                if tie_u is None:
+                    raise _absorbed(s, v)
                 ek = cu * n + v if cu < v else v * n + cu
                 pos = bisect_left(tie_u, ek)
                 cand_tie = tie_u[:pos] + (ek,) + tie_u[pos:]

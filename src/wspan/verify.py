@@ -254,37 +254,6 @@ def verify_non_contracting(
     return report
 
 
-def minimax_path_weight(g: WeightedGraph, idx: ShortestPathIndex | None = None) -> np.ndarray:
-    """Per-pair minimum, over all shortest paths, of the heaviest edge.
-
-    Used as a small-n cross-check: the canonical path's heaviest edge can
-    only be >= this value, and the gap measures how much slack the canonical
-    choice grants the additive bounds.  Computed by dynamic programming over
-    the shortest-path DAG of every source; intended for n <= ~50.
-    """
-    if idx is None:
-        idx = build_index(g)
-    n = g.n
-    adj = g.adjacency()
-    out = np.full((n, n), math.inf)
-    np.fill_diagonal(out, 0.0)
-    for s in range(n):
-        dist = idx.dist[s]
-        order = np.argsort(dist, kind="stable")
-        best = [math.inf] * n
-        best[s] = 0.0
-        for v in order.tolist():
-            if v == s or not np.isfinite(dist[v]):
-                continue
-            for u, w in adj[v]:
-                if np.isfinite(dist[u]) and dist[u] + w == dist[v]:
-                    cand = best[u] if best[u] >= w else w
-                    if cand < best[v]:
-                        best[v] = cand
-        out[s] = best
-    return out
-
-
 def size_scaling_fit(records: list[tuple[int, int]]) -> float:
     """Least-squares slope of log(edge_count) against log(n).
 

@@ -4,7 +4,9 @@ The oracles here are deliberately independent of the package's shortest-path
 code: Floyd-Warshall for distances, exhaustive path enumeration for the
 canonical-path rule, and rebuild-from-scratch simulations of the greedy
 multiplicative spanner and of path buying.  Expected values in the tests are
-computed by these, never by the code under test.
+computed by these, never by the code under test.  minimax_path_weight is a
+cross-check rather than an oracle: it reads the distances of the index it is
+given.
 """
 
 from __future__ import annotations
@@ -73,6 +75,36 @@ def oracle_canonical_path(g: WeightedGraph, u: int, v: int) -> tuple[int, ...]:
     cands = enumerate_shortest_paths(g, u, v)
     assert cands, f"no path between {u} and {v}"
     return min(cands, key=key)
+
+
+def minimax_path_weight(g: WeightedGraph, idx) -> np.ndarray:
+    """Per-pair minimum, over all shortest paths, of the heaviest edge.
+
+    Used as a small-n cross-check: the canonical path's heaviest edge can
+    only be >= this value, and the gap measures how much slack the canonical
+    choice grants the additive bounds.  Computed by dynamic programming over
+    the shortest-path DAG of every source, read off idx.dist; intended for
+    n <= ~50.
+    """
+    n = g.n
+    adj = g.adjacency()
+    out = np.full((n, n), math.inf)
+    np.fill_diagonal(out, 0.0)
+    for s in range(n):
+        dist = idx.dist[s]
+        order = np.argsort(dist, kind="stable")
+        best = [math.inf] * n
+        best[s] = 0.0
+        for v in order.tolist():
+            if v == s or not np.isfinite(dist[v]):
+                continue
+            for u, w in adj[v]:
+                if np.isfinite(dist[u]) and dist[u] + w == dist[v]:
+                    cand = best[u] if best[u] >= w else w
+                    if cand < best[v]:
+                        best[v] = cand
+        out[s] = best
+    return out
 
 
 def greedy_mult_oracle(g: WeightedGraph, k: int) -> set[tuple[int, int]]:

@@ -172,6 +172,20 @@ def test_non_finite_weight_is_exit_2(capsys, tmp_path):
     assert "bad.txt:2: non-finite weight" in err
 
 
+def test_absorbed_edge_weight_is_exit_2(capsys, tmp_path):
+    # 1e16 + 1 == 1e16 in floats, so from vertex 0 the tie rule cannot order 1 and 2
+    graph = tmp_path / "g.txt"
+    graph.write_text("3 2\n0 2 1e16\n1 2 1\n")
+    for argv in (
+        ["build", "--algo", "6w", "--eps", "1", "--graph", str(graph), "-o", str(tmp_path / "h.txt")],
+        ["verify", "--graph", str(graph), "--spanner", str(graph), "--bound", "2w"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("wspan: error: source 0: vertex 1")
+        assert "absorbed an edge weight" in err and "Traceback" not in err
+
+
 def test_bound_spec_extra_fields_are_exit_2(capsys, tmp_path):
     graph, _ = gen_graph(capsys, tmp_path)
     for bound in ("2w:junk", "6w:1:2", "4w-emu:1", "poly:0.5:16:3"):

@@ -37,6 +37,11 @@ def test_two_vertex_graph():
     assert em.edges[(0, 1)][0] == 4.0
 
 
+def test_edgeless_graph_has_no_edges():
+    for seed in range(5):
+        assert build_4w_emulator(WeightedGraph(8, []), seed=seed).edges == {}
+
+
 def test_rejects_single_vertex():
     with pytest.raises(ValueError):
         build_4w_emulator(WeightedGraph(1, []), seed=0)

@@ -1,6 +1,6 @@
 import pytest
 
-from wspan import WeightedGraph, normalize_weights
+from wspan import WeightedGraph
 
 
 def test_rejects_self_loop():
@@ -47,25 +47,3 @@ def test_subgraph_keeps_weights():
     assert h.weight(1, 2) == 2.5
     assert not h.has_edge(0, 2)
 
-
-def test_normalize_single_edge():
-    g = WeightedGraph(2, [(0, 1, 5.0)])
-    assert normalize_weights(g).weight(0, 1) == 1.0
-
-
-def test_normalize_uniform_division():
-    g = WeightedGraph(4, [(0, 1, 2.0), (1, 2, 4.0), (2, 3, 6.0)])
-    ng = normalize_weights(g)
-    assert [w for _, _, w in ng.edge_items()] == [1.0, 2.0, 3.0]
-
-
-def test_normalize_identity_when_min_is_one():
-    g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 3.5)])
-    ng = normalize_weights(g)
-    assert ng == g
-    assert ng is not g
-
-
-def test_normalize_empty_errors():
-    with pytest.raises(ValueError, match="no edges to normalize"):
-        normalize_weights(WeightedGraph(3, []))

@@ -1,6 +1,8 @@
 import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +22,10 @@ from wspan import (
     verify_multiplicative,
     verify_subgraph,
 )
+import wspan.greedy as greedy
 from wspan.greedy import multiplicative_k_for, poly_stretch_factor
 
-from conftest import greedy_mult_oracle, path_buying_oracle, small_graphs
+from conftest import connected_pairs, greedy_mult_oracle, path_buying_oracle, small_graphs
 
 
 def random_tree(n=12, seed=3):
@@ -63,16 +66,21 @@ buying_graphs = st.one_of(small_graphs(max_n=8), clustered_graphs())
 def test_pair_order_w_then_dist():
     g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 4.0)])
     idx = build_index(g)
-    po = make_pair_order(idx, [(0, 2), (0, 1)], "W-then-dist")
-    # equal W=1 for both, d(0,1)=1 < d(0,2)=2
-    assert po.pairs == ((0, 1), (0, 2))
+    # equal W=1 for both, d(0,1)=1 < d(0,2)=2; either orientation, list or array
+    for pairs in ([(0, 2), (0, 1)], [(2, 0), (1, 0)], np.array([[0, 2], [1, 0]])):
+        po = make_pair_order(idx, pairs, "W-then-dist")
+        assert po.pairs.tolist() == [[0, 1], [0, 2]]
+        assert po.pairs.dtype == np.int64
+    empty = make_pair_order(idx, [], "W-then-dist").pairs
+    assert empty.shape == (0, 2) and empty.dtype == np.int64
 
 
 def test_pair_order_all_equal_keys_id_lexicographic():
     g = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
     idx = build_index(g)
-    po = make_pair_order(idx, [(0, 3), (0, 2), (0, 1)], "W-then-dist")
-    assert po.pairs == ((0, 1), (0, 2), (0, 3))
+    for pairs in ([(0, 3), (0, 2), (0, 1)], [(3, 0), (0, 2), (1, 0)]):
+        po = make_pair_order(idx, pairs, "W-then-dist")
+        assert po.pairs.tolist() == [[0, 1], [0, 2], [0, 3]]
 
 
 def test_pair_order_triangle_heavy_edge_last():
@@ -80,17 +88,20 @@ def test_pair_order_triangle_heavy_edge_last():
     idx = build_index(g)
     # W is 1 for every pair (the heavy edge is never on a shortest path),
     # so the distance key pushes (0,2) last
-    po = make_pair_order(idx, [(0, 2), (1, 2), (0, 1)], "W-then-dist")
-    assert po.pairs == ((0, 1), (1, 2), (0, 2))
-    # W-only mode falls back to id order on the all-equal key
-    po2 = make_pair_order(idx, [(0, 2), (1, 2), (0, 1)], "W-only")
-    assert po2.pairs == ((0, 1), (0, 2), (1, 2))
+    for pairs in ([(0, 2), (1, 2), (0, 1)], [(2, 0), (2, 1), (1, 0)]):
+        po = make_pair_order(idx, pairs, "W-then-dist")
+        assert po.pairs.tolist() == [[0, 1], [1, 2], [0, 2]]
+        # W-only mode falls back to id order on the all-equal key
+        po2 = make_pair_order(idx, pairs, "W-only")
+        assert po2.pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert make_pair_order(idx, [], "W-only").pairs.shape == (0, 2)
 
 
 def test_pair_order_rejects_unknown_mode():
     g = WeightedGraph(2, [(0, 1, 1.0)])
-    with pytest.raises(ValueError):
-        make_pair_order(build_index(g), [(0, 1)], "by-degree")
+    for pairs in ([(0, 1)], []):
+        with pytest.raises(ValueError):
+            make_pair_order(build_index(g), pairs, "by-degree")
 
 
 # ------------------------------------------------------------- multiplicative
@@ -287,6 +298,17 @@ def test_poly_bound_holds(g):
 # ------------------------------------------------------------ shared shape
 
 
+def test_edgeless_graph_gives_empty_spanners():
+    g = WeightedGraph(4, [])
+    for res in (
+        greedy_multiplicative(g, 2),
+        build_6eps_spanner(g, 1.0),
+        build_subsetwise_spanner(g, [0, 2], 0.5),
+        build_poly_spanner(g, 0.5),
+    ):
+        assert res.edges == set() and res.paths_added == []
+
+
 def test_results_record_processing_order(medium_gnp):
     idx = build_index(medium_gnp)
     res = build_6eps_spanner(medium_gnp, 0.1, idx=idx)
@@ -295,3 +317,41 @@ def test_results_record_processing_order(medium_gnp):
     assert ws == sorted(ws)
     counts = res.stats["phase_edge_counts"]
     assert counts["light_init"] + counts["paths"] == res.m
+
+
+def test_buy_paths_gets_every_connected_pair(monkeypatch):
+    # the benchmark counts len(args[3]) of _buy_paths as pairs scanned
+    seen = []
+    orig = greedy._buy_paths
+
+    def counted(*args, **kwargs):
+        seen.append(len(args[3]))
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(greedy, "_buy_paths", counted)
+    half = generate(GenSpec(family="gnp", n=20, p=0.3, wmodel="uniform", seed=1))
+    g = WeightedGraph(40, half.edge_items() + [(u + 20, v + 20, w) for u, v, w in half.edge_items()])
+    everywhere = len(connected_pairs(g))
+    assert everywhere < 40 * 39 // 2  # the two halves are not connected
+    S = [0, 3, 5, 21, 25, 39]
+    inside = sum(1 for u, v in connected_pairs(g) if u in S and v in S)
+    build_6eps_spanner(g, 1.0)
+    build_poly_spanner(g, 0.5)
+    build_subsetwise_spanner(g, S, 0.5)
+    assert seen == [everywhere, everywhere, inside]
+
+
+def test_6eps_scan_memory_is_linear_in_pairs():
+    n = 400
+    g = generate(GenSpec(family="gnp", n=n, p=2 * math.sqrt(n) / (n - 1), wmodel="uniform", seed=1))
+    idx = build_index(g)
+    pairs = (int(np.isfinite(idx.dist).sum()) - n) // 2
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build_6eps_spanner(g, 1.0, idx=idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # n oracle rows of 8 bytes per vertex, and a bounded cost per scanned pair
+    assert peak - base < 8 * n * n + 160 * pairs

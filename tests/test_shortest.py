@@ -340,6 +340,13 @@ def test_tie_rule_never_runs_without_ties(monkeypatch):
     assert calls == []
 
 
+def test_absorbed_edge_weight_is_a_value_error():
+    # from 0, 1e16 + 1 == 1e16: vertex 1 sits at the distance of its only predecessor 2
+    g = WeightedGraph(3, [(0, 2, 1e16), (1, 2, 1.0)])
+    with pytest.raises(ValueError, match="source 0: vertex 1 .* absorbed an edge weight"):
+        build_index(g)
+
+
 def test_index_temporaries_stay_within_block_budget():
     g = generate(GenSpec(family="geometric", n=400, radius=0.12, seed=3, keep_lcc=True))
     assert g.n > 300 and g.m > 2000

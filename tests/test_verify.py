@@ -19,9 +19,9 @@ from wspan import (
     verify_subgraph,
 )
 from wspan.algos import ALGOS
-from wspan.verify import REL_TOL, Violation, minimax_path_weight
+from wspan.verify import REL_TOL, Violation
 
-from conftest import brute_force_apsp, small_graphs
+from conftest import brute_force_apsp, minimax_path_weight, small_graphs
 
 
 def triangle_heavy():
