@@ -2,16 +2,15 @@
 
 Vertices are integer ids 0..n-1.  Edges are unordered pairs stored under the
 key (min(u,v), max(u,v)).  Instances are immutable after construction and
-safe to share between threads; the only state they fill in later is derived
-from the edges and cached for the life of the object.
+safe to share between threads; the only state they fill in later is the
+adjacency tuples, derived from the edges and cached for the life of the
+object.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-
-import numpy as np
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -25,16 +24,12 @@ class WeightedGraph:
     Rejects self-loops, parallel edges, out-of-range vertex ids, and
     non-positive or non-finite weights at construction time.
 
-    Derived data is cached on first use and freed with the graph: the
-    adjacency tuples, and _dist, the read-only n x n all-pairs distance
-    matrix.  Only wspan.verify fills _dist, when a check needs every row of
-    a candidate's distances, so all checks of one candidate object share one
-    all-pairs run.  build_index neither reads nor fills it, because the
-    index already holds the graph's matrix.  Two threads filling a cache at
-    once compute the same value twice; neither result is wrong.
+    The adjacency tuples are cached on first use and freed with the graph.
+    Two threads filling the cache at once compute the same value twice;
+    neither result is wrong.
     """
 
-    __slots__ = ("n", "_w", "_adj", "_dist")
+    __slots__ = ("n", "_w", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
         if n < 0:
@@ -55,7 +50,6 @@ class WeightedGraph:
             w[key] = weight
         self._w = w
         self._adj: tuple[tuple[tuple[int, float], ...], ...] | None = None
-        self._dist: np.ndarray | None = None
 
     @property
     def m(self) -> int:

@@ -78,15 +78,13 @@ def graph_csr(n: int, items: list[tuple[int, int, float]]) -> csr_matrix:
     return csr_matrix((ws, (us, vs)), shape=(n, n))
 
 
-def distance_matrix(
-    n: int, items: list[tuple[int, int, float]], sources: list[int] | None = None
-) -> np.ndarray:
-    """Distances of an arbitrary weighted edge list (C-speed).
+def distance_matrix(csr: csr_matrix, sources: Sequence[int] | None = None) -> np.ndarray:
+    """Distances over a graph_csr matrix (C-speed).
 
     Row i holds the distances from sources[i]; sources None means every
     vertex, giving the n x n all-pairs matrix.
     """
-    return _sp_dijkstra(graph_csr(n, items), directed=True, indices=sources)
+    return _sp_dijkstra(csr, directed=True, indices=sources)
 
 
 def _absorbed(s: int, v: int) -> ValueError:

@@ -2,16 +2,23 @@
 
 G's distances and heaviest path edges come from its ShortestPathIndex, or,
 for a subset pair class S checked without one, from G's canonical rows of S
-alone (shortest.canonical_rows).  A candidate H's distances are computed
-exactly by Dijkstra: from every vertex for all-pairs classes, or, for a
-subset pair class S, from the vertices of S only.  H's all-pairs matrix is
-computed at most once per graph object and kept on it (WeightedGraph._dist)
-until the graph is freed, so the lower- and upper-bound checks of an
-emulator share one run.  A passing report is a proof for the instance at
-hand (up to the stated float tolerance).  Pairs that are connected in the
-base graph but not in the candidate are reported as a distinct "unreachable"
-violation kind so that construction bugs are not conflated with stretch
-failures.
+alone (shortest.canonical_rows).  Every upper-bound check (additive on all
+pairs or on S x S, multiplicative) is one sweep: Dijkstra on H from a block
+of sources at a time over one CSR of H, compared with the same rows of G's
+distances and W.  All pairs is the case S = every vertex.  Blocks are sized
+so that their temporaries stay within shortest._BLOCK_BYTES, so a check holds
+O(block * n) memory beyond the index and H.
+
+The lower bound d_H >= d_G holds for every pair iff every edge (a, b) of H
+has w_H(a, b) >= d_G(a, b): an H path is then no shorter than the chain of G
+distances along it, which the triangle inequality bounds by d_G, and the
+edge is itself an H path.  So verify_non_contracting reads one index entry
+per H edge, computes no distances of H, and reports violating edges.
+
+A passing report is a proof for the instance at hand (up to the stated
+float tolerance).  Pairs that are connected in the base graph but not in the
+candidate are reported as a distinct "unreachable" violation kind so that
+construction bugs are not conflated with stretch failures.
 """
 
 from __future__ import annotations
@@ -23,9 +30,14 @@ from typing import Callable
 import numpy as np
 
 from .graph import WeightedGraph
-from .shortest import ShortestPathIndex, build_index, canonical_rows, distance_matrix
+from .shortest import _BLOCK_BYTES, ShortestPathIndex, build_index, canonical_rows, distance_matrix, graph_csr
 
 REL_TOL = 1e-9
+
+
+def _json_float(x: float) -> float | None:
+    """x, or None where JSON has no number for it (inf, NaN)."""
+    return x if math.isfinite(x) else None
 
 
 @dataclass(frozen=True)
@@ -42,10 +54,10 @@ class Violation:
         return {
             "u": self.u,
             "v": self.v,
-            "d_g": self.d_g,
-            "d_h": self.d_h,
-            "w_heavy": self.w_heavy,
-            "slack": self.slack,
+            "d_g": _json_float(self.d_g),
+            "d_h": _json_float(self.d_h),
+            "w_heavy": _json_float(self.w_heavy),
+            "slack": _json_float(self.slack),
             "kind": self.kind,
         }
 
@@ -73,73 +85,69 @@ class StretchReport:
             "passed": self.passed,
             "violation_count": len(self.violations),
             "violations": [v.to_dict() for v in self.violations[:50]],
-            "max_slack_ratio": None if math.isnan(self.max_slack_ratio) else self.max_slack_ratio,
+            "max_slack_ratio": _json_float(self.max_slack_ratio),
             "size": self.size,
         }
 
 
-def _h_distances(h: WeightedGraph, sources: list[int] | None = None) -> np.ndarray:
-    """Rows of H's distance matrix: all n, or those of the given sources.
-
-    The all-pairs matrix is computed on first request and kept read-only on
-    h.  A sources request reads it when it is there and otherwise runs
-    Dijkstra from the sources alone, without filling the memo.
-    """
-    if h._dist is None:
-        if sources is not None:
-            return distance_matrix(h.n, h.edge_items(), sources=sources)
-        dist = distance_matrix(h.n, h.edge_items())
-        dist.setflags(write=False)
-        h._dist = dist
-    return h._dist if sources is None else h._dist[sources]
+def _sweep_rows(n: int) -> int:
+    """Sources per sweep block: about 64 bytes per vertex per source (H's row,
+    the block's columns of it and of G's rows, bound, tolerance, masks)."""
+    return max(1, _BLOCK_BYTES // (64 * max(n, 1)))
 
 
-def _upper(n: int) -> np.ndarray:
-    """Mask of the pairs i < j of an n x n block."""
-    return np.triu(np.ones((n, n), dtype=bool), k=1)
-
-
-def _slack_ratio(dg: np.ndarray, dh: np.ndarray, W: np.ndarray, mask: np.ndarray) -> float:
-    sel = mask & np.isfinite(dg) & np.isfinite(dh) & (W > 0) & np.isfinite(W)
-    if not sel.any():
-        return math.nan
-    return float(((dh[sel] - dg[sel]) / W[sel]).max())
-
-
-def _collect(
-    report: StretchReport,
-    dg: np.ndarray,
-    dh: np.ndarray,
-    W: np.ndarray,
-    bound: np.ndarray,
-    ids: list[int] | None = None,
+def _sweep(
+    report: StretchReport, g: WeightedGraph, h: WeightedGraph, S: list[int],
+    idx: ShortestPathIndex | None, bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> StretchReport:
-    """Shared violation sweep: bound holds, up to relative tolerance.
+    """Check d_H <= bound(d_G, W), up to relative tolerance, on S x S.
 
-    The arrays are square blocks over the same vertices, and the pairs i < j
-    of the block are checked.  Row/column i is vertex ids[i], or vertex i
-    when ids is None.
+    S is sorted and duplicate-free; the pairs u < v of S connected in g are
+    checked.  G's rows come from idx, or from canonical_rows(g, S) when idx
+    is None.  Violations are listed unreachable pairs first, then bound
+    violations, each by (u, v).
     """
-    mask = _upper(dg.shape[0])
-    connected = mask & np.isfinite(dg)
-    report.pairs_checked = int(connected.sum())
-    unreachable = connected & ~np.isfinite(dh)
-    with np.errstate(invalid="ignore"):  # inf-inf on pairs the masks discard
-        tol = REL_TOL * np.maximum(1.0, np.abs(bound))
-        over = connected & np.isfinite(dh) & (dh - bound > tol)
-    vid = (lambda i: int(i)) if ids is None else (lambda i: int(ids[i]))
-    for u, v in np.argwhere(unreachable):
-        report.violations.append(
-            Violation(vid(u), vid(v), float(dg[u, v]), math.inf, float(W[u, v]), math.inf, "unreachable")
-        )
-    for u, v in np.argwhere(over):
-        report.violations.append(
-            Violation(
-                vid(u), vid(v), float(dg[u, v]), float(dh[u, v]), float(W[u, v]),
-                float(dh[u, v] - bound[u, v]),
+    if not S:  # n = 0
+        return report
+    cols = np.asarray(S)
+    if idx is None:
+        dist, W, _ = canonical_rows(g, S)
+        row_of = np.arange(len(S))
+    else:
+        dist, W, row_of = idx.dist, idx.W, cols
+    csr = graph_csr(h.n, h.edge_items())
+    unreachable: list[Violation] = []
+    over: list[Violation] = []
+    tops: list[float] = []
+    rows = _sweep_rows(g.n)
+    for lo in range(0, len(S), rows):
+        hi = min(lo + rows, len(S))
+        dh = distance_matrix(csr, S[lo:hi])[:, cols]
+        block = np.ix_(row_of[lo:hi], cols)
+        dg, wb = dist[block], W[block]
+        # the pairs i < j of S: column position past the row's own
+        connected = (np.arange(len(S)) > np.arange(lo, hi)[:, None]) & np.isfinite(dg)
+        report.pairs_checked += int(np.count_nonzero(connected))
+        reach = np.isfinite(dh)
+        bd = bound(dg, wb)
+        with np.errstate(invalid="ignore"):  # inf-inf on pairs the masks discard
+            bad = connected & reach & (dh - bd > REL_TOL * np.maximum(1.0, np.abs(bd)))
+        for i, j in np.argwhere(connected & ~reach).tolist():
+            unreachable.append(
+                Violation(S[lo + i], S[j], float(dg[i, j]), math.inf, float(wb[i, j]), math.inf, "unreachable")
             )
-        )
-    report.max_slack_ratio = _slack_ratio(dg, dh, W, mask)
+        for i, j in np.argwhere(bad).tolist():
+            over.append(
+                Violation(
+                    S[lo + i], S[j], float(dg[i, j]), float(dh[i, j]), float(wb[i, j]),
+                    float(dh[i, j] - bd[i, j]),
+                )
+            )
+        sel = connected & reach & (wb > 0)
+        if sel.any():
+            tops.append(float(((dh[sel] - dg[sel]) / wb[sel]).max()))
+    report.violations = unreachable + over
+    report.max_slack_ratio = max(tops, default=math.nan)
     return report
 
 
@@ -154,15 +162,16 @@ def verify_additive_W(
 
     W(u,v) is the heaviest edge on the canonical shortest u-v path of g.
     c_of_n may be a constant or a function of the vertex count (for bounds
-    like c * sqrt(n) * log n).  pair_class None means all pairs; otherwise
-    only pairs inside the given (nonempty) subset are checked, and the
-    distances of H, and of g when idx is None, are computed from the
-    subset's vertices only.
+    like c * sqrt(n) * log n); c must be finite and >= 0.  pair_class None
+    means all pairs; otherwise only pairs inside the given (nonempty) subset
+    are checked, and the distances of H, and of g when idx is None, are
+    computed from the subset's vertices only.
     """
     if h.n != g.n:
         raise ValueError(f"vertex set mismatch: g has n={g.n}, h has n={h.n}")
-    S = None
-    if pair_class is not None:
+    if pair_class is None:
+        S = list(range(g.n))
+    else:
         S = sorted(set(pair_class))
         if not S:
             raise ValueError("subset must be nonempty")
@@ -170,24 +179,15 @@ def verify_additive_W(
             if not 0 <= s < g.n:
                 raise ValueError(f"subset vertex {s} out of range")
     c = float(c_of_n(g.n)) if callable(c_of_n) else float(c_of_n)
+    if not 0 <= c < math.inf:
+        raise ValueError(f"additive factor c must be finite and >= 0, got {c}")
     report = StretchReport(
         bound_kind="additive-cW",
-        params={"c": c, "pair_class": "all" if S is None else "subset"},
+        params={"c": c, "pair_class": "all" if pair_class is None else "subset"},
         pairs_checked=0,
         size=h.m,
     )
-    if S is None:
-        if idx is None:
-            idx = build_index(g)
-        dg, W, dh = idx.dist, idx.W, _h_distances(h)
-    else:
-        if idx is None:
-            dg, W, _ = canonical_rows(g, S)
-        else:
-            dg, W = idx.dist[S], idx.W[S]
-        dg, W, dh = dg[:, S], W[:, S], _h_distances(h, S)[:, S]
-    bound = dg + c * np.where(np.isfinite(W), W, 0.0)
-    return _collect(report, dg, dh, W, bound, S)
+    return _sweep(report, g, h, S, idx, lambda dg, W: dg + c * np.where(np.isfinite(W), W, 0.0))
 
 
 def verify_multiplicative(
@@ -196,17 +196,15 @@ def verify_multiplicative(
     alpha: float,
     idx: ShortestPathIndex | None = None,
 ) -> StretchReport:
-    """Check d_H <= alpha * d_G for every connected pair."""
+    """Check d_H <= alpha * d_G for every connected pair; alpha finite, >= 1."""
     if h.n != g.n:
         raise ValueError(f"vertex set mismatch: g has n={g.n}, h has n={h.n}")
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    if idx is None:
-        idx = build_index(g)
+    if not 1 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
     report = StretchReport(
         bound_kind="multiplicative-alpha", params={"alpha": alpha}, pairs_checked=0, size=h.m
     )
-    return _collect(report, idx.dist, _h_distances(h), idx.W, alpha * idx.dist)
+    return _sweep(report, g, h, list(range(g.n)), idx, lambda dg, W: alpha * dg)
 
 
 def verify_subgraph(g: WeightedGraph, h: WeightedGraph) -> bool:
@@ -222,35 +220,31 @@ def verify_non_contracting(
     h: WeightedGraph,
     idx: ShortestPathIndex | None = None,
 ) -> StretchReport:
-    """Check d_H >= d_G (within relative tolerance) for all pairs.
+    """Check d_H >= d_G for all pairs, edge by edge.
 
-    The lower-bound side of the emulator contract; unreachable pairs in h
-    trivially satisfy it.
+    The lower-bound side of the emulator contract.  It holds iff every edge
+    (a, b) of h has w_H(a, b) >= d_G(a, b) within relative tolerance, so
+    pairs_checked counts h's edges, each violation is an edge with d_h its
+    weight, and max_slack_ratio stays NaN.  An edge between two components
+    of g is a violation: it connects a pair that g keeps apart.
     """
     if h.n != g.n:
         raise ValueError(f"vertex set mismatch: g has n={g.n}, h has n={h.n}")
     if idx is None:
         idx = build_index(g)
-    dh = _h_distances(h)
-    mask = _upper(g.n)
-    report = StretchReport(bound_kind="exact", params={"direction": "lower"}, pairs_checked=0, size=h.m)
-    connected = mask & np.isfinite(idx.dist)
-    report.pairs_checked = int(connected.sum())
-    # connecting a pair that g keeps apart shortens an infinite distance
-    for u, v in np.argwhere(mask & ~np.isfinite(idx.dist) & np.isfinite(dh)):
-        report.violations.append(
-            Violation(int(u), int(v), math.inf, float(dh[u, v]), math.inf, math.inf, "contraction")
-        )
-    with np.errstate(invalid="ignore"):
-        contracted = connected & np.isfinite(dh) & (idx.dist - dh > REL_TOL * np.maximum(1.0, idx.dist))
-    for u, v in np.argwhere(contracted):
+    e = np.array(h.edge_items(), dtype=float).reshape(-1, 3)
+    a, b, w = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64), e[:, 2]
+    dg = idx.dist[a, b]
+    # inf - w > REL_TOL * inf is false, so non-finite d_G is flagged on its own
+    bad = ~np.isfinite(dg) | (dg - w > REL_TOL * np.maximum(1.0, dg))
+    report = StretchReport(bound_kind="exact", params={"direction": "lower"}, pairs_checked=h.m, size=h.m)
+    for i in np.flatnonzero(bad).tolist():
         report.violations.append(
             Violation(
-                int(u), int(v), float(idx.dist[u, v]), float(dh[u, v]), float(idx.W[u, v]),
-                float(idx.dist[u, v] - dh[u, v]), "contraction",
+                int(a[i]), int(b[i]), float(dg[i]), float(w[i]), float(idx.W[a[i], b[i]]),
+                float(dg[i] - w[i]), "contraction",
             )
         )
-    report.max_slack_ratio = _slack_ratio(idx.dist, dh, idx.W, mask)
     return report
 
 

@@ -24,10 +24,9 @@ from wspan import (
     generate,
     greedy_multiplicative,
     size_scaling_fit,
-    verify_additive_W,
     verify_multiplicative,
-    verify_non_contracting,
 )
+from wspan.algos import ALGOS
 from wspan.greedy import multiplicative_k_for, poly_stretch_factor
 from wspan.shortest import path_vertices
 
@@ -133,7 +132,7 @@ def test_criterion_1_deterministic_6w_stretch(corpus, indexes, spanners_6w):
     for name, g in corpus:
         for eps in (0.1, 1.0):
             res = spanners_6w[(name, eps)]
-            rep = verify_additive_W(g, res.to_graph(g), 6.0 + eps, idx=indexes[name])
+            (rep,) = ALGOS["6w"].certify(g, res.to_graph(g), {"eps": eps}, idx=indexes[name], subset=None)
             if not rep.passed:
                 failures.append((name, eps, rep.violations[:3]))
     ok = not failures
@@ -149,7 +148,7 @@ def test_criterion_2_subsetwise_stretch(corpus, indexes):
         for size in (math.ceil(math.sqrt(g.n)), math.ceil(g.n / 4)):
             S = sorted(rng.choice(g.n, min(size, g.n), replace=False).tolist())
             res = build_subsetwise_spanner(g, S, eps, idx=indexes[name])
-            rep = verify_additive_W(g, res.to_graph(g), 2.0 + eps, pair_class=S, idx=indexes[name])
+            (rep,) = ALGOS["subsetwise"].certify(g, res.to_graph(g), {"eps": eps}, idx=indexes[name], subset=S)
             if not rep.passed:
                 failures.append((name, size, rep.violations[:3]))
     ok = not failures
@@ -166,8 +165,8 @@ def test_criterion_3_poly_stretch_and_path_budget(corpus, indexes):
         mult = greedy_multiplicative(g, multiplicative_k_for(g.n))
         for eps in (0.0, 0.5, 1.0):
             res = build_poly_spanner(g, eps, c, idx=idx, mult=mult)
-            factor = poly_stretch_factor(g.n, eps, c)
-            rep = verify_additive_W(g, res.to_graph(g), factor, idx=idx)
+            (rep,) = ALGOS["poly"].certify(g, res.to_graph(g), {"eps": eps, "c": c}, idx=idx, subset=None)
+            assert rep.params["c"] == poly_stretch_factor(g.n, eps, c)
             if not rep.passed:
                 failures.append((name, eps, rep.violations[:3]))
             budget = g.n ** ((1.0 - eps) / 2.0)
@@ -189,7 +188,7 @@ def test_criterion_4_randomized_2w_stretch():
         idx = build_index(g)
         for seed in range(20):
             res = build_fast_2w(g, 4.0, seed=seed)
-            rep = verify_additive_W(g, res.to_graph(g), 2.0, idx=idx)
+            (rep,) = ALGOS["fast2w"].certify(g, res.to_graph(g), {"c": 4.0}, idx=idx, subset=None)
             runs += 1
             if not rep.passed:
                 bad.append((n, seed, [v.to_dict() for v in rep.violations[:2]]))
@@ -213,10 +212,9 @@ def test_criterion_5_emulator():
             runs += 1
             if len(em.S) > 2 * n ** (2.0 / 3.0):
                 size_failures.append((n, seed, len(em.S)))
-            h = em.to_graph()
-            if not verify_non_contracting(g, h, idx=idx).passed:
+            lower, rep = ALGOS["emulator4w"].certify(g, em.to_graph(), {}, idx=idx, subset=None)
+            if not lower.passed:
                 lower_failures.append((n, seed))
-            rep = verify_additive_W(g, h, 4.0, idx=idx)
             if not rep.passed:
                 upper_failures.append((n, seed, [v.to_dict() for v in rep.violations[:2]]))
     ok = (

@@ -236,6 +236,38 @@ def test_subset_bound_empty_subset_is_exit_2(capsys, tmp_path):
         assert "subset must be nonempty" in err
 
 
+def test_nan_bounds_are_exit_2(capsys, tmp_path):
+    # a 6-cycle minus the edge (0, 5): d_H(0, 5) = 5 against d_G = W = 1
+    graph, span = tmp_path / "g.txt", tmp_path / "h.txt"
+    graph.write_text("6 6\n" + "".join(f"{i} {(i + 1) % 6} 1\n" for i in range(6)))
+    span.write_text("6 5\n" + "".join(f"{i} {i + 1} 1\n" for i in range(5)))
+    code, _, _ = run(capsys, "verify", "--graph", str(graph), "--spanner", str(span), "--bound", "mult:2")
+    assert code == 1
+    for bound in ("mult:nan", "6w:nan", "poly:nan", "poly:0.5:nan", "mult:inf"):
+        code, out, err = run(
+            capsys, "verify", "--graph", str(graph), "--spanner", str(span), "--bound", bound
+        )
+        assert code == 2 and out == "", bound
+        assert err.startswith("wspan: error:") and "must be finite" in err, bound
+
+
+def test_verify_stdout_is_standard_json(capsys, tmp_path):
+    def no_constant(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+
+    graph, span, emu = tmp_path / "g.txt", tmp_path / "h.txt", tmp_path / "e.txt"
+    graph.write_text("4 2\n0 1 1\n2 3 1\n")
+    span.write_text("4 1\n0 1 1\n")  # (2, 3) unreachable
+    emu.write_text("4 3\n0 1 1 g\n1 2 9 v\n2 3 1 g\n")  # (1, 2) joins two components
+    for spanner, bound in ((span, "6w:1"), (emu, "4w-emu")):
+        code, out, _ = run(
+            capsys, "verify", "--graph", str(graph), "--spanner", str(spanner), "--bound", bound
+        )
+        assert code == 1
+        payload = json.loads(out, parse_constant=no_constant)
+        assert any(r["violation_count"] for r in payload["reports"])
+
+
 def test_poly_bound_defaults_c_to_16(capsys, tmp_path):
     graph, _ = gen_graph(capsys, tmp_path)
     span = tmp_path / "poly.txt"

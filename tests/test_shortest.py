@@ -18,7 +18,13 @@ from wspan import (
 )
 from wspan.fast2w import _spt_edges
 from wspan.graph import edge_key
-from wspan.shortest import canonical_rows, canonical_tree_from_dist, distance_matrix, path_vertices
+from wspan.shortest import (
+    canonical_rows,
+    canonical_tree_from_dist,
+    distance_matrix,
+    graph_csr,
+    path_vertices,
+)
 
 from conftest import (
     brute_force_apsp,
@@ -239,7 +245,7 @@ def mixed_graphs(draw):
 def per_source_reference(g):
     """(dist, W, parent) from canonical_tree_from_dist on every source."""
     n = g.n
-    dist = distance_matrix(n, g.edge_items())
+    dist = distance_matrix(graph_csr(n, g.edge_items()))
     W = np.full((n, n), math.inf)
     parent = np.full((n, n), -1, dtype=np.int32)
     for s in range(n):
@@ -253,7 +259,7 @@ def per_source_reference(g):
 
 def tied_source(g, s):
     """True iff some vertex has two exact shortest-path predecessors from s."""
-    dist = distance_matrix(g.n, g.edge_items(), sources=[s])[0]
+    dist = distance_matrix(graph_csr(g.n, g.edge_items()), sources=[s])[0]
     adj = g.adjacency()
     for v in range(g.n):
         if v != s and math.isfinite(dist[v]):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 import wspan.verify
 
 from wspan import (
+    GenSpec,
     WeightedGraph,
     build_4w_emulator,
     build_index,
+    generate,
     size_scaling_fit,
     verify_additive_W,
     verify_multiplicative,
@@ -19,6 +22,7 @@ from wspan import (
     verify_subgraph,
 )
 from wspan.algos import ALGOS
+from wspan.shortest import _BLOCK_BYTES, graph_csr
 from wspan.verify import REL_TOL, Violation
 
 from conftest import brute_force_apsp, minimax_path_weight, small_graphs
@@ -104,10 +108,10 @@ def test_pair_class_out_of_range_rejected():
         verify_additive_W(g, g, 1.0, pair_class=[0, 999])
 
 
-def full_matrix_report(idx, dh: np.ndarray, c: float, pairs) -> tuple[list, int, float]:
-    """(violations, pairs checked, max slack ratio) of d_H <= d_G + c*W, pair
-    by pair over full n x n matrices, in the verifier's order: unreachable
-    pairs first, then stretch violations, each by (u, v)."""
+def full_matrix_report(idx, dh: np.ndarray, bound, pairs) -> tuple[list, int, float]:
+    """(violations, pairs checked, max slack ratio) of d_H <= bound(d_G, W),
+    pair by pair over full n x n matrices, in the verifier's order:
+    unreachable pairs first, then bound violations, each by (u, v)."""
     unreachable, over, ratios = [], [], []
     checked = 0
     for u, v in pairs:
@@ -118,9 +122,9 @@ def full_matrix_report(idx, dh: np.ndarray, c: float, pairs) -> tuple[list, int,
         if not math.isfinite(d):
             unreachable.append(Violation(u, v, dg, math.inf, w, math.inf, "unreachable"))
             continue
-        bound = dg + c * w
-        if d - bound > REL_TOL * max(1.0, abs(bound)):
-            over.append(Violation(u, v, dg, d, w, d - bound))
+        b = bound(dg, w)
+        if d - b > REL_TOL * max(1.0, abs(b)):
+            over.append(Violation(u, v, dg, d, w, d - b))
         ratios.append((d - dg) / w)
     return unreachable + over, checked, max(ratios) if ratios else math.nan
 
@@ -133,17 +137,26 @@ def test_subset_report_matches_full_matrix_reference(g, data):
     h = g.subgraph([k for k, keep in zip(keys, kept) if keep])
     S = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n), label="S")
     c = data.draw(st.sampled_from([0.0, 0.5, 2.0]), label="c")
-    if data.draw(st.booleans(), label="memo filled"):
-        verify_non_contracting(g, h)
+    alpha = data.draw(st.sampled_from([1.0, 1.5, 3.0]), label="alpha")
+    rows = data.draw(st.sampled_from([1, 2, 3, None]), label="sources per block")
     idx = build_index(g)
     dh = brute_force_apsp(h)
-    for pair_class, pairs, given in (
+    additive = lambda dg, w: dg + c * w  # noqa: E731
+    cases = [
         (S, itertools.combinations(sorted(set(S)), 2), idx),
         (S, itertools.combinations(sorted(set(S)), 2), None),  # G's rows of S only
         (None, itertools.combinations(range(g.n), 2), idx),
-    ):
-        rep = verify_additive_W(g, h, c, pair_class=pair_class, idx=given)
-        violations, checked, ratio = full_matrix_report(idx, dh, c, pairs)
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(wspan.verify, "_sweep_rows", lambda n: rows)
+        reports = [verify_additive_W(g, h, c, pair_class=p, idx=given) for p, _, given in cases]
+        reports.append(verify_multiplicative(g, h, alpha, idx=idx))
+    expected = [full_matrix_report(idx, dh, additive, pairs) for _, pairs, _ in cases]
+    expected.append(
+        full_matrix_report(idx, dh, lambda dg, w: alpha * dg, itertools.combinations(range(g.n), 2))
+    )
+    for rep, (violations, checked, ratio) in zip(reports, expected):
         assert rep.violations == violations
         assert rep.pairs_checked == checked
         assert rep.max_slack_ratio == ratio or (math.isnan(rep.max_slack_ratio) and math.isnan(ratio))
@@ -154,38 +167,64 @@ def counted_distance_matrix(monkeypatch) -> list:
     calls = []
     real = wspan.verify.distance_matrix
 
-    def counting(n, items, sources=None):
-        calls.append(sources)
-        return real(n, items, sources=sources)
+    def counting(csr, sources=None):
+        calls.append(None if sources is None else list(sources))
+        return real(csr, sources)
 
     monkeypatch.setattr(wspan.verify, "distance_matrix", counting)
     return calls
 
 
 def test_emulator_certify_runs_one_apsp_on_h(monkeypatch, medium_gnp):
-    g = WeightedGraph(medium_gnp.n, medium_gnp.edge_items())  # a fresh, unshared object
+    g = medium_gnp
     idx = build_index(g)
     res = build_4w_emulator(g, seed=3, idx=idx)
-    calls = counted_distance_matrix(monkeypatch)
     h = res.to_graph()
-    reports = ALGOS["emulator4w"].certify(g, h, {}, idx=idx, subset=None)
-    assert calls == [None]
-    again = ALGOS["emulator4w"].certify(g, h, {}, idx=idx, subset=None)
-    assert calls == [None]  # the memo answers a second certification
-    fresh = ALGOS["emulator4w"].certify(g, res.to_graph(), {}, idx=idx, subset=None)
-    assert calls == [None, None]
+    calls = counted_distance_matrix(monkeypatch)
+    assert verify_non_contracting(g, h, idx=idx).passed
+    assert calls == []  # the lower bound reads one index entry per H edge
+    monkeypatch.setattr(wspan.verify, "_sweep_rows", lambda n: 7)
+    certify = ALGOS["emulator4w"].certify
+    reports = certify(g, h, {}, idx=idx, subset=None)
+    assert len(calls) == math.ceil(g.n / 7)
+    assert [s for srcs in calls for s in srcs] == list(range(g.n))
+    del calls[:]
+    again = certify(g, h, {}, idx=idx, subset=None)
+    assert [s for srcs in calls for s in srcs] == list(range(g.n))
+    fresh = certify(g, res.to_graph(), {}, idx=idx, subset=None)
     assert [r.to_dict() for r in reports] == [r.to_dict() for r in again]
     assert [r.to_dict() for r in reports] == [r.to_dict() for r in fresh]
-    assert g._dist is None  # build_index neither reads nor fills the memo
 
 
 def test_subset_certify_asks_for_subset_sources_only(monkeypatch, medium_gnp):
     g = medium_gnp
     S = [3, 17, 4, 40, 17]
     calls = counted_distance_matrix(monkeypatch)
+    monkeypatch.setattr(wspan.verify, "_sweep_rows", lambda n: 3)
     reports = ALGOS["subsetwise"].certify(g, g.subgraph([]), {"eps": 0.5}, idx=build_index(g), subset=S)
-    assert calls == [[3, 4, 17, 40]]
+    assert calls == [[3, 4, 17], [40]]
+    assert [s for srcs in calls for s in srcs] == sorted(set(S))
     assert reports[0].pairs_checked == 6
+
+
+def test_emulator_certify_memory_stays_within_block_budget():
+    g = generate(GenSpec(family="geometric", n=400, radius=0.12, seed=3, keep_lcc=True))
+    assert g.n > 300
+    idx = build_index(g)
+    h = build_4w_emulator(g, seed=1, idx=idx).to_graph()
+    certify = ALGOS["emulator4w"].certify
+    certify(g, h, {}, idx=idx, subset=None)  # warm up lazy imports and caches
+    csr = graph_csr(h.n, h.edge_items())
+    csr_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        certify(g, h, {}, idx=idx, subset=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # slack: H's edge list and arrays, the reports
+    assert peak - base < _BLOCK_BYTES + csr_bytes + (1 << 20)
 
 
 def test_subset_check_without_index_builds_no_full_index(monkeypatch, medium_grid):
@@ -260,6 +299,78 @@ def test_non_contracting_flags_false_connection():
     rep = verify_non_contracting(g, h)
     assert not rep.passed
     assert all(v.kind == "contraction" and math.isinf(v.d_g) for v in rep.violations)
+
+
+@st.composite
+def lower_bound_candidates(draw):
+    """(G, H) with H drawn around G's distances: some of G's edges, a few
+    with lowered weights, virtual edges at exactly d_G, and edges across
+    G's components.  Integer and half weights keep every sum exact."""
+    g = draw(small_graphs(max_n=8))
+    d = brute_force_apsp(g)
+    edges = []
+    for u, v, w in g.edge_items():
+        kind = draw(st.sampled_from(["keep", "drop", "lower"]))
+        if kind != "drop":
+            edges.append((u, v, w - 0.5 if kind == "lower" else w))
+    for u, v in itertools.combinations(range(g.n), 2):
+        if not g.has_edge(u, v) and draw(st.integers(0, 3)) == 0:
+            w = float(d[u, v]) if math.isfinite(d[u, v]) else float(draw(st.integers(1, 9)))
+            edges.append((u, v, w))
+    return g, WeightedGraph(g.n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lower_bound_candidates())
+def test_edgewise_non_contraction_matches_pairwise_reference(gh):
+    g, h = gh
+    dg, dh = brute_force_apsp(g), brute_force_apsp(h)
+
+    def contracted(u, v):
+        if not math.isfinite(dg[u, v]):
+            return math.isfinite(dh[u, v])
+        return dg[u, v] - dh[u, v] > REL_TOL * max(1.0, dg[u, v])
+
+    bad_pairs = {(u, v) for u, v in itertools.combinations(range(g.n), 2) if contracted(u, v)}
+    rep = verify_non_contracting(g, h)
+    assert rep.passed == (not bad_pairs)
+    assert rep.pairs_checked == h.m and math.isnan(rep.max_slack_ratio)
+    for viol in rep.violations:
+        assert (viol.u, viol.v) in bad_pairs
+        assert viol.kind == "contraction" and viol.d_h == h.weight(viol.u, viol.v)
+        assert viol.d_g == dg[viol.u, viol.v]
+
+
+def test_bounds_must_be_finite_numbers():
+    g = WeightedGraph(6, [(i, (i + 1) % 6, 1.0) for i in range(6)])
+    h = g.subgraph([(i, i + 1) for i in range(5)])  # slack ratio 4 on (0, 5)
+    assert not verify_multiplicative(g, h, 2.0).passed
+    for alpha in (math.nan, math.inf, 0.5):
+        with pytest.raises(ValueError, match="alpha must be finite and >= 1"):
+            verify_multiplicative(g, h, alpha)
+    for c in (math.nan, math.inf, -1.0, lambda n: math.nan):
+        with pytest.raises(ValueError, match="c must be finite and >= 0"):
+            verify_additive_W(g, h, c)
+        with pytest.raises(ValueError, match="c must be finite and >= 0"):
+            verify_additive_W(g, h, c, pair_class=[0, 5])
+
+
+def test_report_json_has_no_non_finite_numbers():
+    g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    reports = [
+        verify_additive_W(g, WeightedGraph(4, []), 1.0),  # unreachable pairs
+        verify_non_contracting(g, WeightedGraph(4, [(1, 2, 9.0)])),  # across components
+    ]
+    assert all(not r.passed for r in reports)
+    for rep in reports:
+        d = rep.to_dict()
+        assert d["max_slack_ratio"] is None
+        for v in d["violations"]:
+            if v["kind"] == "unreachable":
+                assert v["d_h"] is None and v["slack"] is None and v["w_heavy"] == 1.0
+            else:
+                assert v["d_g"] is None and v["w_heavy"] is None and v["slack"] is None
+                assert v["d_h"] == 9.0
 
 
 # ------------------------------------------------------------ properties
