@@ -9,7 +9,7 @@ verifier recomputes all-pairs distances and certifies every claimed bound.
 
 from .graph import WeightedGraph
 from .shortest import ShortestPathIndex, build_index, sssp_canonical
-from .light import LightInit, is_t_light_neighbor, t_light_init
+from .light import LightInit, t_light_init
 from .greedy import (
     PairOrder,
     SpannerResult,
@@ -39,7 +39,6 @@ __all__ = [
     "sssp_canonical",
     "LightInit",
     "t_light_init",
-    "is_t_light_neighbor",
     "SpannerResult",
     "PairOrder",
     "make_pair_order",

@@ -7,7 +7,9 @@ level's random sample D_i.  Low-degree vertices keep everything.  Shortest
 path trees rooted at every sampled vertex over the level's surviving edges
 (plus the pivot edges) repair every pair whose shortest path lost an edge at
 this level, at an additive cost of twice the heaviest path edge.  Whatever
-survives all levels is small enough to dump wholesale.
+survives all levels is small enough to dump wholesale.  Every level's
+pivots and bunches are masks over one sort of the incident edges by
+(vertex, weight, neighbor id).
 
 All randomness is a seeded generator, so a (graph, c, seed) triple fully
 determines the output.
@@ -16,11 +18,11 @@ determines the output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, edge_key
+from .graph import WeightedGraph, edge_key_set
 from .greedy import SpannerResult
 from .shortest import canonical_rows
 
@@ -29,18 +31,18 @@ EdgeSet = set[tuple[int, int]]
 
 @dataclass
 class LevelStructure:
-    """Sampled level data: thresholds, samples, pivots, and edge sets.
+    """Sampled level data: thresholds, samples and edge sets.
 
     Lists are indexed by level 0..k (level 0 is empty by convention since
-    s_0 = n exceeds every degree); E maps level i in [1, k+1] to the edge
-    set surviving into that level.
+    s_0 = n exceeds every degree): v_sizes[i] counts the vertices of degree
+    >= s_i, D[i] is the sample and estar[i] the pivot edges.  E maps level i
+    in [1, k+1] to the edge set surviving into that level.
     """
 
     k: int
     s: list[float]
-    V: list[frozenset[int]]
+    v_sizes: list[int]
     D: list[frozenset[int]]
-    pivot: list[dict[int, int]]
     estar: list[EdgeSet]
     E: dict[int, EdgeSet]
     rng_seed: int
@@ -51,7 +53,7 @@ class LevelStructure:
             {
                 "level": i,
                 "s": self.s[i],
-                "v_size": len(self.V[i]),
+                "v_size": self.v_sizes[i],
                 "d_size": len(self.D[i]),
                 "e_size": len(self.E.get(i, ())) if i >= 1 else None,
             }
@@ -64,48 +66,37 @@ def sample_levels(g: WeightedGraph, c: float, seed: int) -> LevelStructure:
 
     Per level i in [1, k]: every vertex joins D_i independently with
     probability min(1, c*log2(n)/s_i); the per-level membership draws are
-    consumed in level order from one seeded PCG64 stream.
+    consumed in level order from one seeded PCG64 stream.  A vertex of
+    degree >= s_i with a neighbor in D_i pivots on its lightest such edge
+    (ties toward the smaller neighbor id): the first of its incident edges,
+    sorted by (weight, neighbor id), whose head is in D_i.  Its bunch, the
+    edges it passes to level i + 1, are those strictly lighter than that
+    edge; every other vertex passes all its edges.
     """
     if c < 1:
         raise ValueError(f"c must be >= 1, got {c}")
     n = g.n
-    adj = g.adjacency()
     k = max(0, math.ceil(0.5 * math.log2(n))) if n >= 2 else 0
     s = [n / 2.0**i for i in range(k + 1)]
-    deg = [len(adj[v]) for v in range(n)]
-    V = [frozenset(v for v in range(n) if deg[v] >= s[i]) for i in range(k + 1)]
+    deg = np.diff(g.csr().indptr)
+    tail, head, w = g.incident_by_weight()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     D: list[frozenset[int]] = [frozenset()]
-    for i in range(1, k + 1):
-        p = min(1.0, c * math.log2(n) / s[i])
-        draws = rng.random(n)
-        D.append(frozenset(np.nonzero(draws < p)[0].tolist()))
-    pivot: list[dict[int, int]] = [{}]
     estar: list[EdgeSet] = [set()]
-    for i in range(1, k + 1):
-        pv: dict[int, int] = {}
-        es: EdgeSet = set()
-        for v in V[i]:
-            best: tuple[float, int] | None = None
-            for u, w in adj[v]:
-                if u in D[i] and (best is None or (w, u) < best):
-                    best = (w, u)
-            if best is not None:
-                pv[v] = best[1]
-                es.add(edge_key(v, best[1]))
-        pivot.append(pv)
-        estar.append(es)
     E: dict[int, EdgeSet] = {1: g.edge_keys()}
     for i in range(1, k + 1):
-        nxt: EdgeSet = set()
-        for v in range(n):
-            if v in V[i] and v in pivot[i]:
-                cutoff = g.weight(v, pivot[i][v])
-                nxt.update(edge_key(v, u) for u, w in adj[v] if w < cutoff)
-            else:
-                nxt.update(edge_key(v, u) for u, _ in adj[v])
-        E[i + 1] = nxt
-    return LevelStructure(k=k, s=s, V=V, D=D, pivot=pivot, estar=estar, E=E, rng_seed=seed, c=c)
+        in_d = rng.random(n) < min(1.0, c * math.log2(n) / s[i])
+        D.append(frozenset(np.flatnonzero(in_d).tolist()))
+        hits = np.flatnonzero(in_d[head] & (deg[tail] >= s[i]))
+        # entries are grouped by tail, so a tail's first hit is its pivot edge
+        piv = hits[np.diff(tail[hits], prepend=-1) != 0]
+        estar.append(edge_key_set(tail[piv], head[piv]))
+        cutoff = np.full(n, math.inf)
+        cutoff[tail[piv]] = w[piv]
+        bunch = w < cutoff[tail]
+        E[i + 1] = edge_key_set(tail[bunch], head[bunch])
+    v_sizes = [int(np.count_nonzero(deg >= si)) for si in s]
+    return LevelStructure(k=k, s=s, v_sizes=v_sizes, D=D, estar=estar, E=E, rng_seed=seed, c=c)
 
 
 def _spt_edges(g: WeightedGraph, roots: list[int]) -> EdgeSet:
@@ -118,8 +109,7 @@ def _spt_edges(g: WeightedGraph, roots: list[int]) -> EdgeSet:
     fresh = parent >= 0
     fresh[1:] &= parent[1:] != parent[:-1]
     u = parent[fresh].astype(np.int64)
-    v = np.nonzero(fresh)[1]
-    return set(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+    return edge_key_set(u, np.nonzero(fresh)[1])
 
 
 def build_fast_2w(g: WeightedGraph, c: float = 4.0, seed: int = 0) -> SpannerResult:

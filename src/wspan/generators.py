@@ -13,6 +13,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .graph import WeightedGraph
 
@@ -55,31 +56,6 @@ def _draw_weights(rng: np.random.Generator, count: int, wmodel: str, wmax: float
     if wmodel == "exp-spread":
         return np.exp(rng.uniform(0.0, math.log(wmax), size=count))
     raise ValueError(f"unknown weight model {wmodel!r}")
-
-
-def _largest_component(n: int, pairs: list[tuple[int, int]]) -> list[int]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    best: list[int] = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    stack.append(y)
-        if len(comp) > len(best):
-            best = comp
-    return sorted(best)
 
 
 def _structure(spec: GenSpec, rng: np.random.Generator) -> tuple[int, list[tuple[int, int]]]:
@@ -156,15 +132,13 @@ def generate(spec: GenSpec) -> WeightedGraph:
         d = np.sqrt((diff * diff).sum(axis=2))
         iu, iv = np.triu_indices(n, k=1)
         mask = d[iu, iv] <= r
-        pairs = list(zip(iu[mask].tolist(), iv[mask].tolist()))
         lengths = d[iu, iv][mask]
-        if len(pairs) == 0:
-            return WeightedGraph(n, [])
-        w_min = float(lengths.min())
-        if w_min <= 0:
-            raise ValueError("coincident points produce a zero-length edge")
-        weights = (lengths / w_min).tolist()
-        edges = [(u, v, w) for (u, v), w in zip(pairs, weights)]
+        edges = []
+        if len(lengths):
+            w_min = float(lengths.min())
+            if w_min <= 0:
+                raise ValueError("coincident points produce a zero-length edge")
+            edges = list(zip(iu[mask].tolist(), iv[mask].tolist(), (lengths / w_min).tolist()))
     else:
         n, pairs = _structure(spec, rng)
         pairs.sort()
@@ -173,12 +147,15 @@ def generate(spec: GenSpec) -> WeightedGraph:
 
     g = WeightedGraph(n, edges)
     if spec.keep_lcc and g.n > 0:
-        comp = _largest_component(g.n, [(u, v) for u, v, _ in g.edge_items()])
-        relabel = {old: new for new, old in enumerate(comp)}
-        kept = [
-            (relabel[u], relabel[v], w)
-            for u, v, w in g.edge_items()
-            if u in relabel and v in relabel
-        ]
-        g = WeightedGraph(len(comp), kept)
+        # components are labelled in order of their lowest vertex, so argmax
+        # keeps the largest component with the lowest vertex
+        _, labels = connected_components(g.csr(), directed=False)
+        big = labels == np.argmax(np.bincount(labels))
+        relabel = np.cumsum(big) - 1
+        a, b, w = g.edge_arrays()
+        kept = big[a]
+        g = WeightedGraph(
+            int(np.count_nonzero(big)),
+            zip(relabel[a[kept]].tolist(), relabel[b[kept]].tolist(), w[kept].tolist()),
+        )
     return g

@@ -2,15 +2,23 @@
 
 Vertices are integer ids 0..n-1.  Edges are unordered pairs stored under the
 key (min(u,v), max(u,v)).  Instances are immutable after construction and
-safe to share between threads; the only state they fill in later is the
-adjacency tuples, derived from the edges and cached for the life of the
-object.
+safe to share between threads.
+
+This module is the one place that knows how edges are laid out.  The
+validated weight dict serves lookups, equality and subgraphs.  The edge
+arrays sorted by (a, b) and the symmetric CSR matrix, whose rows are the
+neighbor lists in id order, are derived from it on first use and cached.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from collections.abc import Iterable
+
+import numpy as np
+from scipy.sparse import csr_matrix
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -18,18 +26,38 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def edge_key_set(u: np.ndarray, v: np.ndarray) -> set[tuple[int, int]]:
+    """Keys of the edges {u[i], v[i]}, as a set of Python int pairs."""
+    return set(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+
+
+def graph_csr(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> csr_matrix:
+    """Symmetric n x n CSR matrix of the undirected edges (a[i], b[i], w[i]).
+
+    The edges may come in any order.  Each is stored in both directions and
+    every row's column indices are sorted: scipy's canonical layout.
+    """
+    tails = np.concatenate([a, b])
+    heads = np.concatenate([b, a])
+    order = np.lexsort((heads, tails))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    return csr_matrix((np.concatenate([w, w])[order], heads[order], indptr), shape=(n, n))
+
+
 class WeightedGraph:
     """Simple undirected graph with positive real edge weights.
 
-    Rejects self-loops, parallel edges, out-of-range vertex ids, and
-    non-positive or non-finite weights at construction time.
+    Rejects non-integer, out-of-range and self-loop vertex ids, parallel
+    edges, and non-positive or non-finite weights at construction time.
+    Vertex ids are stored as Python ints.
 
-    The adjacency tuples are cached on first use and freed with the graph.
-    Two threads filling the cache at once compute the same value twice;
-    neither result is wrong.
+    The edge arrays and the CSR matrix are computed on first use and freed
+    with the graph.  Two threads filling a cache at once compute the same
+    value twice; neither result is wrong.
     """
 
-    __slots__ = ("n", "_w", "_adj")
+    __slots__ = ("n", "_w", "_arrays", "_csr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
         if n < 0:
@@ -37,6 +65,10 @@ class WeightedGraph:
         self.n = n
         w: dict[tuple[int, int], float] = {}
         for u, v, weight in edges:
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise ValueError(f"vertex ids must be integers in edge ({u!r}, {v!r})") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"vertex id out of range in edge ({u}, {v})")
             if u == v:
@@ -49,7 +81,8 @@ class WeightedGraph:
                 raise ValueError(f"non-positive or non-finite weight {weight} on edge {key}")
             w[key] = weight
         self._w = w
-        self._adj: tuple[tuple[tuple[int, float], ...], ...] | None = None
+        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._csr: csr_matrix | None = None
 
     @property
     def m(self) -> int:
@@ -61,30 +94,47 @@ class WeightedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self._w
 
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (a, b, w): int64 endpoints with a < b and float64 weights,
+        sorted by (a, b)."""
+        if self._arrays is None:
+            m = len(self._w)
+            ab = np.fromiter(itertools.chain.from_iterable(self._w), np.int64, 2 * m).reshape(m, 2)
+            order = np.lexsort((ab[:, 1], ab[:, 0]))
+            arrays = (ab[order, 0], ab[order, 1], np.fromiter(self._w.values(), np.float64, m)[order])
+            for x in arrays:
+                x.flags.writeable = False
+            self._arrays = arrays
+        return self._arrays
+
+    def csr(self) -> csr_matrix:
+        """Symmetric CSR matrix of the edges (graph_csr); callers must not modify it."""
+        if self._csr is None:
+            self._csr = graph_csr(self.n, *self.edge_arrays())
+        return self._csr
+
+    def incident_by_weight(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Both directions of every edge as (tail, head, w), sorted by (tail, w, head).
+
+        Vertex u's entries, lightest first, sit at csr().indptr[u] up to
+        csr().indptr[u + 1].
+        """
+        csr = self.csr()
+        tail = np.repeat(np.arange(self.n), np.diff(csr.indptr))
+        # stable, and each CSR row is sorted by head, so equal weights keep head order
+        order = np.lexsort((csr.data, tail))
+        return tail, csr.indices[order], csr.data[order]
+
     def edge_items(self) -> list[tuple[int, int, float]]:
-        """Edges as (u, v, w) with u < v, in sorted order."""
-        return [(u, v, w) for (u, v), w in sorted(self._w.items())]
+        """Edges as (u, v, w) Python scalars with u < v, in sorted order."""
+        a, b, w = self.edge_arrays()
+        return list(zip(a.tolist(), b.tolist(), w.tolist()))
 
     def edge_keys(self) -> set[tuple[int, int]]:
         return set(self._w)
 
     def weights(self) -> dict[tuple[int, int], float]:
         return dict(self._w)
-
-    def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Per-vertex tuple of (neighbor, weight), sorted by neighbor id."""
-        if self._adj is None:
-            lists: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-            for (u, v), w in sorted(self._w.items()):
-                lists[u].append((v, w))
-                lists[v].append((u, w))
-            for lst in lists:
-                lst.sort()
-            self._adj = tuple(tuple(lst) for lst in lists)
-        return self._adj
-
-    def degree(self, u: int) -> int:
-        return len(self.adjacency()[u])
 
     def subgraph(self, keys: Iterable[tuple[int, int]]) -> "WeightedGraph":
         """Graph on the same vertex set keeping only the given edge keys."""
@@ -97,4 +147,3 @@ class WeightedGraph:
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, m={self.m})"
-

@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-from .graph import WeightedGraph, edge_key
+from .graph import WeightedGraph, edge_key, graph_csr
 from .light import t_light_init
-from .shortest import INF, ShortestPathIndex, build_index, graph_csr, path_vertices
+from .shortest import INF, ShortestPathIndex, build_index, path_vertices
 
 
 @dataclass
@@ -111,8 +111,9 @@ class _GrowingDistances:
 
     def _matrix(self):
         if self._csr is None:
-            items = [(u, v, w) for (u, v), w in self.weights.items()]
-            self._csr = graph_csr(self.n, items)
+            ab = np.array(list(self.weights), dtype=np.int64).reshape(-1, 2)
+            w = np.fromiter(self.weights.values(), dtype=np.float64, count=len(ab))
+            self._csr = graph_csr(self.n, ab[:, 0], ab[:, 1], w)
         return self._csr
 
     def add_edge(self, u: int, v: int, w: float) -> bool:
@@ -203,7 +204,9 @@ def greedy_multiplicative(g: WeightedGraph, k: int) -> SpannerResult:
         raise ValueError(f"k must be >= 1, got {k}")
     stretch = 2 * k - 1
     oracle = _GrowingDistances(g.n, {})
-    for u, v, w in sorted(g.edge_items(), key=lambda e: (e[2], e[0], e[1])):
+    a, b, ws = g.edge_arrays()
+    order = np.lexsort((b, a, ws))
+    for u, v, w in zip(a[order].tolist(), b[order].tolist(), ws[order].tolist()):
         thresh = stretch * w
         # distances == limit survive the bounded search, so an inf result
         # means the current distance strictly exceeds thresh

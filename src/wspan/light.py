@@ -2,33 +2,27 @@
 
 The kept edge set seeds every deterministic spanner construction and the
 emulator.  An edge survives if either endpoint selects it, so the result has
-at most n*t edges.
+at most n*t edges.  The selection is one pass over the graph's incident
+edges sorted by (vertex, weight, neighbor id): an entry is kept when fewer
+than t entries of its vertex precede it.
 """
 
 from __future__ import annotations
 
-from .graph import WeightedGraph, edge_key
+from dataclasses import dataclass
+
+import numpy as np
+
+from .graph import WeightedGraph, edge_key_set
 
 
+@dataclass(frozen=True)
 class LightInit:
-    """Result of a t-light initialization.
+    """Result of a t-light initialization: kept_edges holds the keys (u, v),
+    u < v, of the edges that either endpoint selected."""
 
-    light_neighbors[u] lists the selected (neighbor, weight) pairs of u,
-    sorted by (weight, neighbor id); kept_edges is the union over both
-    endpoints.  Immutable; safe for concurrent reads.
-    """
-
-    __slots__ = ("t", "kept_edges", "light_neighbors", "_side")
-
-    def __init__(self, t: int, kept_edges: set[tuple[int, int]], light_neighbors: list[list[tuple[int, float]]]):
-        self.t = t
-        self.kept_edges = kept_edges
-        self.light_neighbors = light_neighbors
-        self._side = [frozenset(v for v, _ in sel) for sel in light_neighbors]
-
-    def kept_from(self, u: int, v: int) -> bool:
-        """True iff edge {u,v} was selected from u's side."""
-        return v in self._side[u]
+    t: int
+    kept_edges: set[tuple[int, int]]
 
 
 def t_light_init(g: WeightedGraph, t: int) -> LightInit:
@@ -39,20 +33,7 @@ def t_light_init(g: WeightedGraph, t: int) -> LightInit:
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    adj = g.adjacency()
-    kept: set[tuple[int, int]] = set()
-    selections: list[list[tuple[int, float]]] = []
-    for u in range(g.n):
-        ranked = sorted(adj[u], key=lambda vw: (vw[1], vw[0]))
-        sel = ranked[:t]
-        selections.append(sel)
-        for v, _ in sel:
-            kept.add(edge_key(u, v))
-    return LightInit(t, kept, selections)
-
-
-def is_t_light_neighbor(li: LightInit, u: int, v: int) -> bool:
-    """True iff edge {u,v} survives the initialization from either side."""
-    if u == v:
-        return False
-    return li.kept_from(u, v) or li.kept_from(v, u)
+    tail, head, _ = g.incident_by_weight()
+    # rank of each entry among its vertex's entries
+    keep = np.arange(len(tail)) - g.csr().indptr[tail] < t
+    return LightInit(t, edge_key_set(tail[keep], head[keep]))

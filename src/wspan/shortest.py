@@ -21,9 +21,11 @@ edge arrays finds every tight edge of the block, a source is tie-free when
 each reachable vertex has exactly one tight in-edge (which is then its
 parent), and W(s, v) follows for the whole block by pointer doubling up the
 parent trees.  Each source whose distances tie goes alone through the
-per-vertex rule in canonical_tree_from_dist.  Blocks are sized from n and m
-so that the kernel's temporaries beyond the returned arrays stay within
-_BLOCK_BYTES (1 MiB).
+per-vertex rule in canonical_tree_from_dist, over neighbor lists read off
+the graph's CSR once per call and only when some source ties.  Blocks are
+sized from n and m so that the kernel's temporaries beyond the returned
+arrays stay within _BLOCK_BYTES (1 MiB).  The CSR and the edge arrays are
+the graph's own cached layouts (WeightedGraph.csr, edge_arrays).
 
 Distance ties are detected with exact float equality: the intended regimes
 are integer-valued weights (float arithmetic is exact) and continuous random
@@ -68,23 +70,20 @@ class ShortestPathIndex:
         self.parent = parent
 
 
-def graph_csr(n: int, items: list[tuple[int, int, float]]) -> csr_matrix:
-    """Symmetric CSR matrix for scipy's shortest-path routines."""
-    if not items:
-        return csr_matrix((n, n))
-    us = [e[0] for e in items] + [e[1] for e in items]
-    vs = [e[1] for e in items] + [e[0] for e in items]
-    ws = [e[2] for e in items] * 2
-    return csr_matrix((ws, (us, vs)), shape=(n, n))
-
-
 def distance_matrix(csr: csr_matrix, sources: Sequence[int] | None = None) -> np.ndarray:
-    """Distances over a graph_csr matrix (C-speed).
+    """Distances over a symmetric CSR matrix such as WeightedGraph.csr() (C-speed).
 
     Row i holds the distances from sources[i]; sources None means every
     vertex, giving the n x n all-pairs matrix.
     """
     return _sp_dijkstra(csr, directed=True, indices=sources)
+
+
+def _neighbor_lists(g: WeightedGraph) -> list[list[tuple[int, float]]]:
+    """Per-vertex (neighbor, weight) lists in neighbor id order, read off g.csr()."""
+    csr = g.csr()
+    ptr, heads, ws = csr.indptr.tolist(), csr.indices.tolist(), csr.data.tolist()
+    return [list(zip(heads[lo:hi], ws[lo:hi])) for lo, hi in zip(ptr, ptr[1:])]
 
 
 def _absorbed(s: int, v: int) -> ValueError:
@@ -174,7 +173,7 @@ def _block_rows(n: int, m: int) -> int:
     (the NaN-marked row and the index arrays of the tight edges and of the
     pointer doubling).
     """
-    return max(1, _BLOCK_BYTES // (26 * m + 64 * n))
+    return max(1, _BLOCK_BYTES // max(1, 26 * m + 64 * n))
 
 
 def _tree_block(
@@ -257,25 +256,24 @@ def canonical_rows(
     canonical_tree_from_dist on its own.
     """
     n = g.n
-    items = g.edge_items()
-    dist = _sp_dijkstra(graph_csr(n, items), directed=True, indices=sources)
-    e = np.array(items, dtype=float).reshape(-1, 3)
-    del items
-    a, b, w = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64), e[:, 2].copy()
+    dist = _sp_dijkstra(g.csr(), directed=True, indices=sources)
+    a, b, w = g.edge_arrays()
     ea = (a, b, w, np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w]))
-    del e
     src = np.arange(n) if sources is None else np.asarray(sources, dtype=np.int64)
     k, m = len(src), len(w)
     parent = np.full((k, n), -1, dtype=np.int32)
     W = np.empty((k, n)) if need_weights else None
     rows = max(1, min(k, _block_rows(n, m)))
     buf = (*(np.empty((rows, m)) for _ in range(3)), np.empty((2, rows, m), dtype=bool))
+    adj: Adjacency | None = None
     for lo in range(0, k, rows):
         blk = slice(lo, min(lo + rows, k))
         Wb = None if W is None else W[blk]
         for i in _tree_block(dist[blk], ea, parent[blk], Wb, buf).tolist():
             s = int(src[lo + i])
-            p, heavy = canonical_tree_from_dist(g.adjacency(), s, dist[lo + i].tolist())
+            if adj is None:
+                adj = _neighbor_lists(g)
+            p, heavy = canonical_tree_from_dist(adj, s, dist[lo + i].tolist())
             parent[lo + i] = p
             if W is not None:
                 W[lo + i] = heavy

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .graph import WeightedGraph
-from .shortest import _BLOCK_BYTES, ShortestPathIndex, build_index, canonical_rows, distance_matrix, graph_csr
+from .shortest import _BLOCK_BYTES, ShortestPathIndex, build_index, canonical_rows, distance_matrix
 
 REL_TOL = 1e-9
 
@@ -115,7 +115,7 @@ def _sweep(
         row_of = np.arange(len(S))
     else:
         dist, W, row_of = idx.dist, idx.W, cols
-    csr = graph_csr(h.n, h.edge_items())
+    csr = h.csr()
     unreachable: list[Violation] = []
     over: list[Violation] = []
     tops: list[float] = []
@@ -232,8 +232,7 @@ def verify_non_contracting(
         raise ValueError(f"vertex set mismatch: g has n={g.n}, h has n={h.n}")
     if idx is None:
         idx = build_index(g)
-    e = np.array(h.edge_items(), dtype=float).reshape(-1, 3)
-    a, b, w = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64), e[:, 2]
+    a, b, w = h.edge_arrays()
     dg = idx.dist[a, b]
     # inf - w > REL_TOL * inf is false, so non-finite d_G is flagged on its own
     bad = ~np.isfinite(dg) | (dg - w > REL_TOL * np.maximum(1.0, dg))

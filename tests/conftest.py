@@ -2,11 +2,12 @@
 
 The oracles here are deliberately independent of the package's shortest-path
 code: Floyd-Warshall for distances, exhaustive path enumeration for the
-canonical-path rule, and rebuild-from-scratch simulations of the greedy
-multiplicative spanner and of path buying.  Expected values in the tests are
-computed by these, never by the code under test.  minimax_path_weight is a
-cross-check rather than an oracle: it reads the distances of the index it is
-given.
+canonical-path rule, rebuild-from-scratch simulations of the greedy
+multiplicative spanner and of path buying, and per-vertex loops for the light
+selections and the +2W levels.  They read a graph only through edge_items().
+Expected values in the tests are computed by these, never by the code under
+test.  minimax_path_weight is a cross-check rather than an oracle: it reads
+the distances of the index it is given.
 """
 
 from __future__ import annotations
@@ -19,6 +20,61 @@ import pytest
 from hypothesis import strategies as st
 
 from wspan import GenSpec, WeightedGraph, generate
+
+
+def neighbor_lists(g: WeightedGraph) -> list[list[tuple[int, float]]]:
+    """Per-vertex (neighbor, weight) lists sorted by neighbor id."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
+    for u, v, w in g.edge_items():
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return [sorted(lst) for lst in adj]
+
+
+def light_selections(g: WeightedGraph, t: int) -> list[list[int]]:
+    """Each vertex's t lightest neighbors, by (weight, neighbor id)."""
+    return [[v for _, v in sorted((w, v) for v, w in lst)[:t]] for lst in neighbor_lists(g)]
+
+
+def light_kept_edges(g: WeightedGraph, t: int) -> set[tuple[int, int]]:
+    """Union over both endpoints of the light selections."""
+    return {(min(u, v), max(u, v)) for u, sel in enumerate(light_selections(g, t)) for v in sel}
+
+
+def levels_reference(g: WeightedGraph, c: float, seed: int):
+    """(D, pivot, estar, E) of the +2W levels, one vertex at a time.
+
+    The samples replay the documented draws: level i in [1, k] takes n
+    uniforms from the seeded PCG64 stream and keeps the vertices below
+    min(1, c*log2(n)/s_i).  A vertex of degree >= s_i pivots on its
+    lightest neighbor in D_i, by (weight, neighbor id), and passes the
+    edges strictly lighter than that pivot edge to level i + 1; every other
+    vertex passes all its edges.  Lists are indexed by level, level 0 empty.
+    """
+    n = g.n
+    adj = neighbor_lists(g)
+    k = max(0, math.ceil(0.5 * math.log2(n))) if n >= 2 else 0
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    D, pivot, estar = [set()], [{}], [set()]
+    E = {1: {(u, v) for u, v, _ in g.edge_items()}}
+    for i in range(1, k + 1):
+        s_i = n / 2.0**i
+        draws = rng.random(n)
+        D.append({v for v in range(n) if draws[v] < min(1.0, c * math.log2(n) / s_i)})
+        pv = {}
+        for v in range(n):
+            near = [(w, u) for u, w in adj[v] if u in D[i]]
+            if len(adj[v]) >= s_i and near:
+                pv[v] = min(near)
+        pivot.append({v: u for v, (_, u) in pv.items()})
+        estar.append({(min(v, u), max(v, u)) for v, (_, u) in pv.items()})
+        E[i + 1] = {
+            (min(v, u), max(v, u))
+            for v in range(n)
+            for u, w in adj[v]
+            if v not in pv or w < pv[v][0]
+        }
+    return D, pivot, estar, E
 
 
 def brute_force_apsp(g: WeightedGraph) -> np.ndarray:
@@ -35,7 +91,7 @@ def brute_force_apsp(g: WeightedGraph) -> np.ndarray:
 
 def enumerate_shortest_paths(g: WeightedGraph, u: int, v: int) -> list[tuple[int, ...]]:
     """All simple u-v paths of minimum total weight (tiny graphs only)."""
-    adj = g.adjacency()
+    adj = neighbor_lists(g)
     best = [math.inf]
     found: list[tuple[tuple[int, ...], float]] = []
 
@@ -87,7 +143,7 @@ def minimax_path_weight(g: WeightedGraph, idx) -> np.ndarray:
     n <= ~50.
     """
     n = g.n
-    adj = g.adjacency()
+    adj = neighbor_lists(g)
     out = np.full((n, n), math.inf)
     np.fill_diagonal(out, 0.0)
     for s in range(n):

@@ -13,6 +13,9 @@ from wspan import (
     verify_additive_W,
     verify_subgraph,
 )
+from wspan.graph import edge_key
+
+from conftest import levels_reference, neighbor_lists
 
 
 def gnp(n, p, seed, wmodel="uniform"):
@@ -24,7 +27,7 @@ def test_same_seed_same_structure():
     a = sample_levels(g, 2.0, seed=77)
     b = sample_levels(g, 2.0, seed=77)
     assert a.D == b.D
-    assert a.pivot == b.pivot
+    assert a.estar == b.estar
     assert a.E == b.E
     c = sample_levels(g, 2.0, seed=78)
     assert a.D != c.D  # overwhelmingly likely for n=40 over 5 levels
@@ -52,23 +55,26 @@ def test_sampled_size_expectation_64():
 def test_structural_invariants():
     g = gnp(48, 0.25, 2)
     ls = sample_levels(g, 2.0, seed=9)
-    assert ls.V[0] == frozenset()
-    for i in range(ls.k):
-        assert ls.V[i] <= ls.V[i + 1]
+    D, pivot, estar, E = levels_reference(g, 2.0, 9)
+    assert (ls.D, ls.estar, ls.E) == (D, estar, E)
+    adj = {v: dict(lst) for v, lst in enumerate(neighbor_lists(g))}
+    # V_i, the vertices of degree >= s_i: empty at level 0, growing with i
+    v_sizes = [level["v_size"] for level in ls.level_sizes()[:-1]]
+    assert v_sizes == [sum(len(adj[v]) >= s for v in adj) for s in ls.s]
+    assert v_sizes[0] == 0 and v_sizes == sorted(v_sizes)
     assert ls.E[1] == g.edge_keys()
-    adj = {v: dict() for v in range(g.n)}
-    for u, v, w in g.edge_items():
-        adj[u][v] = w
-        adj[v][u] = w
+    assert any(pivot[i] for i in range(1, ls.k + 1))
     for i in range(1, ls.k + 1):
-        for v, pv in ls.pivot[i].items():
+        assert ls.estar[i] == {edge_key(v, pv) for v, pv in pivot[i].items()}
+        for v, pv in pivot[i].items():
             assert pv in ls.D[i]
             assert pv in adj[v]
+            assert len(adj[v]) >= ls.s[i]
         for v in range(g.n):
             incident = {(min(v, u), max(v, u)) for u in adj[v]}
             in_next = incident & ls.E[i + 1]
-            if v in ls.V[i] and v in ls.pivot[i]:
-                cutoff = adj[v][ls.pivot[i][v]]
+            if v in pivot[i]:
+                cutoff = adj[v][pivot[i][v]]
                 expected = {
                     (min(v, u), max(v, u)) for u, w in adj[v].items() if w < cutoff
                 }

@@ -69,6 +69,12 @@ def test_keep_lcc_yields_connected_graph():
     assert g.n <= 60
     d = brute_force_apsp(g)
     assert all(math.isfinite(d[0][v]) for v in range(g.n))
+    # edgeless inputs keep one vertex, whatever the family
+    for spec in (
+        GenSpec(family="geometric", n=5, radius=1e-9, keep_lcc=True, seed=1),
+        GenSpec(family="gnp", n=5, p=0.0, keep_lcc=True, seed=1),
+    ):
+        assert generate(spec) == WeightedGraph(1, [])
 
 
 def test_invalid_parameters():

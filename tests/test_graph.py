@@ -1,6 +1,12 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from wspan import WeightedGraph
+from wspan import GenSpec, WeightedGraph, build_4w_emulator, build_index, generate
+from wspan import graph
+from wspan.algos import ALGOS
+
+from conftest import small_graphs
 
 
 def test_rejects_self_loop():
@@ -31,11 +37,28 @@ def test_rejects_out_of_range_vertex():
         WeightedGraph(2, [(0, 2, 1.0)])
 
 
+def test_rejects_non_integer_vertex_id():
+    # a float id used to be accepted and truncated to 0 by the distance code
+    with pytest.raises(ValueError, match=r"integers in edge \(0.5, 2\)"):
+        WeightedGraph(3, [(0.5, 2, 1.0), (1, 2, 1.0)])
+    with pytest.raises(ValueError, match="integers"):
+        WeightedGraph(3, [("0", 2, 1.0)])
+
+
+def test_numpy_ids_are_stored_as_python_ints():
+    g = WeightedGraph(3, [(np.int64(2), np.int32(0), np.float32(1.5))])
+    assert g.edge_items() == [(0, 2, 1.5)]
+    assert all(type(x) is int for x in g.edge_items()[0][:2])
+    assert type(g.edge_items()[0][2]) is float
+    assert g.edge_keys() == {(0, 2)} and all(type(x) is int for x in next(iter(g.edge_keys())))
+
+
 def test_adjacency_and_degree():
-    g = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 2.0), (2, 3, 1.0)])
-    assert g.adjacency()[0] == ((1, 1.0), (2, 2.0))
-    assert g.degree(0) == 2
-    assert g.degree(3) == 1
+    g = WeightedGraph(4, [(0, 2, 2.0), (2, 3, 1.0), (0, 1, 1.0)])
+    csr = g.csr()
+    row = slice(csr.indptr[0], csr.indptr[1])
+    assert csr.indices[row].tolist() == [1, 2] and csr.data[row].tolist() == [1.0, 2.0]
+    assert np.diff(csr.indptr).tolist() == [2, 1, 2, 1]
     assert g.weight(3, 2) == 1.0
     assert g.has_edge(1, 0) and not g.has_edge(1, 2)
 
@@ -47,3 +70,43 @@ def test_subgraph_keeps_weights():
     assert h.weight(1, 2) == 2.5
     assert not h.has_edge(0, 2)
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(max_n=9))
+def test_edge_arrays_and_csr_are_one_cached_layout(g):
+    a, b, w = g.edge_arrays()
+    assert (a.dtype, b.dtype, w.dtype) == (np.int64, np.int64, np.float64)
+    assert list(zip(a.tolist(), b.tolist(), w.tolist())) == sorted(g.edge_items())
+    assert all(u < v for u, v in zip(a.tolist(), b.tolist()))
+    for x in (a, b, w):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[:1] = 0
+    csr = g.csr()
+    assert csr is g.csr() and g.edge_arrays()[0] is a
+    dense = csr.toarray()
+    assert np.array_equal(dense, dense.T)
+    assert csr.nnz == 2 * g.m and csr.has_sorted_indices
+    for u, v, wt in g.edge_items():
+        assert dense[u, v] == wt
+
+
+def test_two_certifications_build_h_layout_once(monkeypatch):
+    g = generate(GenSpec(family="gnp", n=60, p=0.15, wmodel="uniform", seed=3))
+    idx = build_index(g)
+    em = build_4w_emulator(g, seed=1, idx=idx)
+    h = em.to_graph()
+    csr_builds, item_calls = [], []
+    real_csr, real_items = graph.graph_csr, graph.WeightedGraph.edge_items
+    monkeypatch.setattr(graph, "graph_csr", lambda *a: csr_builds.append(a[0]) or real_csr(*a))
+    monkeypatch.setattr(
+        graph.WeightedGraph, "edge_items", lambda self: item_calls.append(1) or real_items(self)
+    )
+    certify = ALGOS["emulator4w"].certify
+    first = [r.to_dict() for r in certify(g, h, {}, idx, None)]
+    arrays = h.edge_arrays()
+    second = [r.to_dict() for r in certify(g, h, {}, idx, None)]
+    assert first == second and all(r["passed"] for r in first)
+    assert csr_builds == [h.n] and item_calls == []
+    assert h.edge_arrays() is arrays

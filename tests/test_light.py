@@ -2,18 +2,26 @@ import warnings
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wspan import (
     GenSpec,
     WeightedGraph,
     build_index,
     generate,
-    is_t_light_neighbor,
+    sample_levels,
     t_light_init,
 )
+from wspan.graph import edge_key
 from wspan.shortest import path_vertices
 
-from conftest import small_graphs
+from conftest import (
+    levels_reference,
+    light_kept_edges,
+    light_selections,
+    neighbor_lists,
+    small_graphs,
+)
 
 
 def star_15() -> WeightedGraph:
@@ -21,9 +29,11 @@ def star_15() -> WeightedGraph:
 
 
 def test_star_center_keeps_two_but_leaves_keep_all():
-    li = t_light_init(star_15(), 2)
+    g = star_15()
+    li = t_light_init(g, 2)
     # center selects weights 1 and 2; every leaf re-adds its only edge
-    assert [v for v, _ in li.light_neighbors[0]] == [1, 2]
+    assert light_selections(g, 2)[0] == [1, 2]
+    assert li.kept_edges == light_kept_edges(g, 2)
     assert li.kept_edges == {(0, leaf) for leaf in range(1, 6)}
     assert len(li.kept_edges) == 5
 
@@ -35,9 +45,15 @@ def test_saturating_t_keeps_everything():
 
 
 def test_tie_at_cutoff_prefers_smaller_neighbor_id():
-    g = WeightedGraph(4, [(3, 1, 2.0), (3, 2, 2.0), (3, 0, 1.0)])
+    # vertex 3 keeps 0 and one of the tied 1, 2; those two each keep their
+    # weight-1 edges instead, so only 3's choice can keep (1, 3) or (2, 3)
+    g = WeightedGraph(
+        8,
+        [(3, 2, 2.0), (3, 1, 2.0), (3, 0, 1.0), (1, 4, 1.0), (1, 5, 1.0), (2, 6, 1.0), (2, 7, 1.0)],
+    )
     li = t_light_init(g, 2)
-    assert [v for v, _ in li.light_neighbors[3]] == [0, 1]
+    assert (1, 3) in li.kept_edges and (2, 3) not in li.kept_edges
+    assert li.kept_edges == g.edge_keys() - {(2, 3)}
 
 
 def test_t_zero_rejected():
@@ -46,29 +62,40 @@ def test_t_zero_rejected():
 
 
 def test_light_neighbor_queries():
-    li = t_light_init(star_15(), 2)
-    assert is_t_light_neighbor(li, 0, 5)  # kept from the leaf's side
-    assert is_t_light_neighbor(li, 5, 0)
-    assert not li.kept_from(0, 5)
-    assert li.kept_from(5, 0)
-    assert not is_t_light_neighbor(li, 1, 2)  # non-adjacent
-    assert not is_t_light_neighbor(li, 1, 1)
+    g = star_15()
+    li = t_light_init(g, 2)
+    sel = light_selections(g, 2)
+    assert (0, 5) in li.kept_edges  # kept from the leaf's side
+    assert 5 not in sel[0] and 0 in sel[5]
+    assert (1, 2) not in li.kept_edges  # non-adjacent
+    assert all(u < v for u, v in li.kept_edges)
 
 
 @settings(max_examples=50, deadline=None)
 @given(small_graphs(max_n=10))
 def test_selection_counts_and_size_cap(g):
+    adj = neighbor_lists(g)
     for t in (1, 2, 4):
         li = t_light_init(g, t)
         assert len(li.kept_edges) <= g.n * t
-        for u in range(g.n):
-            assert len(li.light_neighbors[u]) == min(g.degree(u), t)
-            if li.light_neighbors[u]:
-                cutoff = max(w for _, w in li.light_neighbors[u])
-                chosen = {v for v, _ in li.light_neighbors[u]}
-                for v, w in g.adjacency()[u]:
-                    if v not in chosen:
+        assert li.kept_edges == light_kept_edges(g, t)
+        for u, sel in enumerate(light_selections(g, t)):
+            assert len(sel) == min(len(adj[u]), t)
+            assert all(edge_key(u, v) in li.kept_edges for v in sel)
+            if sel:
+                cutoff = max(g.weight(u, v) for v in sel)
+                for v, w in adj[u]:
+                    if v not in sel:
                         assert w >= cutoff
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=small_graphs(max_n=12), t=st.integers(min_value=1, max_value=12), seed=st.integers(0, 3))
+def test_array_selections_match_per_vertex_reference(g, t, seed):
+    assert t_light_init(g, t).kept_edges == light_kept_edges(g, t)
+    ls = sample_levels(g, 1.0, seed)
+    D, _, estar, E = levels_reference(g, 1.0, seed)
+    assert ls.D == D and ls.estar == estar and ls.E == E
 
 
 @settings(max_examples=50, deadline=None)
@@ -95,7 +122,7 @@ def test_light_neighbor_density_on_missing_paths():
         idx = build_index(g)
         t = 4
         li = t_light_init(g, t)
-        adj = g.adjacency()
+        adj = neighbor_lists(g)
         pairs = [(u, v) for u in range(0, 60, 7) for v in range(3, 60, 9) if u < v]
         for u, v in pairs:
             if not (idx.dist[u][v] < float("inf")):
@@ -111,7 +138,7 @@ def test_light_neighbor_density_on_missing_paths():
             members = set()
             for y in path:
                 for x, w in adj[y]:
-                    if w <= wmax and is_t_light_neighbor(li, x, y):
+                    if w <= wmax and edge_key(x, y) in li.kept_edges:
                         members.add(x)
             floor = t * missing / 8.0
             total_found += len(members)

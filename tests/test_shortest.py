@@ -22,12 +22,12 @@ from wspan.shortest import (
     canonical_rows,
     canonical_tree_from_dist,
     distance_matrix,
-    graph_csr,
     path_vertices,
 )
 
 from conftest import (
     brute_force_apsp,
+    neighbor_lists,
     oracle_canonical_path,
     small_graphs,
 )
@@ -245,11 +245,12 @@ def mixed_graphs(draw):
 def per_source_reference(g):
     """(dist, W, parent) from canonical_tree_from_dist on every source."""
     n = g.n
-    dist = distance_matrix(graph_csr(n, g.edge_items()))
+    dist = distance_matrix(g.csr())
     W = np.full((n, n), math.inf)
     parent = np.full((n, n), -1, dtype=np.int32)
+    adj = neighbor_lists(g)
     for s in range(n):
-        p, heavy = canonical_tree_from_dist(g.adjacency(), s, dist[s].tolist())
+        p, heavy = canonical_tree_from_dist(adj, s, dist[s].tolist())
         parent[s] = p
         reach = np.isfinite(dist[s])
         W[s, reach] = np.array(heavy)[reach]
@@ -259,8 +260,8 @@ def per_source_reference(g):
 
 def tied_source(g, s):
     """True iff some vertex has two exact shortest-path predecessors from s."""
-    dist = distance_matrix(graph_csr(g.n, g.edge_items()), sources=[s])[0]
-    adj = g.adjacency()
+    dist = distance_matrix(g.csr(), sources=[s])[0]
+    adj = neighbor_lists(g)
     for v in range(g.n):
         if v != s and math.isfinite(dist[v]):
             if sum(1 for u, w in adj[v] if dist[u] + w == dist[v]) > 1:
@@ -270,10 +271,12 @@ def tied_source(g, s):
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
 @settings(max_examples=60, deadline=None)
-@given(g=mixed_graphs(), data=st.data())
+@given(g=st.one_of(st.just(WeightedGraph(0, [])), mixed_graphs()), data=st.data())
 def test_blocked_kernel_matches_per_source_rule(rows, g, data):
     dist, W, parent = per_source_reference(g)
-    roots = data.draw(st.lists(st.integers(min_value=0, max_value=g.n - 1), min_size=1, max_size=6))
+    roots = []
+    if g.n:
+        roots = data.draw(st.lists(st.integers(min_value=0, max_value=g.n - 1), min_size=1, max_size=6))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shortest, "_block_rows", lambda n, m: rows)
         idx = build_index(g)
@@ -285,6 +288,8 @@ def test_blocked_kernel_matches_per_source_rule(rows, g, data):
     assert idx.parent.dtype == np.int32 and np.array_equal(idx.parent, parent)
     assert np.array_equal(sub[0], dist[roots]) and np.array_equal(sub[1], W[roots])
     assert np.array_equal(sub[2], parent[roots])
+    # and at the block size _block_rows picks
+    assert all(np.array_equal(x, y) for x, y in zip(canonical_rows(g, roots), sub))
     for s, (d, p) in enumerate(single):
         assert np.array_equal(d, dist[s]) and p.dtype == np.int32 and np.array_equal(p, parent[s])
     # the fast2w tree union, as the per-root loop over parent lists built it

@@ -22,7 +22,7 @@ from wspan import (
     verify_subgraph,
 )
 from wspan.algos import ALGOS
-from wspan.shortest import _BLOCK_BYTES, graph_csr
+from wspan.shortest import _BLOCK_BYTES
 from wspan.verify import REL_TOL, Violation
 
 from conftest import brute_force_apsp, minimax_path_weight, small_graphs
@@ -214,7 +214,7 @@ def test_emulator_certify_memory_stays_within_block_budget():
     h = build_4w_emulator(g, seed=1, idx=idx).to_graph()
     certify = ALGOS["emulator4w"].certify
     certify(g, h, {}, idx=idx, subset=None)  # warm up lazy imports and caches
-    csr = graph_csr(h.n, h.edge_items())
+    csr = h.csr()
     csr_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
     tracemalloc.start()
     try:
