@@ -103,7 +103,7 @@ def _spt_edges(g: WeightedGraph, roots: list[int]) -> EdgeSet:
     """Union of canonical shortest-path-tree edges of g over the given roots."""
     if not roots:
         return set()
-    _, _, parent = canonical_rows(g, roots, need_weights=False)
+    _, parent = canonical_rows(g, roots, parents=True)
     # each vertex's distinct parents, found down its column without a k x n index array
     parent.sort(axis=0)
     fresh = parent >= 0

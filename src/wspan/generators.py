@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, vertex_count
 
 FAMILIES = ("gnp", "grid", "geometric", "star", "path", "complete", "tree")
 WEIGHT_MODELS = ("unit", "uniform", "exp-spread")
@@ -56,6 +56,35 @@ def _draw_weights(rng: np.random.Generator, count: int, wmodel: str, wmax: float
     if wmodel == "exp-spread":
         return np.exp(rng.uniform(0.0, math.log(wmax), size=count))
     raise ValueError(f"unknown weight model {wmodel!r}")
+
+
+# Bytes of temporaries one block of rows may hold in _close_pairs, at about
+# 48 per row and column of the distance matrix.
+_PAIR_BLOCK_BYTES = 1 << 20
+
+
+def _close_pairs(pts: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, length) of the point pairs i < j at euclidean distance <= r.
+
+    Pairs come in lexicographic order.  The distances are computed one block
+    of rows at a time, with the same floating-point operations as the full
+    n x n matrix, so the lengths are exactly that matrix's entries.
+    """
+    n = len(pts)
+    rows = max(1, _PAIR_BLOCK_BYTES // (48 * max(n, 1)))
+    iu, iv, lengths = [], [], []
+    for lo in range(0, n, rows):
+        diff = pts[lo : lo + rows, None, :] - pts[None, :, :]
+        d = np.sqrt((diff * diff).sum(axis=2))
+        i, j = np.nonzero(d <= r)
+        upper = j > i + lo
+        i, j = i[upper], j[upper]
+        iu.append(i + lo)
+        iv.append(j)
+        lengths.append(d[i, j])
+    if not iu:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+    return np.concatenate(iu), np.concatenate(iv), np.concatenate(lengths)
 
 
 def _structure(spec: GenSpec, rng: np.random.Generator) -> tuple[int, list[tuple[int, int]]]:
@@ -119,6 +148,7 @@ def generate(spec: GenSpec) -> WeightedGraph:
     wmax = spec.wmax if spec.wmax is not None else DEFAULT_WMAX[spec.wmodel]
     if wmax < 1.0:
         raise ValueError(f"wmax must be >= 1, got {wmax}")
+    vertex_count(spec.n)  # a ValueError, before numpy or range() raise a TypeError
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
 
     if spec.family == "geometric":
@@ -128,17 +158,13 @@ def generate(spec: GenSpec) -> WeightedGraph:
         if r is None or r <= 0:
             raise ValueError(f"geometric needs radius > 0, got {r}")
         pts = rng.random((n, 2))
-        diff = pts[:, None, :] - pts[None, :, :]
-        d = np.sqrt((diff * diff).sum(axis=2))
-        iu, iv = np.triu_indices(n, k=1)
-        mask = d[iu, iv] <= r
-        lengths = d[iu, iv][mask]
+        iu, iv, lengths = _close_pairs(pts, r)
         edges = []
         if len(lengths):
             w_min = float(lengths.min())
             if w_min <= 0:
                 raise ValueError("coincident points produce a zero-length edge")
-            edges = list(zip(iu[mask].tolist(), iv[mask].tolist(), (lengths / w_min).tolist()))
+            edges = list(zip(iu.tolist(), iv.tolist(), (lengths / w_min).tolist()))
     else:
         n, pairs = _structure(spec, rng)
         pairs.sort()

@@ -31,6 +31,17 @@ def edge_key_set(u: np.ndarray, v: np.ndarray) -> set[tuple[int, int]]:
     return set(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
 
 
+def vertex_count(n) -> int:
+    """n as a Python int; ValueError unless it is a nonnegative integer."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"vertex count must be an integer, got {n!r}") from None
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    return n
+
+
 def graph_csr(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> csr_matrix:
     """Symmetric n x n CSR matrix of the undirected edges (a[i], b[i], w[i]).
 
@@ -48,9 +59,10 @@ def graph_csr(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> csr_matrix
 class WeightedGraph:
     """Simple undirected graph with positive real edge weights.
 
-    Rejects non-integer, out-of-range and self-loop vertex ids, parallel
-    edges, and non-positive or non-finite weights at construction time.
-    Vertex ids are stored as Python ints.
+    Rejects a non-integer or negative vertex count, non-integer,
+    out-of-range and self-loop vertex ids, parallel edges, and non-positive
+    or non-finite weights at construction time.  The vertex count and ids
+    are stored as Python ints.
 
     The edge arrays and the CSR matrix are computed on first use and freed
     with the graph.  Two threads filling a cache at once compute the same
@@ -60,9 +72,7 @@ class WeightedGraph:
     __slots__ = ("n", "_w", "_arrays", "_csr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        self.n = n
+        self.n = n = vertex_count(n)
         w: dict[tuple[int, int], float] = {}
         for u, v, weight in edges:
             try:

@@ -158,11 +158,12 @@ def _buy_paths(
     """Scan ordered pairs, buying canonical paths.
 
     pairs is a PairOrder's k x 2 array.  The thresholds d_G + c*W of all
-    pairs are computed once, as an array; a pair's canonical path is added
-    when the current spanner distance strictly exceeds its threshold.  The
-    oracle is primed with the rows of the vertices the pairs name, the only
-    rows upper() and refresh() read, and its weight dict is the one edge
-    set.  Returns (final edges, pairs bought, edges added by paths).
+    pairs are computed once, as an array; a pair's canonical path is
+    computed (path_vertices) and added only when the current spanner
+    distance strictly exceeds its threshold.  The oracle is primed with the
+    rows of the vertices the pairs name, the only rows upper() and refresh()
+    read, and its weight dict is the one edge set.  Returns (final edges,
+    pairs bought, edges added by paths).
     """
     us, vs = pairs[:, 0], pairs[:, 1]
     thresh = idx.dist[us, vs] + c * idx.W[us, vs]
@@ -176,7 +177,7 @@ def _buy_paths(
         row = oracle.refresh(u)
         if row[v] <= t:
             continue
-        seq = path_vertices(idx, u, v)
+        seq = path_vertices(g, u, v)
         for a, b in zip(seq, seq[1:]):
             added += oracle.add_edge(a, b, g.weight(a, b))
         bought.append((u, v))

@@ -27,6 +27,9 @@ sized from n and m so that the kernel's temporaries beyond the returned
 arrays stay within _BLOCK_BYTES (1 MiB).  The CSR and the edge arrays are
 the graph's own cached layouts (WeightedGraph.csr, edge_arrays).
 
+A call writes the W rows (build_index, the subset verifier) or the parent
+rows (sssp_canonical, fast2w, path_vertices) its caller reads, never both.
+
 Distance ties are detected with exact float equality: the intended regimes
 are integer-valued weights (float arithmetic is exact) and continuous random
 weights (ties have probability zero).
@@ -50,24 +53,22 @@ Adjacency = Sequence[Sequence[tuple[int, float]]]
 
 
 class ShortestPathIndex:
-    """All-pairs canonical shortest-path data for one graph.
+    """All-pairs canonical shortest-path data for one graph: 16 * n^2 bytes.
 
     dist[u][v]   exact shortest-path distance (inf when disconnected)
     W[u][v]      heaviest edge weight on the canonical u-v path (inf when
                  disconnected, 0 on the diagonal)
-    parent[s][v] predecessor of v on the canonical path from s (-1 for the
-                 source itself and for unreachable vertices)
 
+    Canonical paths are not stored; path_vertices computes one on demand.
     Immutable after construction; safe for concurrent reads.
     """
 
-    __slots__ = ("n", "dist", "W", "parent")
+    __slots__ = ("n", "dist", "W")
 
-    def __init__(self, n: int, dist: np.ndarray, W: np.ndarray, parent: np.ndarray):
+    def __init__(self, n: int, dist: np.ndarray, W: np.ndarray):
         self.n = n
         self.dist = dist
         self.W = W
-        self.parent = parent
 
 
 def distance_matrix(csr: csr_matrix, sources: Sequence[int] | None = None) -> np.ndarray:
@@ -179,17 +180,18 @@ def _block_rows(n: int, m: int) -> int:
 def _tree_block(
     dist: np.ndarray,
     ea: tuple[np.ndarray, ...],
-    parent: np.ndarray,
-    W: np.ndarray | None,
+    out: np.ndarray,
+    parents: bool,
     buf: tuple[np.ndarray, ...],
 ) -> np.ndarray:
-    """Canonical parents (and W rows) of one block's tie-free sources.
+    """Canonical parent rows or W rows of one block's tie-free sources.
 
     dist holds exact distance rows, one per source.  ea is (a, b, w, tails,
     heads, ws): the undirected edge arrays, then the same edges in both
-    directions (a->b first, then b->a).  parent and W are the block's output
-    rows, parent filled with -1 beforehand.  buf holds the per-edge work
-    arrays, allocated once for the largest block and reused by every block.
+    directions (a->b first, then b->a).  out is the block's output rows:
+    parents, filled with -1 beforehand, when parents is true, else W.  buf
+    holds the per-edge work arrays, allocated once for the largest block and
+    reused by every block.
 
     An edge u->v is tight in a row when dist[u] + w == dist[v].  Dijkstra's
     final predecessor of every reachable vertex is tight, so a row is
@@ -225,10 +227,10 @@ def _tree_block(
     e += side * m  # index into the directed arrays
     del side, hit
     at = row * n + heads[e]
-    parent.reshape(-1)[at] = tails[e]
-    if W is None:
+    if parents:
+        out.reshape(-1)[at] = tails[e]
         return tied
-    heavy = W.reshape(-1)  # a view: W is a run of whole rows
+    heavy = out.reshape(-1)  # a view: out is a run of whole rows
     heavy.fill(0.0)
     heavy[at] = ws[e]
     # jump[x] climbs toward the root; heavy[x] is the max over the edges climbed
@@ -241,18 +243,20 @@ def _tree_block(
             break
         np.maximum(heavy, heavy[jump], out=heavy)
         jump = nxt
-    W[~reach] = INF
+    out[~reach] = INF
     return tied
 
 
 def canonical_rows(
-    g: WeightedGraph, sources: list[int] | None = None, need_weights: bool = True
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """(dist, W, parent) rows of the canonical trees from the given sources.
+    g: WeightedGraph, sources: list[int] | None = None, parents: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """(dist, W) rows of the canonical trees from the given sources.
 
-    Row i belongs to sources[i]; sources None means every vertex.  W is
-    None when need_weights is false.  Tie-free sources are handled a block
-    at a time by _tree_block; each source whose distances tie goes through
+    Row i belongs to sources[i]; sources None means every vertex.  With
+    parents true the second array holds the canonical parent rows instead
+    of W (int32; -1 for the source and for unreachable vertices): no caller
+    reads both.  Tie-free sources are handled a block at a time by
+    _tree_block; each source whose distances tie goes through
     canonical_tree_from_dist on its own.
     """
     n = g.n
@@ -261,25 +265,24 @@ def canonical_rows(
     ea = (a, b, w, np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w]))
     src = np.arange(n) if sources is None else np.asarray(sources, dtype=np.int64)
     k, m = len(src), len(w)
-    parent = np.full((k, n), -1, dtype=np.int32)
-    W = np.empty((k, n)) if need_weights else None
+    out = np.full((k, n), -1, dtype=np.int32) if parents else np.empty((k, n))
     rows = max(1, min(k, _block_rows(n, m)))
     buf = (*(np.empty((rows, m)) for _ in range(3)), np.empty((2, rows, m), dtype=bool))
     adj: Adjacency | None = None
     for lo in range(0, k, rows):
         blk = slice(lo, min(lo + rows, k))
-        Wb = None if W is None else W[blk]
-        for i in _tree_block(dist[blk], ea, parent[blk], Wb, buf).tolist():
+        for i in _tree_block(dist[blk], ea, out[blk], parents, buf).tolist():
             s = int(src[lo + i])
             if adj is None:
                 adj = _neighbor_lists(g)
             p, heavy = canonical_tree_from_dist(adj, s, dist[lo + i].tolist())
-            parent[lo + i] = p
-            if W is not None:
-                W[lo + i] = heavy
-                W[lo + i, ~np.isfinite(dist[lo + i])] = INF
-                W[lo + i, s] = 0.0
-    return dist, W, parent
+            if parents:
+                out[lo + i] = p
+            else:
+                out[lo + i] = heavy
+                out[lo + i, ~np.isfinite(dist[lo + i])] = INF
+                out[lo + i, s] = 0.0
+    return dist, out
 
 
 def sssp_canonical(g: WeightedGraph, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +293,7 @@ def sssp_canonical(g: WeightedGraph, s: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range for n={g.n}")
-    dist, _, parent = canonical_rows(g, [s], need_weights=False)
+    dist, parent = canonical_rows(g, [s], parents=True)
     return dist[0], parent[0]
 
 
@@ -298,25 +301,32 @@ def build_index(g: WeightedGraph) -> ShortestPathIndex:
     """All-pairs canonical index: canonical_rows from every source.
 
     One scipy call computes all distances.  The tie-free sources then get
-    their parents and W rows from the blocked kernel, whose temporaries stay
-    within _BLOCK_BYTES (1 MiB) beyond the returned 20 * n^2 bytes; each
-    source whose distances tie falls back to canonical_tree_from_dist.
+    their W rows from the blocked kernel, whose temporaries stay within
+    _BLOCK_BYTES (1 MiB) beyond the returned 16 * n^2 bytes; each source
+    whose distances tie falls back to canonical_tree_from_dist.
     """
     n = g.n
     if n == 0:
         z = np.zeros((0, 0))
-        return ShortestPathIndex(0, z, z.copy(), z.astype(np.int32))
-    dist, W, parent = canonical_rows(g)
-    return ShortestPathIndex(n, dist, W, parent)
+        return ShortestPathIndex(0, z, z.copy())
+    dist, W = canonical_rows(g)
+    return ShortestPathIndex(n, dist, W)
 
 
-def path_vertices(idx: ShortestPathIndex, u: int, v: int) -> list[int]:
-    """Vertex sequence of the canonical u-v path via u's parent row."""
+def path_vertices(g: WeightedGraph, u: int, v: int) -> list[int]:
+    """Vertex sequence of the canonical u-v path.
+
+    Walks v up u's parent row, which sssp_canonical computes anew on every
+    call: one Dijkstra and one canonical tree from u.
+    """
+    for x in (u, v):
+        if not 0 <= x < g.n:
+            raise ValueError(f"vertex {x} out of range for n={g.n}")
     if u == v:
         return [u]
-    if not np.isfinite(idx.dist[u][v]):
+    dist, prow = sssp_canonical(g, u)
+    if not np.isfinite(dist[v]):
         raise ValueError(f"no path between {u} and {v}")
-    prow = idx.parent[u]
     seq = [v]
     x = v
     while x != u:

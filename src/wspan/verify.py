@@ -111,7 +111,7 @@ def _sweep(
         return report
     cols = np.asarray(S)
     if idx is None:
-        dist, W, _ = canonical_rows(g, S)
+        dist, W = canonical_rows(g, S)
         row_of = np.arange(len(S))
     else:
         dist, W, row_of = idx.dist, idx.W, cols

@@ -7,7 +7,9 @@ multiplicative spanner and of path buying, and per-vertex loops for the light
 selections and the +2W levels.  They read a graph only through edge_items().
 Expected values in the tests are computed by these, never by the code under
 test.  minimax_path_weight is a cross-check rather than an oracle: it reads
-the distances of the index it is given.
+the distances of the index it is given.  canonical_paths is no oracle
+either: it walks the package's own parent rows, for tests that read the
+canonical paths of many pairs of one graph.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import strategies as st
 
 from wspan import GenSpec, WeightedGraph, generate
+from wspan.shortest import canonical_rows
 
 
 def neighbor_lists(g: WeightedGraph) -> list[list[tuple[int, float]]]:
@@ -75,6 +78,27 @@ def levels_reference(g: WeightedGraph, c: float, seed: int):
             if v not in pv or w < pv[v][0]
         }
     return D, pivot, estar, E
+
+
+def canonical_paths(g: WeightedGraph):
+    """path(u, v): the canonical u-v vertex sequence, as path_vertices gives it.
+
+    The parent rows of every source come from one canonical_rows call, so
+    each path is a walk up a stored row instead of one Dijkstra per pair.
+    """
+    _, parent = canonical_rows(g, parents=True)
+
+    def path(u: int, v: int) -> list[int]:
+        seq = [v]
+        while seq[-1] != u:
+            x = int(parent[u, seq[-1]])
+            if x < 0:
+                raise ValueError(f"no path between {u} and {v}")
+            seq.append(x)
+        seq.reverse()
+        return seq
+
+    return path
 
 
 def brute_force_apsp(g: WeightedGraph) -> np.ndarray:

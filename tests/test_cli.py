@@ -3,6 +3,7 @@ import json
 import pytest
 
 import wspan.cli
+import wspan.shortest
 import wspan.verify
 from wspan.algos import ALGOS, BOUNDS, parse_algo, parse_bound
 from wspan.bench import run_bench
@@ -107,13 +108,19 @@ def test_subset_bound_builds_no_full_index(capsys, tmp_path, monkeypatch):
         assert (code, out) == expected[h_path]
 
 
-def test_build_emulator_and_verify(capsys, tmp_path):
+def test_build_emulator_and_verify(capsys, tmp_path, monkeypatch):
     graph, _ = gen_graph(capsys, tmp_path, n=40, p=0.4)
     out_path = tmp_path / "emu.txt"
-    code, out, _ = run(
-        capsys, "build", "--algo", "emulator4w", "--seed", "2",
-        "--graph", str(graph), "-o", str(out_path),
-    )
+
+    def no_index(*args, **kwargs):
+        raise AssertionError("canonical index built for an emulator build")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(wspan.shortest, "canonical_rows", no_index)
+        code, out, _ = run(
+            capsys, "build", "--algo", "emulator4w", "--seed", "2",
+            "--graph", str(graph), "-o", str(out_path),
+        )
     assert code == 0
     stats = json.loads(out)
     assert stats["sampled_set_size"] >= 0
@@ -184,6 +191,16 @@ def test_absorbed_edge_weight_is_exit_2(capsys, tmp_path):
         assert code == 2 and out == ""
         assert err.startswith("wspan: error: source 0: vertex 1")
         assert "absorbed an edge weight" in err and "Traceback" not in err
+
+
+def test_non_integer_vertex_count_is_exit_2(capsys, tmp_path):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([{"family": "path", "n": 2.5}]))
+    code, out, err = run(
+        capsys, "bench", "--corpus", str(corpus), "--algos", "6w:1", "--out", str(tmp_path / "r.jsonl")
+    )
+    assert code == 2 and out == ""
+    assert err == "wspan: error: vertex count must be an integer, got 2.5\n"
 
 
 def test_bound_spec_extra_fields_are_exit_2(capsys, tmp_path):

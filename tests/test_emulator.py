@@ -1,8 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import wspan.shortest as shortest
 from wspan import (
     GenSpec,
     WeightedGraph,
@@ -13,6 +17,8 @@ from wspan import (
     verify_non_contracting,
     verify_subgraph,
 )
+
+from conftest import small_graphs
 
 
 def dense(n, seed):
@@ -108,3 +114,35 @@ def test_size_budget():
     em = build_4w_emulator(g, seed=4)
     t = em.params["t"]
     assert em.m <= g.n * t + len(em.S) ** 2
+
+
+# two weighted 6-cliques: seed 3 samples 0, 1, 4, 5 and 7, 9, 10, across both
+TWO_CLIQUES = WeightedGraph(
+    12,
+    [
+        (u, v, float(1 + (7 * u + v) % 5))
+        for a in (0, 6)
+        for u, v in itertools.combinations(range(a, a + 6), 2)
+    ],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=small_graphs(max_n=14), seed=st.integers(min_value=0, max_value=1000))
+@example(g=TWO_CLIQUES, seed=3)
+def test_emulator_without_index_reads_sample_distances_only(g, seed):
+    indexed = build_4w_emulator(g, seed, idx=build_index(g))
+    calls = []
+    orig = shortest.canonical_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    # counts build_index too: it reaches the kernel through this module attribute
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shortest, "canonical_rows", counted)
+        alone = build_4w_emulator(g, seed)
+    assert calls == []
+    assert alone.edges == indexed.edges
+    assert (alone.S, alone.params) == (indexed.S, indexed.params)

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from wspan import GenSpec, WeightedGraph, generate
+from wspan import GenSpec, WeightedGraph, generate, generators
 
 
 def test_path_family():
@@ -59,6 +60,37 @@ def test_geometric_weights_rescaled_to_min_one():
     ws = [w for _, _, w in g.edge_items()]
     assert min(ws) == 1.0
     assert g.m > 0
+
+
+def dense_close_pairs(pts: np.ndarray, r: float):
+    """(i, j, length) of the pairs i < j within r, from the full n x n distance matrix."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=2))
+    iu, iv = np.triu_indices(len(pts), k=1)
+    mask = d[iu, iv] <= r
+    return iu[mask], iv[mask], d[iu, iv][mask]
+
+
+@pytest.mark.parametrize("block_bytes", [48 * 300, 3 * 48 * 300, None])
+def test_geometric_row_blocks_match_dense_formula(block_bytes, monkeypatch):
+    if block_bytes is not None:  # 1 and 3 rows per block at n = 300
+        monkeypatch.setattr(generators, "_PAIR_BLOCK_BYTES", block_bytes)
+    for n in (1, 2, 57, 300):
+        for seed in range(3):
+            pts = np.random.default_rng(np.random.SeedSequence(seed)).random((n, 2))
+            # a typical radius, one that spans all pairs, one below every distance
+            for r in (0.15, 2.0, 1e-9):
+                got = generators._close_pairs(pts, r)
+                want = dense_close_pairs(pts, r)
+                assert all(np.array_equal(x, y) for x, y in zip(got, want)), (n, seed, r)
+                i, j, lengths = want
+                w = (lengths / lengths.min()).tolist() if len(lengths) else []
+                g = generate(GenSpec(family="geometric", n=n, radius=r, seed=seed))
+                assert g == WeightedGraph(n, zip(i.tolist(), j.tolist(), w))
+                if r == 2.0:
+                    assert g.m == n * (n - 1) // 2
+                elif r == 1e-9:
+                    assert g.m == 0
 
 
 def test_keep_lcc_yields_connected_graph():

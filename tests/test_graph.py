@@ -45,6 +45,20 @@ def test_rejects_non_integer_vertex_id():
         WeightedGraph(3, [("0", 2, 1.0)])
 
 
+def test_rejects_non_integer_vertex_count():
+    # a float n used to be accepted, and the distance code then failed inside scipy
+    with pytest.raises(ValueError, match="vertex count must be an integer, got 2.5"):
+        WeightedGraph(2.5, [(0, 1, 1.0)])
+    with pytest.raises(ValueError, match="vertex count must be an integer"):
+        WeightedGraph("3", [])
+    with pytest.raises(ValueError, match="vertex count must be nonnegative, got -1"):
+        WeightedGraph(-1, [])
+    with pytest.raises(ValueError, match="vertex count must be an integer, got 2.5"):
+        generate(GenSpec(family="path", n=2.5))
+    g = WeightedGraph(np.int64(3), [(0, 1, 1.0)])
+    assert type(g.n) is int and g.n == 3
+
+
 def test_numpy_ids_are_stored_as_python_ints():
     g = WeightedGraph(3, [(np.int64(2), np.int32(0), np.float32(1.5))])
     assert g.edge_items() == [(0, 2, 1.5)]

@@ -13,9 +13,9 @@ from wspan import (
     t_light_init,
 )
 from wspan.graph import edge_key
-from wspan.shortest import path_vertices
 
 from conftest import (
+    canonical_paths,
     levels_reference,
     light_kept_edges,
     light_selections,
@@ -120,6 +120,7 @@ def test_light_neighbor_density_on_missing_paths():
     for seed in range(4):
         g = generate(GenSpec(family="gnp", n=60, p=0.25, wmodel="exp-spread", seed=seed))
         idx = build_index(g)
+        path_of = canonical_paths(g)
         t = 4
         li = t_light_init(g, t)
         adj = neighbor_lists(g)
@@ -127,7 +128,7 @@ def test_light_neighbor_density_on_missing_paths():
         for u, v in pairs:
             if not (idx.dist[u][v] < float("inf")):
                 continue
-            path = path_vertices(idx, u, v)
+            path = path_of(u, v)
             on_path = set(path)
             missing = sum(
                 1 for a, b in zip(path, path[1:]) if (min(a, b), max(a, b)) not in li.kept_edges

@@ -19,6 +19,7 @@ from wspan import (
 from wspan.fast2w import _spt_edges
 from wspan.graph import edge_key
 from wspan.shortest import (
+    ShortestPathIndex,
     canonical_rows,
     canonical_tree_from_dist,
     distance_matrix,
@@ -27,6 +28,7 @@ from wspan.shortest import (
 
 from conftest import (
     brute_force_apsp,
+    canonical_paths,
     neighbor_lists,
     oracle_canonical_path,
     small_graphs,
@@ -68,7 +70,7 @@ def test_index_triangle_route_around_heavy_edge():
     idx = build_index(g)
     assert idx.dist[0][2] == 2.0
     assert idx.W[0][2] == 1.0
-    assert path_vertices(idx, 0, 2) == [0, 1, 2]
+    assert path_vertices(g, 0, 2) == [0, 1, 2]
 
 
 def test_index_single_edge():
@@ -90,7 +92,7 @@ def test_index_star_heaviest_of_two_legs():
 def test_canonical_path_identity():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     idx = build_index(g)
-    assert path_vertices(idx, 1, 1) == [1]
+    assert path_vertices(g, 1, 1) == [1]
     assert idx.dist[1][1] == 0.0
     assert idx.W[1][1] == 0.0
 
@@ -98,26 +100,32 @@ def test_canonical_path_identity():
 def test_canonical_path_whole_path_graph():
     g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0)])
     idx = build_index(g)
-    assert path_vertices(idx, 0, 3) == [0, 1, 2, 3]
+    assert path_vertices(g, 0, 3) == [0, 1, 2, 3]
     assert idx.dist[0][3] == 4.0
     assert idx.W[0][3] == 2.0
 
 
 def test_canonical_path_disconnected_errors():
     g = WeightedGraph(3, [(0, 1, 1.0)])
-    idx = build_index(g)
     with pytest.raises(ValueError, match="no path"):
-        path_vertices(idx, 0, 2)
+        path_vertices(g, 0, 2)
+
+
+def test_canonical_path_endpoints_out_of_range_error():
+    # v = -1 used to index the last vertex and return the path [0, 1, -1]
+    g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    for u, v in ((0, -1), (0, 3), (-1, 0), (5, 5)):
+        with pytest.raises(ValueError, match="out of range for n=3"):
+            path_vertices(g, u, v)
 
 
 def test_grid_corner_path_matches_oracle_and_is_stable():
     g = generate(GenSpec(family="grid", n=9, rows=3, cols=3, wmodel="unit", seed=0))
-    idx = build_index(g)
     expected = oracle_canonical_path(g, 0, 8)
-    first = path_vertices(idx, 0, 8)
+    first = path_vertices(g, 0, 8)
     assert tuple(first) == expected
     for _ in range(3):
-        assert path_vertices(idx, 0, 8) == first
+        assert path_vertices(g, 0, 8) == first
     # the staircase is monotone: row and column indices never decrease
     rows = [v // 3 for v in first]
     cols = [v % 3 for v in first]
@@ -146,6 +154,7 @@ def test_distances_match_brute_force_floats(g):
 @given(small_graphs(max_n=9))
 def test_index_structural_invariants(g):
     idx = build_index(g)
+    path = canonical_paths(g)
     n = g.n
     assert np.array_equal(idx.dist, idx.dist.T)
     assert all(idx.dist[i][i] == 0.0 for i in range(n))
@@ -154,7 +163,7 @@ def test_index_structural_invariants(g):
         for v in range(u + 1, n):
             if not math.isfinite(idx.dist[u][v]):
                 continue
-            h = len(path_vertices(idx, u, v)) - 1
+            h = len(path(u, v)) - 1
             assert h >= 1
             assert idx.W[u][v] >= idx.dist[u][v] / h
             assert idx.W[u][v] <= idx.dist[u][v]
@@ -164,19 +173,21 @@ def test_index_structural_invariants(g):
 @given(small_graphs(max_n=9))
 def test_canonical_paths_reverse_and_subpath(g):
     idx = build_index(g)
+    path = canonical_paths(g)
     n = g.n
     for u in range(n):
         for v in range(u + 1, n):
             if not math.isfinite(idx.dist[u][v]):
                 continue
-            fwd = path_vertices(idx, u, v)
-            bwd = path_vertices(idx, v, u)
+            fwd = path(u, v)
+            bwd = path(v, u)
             assert fwd == list(reversed(bwd))
+            assert path_vertices(g, u, v) == fwd
             # every contiguous subsequence is itself canonical
             for i in range(len(fwd)):
                 for j in range(i + 1, len(fwd)):
                     a, b = fwd[i], fwd[j]
-                    assert path_vertices(idx, a, b) == fwd[i : j + 1]
+                    assert path(a, b) == fwd[i : j + 1]
                     assert idx.dist[u][v] == pytest.approx(
                         idx.dist[u][a] + idx.dist[a][v], rel=1e-12
                     )
@@ -186,12 +197,13 @@ def test_canonical_paths_reverse_and_subpath(g):
 @given(small_graphs(max_n=9))
 def test_canonical_path_pairs_intersect_contiguously(g):
     idx = build_index(g)
+    path = canonical_paths(g)
     n = g.n
     paths = []
     for u in range(n):
         for v in range(u + 1, n):
             if math.isfinite(idx.dist[u][v]):
-                paths.append(path_vertices(idx, u, v))
+                paths.append(path(u, v))
     for p in paths[:12]:
         for q in paths[:12]:
             shared = set(p) & set(q)
@@ -203,18 +215,20 @@ def test_canonical_path_pairs_intersect_contiguously(g):
 
 def test_index_agrees_with_per_source_sssp(medium_gnp):
     idx = build_index(medium_gnp)
+    _, _, ref = per_source_reference(medium_gnp)
     for s in (0, 17, 42):
         dist, parent = sssp_canonical(medium_gnp, s)
         assert np.array_equal(dist, idx.dist[s])
-        assert np.array_equal(parent, idx.parent[s])
+        assert np.array_equal(parent, ref[s])
 
 
 def test_index_agrees_with_per_source_sssp_on_ties(medium_grid):
     idx = build_index(medium_grid)
+    _, _, ref = per_source_reference(medium_grid)
     for s in (0, 24, 48):
         dist, parent = sssp_canonical(medium_grid, s)
         assert np.array_equal(dist, idx.dist[s])
-        assert np.array_equal(parent, idx.parent[s])
+        assert np.array_equal(parent, ref[s])
 
 
 # weight sets: all ties, small integers, decimals whose float sums are
@@ -280,16 +294,23 @@ def test_blocked_kernel_matches_per_source_rule(rows, g, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shortest, "_block_rows", lambda n, m: rows)
         idx = build_index(g)
+        every = canonical_rows(g, parents=True)
         sub = canonical_rows(g, roots)
+        sub_parents = canonical_rows(g, roots, parents=True)
         spt = _spt_edges(g, roots)
         single = [sssp_canonical(g, s) for s in range(g.n)]
     assert np.array_equal(idx.dist, dist)
     assert np.array_equal(idx.W, W)
-    assert idx.parent.dtype == np.int32 and np.array_equal(idx.parent, parent)
+    assert np.array_equal(every[0], dist)
+    assert every[1].dtype == np.int32 and np.array_equal(every[1], parent)
     assert np.array_equal(sub[0], dist[roots]) and np.array_equal(sub[1], W[roots])
-    assert np.array_equal(sub[2], parent[roots])
+    assert np.array_equal(sub_parents[0], dist[roots])
+    assert np.array_equal(sub_parents[1], parent[roots])
     # and at the block size _block_rows picks
     assert all(np.array_equal(x, y) for x, y in zip(canonical_rows(g, roots), sub))
+    assert all(
+        np.array_equal(x, y) for x, y in zip(canonical_rows(g, roots, parents=True), sub_parents)
+    )
     for s, (d, p) in enumerate(single):
         assert np.array_equal(d, dist[s]) and p.dtype == np.int32 and np.array_equal(p, parent[s])
     # the fast2w tree union, as the per-root loop over parent lists built it
@@ -359,16 +380,19 @@ def test_absorbed_edge_weight_is_a_value_error():
 
 
 def test_index_temporaries_stay_within_block_budget():
-    g = generate(GenSpec(family="geometric", n=400, radius=0.12, seed=3, keep_lcc=True))
-    assert g.n > 300 and g.m > 2000
-    build_index(g)  # warm up lazy imports and caches
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        idx = build_index(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    returned = idx.dist.nbytes + idx.W.nbytes + idx.parent.nbytes
-    # slack: the edge list, scipy's CSR copies and the directed edge arrays
-    assert peak - base - returned < shortest._BLOCK_BYTES + (1 << 20)
+    assert ShortestPathIndex.__slots__ == ("n", "dist", "W")
+    # at n = 800 an n x n int32 parent array alone (2.4 MiB) would break the bound
+    for n, radius in ((400, 0.12), (800, 0.085)):
+        g = generate(GenSpec(family="geometric", n=n, radius=radius, seed=3, keep_lcc=True))
+        assert g.n > 0.75 * n and g.m > 5 * n
+        build_index(g)  # warm up lazy imports and caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            idx = build_index(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = idx.dist.nbytes + idx.W.nbytes
+        # slack: the edge list, scipy's CSR copies and the directed edge arrays
+        assert peak - base - returned < shortest._BLOCK_BYTES + (1 << 20)
