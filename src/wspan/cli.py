@@ -61,8 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--family", required=True, choices=FAMILIES)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--p", type=float, help="gnp edge probability")
-    g.add_argument("--rows", type=int, help="grid rows")
-    g.add_argument("--cols", type=int, help="grid cols")
+    g.add_argument("--rows", type=int, help="grid rows (default n / cols, or sqrt(n); rows * cols must be n)")
+    g.add_argument("--cols", type=int, help="grid cols (default n / rows, or sqrt(n))")
     g.add_argument("--radius", type=float, help="geometric connection radius")
     g.add_argument("--branching", type=int, help="tree branching limit")
     g.add_argument("--wmodel", default="unit", choices=WEIGHT_MODELS)

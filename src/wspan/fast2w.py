@@ -11,8 +11,11 @@ survives all levels is small enough to dump wholesale.  Every level's
 pivots and bunches are masks over one sort of the incident edges by
 (vertex, weight, neighbor id).
 
-All randomness is a seeded generator, so a (graph, c, seed) triple fully
-determines the output.
+The proof needs from each sampled root only exact distances over its level's
+edges, so each tree is whichever shortest-path tree Dijkstra builds; the
+canonical tie rule of wspan.shortest plays no part here.  All randomness is a
+seeded generator, so a (graph, c, seed) triple fully determines the output
+for a given scipy version.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from .graph import WeightedGraph, edge_key_set
 from .greedy import SpannerResult
-from .shortest import canonical_rows
 
 EdgeSet = set[tuple[int, int]]
 
@@ -100,11 +103,17 @@ def sample_levels(g: WeightedGraph, c: float, seed: int) -> LevelStructure:
 
 
 def _spt_edges(g: WeightedGraph, roots: list[int]) -> EdgeSet:
-    """Union of canonical shortest-path-tree edges of g over the given roots."""
+    """Union of shortest-path-tree edges of g over the given roots.
+
+    Each root's tree is Dijkstra's own predecessor tree, from one scipy call
+    over g's CSR.  Where no distance from a root ties, it is the only
+    shortest-path tree.
+    """
     if not roots:
         return set()
-    _, parent = canonical_rows(g, roots, parents=True)
-    # each vertex's distinct parents, found down its column without a k x n index array
+    _, parent = dijkstra(g.csr(), directed=True, indices=roots, return_predecessors=True)
+    # each vertex's distinct parents, found down its column without a k x n index array;
+    # scipy marks the root and unreachable vertices with -9999
     parent.sort(axis=0)
     fresh = parent >= 0
     fresh[1:] &= parent[1:] != parent[:-1]
@@ -115,10 +124,11 @@ def _spt_edges(g: WeightedGraph, roots: list[int]) -> EdgeSet:
 def build_fast_2w(g: WeightedGraph, c: float = 4.0, seed: int = 0) -> SpannerResult:
     """Randomized spanner with additive stretch twice the heaviest path edge.
 
-    For each level, adds the canonical shortest-path trees rooted at every
-    sampled vertex over that level's surviving edges plus pivot edges, then
-    dumps the edges surviving past the last level.  Output is always a
-    subgraph of g; the stretch bound holds with high probability in c.
+    For each level, adds a shortest-path tree rooted at every sampled vertex
+    over that level's surviving edges plus pivot edges (Dijkstra's own
+    predecessors; no tie rule), then dumps the edges surviving past the last
+    level.  Output is always a subgraph of g, fixed by (g, c, seed) for a
+    given scipy; the stretch bound holds with high probability in c.
     """
     ls = sample_levels(g, c, seed)
     edges: EdgeSet = set()

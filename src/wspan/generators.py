@@ -10,6 +10,7 @@ identical graphs on any platform.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -58,9 +59,14 @@ def _draw_weights(rng: np.random.Generator, count: int, wmodel: str, wmax: float
     raise ValueError(f"unknown weight model {wmodel!r}")
 
 
-# Bytes of temporaries one block of rows may hold in _close_pairs, at about
-# 48 per row and column of the distance matrix.
+# Bytes of temporaries one block of rows may hold in _close_pairs and
+# _gnp_pairs, at about 48 per pair of the block's rows.
 _PAIR_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(n: int) -> int:
+    """Rows of the n x n pair matrix per block: the most that fit _PAIR_BLOCK_BYTES."""
+    return max(1, _PAIR_BLOCK_BYTES // (48 * max(n, 1)))
 
 
 def _close_pairs(pts: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -71,7 +77,7 @@ def _close_pairs(pts: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.
     n x n matrix, so the lengths are exactly that matrix's entries.
     """
     n = len(pts)
-    rows = max(1, _PAIR_BLOCK_BYTES // (48 * max(n, 1)))
+    rows = _block_rows(n)
     iu, iv, lengths = [], [], []
     for lo in range(0, n, rows):
         diff = pts[lo : lo + rows, None, :] - pts[None, :, :]
@@ -87,6 +93,27 @@ def _close_pairs(pts: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.
     return np.concatenate(iu), np.concatenate(iv), np.concatenate(lengths)
 
 
+def _gnp_pairs(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """The pairs i < j whose uniform draw is below p, in lexicographic order.
+
+    One uniform per pair, in lexicographic pair order, drawn one block of
+    rows at a time.  PCG64 yields the same doubles whether they are drawn in
+    one call or in chunks, so the graph is the one a single draw of all
+    n(n-1)/2 uniforms gives.
+    """
+    rows = _block_rows(n)
+    pairs: list[tuple[int, int]] = []
+    for lo in range(0, n - 1, rows):
+        i = np.arange(lo, min(lo + rows, n - 1))
+        # row i holds the pairs (i, i+1) .. (i, n-1), from draw start[k] of the block on
+        lens = n - 1 - i
+        start = np.cumsum(lens) - lens
+        hit = np.flatnonzero(rng.random(int(lens.sum())) < p)
+        k = np.searchsorted(start, hit, side="right") - 1
+        pairs += zip(i[k].tolist(), (hit - start[k] + i[k] + 1).tolist())
+    return pairs
+
+
 def _structure(spec: GenSpec, rng: np.random.Generator) -> tuple[int, list[tuple[int, int]]]:
     fam = spec.family
     n = spec.n
@@ -96,18 +123,23 @@ def _structure(spec: GenSpec, rng: np.random.Generator) -> tuple[int, list[tuple
         p = spec.p
         if p is None or not 0.0 <= p <= 1.0:
             raise ValueError(f"gnp needs edge probability p in [0, 1], got {p}")
-        iu, iv = np.triu_indices(n, k=1)
-        mask = rng.random(len(iu)) < p
-        pairs = list(zip(iu[mask].tolist(), iv[mask].tolist()))
-        return n, pairs
+        return n, _gnp_pairs(n, p, rng)
     if fam == "grid":
         rows, cols = spec.rows, spec.cols
-        if rows is None or cols is None:
-            rows = max(1, math.isqrt(n))
-            cols = rows
-        if rows < 1 or cols < 1:
-            raise ValueError("grid dims must be positive")
-        nn = rows * cols
+        for name, x in (("rows", rows), ("cols", cols)):
+            if x is not None and not (isinstance(x, numbers.Integral) and x >= 1):
+                raise ValueError(f"grid {name} must be an integer >= 1, got {x!r}")
+        if rows is None and cols is None:
+            rows = cols = math.isqrt(n)
+            if rows * cols != n:
+                raise ValueError(f"grid n={n} is not a perfect square; give rows or cols")
+        elif rows is None or cols is None:
+            name, given = ("rows", rows) if cols is None else ("cols", cols)
+            if n % given:
+                raise ValueError(f"grid n={n} is not a multiple of {name}={given}")
+            rows, cols = (given, n // given) if cols is None else (n // given, given)
+        elif rows * cols != n:
+            raise ValueError(f"grid n={n} differs from rows*cols = {rows}*{cols} = {rows * cols}")
         pairs = []
         for r in range(rows):
             for c in range(cols):
@@ -116,7 +148,7 @@ def _structure(spec: GenSpec, rng: np.random.Generator) -> tuple[int, list[tuple
                     pairs.append((v, v + 1))
                 if r + 1 < rows:
                     pairs.append((v, v + cols))
-        return nn, pairs
+        return n, pairs
     if fam == "star":
         return n, [(0, v) for v in range(1, n)]
     if fam == "path":

@@ -13,9 +13,14 @@ The rule prefers the lower-id neighbor in the common symmetric cases (e.g.
 both shortest paths around an even cycle) while remaining consistent across
 sources, which a naive "smaller predecessor id" relaxation is not.
 
+The rule serves the index (W), path buying (path_vertices) and the verifier
+(W of G's rows where it checks without an index).  The +2W spanner needs
+exact distances only, so fast2w takes scipy's own shortest-path trees and
+does not use this module.
+
 One kernel, canonical_rows, computes the canonical trees behind
-build_index, sssp_canonical, fast2w's shortest-path trees and the subset
-verifier.  scipy gives the exact distances from the requested sources.  The
+build_index, sssp_canonical, path_vertices and the verifier's index-free
+checks.  scipy gives the exact distances from the requested sources.  The
 sources are then taken a block at a time: one gather-and-compare over the
 edge arrays finds every tight edge of the block, a source is tie-free when
 each reachable vertex has exactly one tight in-edge (which is then its
@@ -27,8 +32,8 @@ sized from n and m so that the kernel's temporaries beyond the returned
 arrays stay within _BLOCK_BYTES (1 MiB).  The CSR and the edge arrays are
 the graph's own cached layouts (WeightedGraph.csr, edge_arrays).
 
-A call writes the W rows (build_index, the subset verifier) or the parent
-rows (sssp_canonical, fast2w, path_vertices) its caller reads, never both.
+A call writes the W rows (build_index, the verifier) or the parent rows
+(sssp_canonical, path_vertices) its caller reads, never both.
 
 Distance ties are detected with exact float equality: the intended regimes
 are integer-valued weights (float arithmetic is exact) and continuous random
@@ -254,10 +259,11 @@ def canonical_rows(
 
     Row i belongs to sources[i]; sources None means every vertex.  With
     parents true the second array holds the canonical parent rows instead
-    of W (int32; -1 for the source and for unreachable vertices): no caller
-    reads both.  Tie-free sources are handled a block at a time by
-    _tree_block; each source whose distances tie goes through
-    canonical_tree_from_dist on its own.
+    of W (int32; -1 for the source and for unreachable vertices), for
+    sssp_canonical and path_vertices; build_index and the verifier read W.
+    Tie-free sources are handled a block at a time by _tree_block; each
+    source whose distances tie goes through canonical_tree_from_dist on its
+    own.
     """
     n = g.n
     dist = _sp_dijkstra(g.csr(), directed=True, indices=sources)

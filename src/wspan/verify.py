@@ -14,6 +14,8 @@ has w_H(a, b) >= d_G(a, b): an H path is then no shorter than the chain of G
 distances along it, which the triangle inequality bounds by d_G, and the
 edge is itself an H path.  So verify_non_contracting reads one index entry
 per H edge, computes no distances of H, and reports violating edges.
+Without an index it runs Dijkstra on G from H's distinct edge tails only, a
+sweep block of them at a time.
 
 A passing report is a proof for the instance at hand (up to the stated
 float tolerance).  Pairs that are connected in the base graph but not in the
@@ -30,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .graph import WeightedGraph
-from .shortest import _BLOCK_BYTES, ShortestPathIndex, build_index, canonical_rows, distance_matrix
+from .shortest import _BLOCK_BYTES, ShortestPathIndex, canonical_rows, distance_matrix
 
 REL_TOL = 1e-9
 
@@ -226,25 +228,48 @@ def verify_non_contracting(
     (a, b) of h has w_H(a, b) >= d_G(a, b) within relative tolerance, so
     pairs_checked counts h's edges, each violation is an edge with d_h its
     weight, and max_slack_ratio stays NaN.  An edge between two components
-    of g is a violation: it connects a pair that g keeps apart.
+    of g is a violation: it connects a pair that g keeps apart.  Without
+    idx, d_G comes from Dijkstra on g from h's edge tails, in sweep blocks,
+    and W from g's canonical rows of the violating edges' tails; the report
+    equals the indexed one.
     """
     if h.n != g.n:
         raise ValueError(f"vertex set mismatch: g has n={g.n}, h has n={h.n}")
-    if idx is None:
-        idx = build_index(g)
     a, b, w = h.edge_arrays()
-    dg = idx.dist[a, b]
+    dg = idx.dist[a, b] if idx is not None else _edge_distances(g, a, b)
     # inf - w > REL_TOL * inf is false, so non-finite d_G is flagged on its own
-    bad = ~np.isfinite(dg) | (dg - w > REL_TOL * np.maximum(1.0, dg))
+    bad = np.flatnonzero(~np.isfinite(dg) | (dg - w > REL_TOL * np.maximum(1.0, dg)))
     report = StretchReport(bound_kind="exact", params={"direction": "lower"}, pairs_checked=h.m, size=h.m)
-    for i in np.flatnonzero(bad).tolist():
+    if not len(bad):
+        return report
+    if idx is not None:
+        heavy = idx.W[a[bad], b[bad]]
+    else:  # W from the canonical rows of the violating edges' tails alone
+        tails = np.unique(a[bad])
+        heavy = canonical_rows(g, tails.tolist())[1][np.searchsorted(tails, a[bad]), b[bad]]
+    for i, wh in zip(bad.tolist(), heavy.tolist()):
         report.violations.append(
-            Violation(
-                int(a[i]), int(b[i]), float(dg[i]), float(w[i]), float(idx.W[a[i], b[i]]),
-                float(dg[i] - w[i]), "contraction",
-            )
+            Violation(int(a[i]), int(b[i]), float(dg[i]), float(w[i]), wh, float(dg[i] - w[i]), "contraction")
         )
     return report
+
+
+def _edge_distances(g: WeightedGraph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d_G(a[i], b[i]) for edge arrays sorted by tail, without G's index.
+
+    Dijkstra runs from the distinct tails only, _sweep_rows(n) of them at a
+    time; each block's edges are one contiguous run of the arrays.
+    """
+    dg = np.empty(len(a))
+    tails, first = np.unique(a, return_index=True)
+    first = np.append(first, len(a))
+    csr = g.csr()
+    rows = _sweep_rows(g.n)
+    for lo in range(0, len(tails), rows):
+        block = tails[lo : lo + rows]
+        run = slice(first[lo], first[lo + len(block)])
+        dg[run] = distance_matrix(csr, block)[np.searchsorted(block, a[run]), b[run]]
+    return dg
 
 
 def size_scaling_fit(records: list[tuple[int, int]]) -> float:

@@ -9,7 +9,9 @@ Expected values in the tests are computed by these, never by the code under
 test.  minimax_path_weight is a cross-check rather than an oracle: it reads
 the distances of the index it is given.  canonical_paths is no oracle
 either: it walks the package's own parent rows, for tests that read the
-canonical paths of many pairs of one graph.
+canonical paths of many pairs of one graph.  tied_source classifies sources
+by scipy's distances, the ones the package's kernels see.  forbid_full_index
+is a guard for the tests that check G without its index.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
+import wspan.shortest
+import wspan.verify
 from wspan import GenSpec, WeightedGraph, generate
 from wspan.shortest import canonical_rows
 
@@ -99,6 +104,34 @@ def canonical_paths(g: WeightedGraph):
         return seq
 
     return path
+
+
+def tied_source(g: WeightedGraph, s: int) -> bool:
+    """True iff some vertex has two exact shortest-path predecessors from s."""
+    dist = dijkstra(g.csr(), indices=s)
+    adj = neighbor_lists(g)
+    for v in range(g.n):
+        if v != s and math.isfinite(dist[v]):
+            if sum(1 for u, w in adj[v] if dist[u] + w == dist[v]) > 1:
+                return True
+    return False
+
+
+def forbid_full_index(monkeypatch) -> list:
+    """Fail every canonical_rows call over all vertices, the one build_index
+    makes; record the sources of the others."""
+    calls = []
+    real = wspan.shortest.canonical_rows
+
+    def rows(g, sources=None, parents=False):
+        if sources is None:
+            raise AssertionError("full index built")
+        calls.append(list(sources))
+        return real(g, sources, parents)
+
+    for module in (wspan.shortest, wspan.verify):
+        monkeypatch.setattr(module, "canonical_rows", rows)
+    return calls
 
 
 def brute_force_apsp(g: WeightedGraph) -> np.ndarray:
@@ -271,6 +304,31 @@ def small_graphs(
                 if (u, v) not in present:
                     edges.append((u, v, draw(wgen)))
                     present.add((u, v))
+    return WeightedGraph(n, edges)
+
+
+# weight sets: all ties, small integers, decimals whose float sums are
+# inexact, and continuous weights (no ties)
+WEIGHTS = {
+    "unit": st.just(1.0),
+    "int": st.integers(min_value=1, max_value=5).map(float),
+    "decimal": st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.1]),
+    "float": st.floats(min_value=1.0, max_value=50.0, allow_nan=False, allow_infinity=False),
+}
+
+
+@st.composite
+def mixed_graphs(draw):
+    """Disjoint unions of one or two small graphs, each with its own weight set.
+
+    A union of a tied and a tie-free part puts sources with and without
+    distance ties in one block.
+    """
+    edges, n = [], 0
+    for kind in draw(st.lists(st.sampled_from(sorted(WEIGHTS)), min_size=1, max_size=2)):
+        part = draw(small_graphs(max_n=7, weights=WEIGHTS[kind]))
+        edges += [(u + n, v + n, w) for u, v, w in part.edge_items()]
+        n += part.n
     return WeightedGraph(n, edges)
 
 

@@ -4,7 +4,6 @@ import pytest
 
 import wspan.cli
 import wspan.shortest
-import wspan.verify
 from wspan.algos import ALGOS, BOUNDS, parse_algo, parse_bound
 from wspan.bench import run_bench
 from wspan.cli import _build_parser, main
@@ -12,6 +11,8 @@ from wspan.generators import GenSpec
 from wspan.io import read_graph, read_jsonl, write_graph, write_subset
 from wspan.shortest import build_index
 from wspan.verify import verify_additive_W
+
+from conftest import forbid_full_index
 
 
 def run(capsys, *argv):
@@ -100,7 +101,7 @@ def test_subset_bound_builds_no_full_index(capsys, tmp_path, monkeypatch):
         raise AssertionError("full index built for a subset bound")
 
     monkeypatch.setattr(wspan.cli, "build_index", no_index)
-    monkeypatch.setattr(wspan.verify, "build_index", no_index)
+    forbid_full_index(monkeypatch)
     for h_path in (graph, sparse):
         code, out, _ = run(
             capsys, "verify", "--graph", str(graph), "--spanner", str(h_path), "--bound", bound
@@ -201,6 +202,15 @@ def test_non_integer_vertex_count_is_exit_2(capsys, tmp_path):
     )
     assert code == 2 and out == ""
     assert err == "wspan: error: vertex count must be an integer, got 2.5\n"
+
+
+def test_grid_vertex_count_mismatch_is_exit_2(capsys, tmp_path):
+    out_file = tmp_path / "g.txt"
+    code, out, err = run(
+        capsys, "generate", "--family", "grid", "--n", "10", "--rows", "3", "-o", str(out_file)
+    )
+    assert code == 2 and out == "" and not out_file.exists()
+    assert err == "wspan: error: grid n=10 is not a multiple of rows=3\n"
 
 
 def test_bound_spec_extra_fields_are_exit_2(capsys, tmp_path):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 from wspan import (
     GenSpec,
@@ -13,9 +16,11 @@ from wspan import (
     verify_additive_W,
     verify_subgraph,
 )
+from wspan.fast2w import _spt_edges
 from wspan.graph import edge_key
+from wspan.shortest import canonical_rows
 
-from conftest import levels_reference, neighbor_lists
+from conftest import levels_reference, mixed_graphs, neighbor_lists, tied_source
 
 
 def gnp(n, p, seed, wmodel="uniform"):
@@ -82,6 +87,22 @@ def test_structural_invariants():
                 assert expected <= in_next
             else:
                 assert incident <= ls.E[i + 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=mixed_graphs(), data=st.data())
+def test_spt_union_keeps_root_distances(g, data):
+    roots = data.draw(st.lists(st.integers(min_value=0, max_value=g.n - 1), min_size=1, max_size=6))
+    spt = _spt_edges(g, roots)
+    assert spt <= g.edge_keys()
+    assert all(type(x) is int for key in spt for x in key)
+    assert len(spt) <= len(roots) * (g.n - 1)
+    # exact distances from every root, inf included, over the union alone
+    assert np.array_equal(dijkstra(g.subgraph(spt).csr(), indices=roots), dijkstra(g.csr(), indices=roots))
+    if not any(tied_source(g, r) for r in roots):
+        # a tie-free root has one shortest-path tree: the canonical one
+        _, parent = canonical_rows(g, roots, parents=True)
+        assert spt == {edge_key(v, int(u)) for row in parent for v, u in enumerate(row) if u >= 0}
 
 
 def test_rejects_small_c():

@@ -29,6 +29,25 @@ def test_grid_dims():
     assert g.m == 3 * 3 + 2 * 4  # horizontal + vertical runs
 
 
+def test_grid_has_exactly_the_specs_vertex_count():
+    # one side given: the other is n divided by it
+    assert generate(GenSpec(family="grid", n=12, rows=3)) == generate(GenSpec(family="grid", n=12, rows=3, cols=4))
+    assert generate(GenSpec(family="grid", n=12, cols=4)) == generate(GenSpec(family="grid", n=12, rows=3, cols=4))
+    # neither given: a square
+    assert generate(GenSpec(family="grid", n=16)) == generate(GenSpec(family="grid", n=16, rows=4, cols=4))
+    for spec, why in (
+        (GenSpec(family="grid", n=10, rows=3, cols=4), "differs from rows\\*cols = 3\\*4 = 12"),
+        (GenSpec(family="grid", n=10, rows=3), "is not a multiple of rows=3"),
+        (GenSpec(family="grid", n=10, cols=4), "is not a multiple of cols=4"),
+        (GenSpec(family="grid", n=10), "is not a perfect square"),
+        (GenSpec(family="grid", n=10, rows=0), "rows must be an integer >= 1"),
+        (GenSpec(family="grid", n=10, rows=5, cols=-2), "cols must be an integer >= 1"),
+        (GenSpec(family="grid", n=10, rows=2.5), "rows must be an integer >= 1, got 2.5"),
+    ):
+        with pytest.raises(ValueError, match=f"^grid .*{why}"):
+            generate(spec)
+
+
 def test_tree_family_edge_count_and_branching():
     g = generate(GenSpec(family="tree", n=30, seed=5))
     assert g.m == 29
@@ -91,6 +110,30 @@ def test_geometric_row_blocks_match_dense_formula(block_bytes, monkeypatch):
                     assert g.m == n * (n - 1) // 2
                 elif r == 1e-9:
                     assert g.m == 0
+
+
+def dense_gnp_pairs(n: int, p: float, seed: int):
+    """(i, j, rng): the kept pairs from one draw of all n(n-1)/2 uniforms, and
+    the generator, where the weight draws start."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    iu, iv = np.triu_indices(n, k=1)
+    mask = rng.random(len(iu)) < p
+    return iu[mask], iv[mask], rng
+
+
+@pytest.mark.parametrize("block_bytes", [48 * 300, 3 * 48 * 300, None])
+def test_gnp_row_blocks_match_dense_draw(block_bytes, monkeypatch):
+    if block_bytes is not None:  # 1 and 3 rows per block at n = 300
+        monkeypatch.setattr(generators, "_PAIR_BLOCK_BYTES", block_bytes)
+    for n in (1, 2, 57, 300):
+        for seed in range(3):
+            for p in (0.0, 0.1, 1.0):
+                i, j, rng = dense_gnp_pairs(n, p, seed)
+                w = rng.uniform(1.0, 100.0, size=len(i))  # the weights follow in the same stream
+                g = generate(GenSpec(family="gnp", n=n, p=p, wmodel="uniform", seed=seed))
+                assert g == WeightedGraph(n, zip(i.tolist(), j.tolist(), w.tolist())), (n, seed, p)
+                if p == 1.0:
+                    assert g.m == n * (n - 1) // 2
 
 
 def test_keep_lcc_yields_connected_graph():

@@ -25,7 +25,7 @@ from wspan.algos import ALGOS
 from wspan.shortest import _BLOCK_BYTES
 from wspan.verify import REL_TOL, Violation
 
-from conftest import brute_force_apsp, minimax_path_weight, small_graphs
+from conftest import brute_force_apsp, forbid_full_index, minimax_path_weight, small_graphs
 
 
 def triangle_heavy():
@@ -233,12 +233,27 @@ def test_subset_check_without_index_builds_no_full_index(monkeypatch, medium_gri
     S = [40, 3, 17, 3, 25]
     expected = verify_additive_W(g, h, 2.5, pair_class=S, idx=build_index(g)).to_dict()
     assert not expected["passed"]
-
-    def no_index(_):
-        raise AssertionError("full index built for a subset check")
-
-    monkeypatch.setattr(wspan.verify, "build_index", no_index)
+    rows = forbid_full_index(monkeypatch)
     assert verify_additive_W(g, h, 2.5, pair_class=S).to_dict() == expected
+    assert rows == [sorted(set(S))]
+
+
+def test_non_contraction_without_index_builds_no_full_index(monkeypatch, medium_gnp):
+    g = medium_gnp
+    idx = build_index(g)
+    a, b, w = build_4w_emulator(g, seed=3, idx=idx).to_graph().edge_arrays()
+    # every third edge halved: contractions, some sharing a tail
+    h = WeightedGraph(g.n, zip(a.tolist(), b.tolist(), np.where(np.arange(len(w)) % 3, w, w / 2).tolist()))
+    expected = verify_non_contracting(g, h, idx=idx)
+    assert len({v.u for v in expected.violations}) < len(expected.violations)
+    calls = counted_distance_matrix(monkeypatch)
+    rows = forbid_full_index(monkeypatch)
+    monkeypatch.setattr(wspan.verify, "_sweep_rows", lambda n: 7)
+    got = verify_non_contracting(g, h)
+    assert got.violations == expected.violations and got.to_dict() == expected.to_dict()
+    tails = np.unique(a).tolist()
+    assert calls == [tails[i : i + 7] for i in range(0, len(tails), 7)]
+    assert rows == [sorted({v.u for v in expected.violations})]
 
 
 # -------------------------------------------------------- multiplicative
@@ -321,8 +336,8 @@ def lower_bound_candidates(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(lower_bound_candidates())
-def test_edgewise_non_contraction_matches_pairwise_reference(gh):
+@given(lower_bound_candidates(), st.integers(min_value=1, max_value=3))
+def test_edgewise_non_contraction_matches_pairwise_reference(gh, rows):
     g, h = gh
     dg, dh = brute_force_apsp(g), brute_force_apsp(h)
 
@@ -332,7 +347,12 @@ def test_edgewise_non_contraction_matches_pairwise_reference(gh):
         return dg[u, v] - dh[u, v] > REL_TOL * max(1.0, dg[u, v])
 
     bad_pairs = {(u, v) for u, v in itertools.combinations(range(g.n), 2) if contracted(u, v)}
-    rep = verify_non_contracting(g, h)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wspan.verify, "_sweep_rows", lambda n: rows)
+        rep = verify_non_contracting(g, h)
+    # the index-free report, from tail blocks of `rows` sources, equals the indexed one
+    indexed = verify_non_contracting(g, h, idx=build_index(g))
+    assert rep.violations == indexed.violations and rep.to_dict() == indexed.to_dict()
     assert rep.passed == (not bad_pairs)
     assert rep.pairs_checked == h.m and math.isnan(rep.max_slack_ratio)
     for viol in rep.violations:
