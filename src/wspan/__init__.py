@@ -11,7 +11,6 @@ from .graph import WeightedGraph
 from .shortest import ShortestPathIndex, build_index, sssp_canonical
 from .light import LightInit, t_light_init
 from .greedy import (
-    PairOrder,
     SpannerResult,
     build_6eps_spanner,
     build_poly_spanner,
@@ -40,7 +39,6 @@ __all__ = [
     "LightInit",
     "t_light_init",
     "SpannerResult",
-    "PairOrder",
     "make_pair_order",
     "greedy_multiplicative",
     "build_6eps_spanner",

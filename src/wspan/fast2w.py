@@ -76,8 +76,8 @@ def sample_levels(g: WeightedGraph, c: float, seed: int) -> LevelStructure:
     edges it passes to level i + 1, are those strictly lighter than that
     edge; every other vertex passes all its edges.
     """
-    if c < 1:
-        raise ValueError(f"c must be >= 1, got {c}")
+    if not 1 <= c < math.inf:
+        raise ValueError(f"c must be finite and >= 1, got {c}")
     n = g.n
     k = max(0, math.ceil(0.5 * math.log2(n))) if n >= 2 else 0
     s = [n / 2.0**i for i in range(k + 1)]

@@ -1,33 +1,29 @@
 """Deterministic greedy spanner constructions.
 
-Three path-buying variants share one scheme: seed the spanner with a light
-initialization, sort the candidate pairs by the heaviest edge on their
-shortest path, and buy the whole canonical shortest path for every pair
-whose current stretch exceeds the trigger.  The multiplicative greedy scans
-edges instead of pairs.
+Three path-buying variants share one scheme: seed the spanner H0 with a
+light initialization, order the pairs by the heaviest edge on their
+canonical shortest path, and buy the whole canonical path of every pair
+whose current distance exceeds its threshold d_G + c*W.  The multiplicative
+greedy scans edges instead of pairs.
 
-The pairs stay numpy arrays from start to scan: the connected pairs are the
-nonzero entries of the upper triangle of the finite-distance mask, one
-lexsort orders them into a k x 2 array, and every pair's threshold
-d_G + c*W is computed once as an array before the loop.  The spanner's one
-edge set is the distance oracle's weight dict.
+The spanner only gains edges, so only the candidates, the pairs with
+d_H0(u->v) > d_G + c*W, can be bought.  One pass over blocks of sources
+finds them: G's rows come through shortest.index_rows, H0's from one
+Dijkstra run over the CSR the scan's oracle then uses.  No n x n array is
+held, and on random graphs there are usually no candidates.
 
 Distance queries against the growing spanner use an upper-bound row cache:
-since the spanner only gains edges, any previously computed distance is a
-valid upper bound, so a pair whose cached estimate already meets its
-threshold can be skipped without recomputation.  Before the scan, one
-batched Dijkstra run on the initial spanner fills the rows of the vertices
-that appear in the scan, the only rows ever read: every vertex with a
-connected partner for the all-pairs variants, vertices of S only for the
-subsetwise one.  Pairs that still look violating get a fresh single-source
-run (C-speed) before the trigger is evaluated, so the scan-time semantics
-are exactly "query the current spanner".
+any previously computed distance is a valid upper bound, so a pair whose
+cached estimate meets its threshold is skipped.  The cache starts with H0's
+rows of the candidates' endpoints, the only rows read.  Pairs that still
+look violating get a fresh single-source run (C-speed), so the scan-time
+semantics are exactly "query the current spanner".  The spanner's one edge
+set is the oracle's weight dict.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +31,7 @@ from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .graph import WeightedGraph, edge_key, graph_csr
 from .light import t_light_init
-from .shortest import INF, ShortestPathIndex, build_index, path_vertices
+from .shortest import INF, ShortestPathIndex, _sweep_rows, index_rows, path_vertices
 
 
 @dataclass
@@ -55,37 +51,16 @@ class SpannerResult:
         return g.subgraph(self.edges)
 
 
-@dataclass(frozen=True, eq=False)
-class PairOrder:
-    """Deterministic processing order for vertex pairs.
+def make_pair_order(pairs: np.ndarray, W: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
+    """Processing order of pairs: the permutation that sorts them by key.
 
-    pairs is a k x 2 int64 array whose rows are (min id, max id), in
-    processing order; an empty order has shape (0, 2).
-    """
-
-    pairs: np.ndarray
-    mode: str
-
-
-def make_pair_order(
-    idx: ShortestPathIndex, pairs: Sequence[tuple[int, int]] | np.ndarray, mode: str = "W-then-dist"
-) -> PairOrder:
-    """Sort pairs by heaviest-path-edge weight, optionally then by distance.
-
-    pairs is any sequence of vertex pairs or a k x 2 integer array, in
-    either orientation.  mode "W-then-dist": key (W, d, min id, max id);
-    mode "W-only": key (W, min id, max id).  Both orders are total and
+    pairs is a k x 2 integer array of (u, v) rows with u < v; W, and d when
+    given, hold each pair's heaviest path edge and distance.  The key is
+    (W, d, u, v) with d, else (W, u, v); both orders are total and
     deterministic.
     """
-    if mode not in ("W-then-dist", "W-only"):
-        raise ValueError(f"unknown pair order mode {mode!r}")
-    uv = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
-    us, vs = uv[:, 0], uv[:, 1]
-    if mode == "W-then-dist":
-        order = np.lexsort((vs, us, idx.dist[us, vs], idx.W[us, vs]))
-    else:
-        order = np.lexsort((vs, us, idx.W[us, vs]))
-    return PairOrder(uv[order], mode)
+    keys = (pairs[:, 1], pairs[:, 0], W) if d is None else (pairs[:, 1], pairs[:, 0], d, W)
+    return np.lexsort(keys)
 
 
 class _GrowingDistances:
@@ -149,29 +124,20 @@ class _GrowingDistances:
 
 
 def _buy_paths(
-    g: WeightedGraph,
-    idx: ShortestPathIndex,
-    start_edges: set[tuple[int, int]],
-    pairs: np.ndarray,
-    c: float,
+    g: WeightedGraph, oracle: _GrowingDistances, thresh: np.ndarray, pairs: np.ndarray
 ) -> tuple[set[tuple[int, int]], list[tuple[int, int]], int]:
-    """Scan ordered pairs, buying canonical paths.
+    """Scan pairs (k x 2, in order) against their thresholds, buying paths.
 
-    pairs is a PairOrder's k x 2 array.  The thresholds d_G + c*W of all
-    pairs are computed once, as an array; a pair's canonical path is
-    computed (path_vertices) and added only when the current spanner
-    distance strictly exceeds its threshold.  The oracle is primed with the
-    rows of the vertices the pairs name, the only rows upper() and refresh()
-    read, and its weight dict is the one edge set.  Returns (final edges,
-    pairs bought, edges added by paths).
+    A pair's canonical path is added (path_vertices) only when the current
+    spanner distance strictly exceeds its threshold.  The oracle holds H0;
+    it is primed with the rows of the pairs' endpoints, the only rows read.
+    Returns (final edges, pairs bought, edges added by paths).
     """
-    us, vs = pairs[:, 0], pairs[:, 1]
-    thresh = idx.dist[us, vs] + c * idx.W[us, vs]
-    oracle = _GrowingDistances(g.n, {k: g.weight(*k) for k in start_edges})
-    oracle.prime(np.unique(pairs).tolist())
+    if len(pairs):
+        oracle.prime(np.unique(pairs).tolist())
     bought: list[tuple[int, int]] = []
     added = 0
-    for u, v, t in zip(us.tolist(), vs.tolist(), thresh.tolist()):
+    for (u, v), t in zip(pairs.tolist(), thresh.tolist()):
         if oracle.upper(u, v) <= t:
             continue
         row = oracle.refresh(u)
@@ -184,15 +150,40 @@ def _buy_paths(
     return set(oracle.weights), bought, added
 
 
-def _connected_pairs(idx: ShortestPathIndex, vertices: list[int] | None = None) -> np.ndarray:
-    """Connected pairs as a k x 2 int64 array of (u, v) rows with u < v.
+def _path_buying(
+    g: WeightedGraph,
+    idx: ShortestPathIndex | None,
+    S: list[int],
+    start: set[tuple[int, int]],
+    c: float,
+    by_dist: bool,
+) -> tuple[set[tuple[int, int]], list[tuple[int, int]], int]:
+    """_buy_paths from H0 = start over the candidates among the pairs u < v of S.
 
-    With vertices, only pairs inside that subset are returned.
+    S is sorted and unique.  A candidate has d_H0(u->v) > d_G(u,v) + c*W(u,v),
+    read from u's rows; an infinite threshold fails no comparison, so
+    disconnected pairs drop out.  The order key is (W, d, u, v) when
+    by_dist, else (W, u, v).
     """
-    if vertices is None:
-        return np.argwhere(np.triu(np.isfinite(idx.dist), k=1))
-    vs = np.array(sorted(vertices), dtype=np.int64)
-    return vs[np.argwhere(np.triu(np.isfinite(idx.dist[np.ix_(vs, vs)]), k=1))]
+    oracle = _GrowingDistances(g.n, {k: g.weight(*k) for k in start})
+    h0 = oracle._matrix()  # the oracle's own CSR, built once
+    cols = np.asarray(S, dtype=np.int64)
+    found = [np.zeros((0, 2), dtype=np.int64)]
+    keys = [np.zeros((3, 0))]
+    rows = _sweep_rows(g.n)
+    for lo in range(0, len(S), rows):
+        block = S[lo : lo + rows]
+        dist, W = index_rows(g, idx, block)
+        dg, wg = dist[:, cols], W[:, cols]
+        thresh = dg + c * wg
+        dh = _sp_dijkstra(h0, directed=True, indices=block)[:, cols]
+        i, j = np.nonzero((dh > thresh) & (cols > cols[lo : lo + len(block), None]))
+        found.append(np.stack([cols[lo + i], cols[j]], axis=1))
+        keys.append(np.stack([thresh[i, j], wg[i, j], dg[i, j]]))
+    pairs = np.concatenate(found)
+    thresh, W, d = np.concatenate(keys, axis=1)
+    order = make_pair_order(pairs, W, d if by_dist else None)
+    return _buy_paths(g, oracle, thresh[order], pairs[order])
 
 
 def greedy_multiplicative(g: WeightedGraph, k: int) -> SpannerResult:
@@ -229,16 +220,13 @@ def build_6eps_spanner(
     Seeds with a ceil(n^(1/3))-light initialization, then scans all connected
     pairs ordered by (heaviest path edge, distance) and buys the canonical
     path of any pair whose current distance exceeds
-    d_G(u,v) + (6+eps)*W(u,v).
+    d_G(u,v) + (6+eps)*W(u,v).  idx is an optional cache.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    if idx is None:
-        idx = build_index(g)
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     t = max(1, math.ceil(g.n ** (1.0 / 3.0)))
     start = t_light_init(g, t).kept_edges
-    order = make_pair_order(idx, _connected_pairs(idx), "W-then-dist")
-    edges, bought, added = _buy_paths(g, idx, start, order.pairs, 6.0 + eps)
+    edges, bought, added = _path_buying(g, idx, list(range(g.n)), start, 6.0 + eps, by_dist=True)
     return SpannerResult(
         edges=edges,
         params={"algo": "6w", "eps": eps, "t": t},
@@ -253,7 +241,7 @@ def build_subsetwise_spanner(
     """Additive (2+eps)W spanner for pairs inside the given vertex subset.
 
     Seeds with a ceil(sqrt(|S|))-light initialization and scans the subset
-    pairs by heaviest path edge only.
+    pairs by heaviest path edge only, reading G's rows of S alone.
     """
     S = sorted(set(subset))
     if not S:
@@ -261,14 +249,11 @@ def build_subsetwise_spanner(
     for s in S:
         if not 0 <= s < g.n:
             raise ValueError(f"subset vertex {s} out of range")
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    if idx is None:
-        idx = build_index(g)
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     t = max(1, math.ceil(math.sqrt(len(S))))
     start = t_light_init(g, t).kept_edges
-    order = make_pair_order(idx, _connected_pairs(idx, S), "W-only")
-    edges, bought, added = _buy_paths(g, idx, start, order.pairs, 2.0 + eps)
+    edges, bought, added = _path_buying(g, idx, S, start, 2.0 + eps, by_dist=False)
     return SpannerResult(
         edges=edges,
         params={"algo": "subsetwise", "eps": eps, "t": t, "subset_size": len(S)},
@@ -305,14 +290,13 @@ def build_poly_spanner(
     whose distance exceeds d_G + c * n^((1-eps)/2) * log2(n) * W, scanned by
     nondecreasing heaviest path edge.  A precomputed multiplicative spanner
     may be passed to share work across eps values; it must come from
-    greedy_multiplicative(g, multiplicative_k_for(g.n)).
+    greedy_multiplicative(g, multiplicative_k_for(g.n)).  idx is an optional
+    cache.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
-    if not c > 0:
-        raise ValueError(f"c must be > 0, got {c}")
-    if idx is None:
-        idx = build_index(g)
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be finite and > 0, got {c}")
     n = g.n
     t = max(1, math.ceil(n**eps))
     start = set(t_light_init(g, t).kept_edges)
@@ -325,8 +309,7 @@ def build_poly_spanner(
     mult_new = len(mult.edges - start)
     start |= mult.edges
     factor = poly_stretch_factor(n, eps, c)
-    order = make_pair_order(idx, _connected_pairs(idx), "W-only")
-    edges, bought, added = _buy_paths(g, idx, start, order.pairs, factor)
+    edges, bought, added = _path_buying(g, idx, list(range(n)), start, factor, by_dist=False)
     return SpannerResult(
         edges=edges,
         params={"algo": "poly", "eps": eps, "c": c, "t": t, "mult_k": k, "stretch_factor": factor},

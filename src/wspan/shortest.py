@@ -13,14 +13,14 @@ The rule prefers the lower-id neighbor in the common symmetric cases (e.g.
 both shortest paths around an even cycle) while remaining consistent across
 sources, which a naive "smaller predecessor id" relaxation is not.
 
-The rule serves the index (W), path buying (path_vertices) and the verifier
-(W of G's rows where it checks without an index).  The +2W spanner needs
-exact distances only, so fast2w takes scipy's own shortest-path trees and
-does not use this module.
+The rule serves W, which the greedy builders and the verifier read through
+index_rows, and path buying (path_vertices).  The +2W spanner needs exact
+distances only, so fast2w takes scipy's own shortest-path trees and does
+not use this module.
 
 One kernel, canonical_rows, computes the canonical trees behind
-build_index, sssp_canonical, path_vertices and the verifier's index-free
-checks.  scipy gives the exact distances from the requested sources.  The
+build_index, index_rows, sssp_canonical and path_vertices.
+scipy gives the exact distances from the requested sources.  The
 sources are then taken a block at a time: one gather-and-compare over the
 edge arrays finds every tight edge of the block, a source is tie-free when
 each reachable vertex has exactly one tight in-edge (which is then its
@@ -32,7 +32,7 @@ sized from n and m so that the kernel's temporaries beyond the returned
 arrays stay within _BLOCK_BYTES (1 MiB).  The CSR and the edge arrays are
 the graph's own cached layouts (WeightedGraph.csr, edge_arrays).
 
-A call writes the W rows (build_index, the verifier) or the parent rows
+A call writes the W rows (build_index, index_rows) or the parent rows
 (sssp_canonical, path_vertices) its caller reads, never both.
 
 Distance ties are detected with exact float equality: the intended regimes
@@ -182,6 +182,12 @@ def _block_rows(n: int, m: int) -> int:
     return max(1, _BLOCK_BYTES // max(1, 26 * m + 64 * n))
 
 
+def _sweep_rows(n: int) -> int:
+    """Sources per block of a sweep over G's rows (verifier, greedy candidates):
+    about 64 bytes per vertex per source (G's and H's rows, their columns, masks)."""
+    return max(1, _BLOCK_BYTES // (64 * max(n, 1)))
+
+
 def _tree_block(
     dist: np.ndarray,
     ea: tuple[np.ndarray, ...],
@@ -260,7 +266,7 @@ def canonical_rows(
     Row i belongs to sources[i]; sources None means every vertex.  With
     parents true the second array holds the canonical parent rows instead
     of W (int32; -1 for the source and for unreachable vertices), for
-    sssp_canonical and path_vertices; build_index and the verifier read W.
+    sssp_canonical and path_vertices; build_index and index_rows read W.
     Tie-free sources are handled a block at a time by _tree_block; each
     source whose distances tie goes through canonical_tree_from_dist on its
     own.
@@ -317,6 +323,20 @@ def build_index(g: WeightedGraph) -> ShortestPathIndex:
         return ShortestPathIndex(0, z, z.copy())
     dist, W = canonical_rows(g)
     return ShortestPathIndex(n, dist, W)
+
+
+def index_rows(
+    g: WeightedGraph, idx: ShortestPathIndex | None, sources: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """G's (dist, W) rows of the given (nonempty) sources, row i for sources[i].
+
+    The greedy builders and the verifier read G only through this.  idx is
+    an optional cache, sliced when given; else canonical_rows computes the
+    same rows.
+    """
+    if idx is not None:
+        return idx.dist[sources], idx.W[sources]
+    return canonical_rows(g, sources)
 
 
 def path_vertices(g: WeightedGraph, u: int, v: int) -> list[int]:

@@ -1,13 +1,11 @@
 """Exact brute-force certification of stretch bounds and size scaling.
 
-G's distances and heaviest path edges come from its ShortestPathIndex, or,
-for a subset pair class S checked without one, from G's canonical rows of S
-alone (shortest.canonical_rows).  Every upper-bound check (additive on all
-pairs or on S x S, multiplicative) is one sweep: Dijkstra on H from a block
-of sources at a time over one CSR of H, compared with the same rows of G's
-distances and W.  All pairs is the case S = every vertex.  Blocks are sized
-so that their temporaries stay within shortest._BLOCK_BYTES, so a check holds
-O(block * n) memory beyond the index and H.
+Every upper-bound check (additive on all pairs or on S x S, multiplicative)
+is one sweep: Dijkstra on H from a block of sources at a time over one CSR
+of H, compared with the same rows of G's distances and W, read through
+shortest.index_rows (sliced from G's index when one is given).  All pairs is
+the case S = every vertex.  Blocks are sized by shortest._sweep_rows, so a
+check holds O(block * n) memory beyond H and any index given.
 
 The lower bound d_H >= d_G holds for every pair iff every edge (a, b) of H
 has w_H(a, b) >= d_G(a, b): an H path is then no shorter than the chain of G
@@ -32,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .graph import WeightedGraph
-from .shortest import _BLOCK_BYTES, ShortestPathIndex, canonical_rows, distance_matrix
+from .shortest import ShortestPathIndex, _sweep_rows, distance_matrix, index_rows
 
 REL_TOL = 1e-9
 
@@ -92,12 +90,6 @@ class StretchReport:
         }
 
 
-def _sweep_rows(n: int) -> int:
-    """Sources per sweep block: about 64 bytes per vertex per source (H's row,
-    the block's columns of it and of G's rows, bound, tolerance, masks)."""
-    return max(1, _BLOCK_BYTES // (64 * max(n, 1)))
-
-
 def _sweep(
     report: StretchReport, g: WeightedGraph, h: WeightedGraph, S: list[int],
     idx: ShortestPathIndex | None, bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -105,18 +97,10 @@ def _sweep(
     """Check d_H <= bound(d_G, W), up to relative tolerance, on S x S.
 
     S is sorted and duplicate-free; the pairs u < v of S connected in g are
-    checked.  G's rows come from idx, or from canonical_rows(g, S) when idx
-    is None.  Violations are listed unreachable pairs first, then bound
-    violations, each by (u, v).
+    checked.  G's rows of each block come from index_rows.  Violations are
+    listed unreachable pairs first, then bound violations, each by (u, v).
     """
-    if not S:  # n = 0
-        return report
     cols = np.asarray(S)
-    if idx is None:
-        dist, W = canonical_rows(g, S)
-        row_of = np.arange(len(S))
-    else:
-        dist, W, row_of = idx.dist, idx.W, cols
     csr = h.csr()
     unreachable: list[Violation] = []
     over: list[Violation] = []
@@ -125,8 +109,8 @@ def _sweep(
     for lo in range(0, len(S), rows):
         hi = min(lo + rows, len(S))
         dh = distance_matrix(csr, S[lo:hi])[:, cols]
-        block = np.ix_(row_of[lo:hi], cols)
-        dg, wb = dist[block], W[block]
+        dist, W = index_rows(g, idx, S[lo:hi])
+        dg, wb = dist[:, cols], W[:, cols]
         # the pairs i < j of S: column position past the row's own
         connected = (np.arange(len(S)) > np.arange(lo, hi)[:, None]) & np.isfinite(dg)
         report.pairs_checked += int(np.count_nonzero(connected))
@@ -167,7 +151,7 @@ def verify_additive_W(
     like c * sqrt(n) * log n); c must be finite and >= 0.  pair_class None
     means all pairs; otherwise only pairs inside the given (nonempty) subset
     are checked, and the distances of H, and of g when idx is None, are
-    computed from the subset's vertices only.
+    computed from the subset's vertices only.  idx is an optional cache.
     """
     if h.n != g.n:
         raise ValueError(f"vertex set mismatch: g has n={g.n}, h has n={h.n}")
@@ -230,8 +214,8 @@ def verify_non_contracting(
     weight, and max_slack_ratio stays NaN.  An edge between two components
     of g is a violation: it connects a pair that g keeps apart.  Without
     idx, d_G comes from Dijkstra on g from h's edge tails, in sweep blocks,
-    and W from g's canonical rows of the violating edges' tails; the report
-    equals the indexed one.
+    and W from g's rows of the violating edges' tails; the report equals
+    the indexed one.
     """
     if h.n != g.n:
         raise ValueError(f"vertex set mismatch: g has n={g.n}, h has n={h.n}")
@@ -242,11 +226,8 @@ def verify_non_contracting(
     report = StretchReport(bound_kind="exact", params={"direction": "lower"}, pairs_checked=h.m, size=h.m)
     if not len(bad):
         return report
-    if idx is not None:
-        heavy = idx.W[a[bad], b[bad]]
-    else:  # W from the canonical rows of the violating edges' tails alone
-        tails = np.unique(a[bad])
-        heavy = canonical_rows(g, tails.tolist())[1][np.searchsorted(tails, a[bad]), b[bad]]
+    tails = np.unique(a[bad])
+    heavy = index_rows(g, idx, tails.tolist())[1][np.searchsorted(tails, a[bad]), b[bad]]
     for i, wh in zip(bad.tolist(), heavy.tolist()):
         report.violations.append(
             Violation(int(a[i]), int(b[i]), float(dg[i]), float(w[i]), wh, float(dg[i] - w[i]), "contraction")

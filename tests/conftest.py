@@ -11,7 +11,8 @@ the distances of the index it is given.  canonical_paths is no oracle
 either: it walks the package's own parent rows, for tests that read the
 canonical paths of many pairs of one graph.  tied_source classifies sources
 by scipy's distances, the ones the package's kernels see.  forbid_full_index
-is a guard for the tests that check G without its index.
+is a guard for the tests that check G without its index, and sparse_800
+gives the graphs of their memory checks.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra
 
 import wspan.shortest
-import wspan.verify
 from wspan import GenSpec, WeightedGraph, generate
 from wspan.shortest import canonical_rows
 
@@ -129,8 +129,8 @@ def forbid_full_index(monkeypatch) -> list:
         calls.append(list(sources))
         return real(g, sources, parents)
 
-    for module in (wspan.shortest, wspan.verify):
-        monkeypatch.setattr(module, "canonical_rows", rows)
+    # index_rows and build_index reach the kernel through this module attribute
+    monkeypatch.setattr(wspan.shortest, "canonical_rows", rows)
     return calls
 
 
@@ -265,15 +265,6 @@ def path_buying_oracle(
     return edges, bought
 
 
-def connected_pairs(g: WeightedGraph) -> list[tuple[int, int]]:
-    d = brute_force_apsp(g)
-    return [
-        (u, v)
-        for u, v in itertools.combinations(range(g.n), 2)
-        if math.isfinite(d[u, v])
-    ]
-
-
 @st.composite
 def small_graphs(
     draw, max_n: int = 10, integer_weights: bool = True, connected: bool = False, weights=None
@@ -330,6 +321,17 @@ def mixed_graphs(draw):
         edges += [(u + n, v + n, w) for u, v, w in part.edge_items()]
         n += part.n
     return WeightedGraph(n, edges)
+
+
+def sparse_800(family: str) -> WeightedGraph:
+    """An n = 800 gnp or geometric graph, for the index-free memory checks;
+    with its cached layouts built, so a traced run counts only the check."""
+    if family == "gnp":
+        g = generate(GenSpec(family="gnp", n=800, p=2 * math.sqrt(800) / 799, wmodel="uniform", seed=5))
+    else:
+        g = generate(GenSpec(family="geometric", n=800, radius=0.08, seed=5))
+    g.csr(), g.edge_arrays()
+    return g
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-import wspan.cli
 import wspan.shortest
 from wspan.algos import ALGOS, BOUNDS, parse_algo, parse_bound
 from wspan.bench import run_bench
@@ -96,17 +95,57 @@ def test_subset_bound_builds_no_full_index(capsys, tmp_path, monkeypatch):
         payload = json.dumps({"bound": bound, "reports": [rep.to_dict()]}, sort_keys=True)
         expected[h_path] = (0 if rep.passed else 1, payload + "\n")
     assert expected[graph][0] == 0 and expected[sparse][0] == 1
-
-    def no_index(_):
-        raise AssertionError("full index built for a subset bound")
-
-    monkeypatch.setattr(wspan.cli, "build_index", no_index)
     forbid_full_index(monkeypatch)
     for h_path in (graph, sparse):
         code, out, _ = run(
             capsys, "verify", "--graph", str(graph), "--spanner", str(h_path), "--bound", bound
         )
         assert (code, out) == expected[h_path]
+
+
+def test_no_command_builds_a_full_index(capsys, tmp_path, monkeypatch):
+    graph, _ = gen_graph(capsys, tmp_path, n=40, p=0.15)
+    sfile = tmp_path / "s.txt"
+    write_subset([0, 3, 7, 11, 19, 33], sfile)
+    flags = {
+        "mult": ["--k", "2"],
+        "6w": ["--eps", "1"],
+        "subsetwise": ["--eps", "0.5", "--subset", str(sfile)],
+        "poly": ["--eps", "0.5"],
+        "fast2w": ["--seed", "1"],
+        "emulator4w": ["--seed", "1"],
+    }
+    bounds = {
+        "mult": "mult:3",
+        "6w": "6w:1",
+        "subsetwise": f"subset:0.5:{sfile}",
+        "poly": "poly:0.5",
+        "fast2w": "2w",
+        "emulator4w": "4w-emu",
+    }
+    assert sorted(flags) == sorted(ALGOS) == sorted(bounds)
+    forbid_full_index(monkeypatch)
+    for name in ALGOS:
+        out = tmp_path / f"{name}.txt"
+        code, _, err = run(capsys, "build", "--algo", name, *flags[name], "--graph", str(graph), "-o", str(out))
+        assert code == 0, err
+        code, _, err = run(capsys, "verify", "--graph", str(graph), "--spanner", str(out), "--bound", bounds[name])
+        assert code == 0, err
+
+
+def test_non_finite_build_parameters_are_exit_2(capsys, tmp_path):
+    graph, _ = gen_graph(capsys, tmp_path)
+    cases = [
+        ["--algo", "6w", "--eps", "inf"],
+        ["--algo", "6w", "--eps", "nan"],
+        ["--algo", "poly", "--eps", "0.5", "--c", "inf"],
+        ["--algo", "fast2w", "--c", "nan"],
+        ["--algo", "fast2w", "--c", "inf"],
+    ]
+    for flags in cases:
+        code, out, err = run(capsys, "build", *flags, "--graph", str(graph), "-o", str(tmp_path / "h.txt"))
+        assert code == 2 and out == "", flags
+        assert err.startswith("wspan: error:") and "must be finite" in err, flags
 
 
 def test_build_emulator_and_verify(capsys, tmp_path, monkeypatch):
@@ -325,6 +364,15 @@ def test_default_seed_from_environment(capsys, tmp_path, monkeypatch):
         "--seed", "123", "-o", str(p2),
     )
     assert read_graph(p1) == read_graph(p2)
+
+
+def test_non_integer_seed_variable_is_exit_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("WSPAN_SEED", "abc")
+    code, out, err = run(
+        capsys, "generate", "--family", "gnp", "--n", "20", "--p", "0.3", "-o", str(tmp_path / "g.txt")
+    )
+    assert code == 2 and out == ""
+    assert err == "wspan: error: $WSPAN_SEED must be an integer, got 'abc'\n"
 
 
 # ------------------------------------------------------------------ bench

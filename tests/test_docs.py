@@ -1,4 +1,5 @@
-"""The public name list and the README's Layout block match the package."""
+"""The public name list and the README's Layout block match the package, and
+the README's quick start runs as written."""
 
 import re
 from pathlib import Path
@@ -22,3 +23,10 @@ def test_readme_layout_lists_every_module():
     modules = {p.name for p in (ROOT / "src" / "wspan").glob("*.py") if p.name != "__init__.py"}
     assert modules - listed == set(), "modules missing from README Layout"
     assert listed - modules == set(), "README Layout names modules that do not exist"
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library quick start\s+```python\n(.*?)```", readme, re.S)
+    assert block, "README has no Library quick start code block"
+    exec(compile(block.group(1), "README.md", "exec"), {})

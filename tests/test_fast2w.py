@@ -108,6 +108,9 @@ def test_spt_union_keeps_root_distances(g, data):
 def test_rejects_small_c():
     with pytest.raises(ValueError):
         sample_levels(gnp(10, 0.5, 0), 0.5, seed=0)
+    for c in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="c must be finite"):
+            build_fast_2w(gnp(10, 0.5, 0), c, seed=0)
 
 
 def test_tree_input_round_trips():

@@ -25,7 +25,16 @@ from wspan import (
 import wspan.greedy as greedy
 from wspan.greedy import multiplicative_k_for, poly_stretch_factor
 
-from conftest import connected_pairs, greedy_mult_oracle, path_buying_oracle, small_graphs
+from conftest import (
+    brute_force_apsp,
+    forbid_full_index,
+    greedy_mult_oracle,
+    mixed_graphs,
+    oracle_canonical_path,
+    path_buying_oracle,
+    small_graphs,
+    sparse_800,
+)
 
 
 def random_tree(n=12, seed=3):
@@ -63,24 +72,29 @@ buying_graphs = st.one_of(small_graphs(max_n=8), clustered_graphs())
 # ---------------------------------------------------------------- pair order
 
 
+def ordered(idx, pairs, by_dist=True):
+    """pairs in make_pair_order's order, with keys read from idx."""
+    uv = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    us, vs = uv[:, 0], uv[:, 1]
+    order = make_pair_order(uv, idx.W[us, vs], idx.dist[us, vs] if by_dist else None)
+    assert order.shape == (len(uv),)
+    return uv[order].tolist()
+
+
 def test_pair_order_w_then_dist():
     g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 4.0)])
     idx = build_index(g)
-    # equal W=1 for both, d(0,1)=1 < d(0,2)=2; either orientation, list or array
-    for pairs in ([(0, 2), (0, 1)], [(2, 0), (1, 0)], np.array([[0, 2], [1, 0]])):
-        po = make_pair_order(idx, pairs, "W-then-dist")
-        assert po.pairs.tolist() == [[0, 1], [0, 2]]
-        assert po.pairs.dtype == np.int64
-    empty = make_pair_order(idx, [], "W-then-dist").pairs
-    assert empty.shape == (0, 2) and empty.dtype == np.int64
+    # equal W=1 for both, d(0,1)=1 < d(0,2)=2, whatever the input order
+    for pairs in ([(0, 2), (0, 1)], [(0, 1), (0, 2)]):
+        assert ordered(idx, pairs) == [[0, 1], [0, 2]]
+    assert ordered(idx, []) == []
 
 
 def test_pair_order_all_equal_keys_id_lexicographic():
     g = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
     idx = build_index(g)
-    for pairs in ([(0, 3), (0, 2), (0, 1)], [(3, 0), (0, 2), (1, 0)]):
-        po = make_pair_order(idx, pairs, "W-then-dist")
-        assert po.pairs.tolist() == [[0, 1], [0, 2], [0, 3]]
+    for pairs in ([(0, 3), (0, 2), (0, 1)], [(0, 2), (0, 3), (0, 1)]):
+        assert ordered(idx, pairs) == [[0, 1], [0, 2], [0, 3]]
 
 
 def test_pair_order_triangle_heavy_edge_last():
@@ -88,20 +102,11 @@ def test_pair_order_triangle_heavy_edge_last():
     idx = build_index(g)
     # W is 1 for every pair (the heavy edge is never on a shortest path),
     # so the distance key pushes (0,2) last
-    for pairs in ([(0, 2), (1, 2), (0, 1)], [(2, 0), (2, 1), (1, 0)]):
-        po = make_pair_order(idx, pairs, "W-then-dist")
-        assert po.pairs.tolist() == [[0, 1], [1, 2], [0, 2]]
-        # W-only mode falls back to id order on the all-equal key
-        po2 = make_pair_order(idx, pairs, "W-only")
-        assert po2.pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
-    assert make_pair_order(idx, [], "W-only").pairs.shape == (0, 2)
-
-
-def test_pair_order_rejects_unknown_mode():
-    g = WeightedGraph(2, [(0, 1, 1.0)])
-    for pairs in ([(0, 1)], []):
-        with pytest.raises(ValueError):
-            make_pair_order(build_index(g), pairs, "by-degree")
+    for pairs in ([(0, 2), (1, 2), (0, 1)], [(1, 2), (0, 2), (0, 1)]):
+        assert ordered(idx, pairs) == [[0, 1], [1, 2], [0, 2]]
+        # without distances the all-equal key falls back to id order
+        assert ordered(idx, pairs, by_dist=False) == [[0, 1], [0, 2], [1, 2]]
+    assert ordered(idx, [], by_dist=False) == []
 
 
 # ------------------------------------------------------------- multiplicative
@@ -180,8 +185,9 @@ def test_6eps_larger_eps_never_bigger(medium_gnp):
 
 
 def test_6eps_rejects_bad_eps():
-    with pytest.raises(ValueError):
-        build_6eps_spanner(WeightedGraph(2, [(0, 1, 1.0)]), 0.0)
+    for eps in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            build_6eps_spanner(WeightedGraph(2, [(0, 1, 1.0)]), eps)
 
 
 @settings(max_examples=20, deadline=None)
@@ -250,6 +256,9 @@ def test_subsetwise_rejects_empty_and_bad_subset():
         build_subsetwise_spanner(g, [], 1.0)
     with pytest.raises(ValueError):
         build_subsetwise_spanner(g, [5], 1.0)
+    for eps in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            build_subsetwise_spanner(g, [0, 1], eps)
 
 
 # ------------------------------------------------------------------- poly
@@ -281,8 +290,9 @@ def test_poly_rejects_bad_params():
     g = WeightedGraph(2, [(0, 1, 1.0)])
     with pytest.raises(ValueError):
         build_poly_spanner(g, 1.5)
-    with pytest.raises(ValueError):
-        build_poly_spanner(g, 0.5, c=0.0)
+    for c in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="c must be finite"):
+            build_poly_spanner(g, 0.5, c=c)
 
 
 @settings(max_examples=15, deadline=None)
@@ -319,26 +329,115 @@ def test_results_record_processing_order(medium_gnp):
     assert counts["light_init"] + counts["paths"] == res.m
 
 
-def test_buy_paths_gets_every_connected_pair(monkeypatch):
+def two_cliques(k=4, cross=10.0):
+    """Two k-cliques of unit edges joined by one heavy edge (0, k), which a
+    t-light initialization with t < k drops: then every pair across the
+    cliques fails H0."""
+    clique = lambda o: [(o + i, o + j, 1.0) for i, j in itertools.combinations(range(k), 2)]  # noqa: E731
+    return WeightedGraph(2 * k, clique(0) + clique(k) + [(0, k, cross)])
+
+
+def h0_failures(g, start, pairs, c):
+    """The pairs u < v with d_H0(u, v) > d_G(u, v) + c * W(u, v), brute force."""
+    dg, dh = brute_force_apsp(g), brute_force_apsp(g.subgraph(start))
+    out = set()
+    for u, v in pairs:
+        if math.isfinite(dg[u, v]):
+            path = oracle_canonical_path(g, u, v)
+            w = max(g.weight(a, b) for a, b in zip(path, path[1:]))
+            if dh[u, v] > dg[u, v] + c * w:
+                out.add((u, v))
+    return out
+
+
+def test_buy_paths_gets_the_pairs_h0_fails(monkeypatch):
     # the benchmark counts len(args[3]) of _buy_paths as pairs scanned
     seen = []
     orig = greedy._buy_paths
 
     def counted(*args, **kwargs):
-        seen.append(len(args[3]))
+        seen.append({tuple(p) for p in args[3].tolist()})
+        assert len(seen[-1]) == len(args[3])
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(greedy, "_buy_paths", counted)
-    half = generate(GenSpec(family="gnp", n=20, p=0.3, wmodel="uniform", seed=1))
-    g = WeightedGraph(40, half.edge_items() + [(u + 20, v + 20, w) for u, v, w in half.edge_items()])
-    everywhere = len(connected_pairs(g))
-    assert everywhere < 40 * 39 // 2  # the two halves are not connected
-    S = [0, 3, 5, 21, 25, 39]
-    inside = sum(1 for u, v in connected_pairs(g) if u in S and v in S)
-    build_6eps_spanner(g, 1.0)
-    build_poly_spanner(g, 0.5)
-    build_subsetwise_spanner(g, S, 0.5)
-    assert seen == [everywhere, everywhere, inside]
+    half = two_cliques()
+    # two copies: pairs across them are disconnected in G and never scanned
+    g = WeightedGraph(16, half.edge_items() + [(u + 8, v + 8, w) for u, v, w in half.edge_items()])
+    S = [1, 6, 9, 14]
+    everywhere = list(itertools.combinations(range(g.n), 2))
+    inside = list(itertools.combinations(S, 2))
+    light = lambda t: t_light_init(g, t).kept_edges  # noqa: E731
+    mult = greedy_multiplicative(g, multiplicative_k_for(g.n)).edges
+    expected = [
+        h0_failures(g, light(math.ceil(g.n ** (1 / 3))), everywhere, 7.0),
+        h0_failures(g, light(math.ceil(g.n**0.5)) | mult, everywhere, poly_stretch_factor(g.n, 0.5, 16.0)),
+        h0_failures(g, light(math.ceil(math.sqrt(len(S)))), inside, 2.5),
+    ]
+    assert expected[0] and expected[2]  # the light init drops the cliques' joining edges
+    assert all((u < 8) == (v < 8) for u, v in expected[0] | expected[1] | expected[2])
+    for rows in (1, 3, None):
+        del seen[:]
+        with monkeypatch.context() as mp:
+            if rows is not None:
+                mp.setattr(greedy, "_sweep_rows", lambda n: rows)
+            build_6eps_spanner(g, 1.0)
+            build_poly_spanner(g, 0.5)
+            build_subsetwise_spanner(g, S, 0.5)
+        assert seen == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(buying_graphs, mixed_graphs()), st.data())
+def test_index_is_an_optional_cache(g, data):
+    S = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n), label="S")
+    rows = data.draw(st.sampled_from([1, 2, 3, None]), label="sources per block")
+    idx = build_index(g)
+    builds = (
+        lambda i: build_6eps_spanner(g, 0.25, idx=i),
+        lambda i: build_poly_spanner(g, 0.0, 0.5, idx=i),
+        lambda i: build_subsetwise_spanner(g, S, 0.5, idx=i),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(greedy, "_sweep_rows", lambda n: rows)
+        for build in builds:
+            cached, computed = build(idx), build(None)
+            assert cached.edges == computed.edges
+            assert cached.paths_added == computed.paths_added
+            assert cached.stats == computed.stats
+
+
+def test_builders_without_index_build_no_full_index(monkeypatch):
+    g = two_cliques(k=9)
+    S = [1, 4, 10, 13]
+    rows = forbid_full_index(monkeypatch)
+    monkeypatch.setattr(greedy, "_sweep_rows", lambda n: 4)
+    for build in (lambda: build_6eps_spanner(g, 1.0), lambda: build_poly_spanner(g, 0.5)):
+        del rows[:]
+        build()
+        assert rows[:5] == [list(range(lo, min(lo + 4, g.n))) for lo in range(0, g.n, 4)]
+    monkeypatch.setattr(greedy, "_sweep_rows", lambda n: 3)
+    del rows[:]
+    res = build_subsetwise_spanner(g, S, 0.5)
+    assert res.paths_added
+    assert rows[:2] == [S[:3], S[3:]]
+    # then path_vertices: one source's parent row per bought pair
+    assert len(rows) == 2 + len(res.paths_added) and all(len(r) == 1 for r in rows[2:])
+
+
+@pytest.mark.parametrize("family", ["geometric", "gnp"])
+def test_6eps_without_index_peaks_below_8_mib(family):
+    g = sparse_800(family)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build_6eps_spanner(g, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an index alone is 16 * n^2 bytes, 9.8 MiB here
+    assert peak - base < 8 << 20
 
 
 def test_6eps_scan_memory_is_linear_in_pairs():

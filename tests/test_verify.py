@@ -25,7 +25,7 @@ from wspan.algos import ALGOS
 from wspan.shortest import _BLOCK_BYTES
 from wspan.verify import REL_TOL, Violation
 
-from conftest import brute_force_apsp, forbid_full_index, minimax_path_weight, small_graphs
+from conftest import brute_force_apsp, forbid_full_index, minimax_path_weight, small_graphs, sparse_800
 
 
 def triangle_heavy():
@@ -236,6 +236,20 @@ def test_subset_check_without_index_builds_no_full_index(monkeypatch, medium_gri
     rows = forbid_full_index(monkeypatch)
     assert verify_additive_W(g, h, 2.5, pair_class=S).to_dict() == expected
     assert rows == [sorted(set(S))]
+
+
+@pytest.mark.parametrize("family", ["geometric", "gnp"])
+def test_additive_check_without_index_peaks_below_8_mib(family):
+    g = sparse_800(family)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert verify_additive_W(g, g, 7.0).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # G's rows are read a sweep block at a time; all of them are 16 * n^2 bytes
+    assert peak - base < 8 << 20
 
 
 def test_non_contraction_without_index_builds_no_full_index(monkeypatch, medium_gnp):
