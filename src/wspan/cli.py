@@ -162,8 +162,7 @@ def _cmd_build(args) -> int:
         write_graph(res.to_graph(g), args.out)
         stats["paths_bought"] = len(res.paths_added)
         stats["phase_edge_counts"] = res.stats.get("phase_edge_counts", {})
-        if "levels" in res.stats:
-            stats["levels"] = res.stats["levels"]
+        stats.update((key, res.stats[key]) for key in ("levels", "searched_edges") if key in res.stats)
     out = json.dumps(stats, sort_keys=True)
     print(out)
     if args.stats:

@@ -4,7 +4,8 @@ Three path-buying variants share one scheme: seed the spanner H0 with a
 light initialization, order the pairs by the heaviest edge on their
 canonical shortest path, and buy the whole canonical path of every pair
 whose current distance exceeds its threshold d_G + c*W.  The multiplicative
-greedy scans edges instead of pairs.
+greedy scans edges instead of pairs, and searches only those its Kruskal
+forest cannot decide (greedy_multiplicative).
 
 The spanner only gains edges, so only the candidates, the pairs with
 d_H0(u->v) > d_G + c*W, can be bought.  One pass over blocks of sources
@@ -24,14 +25,23 @@ set is the oracle's weight dict.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-from .graph import WeightedGraph, edge_key, graph_csr
+from .graph import WeightedGraph, edge_key, edge_key_set, graph_csr
 from .light import t_light_init
-from .shortest import INF, ShortestPathIndex, _sweep_rows, index_rows, path_vertices
+from .shortest import (
+    INF,
+    ShortestPathIndex,
+    _edge_distances,
+    _sweep_rows,
+    index_rows,
+    path_vertices,
+)
 
 
 @dataclass
@@ -115,13 +125,6 @@ class _GrowingDistances:
         self._rows[u] = row
         return row
 
-    def bounded_query(self, u: int, v: int, limit: float) -> float:
-        """Distance u->v if it is <= limit, else inf.  Does not cache."""
-        if not self.weights:
-            return INF
-        row = _sp_dijkstra(self._matrix(), directed=True, indices=u, limit=limit)
-        return float(row[v])
-
 
 def _buy_paths(
     g: WeightedGraph, oracle: _GrowingDistances, thresh: np.ndarray, pairs: np.ndarray
@@ -186,29 +189,100 @@ def _path_buying(
     return _buy_paths(g, oracle, thresh[order], pairs[order])
 
 
+def _forest_mask(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kruskal's forest of the edges (a[i], b[i]) taken in array order.
+
+    True where an edge joins two components of the edges before it; a
+    union-find with path halving.
+    """
+    root = list(range(n))
+    out = np.zeros(len(a), dtype=bool)
+    for i, (u, v) in enumerate(zip(a.tolist(), b.tolist())):
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u != v:
+            root[u] = v
+            out[i] = True
+    return out
+
+
+def _mult_k(k) -> int:
+    """k as a Python int; ValueError unless it is an integer >= 1 whose 2k - 1
+    is a finite float."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    try:
+        float(2 * k - 1)
+    except OverflowError:
+        raise ValueError(f"k must give a finite stretch 2k-1, got k = {k}") from None
+    return k
+
+
 def greedy_multiplicative(g: WeightedGraph, k: int) -> SpannerResult:
     """Classic greedy (2k-1)-multiplicative spanner.
 
-    Scans edges by nondecreasing weight and keeps an edge iff the current
-    spanner distance between its endpoints exceeds (2k-1) times its weight.
+    Scans edges by (weight, a, b) and keeps an edge iff the current spanner
+    distance between its endpoints exceeds t = (2k-1) times its weight.
+    k must be an integer >= 1.
+
+    Kruskal's forest F of that order decides most edges without a search.
+    A forest edge joins two components of the spanner, whose components are
+    always F's, so it is kept.  A non-forest edge (a, b) finds F's unique
+    a-b path already in the spanner; Dijkstra on F from a returns that
+    path's float sum, and the spanner's distance from a is at most it, as
+    rounding is monotone.  So the edge is dropped when d_F(a, b) <= t.  Only
+    the rest are searched: one bounded Dijkstra from a on the current
+    spanner, stats["searched_edges"] of them.  The spanner is one copy of
+    G's CSR whose entries are inf (no edge to scipy) until their edge is
+    kept, so no search rebuilds it.  Memory is O(m + block * n), block the
+    _sweep_rows sources of the forest distances; no n x n array is held.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _mult_k(k)
     stretch = 2 * k - 1
-    oracle = _GrowingDistances(g.n, {})
-    a, b, ws = g.edge_arrays()
-    order = np.lexsort((b, a, ws))
-    for u, v, w in zip(a[order].tolist(), b[order].tolist(), ws[order].tolist()):
-        thresh = stretch * w
+    n = g.n
+    a, b, w = g.edge_arrays()
+    order = np.lexsort((b, a, w))
+    a, b, w = a[order], b[order], w[order]
+    with np.errstate(over="ignore"):
+        thresh = float(stretch) * w
+    if not np.isfinite(thresh).all():
+        i = int(np.argmax(~np.isfinite(thresh)))
+        raise ValueError(f"(2k-1) * weight overflows on edge ({a[i]}, {b[i]}), k = {k}")
+    kept = _forest_mask(n, a, b)
+    rest = np.flatnonzero(~kept)
+    d_f = _edge_distances(graph_csr(n, a[kept], b[kept], w[kept]), a[rest], b[rest], thresh[rest])
+    rest = rest[d_f > thresh[rest]]
+    h = g.csr()
+    tails = np.repeat(np.arange(n), np.diff(h.indptr))
+    # each edge's two entries in the CSR data; rows are sorted by column
+    at = np.searchsorted(tails * n + h.indices, np.stack([a * n + b, b * n + a]))
+    data = np.full(len(h.data), INF)
+    h = csr_matrix((data, h.indices, h.indptr), shape=h.shape)
+    data = h.data  # the matrix's own array, which scipy reads on every search
+    forest = np.flatnonzero(kept)
+    done = 0
+    for i in rest.tolist():
+        # the forest edges scanned before edge i join the spanner
+        upto = int(np.searchsorted(forest, i))
+        data[at[:, forest[done:upto]]] = w[forest[done:upto]]
+        done = upto
+        t = thresh[i]
         # distances == limit survive the bounded search, so an inf result
-        # means the current distance strictly exceeds thresh
-        if oracle.bounded_query(u, v, thresh) > thresh:
-            oracle.add_edge(u, v, w)
-    edges = set(oracle.weights)
+        # means the current distance strictly exceeds t
+        if _sp_dijkstra(h, directed=True, indices=int(a[i]), limit=t)[b[i]] > t:
+            kept[i] = True
+            data[at[:, i]] = w[i]
+    edges = edge_key_set(a[kept], b[kept])
     return SpannerResult(
         edges=edges,
         params={"algo": "mult", "k": k, "stretch": stretch},
-        stats={"phase_edge_counts": {"greedy": len(edges)}},
+        stats={"phase_edge_counts": {"greedy": len(edges)}, "searched_edges": len(rest)},
     )
 
 

@@ -76,13 +76,16 @@ class ShortestPathIndex:
         self.W = W
 
 
-def distance_matrix(csr: csr_matrix, sources: Sequence[int] | None = None) -> np.ndarray:
+def distance_matrix(
+    csr: csr_matrix, sources: Sequence[int] | None = None, limit: float = INF
+) -> np.ndarray:
     """Distances over a symmetric CSR matrix such as WeightedGraph.csr() (C-speed).
 
     Row i holds the distances from sources[i]; sources None means every
-    vertex, giving the n x n all-pairs matrix.
+    vertex, giving the n x n all-pairs matrix.  Distances above limit read
+    inf, and the search stops there.
     """
-    return _sp_dijkstra(csr, directed=True, indices=sources)
+    return _sp_dijkstra(csr, directed=True, indices=sources, limit=limit)
 
 
 def _neighbor_lists(g: WeightedGraph) -> list[list[tuple[int, float]]]:
@@ -186,6 +189,30 @@ def _sweep_rows(n: int) -> int:
     """Sources per block of a sweep over G's rows (verifier, greedy candidates):
     about 64 bytes per vertex per source (G's and H's rows, their columns, masks)."""
     return max(1, _BLOCK_BYTES // (64 * max(n, 1)))
+
+
+def _edge_distances(
+    csr: csr_matrix, a: np.ndarray, b: np.ndarray, limit: np.ndarray | None = None
+) -> np.ndarray:
+    """d(a[i], b[i]) over a symmetric CSR matrix, for endpoint arrays in any order.
+
+    Dijkstra runs from the distinct a[i] only, _sweep_rows(n) of them at a
+    time, so the temporaries are O(len(a) + block * n).  With limit given,
+    each block's search stops past its largest limit[i]: entry i is exact
+    where d(a[i], b[i]) <= limit[i], and otherwise some value > limit[i]
+    (inf past the block's limit).
+    """
+    out = np.empty(len(a))
+    by_tail = np.argsort(a, kind="stable")
+    tails, first = np.unique(a[by_tail], return_index=True)
+    first = np.append(first, len(a))
+    rows = _sweep_rows(csr.shape[0])
+    for lo in range(0, len(tails), rows):
+        block = tails[lo : lo + rows]
+        run = by_tail[first[lo] : first[lo + len(block)]]
+        dist = distance_matrix(csr, block, INF if limit is None else limit[run].max())
+        out[run] = dist[np.searchsorted(block, a[run]), b[run]]
+    return out
 
 
 def _tree_block(
@@ -337,6 +364,12 @@ def index_rows(
     if idx is not None:
         return idx.dist[sources], idx.W[sources]
     return canonical_rows(g, sources)
+
+
+def distance_rows(g: WeightedGraph, idx: ShortestPathIndex | None, sources: Sequence[int]) -> np.ndarray:
+    """G's distance rows of the given sources, row i for sources[i]: sliced
+    from idx when given, else one Dijkstra run.  Checks that read no W use this."""
+    return idx.dist[sources] if idx is not None else distance_matrix(g.csr(), sources)
 
 
 def path_vertices(g: WeightedGraph, u: int, v: int) -> list[int]:

@@ -5,7 +5,9 @@ is one sweep: Dijkstra on H from a block of sources at a time over one CSR
 of H, compared with the same rows of G's distances and W, read through
 shortest.index_rows (sliced from G's index when one is given).  All pairs is
 the case S = every vertex.  Blocks are sized by shortest._sweep_rows, so a
-check holds O(block * n) memory beyond H and any index given.
+check holds O(block * n) memory beyond H and any index given.  The
+multiplicative bound reads no W: its sweep takes G's distances alone
+(shortest.distance_rows), and W only for the rows that hold a violation.
 
 The lower bound d_H >= d_G holds for every pair iff every edge (a, b) of H
 has w_H(a, b) >= d_G(a, b): an H path is then no shorter than the chain of G
@@ -13,7 +15,7 @@ distances along it, which the triangle inequality bounds by d_G, and the
 edge is itself an H path.  So verify_non_contracting reads one index entry
 per H edge, computes no distances of H, and reports violating edges.
 Without an index it runs Dijkstra on G from H's distinct edge tails only, a
-sweep block of them at a time.
+sweep block of them at a time (shortest._edge_distances).
 
 A passing report is a proof for the instance at hand (up to the stated
 float tolerance).  Pairs that are connected in the base graph but not in the
@@ -30,7 +32,14 @@ from typing import Callable
 import numpy as np
 
 from .graph import WeightedGraph
-from .shortest import ShortestPathIndex, _sweep_rows, distance_matrix, index_rows
+from .shortest import (
+    ShortestPathIndex,
+    _edge_distances,
+    _sweep_rows,
+    distance_matrix,
+    distance_rows,
+    index_rows,
+)
 
 REL_TOL = 1e-9
 
@@ -92,13 +101,18 @@ class StretchReport:
 
 def _sweep(
     report: StretchReport, g: WeightedGraph, h: WeightedGraph, S: list[int],
-    idx: ShortestPathIndex | None, bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    idx: ShortestPathIndex | None, bound: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
+    reads_W: bool = True,
 ) -> StretchReport:
     """Check d_H <= bound(d_G, W), up to relative tolerance, on S x S.
 
     S is sorted and duplicate-free; the pairs u < v of S connected in g are
-    checked.  G's rows of each block come from index_rows.  Violations are
-    listed unreachable pairs first, then bound violations, each by (u, v).
+    checked.  G's rows of each block come from index_rows.  A check whose
+    bound reads no W (reads_W false) reads G's distances alone, gets W only
+    for the block's sources that hold a violation (the reports list it), and
+    reports the largest d_H / d_G as max_slack_ratio instead of the largest
+    (d_H - d_G) / W.  Violations are listed unreachable pairs first, then
+    bound violations, each by (u, v).
     """
     cols = np.asarray(S)
     csr = h.csr()
@@ -109,8 +123,11 @@ def _sweep(
     for lo in range(0, len(S), rows):
         hi = min(lo + rows, len(S))
         dh = distance_matrix(csr, S[lo:hi])[:, cols]
-        dist, W = index_rows(g, idx, S[lo:hi])
-        dg, wb = dist[:, cols], W[:, cols]
+        if reads_W:
+            dist, W = index_rows(g, idx, S[lo:hi])
+            dg, wb = dist[:, cols], W[:, cols]
+        else:
+            dg, wb = distance_rows(g, idx, S[lo:hi])[:, cols], None
         # the pairs i < j of S: column position past the row's own
         connected = (np.arange(len(S)) > np.arange(lo, hi)[:, None]) & np.isfinite(dg)
         report.pairs_checked += int(np.count_nonzero(connected))
@@ -118,7 +135,13 @@ def _sweep(
         bd = bound(dg, wb)
         with np.errstate(invalid="ignore"):  # inf-inf on pairs the masks discard
             bad = connected & reach & (dh - bd > REL_TOL * np.maximum(1.0, np.abs(bd)))
-        for i, j in np.argwhere(connected & ~reach).tolist():
+        lost = connected & ~reach
+        if wb is None:
+            wb = np.full(dg.shape, np.nan)
+            hit = np.flatnonzero((bad | lost).any(axis=1))
+            if len(hit):
+                wb[hit] = index_rows(g, idx, [S[lo + i] for i in hit.tolist()])[1][:, cols]
+        for i, j in np.argwhere(lost).tolist():
             unreachable.append(
                 Violation(S[lo + i], S[j], float(dg[i, j]), math.inf, float(wb[i, j]), math.inf, "unreachable")
             )
@@ -129,9 +152,14 @@ def _sweep(
                     float(dh[i, j] - bd[i, j]),
                 )
             )
-        sel = connected & reach & (wb > 0)
-        if sel.any():
-            tops.append(float(((dh[sel] - dg[sel]) / wb[sel]).max()))
+        if reads_W:
+            sel = connected & reach & (wb > 0)
+            if sel.any():
+                tops.append(float(((dh[sel] - dg[sel]) / wb[sel]).max()))
+        else:
+            sel = connected & reach
+            if sel.any():
+                tops.append(float((dh[sel] / dg[sel]).max()))
     report.violations = unreachable + over
     report.max_slack_ratio = max(tops, default=math.nan)
     return report
@@ -182,7 +210,12 @@ def verify_multiplicative(
     alpha: float,
     idx: ShortestPathIndex | None = None,
 ) -> StretchReport:
-    """Check d_H <= alpha * d_G for every connected pair; alpha finite, >= 1."""
+    """Check d_H <= alpha * d_G for every connected pair; alpha finite, >= 1.
+
+    Reads G's distances only (idx.dist when idx is given, else Dijkstra on
+    g per sweep block) and no W, so it never runs the canonical-tree rule
+    on a passing check.  max_slack_ratio is the largest d_H / d_G.
+    """
     if h.n != g.n:
         raise ValueError(f"vertex set mismatch: g has n={g.n}, h has n={h.n}")
     if not 1 <= alpha < math.inf:
@@ -190,7 +223,7 @@ def verify_multiplicative(
     report = StretchReport(
         bound_kind="multiplicative-alpha", params={"alpha": alpha}, pairs_checked=0, size=h.m
     )
-    return _sweep(report, g, h, list(range(g.n)), idx, lambda dg, W: alpha * dg)
+    return _sweep(report, g, h, list(range(g.n)), idx, lambda dg, W: alpha * dg, reads_W=False)
 
 
 def verify_subgraph(g: WeightedGraph, h: WeightedGraph) -> bool:
@@ -220,7 +253,7 @@ def verify_non_contracting(
     if h.n != g.n:
         raise ValueError(f"vertex set mismatch: g has n={g.n}, h has n={h.n}")
     a, b, w = h.edge_arrays()
-    dg = idx.dist[a, b] if idx is not None else _edge_distances(g, a, b)
+    dg = idx.dist[a, b] if idx is not None else _edge_distances(g.csr(), a, b)
     # inf - w > REL_TOL * inf is false, so non-finite d_G is flagged on its own
     bad = np.flatnonzero(~np.isfinite(dg) | (dg - w > REL_TOL * np.maximum(1.0, dg)))
     report = StretchReport(bound_kind="exact", params={"direction": "lower"}, pairs_checked=h.m, size=h.m)
@@ -233,24 +266,6 @@ def verify_non_contracting(
             Violation(int(a[i]), int(b[i]), float(dg[i]), float(w[i]), wh, float(dg[i] - w[i]), "contraction")
         )
     return report
-
-
-def _edge_distances(g: WeightedGraph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """d_G(a[i], b[i]) for edge arrays sorted by tail, without G's index.
-
-    Dijkstra runs from the distinct tails only, _sweep_rows(n) of them at a
-    time; each block's edges are one contiguous run of the arrays.
-    """
-    dg = np.empty(len(a))
-    tails, first = np.unique(a, return_index=True)
-    first = np.append(first, len(a))
-    csr = g.csr()
-    rows = _sweep_rows(g.n)
-    for lo in range(0, len(tails), rows):
-        block = tails[lo : lo + rows]
-        run = slice(first[lo], first[lo + len(block)])
-        dg[run] = distance_matrix(csr, block)[np.searchsorted(block, a[run]), b[run]]
-    return dg
 
 
 def size_scaling_fit(records: list[tuple[int, int]]) -> float:

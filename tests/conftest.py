@@ -3,8 +3,10 @@
 The oracles here are deliberately independent of the package's shortest-path
 code: Floyd-Warshall for distances, exhaustive path enumeration for the
 canonical-path rule, rebuild-from-scratch simulations of the greedy
-multiplicative spanner and of path buying, and per-vertex loops for the light
-selections and the +2W levels.  They read a graph only through edge_items().
+multiplicative spanner (by Floyd-Warshall, and by one scipy search per edge
+in greedy_mult_reference) and of path buying, and per-vertex loops for the
+light selections and the +2W levels.  They read a graph only through
+edge_items().
 Expected values in the tests are computed by these, never by the code under
 test.  minimax_path_weight is a cross-check rather than an oracle: it reads
 the distances of the index it is given.  canonical_paths is no oracle
@@ -227,6 +229,23 @@ def greedy_mult_oracle(g: WeightedGraph, k: int) -> set[tuple[int, int]]:
     for u, v, w in sorted(g.edge_items(), key=lambda e: (e[2], e[0], e[1])):
         d = brute_force_apsp(WeightedGraph(g.n, kept))[u, v]
         if d > stretch * w:
+            kept.append((u, v, w))
+    return {(u, v) for u, v, _ in kept}
+
+
+def greedy_mult_reference(g: WeightedGraph, k: int) -> set[tuple[int, int]]:
+    """The multiplicative greedy with one bounded scipy Dijkstra per edge.
+
+    Each edge (u, v, w), by (w, u, v), is searched from u on a CSR rebuilt
+    from the edges kept so far, with limit (2k-1) * w, and kept iff v lies
+    past the limit.  Its float sums are scipy's, which Floyd-Warshall's need
+    not match on decimal weights.
+    """
+    stretch = 2 * k - 1
+    kept: list[tuple[int, int, float]] = []
+    for u, v, w in sorted(g.edge_items(), key=lambda e: (e[2], e[0], e[1])):
+        t = stretch * w
+        if dijkstra(WeightedGraph(g.n, kept).csr(), indices=u, limit=t)[v] > t:
             kept.append((u, v, w))
     return {(u, v) for u, v, _ in kept}
 

@@ -7,6 +7,7 @@ from wspan.algos import ALGOS, BOUNDS, parse_algo, parse_bound
 from wspan.bench import run_bench
 from wspan.cli import _build_parser, main
 from wspan.generators import GenSpec
+from wspan.greedy import greedy_multiplicative
 from wspan.io import read_graph, read_jsonl, write_graph, write_subset
 from wspan.shortest import build_index
 from wspan.verify import verify_additive_W
@@ -60,6 +61,17 @@ def test_build_and_verify_each_spanner_algo(capsys, tmp_path):
         assert code == 0, out
         payload = json.loads(out)
         assert all(r["passed"] for r in payload["reports"])
+
+
+def test_build_mult_reports_its_searches(capsys, tmp_path):
+    graph, _ = gen_graph(capsys, tmp_path, n=60, p=0.3)
+    out_path = tmp_path / "hm.txt"
+    code, out, _ = run(capsys, "build", "--algo", "mult", "--k", "2", "--graph", str(graph), "-o", str(out_path))
+    assert code == 0
+    stats = json.loads(out)
+    res = greedy_multiplicative(read_graph(graph), 2)
+    assert stats["searched_edges"] == res.stats["searched_edges"] > 0
+    assert stats["m_out"] == res.m
 
 
 def test_build_subsetwise_with_subset_file(capsys, tmp_path):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from wspan import (
     GenSpec,
@@ -26,9 +28,11 @@ import wspan.greedy as greedy
 from wspan.greedy import multiplicative_k_for, poly_stretch_factor
 
 from conftest import (
+    WEIGHTS,
     brute_force_apsp,
     forbid_full_index,
     greedy_mult_oracle,
+    greedy_mult_reference,
     mixed_graphs,
     oracle_canonical_path,
     path_buying_oracle,
@@ -133,8 +137,99 @@ def test_mult_four_cycle_k2_drops_one():
 
 
 def test_mult_rejects_bad_k():
-    with pytest.raises(ValueError):
-        greedy_multiplicative(WeightedGraph(2, [(0, 1, 1.0)]), 0)
+    g = generate(GenSpec(family="gnp", n=30, p=0.3, wmodel="uniform", seed=2, keep_lcc=True))
+    for k in (0, -1, math.inf, math.nan, 2.5, 2.0, "2", 10**400):
+        with pytest.raises(ValueError, match="k must"):
+            greedy_multiplicative(g, k)
+    # an integer of another type is an integer
+    assert greedy_multiplicative(g, np.int64(2)).edges == greedy_multiplicative(g, 2).edges
+
+
+def test_mult_rejects_an_overflowing_threshold():
+    g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1e308)])
+    assert greedy_multiplicative(g, 1).edges == g.edge_keys()
+    with pytest.raises(ValueError, match=r"overflows on edge \(1, 2\)"):
+        greedy_multiplicative(g, 2)
+
+
+def counted_searches(monkeypatch) -> list:
+    """Record the (source, limit) of every search the multiplicative greedy makes."""
+    calls = []
+    real = greedy._sp_dijkstra
+
+    def counting(csr, **kwargs):
+        calls.append((kwargs["indices"], kwargs["limit"]))
+        return real(csr, **kwargs)
+
+    monkeypatch.setattr(greedy, "_sp_dijkstra", counting)
+    return calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["decimal", "int", "unit"]).flatmap(lambda kind: small_graphs(max_n=9, weights=WEIGHTS[kind])))
+def test_mult_matches_one_search_per_edge(g):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counted_searches(mp)
+        for k in (1, 2, 3):
+            del calls[:]
+            res = greedy_multiplicative(g, k)
+            assert res.edges == greedy_mult_reference(g, k)
+            assert res.stats["searched_edges"] == len(calls) <= g.m
+
+
+def test_mult_searches_nothing_on_a_tree(monkeypatch):
+    calls = counted_searches(monkeypatch)
+    res = greedy_multiplicative(random_tree(n=40), 2)
+    assert res.m == 39 and calls == [] and res.stats["searched_edges"] == 0
+
+
+def test_mult_forest_path_at_the_threshold_drops_without_a_search(monkeypatch):
+    # scanned (0, 1), (0, 3), (1, 2), (2, 3): the last closes the cycle, and
+    # its forest path 2-1-0-3 has d_F = 3 = (2k-1) * 1
+    g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
+    calls = counted_searches(monkeypatch)
+    res = greedy_multiplicative(g, 2)
+    assert res.edges == {(0, 1), (0, 3), (1, 2)} == greedy_mult_reference(g, 2)
+    assert calls == [] and res.stats["searched_edges"] == 0
+
+
+def test_mult_searches_from_the_tail_up_to_the_threshold(monkeypatch):
+    # forest 0-1-2-3 of unit edges; for k = 1, (0, 3, 1.5) has d_F = 3 > 1.5
+    g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.5), (0, 2, 2.5)])
+    calls = counted_searches(monkeypatch)
+    res = greedy_multiplicative(g, 1)
+    # (0, 3) is searched and kept; (0, 2) has d_F = 2 <= 2.5 and is dropped
+    assert calls == [(0, 1.5)]
+    assert res.edges == {(0, 1), (1, 2), (2, 3), (0, 3)}
+    assert res.stats["searched_edges"] == 1
+
+
+def test_scipy_reads_an_inf_csr_entry_as_no_edge():
+    # the multiplicative greedy's spanner is G's CSR with inf on the edges not kept
+    full = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 0.5), (2, 3, 4.0)])
+    kept = full.subgraph([(0, 1), (1, 2)]).csr()
+    data = np.where(np.isin(full.csr().data, [0.5, 4.0]), np.inf, full.csr().data)
+    masked = csr_matrix((data, full.csr().indices, full.csr().indptr), shape=(4, 4))
+    for s in range(4):
+        for limit in (np.inf, 1.0, 1.5, 2.0):
+            got = dijkstra(masked, directed=True, indices=s, limit=limit)
+            assert np.array_equal(got, dijkstra(kept, directed=True, indices=s, limit=limit))
+    assert dijkstra(masked, indices=0).tolist() == [0.0, 1.0, 2.0, np.inf]
+
+
+@pytest.mark.parametrize("family", ["geometric", "gnp"])
+def test_mult_peaks_below_8_mib(family):
+    g = sparse_800(family)
+    for k in (2, multiplicative_k_for(g.n)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            greedy_multiplicative(g, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an n x n distance matrix alone is 8 * n^2 bytes, 4.9 MiB here
+        assert peak - base < 8 << 20
 
 
 @settings(max_examples=30, deadline=None)

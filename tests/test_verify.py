@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wspan.shortest
 import wspan.verify
 
 from wspan import (
@@ -15,6 +16,7 @@ from wspan import (
     build_4w_emulator,
     build_index,
     generate,
+    greedy_multiplicative,
     size_scaling_fit,
     verify_additive_W,
     verify_multiplicative,
@@ -108,10 +110,11 @@ def test_pair_class_out_of_range_rejected():
         verify_additive_W(g, g, 1.0, pair_class=[0, 999])
 
 
-def full_matrix_report(idx, dh: np.ndarray, bound, pairs) -> tuple[list, int, float]:
+def full_matrix_report(idx, dh: np.ndarray, bound, pairs, additive=True) -> tuple[list, int, float]:
     """(violations, pairs checked, max slack ratio) of d_H <= bound(d_G, W),
     pair by pair over full n x n matrices, in the verifier's order:
-    unreachable pairs first, then bound violations, each by (u, v)."""
+    unreachable pairs first, then bound violations, each by (u, v).  The
+    slack ratio is (d_H - d_G) / W when additive, else d_H / d_G."""
     unreachable, over, ratios = [], [], []
     checked = 0
     for u, v in pairs:
@@ -125,7 +128,7 @@ def full_matrix_report(idx, dh: np.ndarray, bound, pairs) -> tuple[list, int, fl
         b = bound(dg, w)
         if d - b > REL_TOL * max(1.0, abs(b)):
             over.append(Violation(u, v, dg, d, w, d - b))
-        ratios.append((d - dg) / w)
+        ratios.append((d - dg) / w if additive else d / dg)
     return unreachable + over, checked, max(ratios) if ratios else math.nan
 
 
@@ -151,27 +154,30 @@ def test_subset_report_matches_full_matrix_reference(g, data):
         if rows is not None:
             mp.setattr(wspan.verify, "_sweep_rows", lambda n: rows)
         reports = [verify_additive_W(g, h, c, pair_class=p, idx=given) for p, _, given in cases]
-        reports.append(verify_multiplicative(g, h, alpha, idx=idx))
+        reports += [verify_multiplicative(g, h, alpha, idx=given) for given in (idx, None)]
     expected = [full_matrix_report(idx, dh, additive, pairs) for _, pairs, _ in cases]
-    expected.append(
-        full_matrix_report(idx, dh, lambda dg, w: alpha * dg, itertools.combinations(range(g.n), 2))
-    )
+    expected += 2 * [
+        full_matrix_report(
+            idx, dh, lambda dg, w: alpha * dg, itertools.combinations(range(g.n), 2), additive=False
+        )
+    ]
     for rep, (violations, checked, ratio) in zip(reports, expected):
         assert rep.violations == violations
         assert rep.pairs_checked == checked
         assert rep.max_slack_ratio == ratio or (math.isnan(rep.max_slack_ratio) and math.isnan(ratio))
 
 
-def counted_distance_matrix(monkeypatch) -> list:
-    """Record the sources of every H distance computation the verifier makes."""
+def counted_distance_matrix(monkeypatch, module=wspan.verify) -> list:
+    """Record the sources of every distance computation made through
+    module.distance_matrix: in wspan.verify, those on H."""
     calls = []
-    real = wspan.verify.distance_matrix
+    real = module.distance_matrix
 
-    def counting(csr, sources=None):
+    def counting(csr, sources=None, *args):
         calls.append(None if sources is None else list(sources))
-        return real(csr, sources)
+        return real(csr, sources, *args)
 
-    monkeypatch.setattr(wspan.verify, "distance_matrix", counting)
+    monkeypatch.setattr(module, "distance_matrix", counting)
     return calls
 
 
@@ -260,9 +266,9 @@ def test_non_contraction_without_index_builds_no_full_index(monkeypatch, medium_
     h = WeightedGraph(g.n, zip(a.tolist(), b.tolist(), np.where(np.arange(len(w)) % 3, w, w / 2).tolist()))
     expected = verify_non_contracting(g, h, idx=idx)
     assert len({v.u for v in expected.violations}) < len(expected.violations)
-    calls = counted_distance_matrix(monkeypatch)
+    calls = counted_distance_matrix(monkeypatch, wspan.shortest)
     rows = forbid_full_index(monkeypatch)
-    monkeypatch.setattr(wspan.verify, "_sweep_rows", lambda n: 7)
+    monkeypatch.setattr(wspan.shortest, "_sweep_rows", lambda n: 7)
     got = verify_non_contracting(g, h)
     assert got.violations == expected.violations and got.to_dict() == expected.to_dict()
     tails = np.unique(a).tolist()
@@ -284,6 +290,27 @@ def test_multiplicative_cycle_minus_edge():
     assert verify_multiplicative(g, h, 3.0).passed
     rep = verify_multiplicative(g, h, 2.0)
     assert [((v.u, v.v), v.d_h) for v in rep.violations] == [((0, 3), 3.0)]
+
+
+def test_multiplicative_check_reads_no_w(monkeypatch, medium_grid):
+    g = medium_grid  # unit weights: W would take the tie rule on every source
+    h = greedy_multiplicative(g, 2).to_graph(g)
+    fails = g.subgraph(sorted(g.edge_keys())[::2])
+    idx = build_index(g)
+    reports = [verify_multiplicative(g, x, 3.0, idx=idx) for x in (h, fails)]
+    assert reports[0].passed and not reports[1].passed
+    expected = [r.to_dict() for r in reports]
+    rows = forbid_full_index(monkeypatch)
+    monkeypatch.setattr(wspan.verify, "_sweep_rows", lambda n: 5)
+    for given in (idx, None):
+        del rows[:]
+        assert verify_multiplicative(g, h, 3.0, idx=given).to_dict() == expected[0]
+        assert rows == []
+        # a failing check reads W for the reports, on the rows holding violations only
+        assert verify_multiplicative(g, fails, 3.0, idx=given).to_dict() == expected[1]
+        if given is None:
+            hit = sorted({v.u for v in reports[1].violations})
+            assert sorted(s for r in rows for s in r) == hit
 
 
 def test_multiplicative_rejects_alpha_below_one():
@@ -362,7 +389,7 @@ def test_edgewise_non_contraction_matches_pairwise_reference(gh, rows):
 
     bad_pairs = {(u, v) for u, v in itertools.combinations(range(g.n), 2) if contracted(u, v)}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wspan.verify, "_sweep_rows", lambda n: rows)
+        mp.setattr(wspan.shortest, "_sweep_rows", lambda n: rows)
         rep = verify_non_contracting(g, h)
     # the index-free report, from tail blocks of `rows` sources, equals the indexed one
     indexed = verify_non_contracting(g, h, idx=build_index(g))
