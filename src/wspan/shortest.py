@@ -19,18 +19,27 @@ distances only, so fast2w takes scipy's own shortest-path trees and does
 not use this module.
 
 One kernel, canonical_rows, computes the canonical trees behind
-build_index, index_rows, sssp_canonical and path_vertices.
-scipy gives the exact distances from the requested sources.  The
-sources are then taken a block at a time: one gather-and-compare over the
-edge arrays finds every tight edge of the block, a source is tie-free when
-each reachable vertex has exactly one tight in-edge (which is then its
-parent), and W(s, v) follows for the whole block by pointer doubling up the
-parent trees.  Each source whose distances tie goes alone through the
-per-vertex rule in canonical_tree_from_dist, over neighbor lists read off
-the graph's CSR once per call and only when some source ties.  Blocks are
-sized from n and m so that the kernel's temporaries beyond the returned
-arrays stay within _BLOCK_BYTES (1 MiB).  The CSR and the edge arrays are
-the graph's own cached layouts (WeightedGraph.csr, edge_arrays).
+build_index, index_rows, sssp_canonical and path_vertices, all in numpy.
+scipy gives the exact distances from the requested sources.  The sources
+are then taken a block at a time: one gather-and-compare over the edge
+arrays finds every tight edge of the block, a source is tie-free when each
+reachable vertex has exactly one tight in-edge (which is then its parent),
+and W(s, v) follows for the whole block by pointer doubling up the parent
+trees.  The sources whose distances tie are finished afterwards, a run of
+them at a time: a BFS over their tight edges gives the hop layers, and
+layer by layer a knockout among each vertex's min-hop tight in-edges picks
+its parent.  Two candidates' canonical paths share the tree path down to
+their lowest common ancestor and are edge-disjoint below it, so the winner
+is the one whose branch below it, with its edge to the vertex, holds the
+smaller edge key; binary-lifting tables answer that for a whole layer in
+one vectorized climb.  Blocks and runs are sized from n, m and the tight
+edges so that the temporaries beyond the returned arrays stay within
+_BLOCK_BYTES (1 MiB).  The CSR and the edge arrays are the graph's own
+cached layouts (WeightedGraph.csr, edge_arrays).
+
+canonical_tree_from_dist is the same rule one source at a time, in pure
+Python.  No code here calls it; the tests check canonical_rows against it,
+and perfbench/layers.py probes its name.
 
 A call writes the W rows (build_index, index_rows) or the parent rows
 (sssp_canonical, path_vertices) its caller reads, never both.
@@ -48,6 +57,7 @@ from collections.abc import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order as _sp_bfs
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .graph import WeightedGraph
@@ -88,13 +98,6 @@ def distance_matrix(
     return _sp_dijkstra(csr, directed=True, indices=sources, limit=limit)
 
 
-def _neighbor_lists(g: WeightedGraph) -> list[list[tuple[int, float]]]:
-    """Per-vertex (neighbor, weight) lists in neighbor id order, read off g.csr()."""
-    csr = g.csr()
-    ptr, heads, ws = csr.indptr.tolist(), csr.indices.tolist(), csr.data.tolist()
-    return [list(zip(heads[lo:hi], ws[lo:hi])) for lo, hi in zip(ptr, ptr[1:])]
-
-
 def _absorbed(s: int, v: int) -> ValueError:
     # a tight predecessor not yet placed sits at v's own distance: dist[u] + w
     # rounded back to dist[u], so the float sums cannot order the two
@@ -107,14 +110,15 @@ def _absorbed(s: int, v: int) -> ValueError:
 def canonical_tree_from_dist(
     adj: Adjacency, s: int, dist: list[float]
 ) -> tuple[list[int], list[float]]:
-    """Canonical parents and running-max edge weights.
+    """Canonical parents and running-max edge weights, one source in pure Python.
 
     dist must be the exact shortest-path distances from s over adj.  Among
     the predecessors u with dist[u] + w == dist[v], the parent minimizes the
     hop count and then the sorted edge-key list of the whole path.  Edge keys
     are encoded as min(u,v)*n + max(u,v) so the tie lists are flat int
     tuples.  Raises ValueError when a float sum absorbed an edge weight (a
-    tight neighbor at v's own distance) or dist does not fit adj.
+    tight neighbor at v's own distance) or dist does not fit adj.  This is
+    the reference for canonical_rows, which computes the same trees.
     """
     n = len(adj)
     parent = [-1] * n
@@ -169,8 +173,9 @@ def canonical_tree_from_dist(
     return parent, heavy
 
 
-# Bytes of temporaries one block of sources may hold in _tree_block.  Small
-# blocks also keep the block's working set in a core's L2 cache.
+# Bytes of temporaries one block of sources may hold in _tree_block, and one
+# run of tied sources in _tie_block.  Small blocks also keep the block's
+# working set in a core's L2 cache.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -180,7 +185,9 @@ def _block_rows(n: int, m: int) -> int:
     Per source the block holds at most about 26 bytes per edge (two gathered
     distance rows, their sums and the tight-edge masks) and 64 per vertex
     (the NaN-marked row and the index arrays of the tight edges and of the
-    pointer doubling).
+    pointer doubling).  The block's tied sources are finished later, in
+    runs that _tie_runs sizes to the same budget once the block's work
+    arrays are freed, so ties do not shrink the blocks.
     """
     return max(1, _BLOCK_BYTES // max(1, 26 * m + 64 * n))
 
@@ -215,33 +222,20 @@ def _edge_distances(
     return out
 
 
-def _tree_block(
-    dist: np.ndarray,
-    ea: tuple[np.ndarray, ...],
-    out: np.ndarray,
-    parents: bool,
-    buf: tuple[np.ndarray, ...],
-) -> np.ndarray:
-    """Canonical parent rows or W rows of one block's tie-free sources.
+def _tight_edges(
+    dist: np.ndarray, ea: tuple[np.ndarray, ...], buf: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(reach, tight) of a block of exact distance rows, one row per source.
 
-    dist holds exact distance rows, one per source.  ea is (a, b, w, tails,
-    heads, ws): the undirected edge arrays, then the same edges in both
-    directions (a->b first, then b->a).  out is the block's output rows:
-    parents, filled with -1 beforehand, when parents is true, else W.  buf
-    holds the per-edge work arrays, allocated once for the largest block and
-    reused by every block.
-
-    An edge u->v is tight in a row when dist[u] + w == dist[v].  Dijkstra's
-    final predecessor of every reachable vertex is tight, so a row is
-    tie-free iff its tight edges number one less than its reachable
-    vertices; then every reachable vertex other than the source has exactly
-    one tight in-edge, which is its canonical parent.  W follows by pointer
-    doubling up the parent tree.  Rows with ties are left as they are; their
-    indices are returned.
+    ea is (a, b, w, tails, heads, ws): the undirected edge arrays, then the
+    same edges in both directions (a->b first, then b->a, so directed edge
+    i is undirected edge i % m).  buf holds the per-edge work arrays (three
+    float rows and a (2, rows, m) mask, rows >= the block's).  tight[s, i, e]
+    is true when directed edge s * m + e, u->v, has dist[i, u] + w == dist[i, v];
+    it is a view of buf's mask.
     """
-    a, b, w, tails, heads, ws = ea
-    k, n = dist.shape
-    m = len(w)
+    a, b, w = ea[:3]
+    k = len(dist)
     reach = np.isfinite(dist)
     # NaN compares unequal, so no edge between unreachable vertices is tight
     d = np.where(reach, dist, np.nan)
@@ -254,20 +248,31 @@ def _tree_block(
     np.equal(sums, db, out=tight[0])
     np.add(db, w, out=sums)
     np.equal(sums, da, out=tight[1])
-    tied = np.zeros(0, dtype=np.int64)
-    if np.count_nonzero(tight) != np.count_nonzero(reach) - k:
-        per_row = np.count_nonzero(tight, axis=2).sum(axis=0)
-        tied = np.flatnonzero(per_row != np.count_nonzero(reach, axis=1) - 1)
-        tight[:, tied] = False
-    # at most n - 1 tight edges per row remain
-    side, hit = np.divmod(np.flatnonzero(tight), k * m)
-    row, e = np.divmod(hit, m)
-    e += side * m  # index into the directed arrays
-    del side, hit
+    return reach, tight
+
+
+def _edge_buffers(rows: int, m: int) -> tuple[np.ndarray, ...]:
+    return (*(np.empty((rows, m)) for _ in range(3)), np.empty((2, rows, m), dtype=bool))
+
+
+def _write_trees(
+    out: np.ndarray,
+    reach: np.ndarray,
+    row: np.ndarray,
+    e: np.ndarray,
+    ea: tuple[np.ndarray, ...],
+    parents: bool,
+) -> None:
+    """Fill out's rows from the parent edges: directed edge e[i] enters its
+    head in row row[i].  out holds parent rows (filled with -1 beforehand)
+    when parents is true, else W rows, which follow by pointer doubling up
+    the parent trees."""
+    tails, heads, ws = ea[3:]
+    k, n = out.shape
     at = row * n + heads[e]
     if parents:
         out.reshape(-1)[at] = tails[e]
-        return tied
+        return
     heavy = out.reshape(-1)  # a view: out is a run of whole rows
     heavy.fill(0.0)
     heavy[at] = ws[e]
@@ -282,7 +287,247 @@ def _tree_block(
         np.maximum(heavy, heavy[jump], out=heavy)
         jump = nxt
     out[~reach] = INF
-    return tied
+
+
+def _tree_block(
+    dist: np.ndarray,
+    ea: tuple[np.ndarray, ...],
+    out: np.ndarray,
+    parents: bool,
+    buf: tuple[np.ndarray, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical parent rows or W rows of one block's tie-free sources.
+
+    dist holds exact distance rows, one per source; out is the block's
+    output rows (see _write_trees); ea and buf as in _tight_edges.  buf is
+    allocated once for the largest block and reused by every block.
+
+    Dijkstra's final predecessor of every reachable vertex is tight, so a
+    row is tie-free iff its tight edges number one less than its reachable
+    vertices; then every reachable vertex other than the source has exactly
+    one tight in-edge, which is its canonical parent.  Rows with ties are
+    left for _tie_block: returns their indices and tight-edge counts.
+    """
+    k = len(dist)
+    m = len(ea[2])
+    reach, tight = _tight_edges(dist, ea, buf)
+    tied = count = np.zeros(0, dtype=np.int64)
+    if np.count_nonzero(tight) != np.count_nonzero(reach) - k:
+        per_row = np.count_nonzero(tight, axis=2).sum(axis=0)
+        tied = np.flatnonzero(per_row != np.count_nonzero(reach, axis=1) - 1)
+        count = per_row[tied]
+        tight[:, tied] = False
+    # at most n - 1 tight edges per row remain
+    side, hit = np.divmod(np.flatnonzero(tight), k * m)
+    row, e = np.divmod(hit, m)
+    e += side * m  # index into the directed arrays
+    del side, hit
+    _write_trees(out, reach, row, e, ea, parents)
+    return tied, count
+
+
+def _tie_block(
+    dist: np.ndarray, src: np.ndarray, ea: tuple[np.ndarray, ...], parents: bool
+) -> np.ndarray:
+    """Canonical parent rows or W rows of sources whose distances tie.
+
+    dist holds their exact distance rows, src the sources, ea the edge
+    arrays as in _tight_edges.  Once no float sum absorbed a weight, dist
+    rises strictly along every tight edge (w > 0), so a row's tight edges
+    form a DAG.  The parent the rule of canonical_tree_from_dist picks for
+    v is found hop layer by hop layer for all rows at once:
+
+    1. hop layers: a BFS over the tight edges gives each vertex's min hops;
+    2. candidates of v at hop h: its tight in-edges from hop h - 1;
+    3. a knockout among each vertex's candidates (_knockout).
+
+    Raises ValueError when a float sum absorbed an edge weight: at the first
+    such source in src order, it names the vertex at which
+    canonical_tree_from_dist stops, the endpoint smallest by (dist, id) of
+    an edge tight in both directions (its endpoints share one distance).
+    """
+    a, b = ea[:2]
+    k, n = dist.shape
+    m = len(a)
+    tight = np.empty((2, k, m), dtype=bool)
+    buf = _edge_buffers(1, m)
+    for r in range(k):
+        tight[:, r] = _tight_edges(dist[r : r + 1], ea, buf)[1][:, 0]
+        es = np.flatnonzero(tight[0, r] & tight[1, r])
+        if len(es):
+            ends = np.concatenate([a[es], b[es]])
+            raise _absorbed(int(src[r]), int(ends[np.lexsort((ends, dist[r, ends]))[0]]))
+    del buf
+    cands = _candidates(tight, src, n, ea)
+    del tight
+    pe = _knockout(*cands, k * n, m)
+    del cands
+    at = np.flatnonzero(pe >= 0)
+    out = np.full((k, n), -1, dtype=np.int32) if parents else np.empty((k, n))
+    _write_trees(out, np.isfinite(dist), at // n, pe[at], ea, parents)
+    return out
+
+
+def _candidates(
+    tight: np.ndarray, src: np.ndarray, n: int, ea: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, ...]:
+    """The min-hop tight in-edges of every vertex of k rows, given their
+    (2, k, m) tight masks; vertex v of row i has the id i * n + v.
+
+    Returns (x, e, start, head, layers): candidate i is the directed edge
+    e[i] from x[i], sorted by (hop, head).  Run j of candidates, from
+    start[j], enters head[j]; the runs of hop h are layers[h - 1]:layers[h].
+    """
+    tails, heads = ea[3:5]
+    k, m = tight.shape[1:]
+    kn = k * n
+    # the tight edges x -> y, along e, sorted by x
+    by_tail = np.argsort(tails, kind="stable")
+    flat = np.flatnonzero(tight.transpose(1, 0, 2).reshape(k, 2 * m)[:, by_tail])
+    r, e = np.divmod(flat, 2 * m)
+    del flat
+    e = by_tail[e]
+    r *= n
+    x = tails[e]
+    x += r
+    y = heads[e]
+    y += r
+    del r
+    # hop layers: BFS from a vertex kn joined to every source, then each
+    # vertex's depth in the BFS tree by pointer doubling
+    ptr = np.zeros(kn + 2, dtype=np.int64)
+    np.cumsum(np.bincount(x, minlength=kn), out=ptr[1:-1])
+    ptr[-1] = ptr[-2] + k
+    to = np.append(y, np.arange(k) * n + src).astype(np.int32)
+    dag = csr_matrix((np.ones(len(to)), to, ptr), shape=(kn + 1, kn + 1))
+    del to, ptr
+    par = _sp_bfs(dag, kn, directed=True, return_predecessors=True)[1]
+    del dag
+    par[par < 0] = kn
+    hop = (np.arange(kn + 1) != kn).astype(np.int64)
+    while True:
+        nxt = par[par]
+        if np.array_equal(nxt, par):
+            break
+        hop += hop[par]
+        par = nxt
+    hop -= 1
+    del par, nxt
+    # with unit weights every tight edge is a candidate
+    keep = hop[x] + 1 == hop[y]
+    if not keep.all():
+        x, y, e = x[keep], y[keep], e[keep]
+    del keep
+    order = np.argsort(hop[y] * kn + y, kind="stable")
+    x = x[order]
+    y = y[order]
+    e = e[order]
+    del order
+    start = np.flatnonzero(np.concatenate([[True], y[1:] != y[:-1]]))
+    head = y[start]
+    layers = np.searchsorted(hop[head], np.arange(1, (hop[head[-1]] if len(head) else 0) + 2))
+    return x, e, start, head, layers
+
+
+def _knockout(
+    x: np.ndarray,
+    e: np.ndarray,
+    start: np.ndarray,
+    head: np.ndarray,
+    layers: np.ndarray,
+    kn: int,
+    m: int,
+) -> np.ndarray:
+    """Parent edges: pe[v] is the directed edge into v of its winning
+    candidate (_candidates gives the arguments), -1 for sources and
+    unreachable vertices.
+
+    Each vertex's candidates meet in rounds of matches, hop layer by hop
+    layer, so that the trees down to hop h - 1 are final when the layer of
+    hop h plays.  Candidates a and b of v then sit at equal depth, so their
+    canonical paths share the tree path from the source down to c = LCA(a, b)
+    and are edge-disjoint below it.  The two sorted edge-key lists, each
+    with its edge to v added, share the keys above c and differ in the
+    rest, so the list holding the smallest differing key is the smaller: a
+    wins iff the smallest key on its branch below c, plus its edge to v, is
+    below b's.  Binary-lifting tables (Bender and Farach-Colton, "The LCA
+    problem revisited", 2000) give the 2^j-th ancestor and the smallest key
+    on that climb, and one vectorized climb answers every match of a round.
+    Edge keys compare as edge indices, since the edge arrays are sorted by
+    (min endpoint, max endpoint).
+    """
+    c = len(x)
+    size = np.diff(np.append(start, c))
+    hop = np.repeat(np.searchsorted(layers, np.arange(len(head)), side="right"), size)
+    place = np.arange(c) - np.repeat(start, size)
+    size = np.repeat(size, size)
+    # in round r, place i (a multiple of 2^(r+1)) meets place i + 2^r;
+    # matches[r] holds the left places and where each hop's places begin
+    matches = []
+    for r in range(int(size.max(initial=1) - 1).bit_length()):
+        left = np.flatnonzero((place % (2 << r) == 0) & (place + (1 << r) < size))
+        matches.append((left, np.searchsorted(hop[left], np.arange(1, len(layers) + 1))))
+    del hop, place, size
+    win = np.arange(c)  # win[i]: the candidate holding place i so far
+    # up[j][v]: v's 2^j-th ancestor, or the source; low[j][v]: the smallest
+    # edge key on that climb (m for none)
+    up = [np.arange(kn)]
+    low = [np.full(kn, m, dtype=np.int32)]
+    pe = np.full(kn, -1, dtype=np.int64)
+    for h in range(1, len(layers)):
+        while (1 << len(up)) < h - 1:
+            up.append(up[-1][up[-1]])
+            low.append(np.minimum(low[-1], low[-1][up[-2]]))
+        for r, (left, at) in enumerate(matches):
+            lo = left[at[h - 1] : at[h]]
+            p = len(lo)
+            if not p:
+                continue
+            i = win[np.concatenate([lo, lo + (1 << r)])]
+            # climb both sides of each match at once: xy[:p] against xy[p:]
+            xy, key = x[i], e[i] % m
+            for j in range(len(up) - 1, -1, -1):
+                nx = up[j][xy]
+                go = nx[:p] != nx[p:]
+                go = np.concatenate([go, go])
+                np.minimum(key, np.where(go, low[j][xy], m), out=key)
+                np.copyto(xy, nx, where=go)
+            # xy[:p] and xy[p:] are now children of the LCA: add their edges to it
+            np.minimum(key, low[0][xy], out=key)
+            win[lo] = np.where(key[p:] < key[:p], i[p:], i[:p])
+        runs = slice(layers[h - 1], layers[h])
+        i = win[start[runs]]
+        v = head[runs]
+        pe[v] = e[i]
+        up[0][v] = x[i]
+        low[0][v] = e[i] % m
+        for j in range(1, len(up)):
+            mid = up[j - 1][v]
+            up[j][v] = up[j - 1][mid]
+            low[j][v] = np.minimum(low[j - 1][v], low[j - 1][mid])
+    return pe
+
+
+def _tie_runs(n: int, m: int, tight: np.ndarray) -> list[slice]:
+    """Runs of tied sources for _tie_block, whose temporaries fit _BLOCK_BYTES.
+
+    tight[i] counts the tight edges of tied source i.  Any run holds about
+    42 bytes per edge (one source's float work rows, the edges' order by
+    tail).  Per source it adds about 6 bytes per edge (the tight masks), 72
+    per tight edge (the tight edges and their BFS graph, then the candidates,
+    the knockout's matches and its climbs) and 48 + 12 log2(n) per vertex
+    (BFS and parent-edge arrays, the lifting tables).
+    """
+    levels = max(1, (n - 1).bit_length())
+    cost = np.cumsum(6 * m + 72 * tight + (48 + 12 * levels) * n)
+    budget = _BLOCK_BYTES - 42 * m
+    runs, lo = [], 0
+    while lo < len(cost):
+        spent = cost[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(cost, spent + budget, side="right")))
+        runs.append(slice(lo, hi))
+        lo = hi
+    return runs
 
 
 def canonical_rows(
@@ -294,9 +539,10 @@ def canonical_rows(
     parents true the second array holds the canonical parent rows instead
     of W (int32; -1 for the source and for unreachable vertices), for
     sssp_canonical and path_vertices; build_index and index_rows read W.
-    Tie-free sources are handled a block at a time by _tree_block; each
-    source whose distances tie goes through canonical_tree_from_dist on its
-    own.
+    _tree_block finishes the tie-free sources a block at a time, then
+    _tie_block the sources whose distances tie, in the runs _tie_runs
+    sizes.  Both stay within _BLOCK_BYTES of temporaries.  Raises
+    ValueError when a float sum absorbed an edge weight (_tie_block).
     """
     n = g.n
     dist = _sp_dijkstra(g.csr(), directed=True, indices=sources)
@@ -306,21 +552,18 @@ def canonical_rows(
     k, m = len(src), len(w)
     out = np.full((k, n), -1, dtype=np.int32) if parents else np.empty((k, n))
     rows = max(1, min(k, _block_rows(n, m)))
-    buf = (*(np.empty((rows, m)) for _ in range(3)), np.empty((2, rows, m), dtype=bool))
-    adj: Adjacency | None = None
+    buf = _edge_buffers(rows, m)
+    tied, count = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for lo in range(0, k, rows):
         blk = slice(lo, min(lo + rows, k))
-        for i in _tree_block(dist[blk], ea, out[blk], parents, buf).tolist():
-            s = int(src[lo + i])
-            if adj is None:
-                adj = _neighbor_lists(g)
-            p, heavy = canonical_tree_from_dist(adj, s, dist[lo + i].tolist())
-            if parents:
-                out[lo + i] = p
-            else:
-                out[lo + i] = heavy
-                out[lo + i, ~np.isfinite(dist[lo + i])] = INF
-                out[lo + i, s] = 0.0
+        t, c = _tree_block(dist[blk], ea, out[blk], parents, buf)
+        tied.append(lo + t)
+        count.append(c)
+    del buf
+    tied = np.concatenate(tied)
+    for run in _tie_runs(n, m, np.concatenate(count)):
+        at = tied[run]
+        out[at] = _tie_block(dist[at], src[at], ea, parents)
     return dist, out
 
 
@@ -340,9 +583,9 @@ def build_index(g: WeightedGraph) -> ShortestPathIndex:
     """All-pairs canonical index: canonical_rows from every source.
 
     One scipy call computes all distances.  The tie-free sources then get
-    their W rows from the blocked kernel, whose temporaries stay within
-    _BLOCK_BYTES (1 MiB) beyond the returned 16 * n^2 bytes; each source
-    whose distances tie falls back to canonical_tree_from_dist.
+    their W rows a block at a time, and the tied ones from the hop-layer
+    knockout, a run at a time; the temporaries stay within _BLOCK_BYTES
+    (1 MiB) beyond the returned 16 * n^2 bytes.
     """
     n = g.n
     if n == 0:

@@ -5,8 +5,8 @@ of the package.  A refactor that renames or deletes one of those attributes,
 or stops producing a counter, drops a declared metric from the benchmark's
 output line.  This test runs one traced pass of each workload on its tiny
 instances, with the benchmark's own modules imported read-only, and checks
-that every declared per-layer metric has a value, and that the tie counter
-still counts where every source ties.
+that every declared per-layer metric has a value, and that no source goes
+to the per-source tie rule even where every source ties.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ def test_traced_pass_yields_every_declared_metric(bench, name, tmp_path):
     declared = {m["name"] for m in SPEC["per_layer"]} - ADDED_BY_RUNNER
     assert {m: missing.get(m) for m in declared - set(values)} == {}
     if name == "unit-ties":
-        # unit weights tie every source, so a tie probe that stopped firing reads 0 here
-        assert values["shortest.tie_sources"] > 0
+        # unit weights tie every source, and canonical_rows finishes them all in
+        # numpy: the probed per-source rule never runs
+        assert values["shortest.tie_sources"] == 0
     assert p.problems == [] and all(j.passed for j in p.jobs), [j.error for j in p.jobs]

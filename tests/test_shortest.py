@@ -248,6 +248,14 @@ def per_source_reference(g):
     return dist, W, parent
 
 
+def set_block_sizes(mp, rows):
+    """Blocks of tie-free sources and runs of tied sources of the given size."""
+    mp.setattr(shortest, "_block_rows", lambda n, m: rows)
+    mp.setattr(shortest, "_tie_runs", lambda n, m, tight: [
+        slice(lo, lo + rows) for lo in range(0, len(tight), rows)
+    ])
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3])
 @settings(max_examples=60, deadline=None)
 @given(g=st.one_of(st.just(WeightedGraph(0, [])), mixed_graphs()), data=st.data())
@@ -257,7 +265,7 @@ def test_blocked_kernel_matches_per_source_rule(rows, g, data):
     if g.n:
         roots = data.draw(st.lists(st.integers(min_value=0, max_value=g.n - 1), min_size=1, max_size=6))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(shortest, "_block_rows", lambda n, m: rows)
+        set_block_sizes(mp, rows)
         idx = build_index(g)
         every = canonical_rows(g, parents=True)
         sub = canonical_rows(g, roots)
@@ -279,6 +287,100 @@ def test_blocked_kernel_matches_per_source_rule(rows, g, data):
         assert np.array_equal(d, dist[s]) and p.dtype == np.int32 and np.array_equal(p, parent[s])
 
 
+def unit_graph(n, pairs):
+    return WeightedGraph(n, [(u, v, 1.0) for u, v in pairs])
+
+
+def cycle(n, at=0):
+    return [(at + i, at + (i + 1) % n) for i in range(n)]
+
+
+def lollipop(depth):
+    """A unit path whose far end is depth - 2 hops from a 4-cycle: from the
+    path's first vertex the tie at the cycle's far corner sits at hop depth."""
+    return unit_graph(depth + 2, [(i, i + 1) for i in range(depth - 2)] + cycle(4, depth - 2))
+
+
+def union(*graphs):
+    edges, n = [], 0
+    for g in graphs:
+        edges += [(u + n, v + n, w) for u, v, w in g.edge_items()]
+        n += g.n
+    return WeightedGraph(n, edges)
+
+
+def deep_tied_graphs():
+    """Tied graphs deeper and wider than mixed_graphs draws: unit grids up to
+    8 x 12, even cycles and lollipops of depths 7, 8, 9, 16 and 17 (the
+    lifting tables cross 2^3 and 2^4 levels), unit and {1, 2, 3}-weight gnp
+    up to n = 40, and unions with tie-free parts."""
+    grids = [
+        generate(GenSpec(family="grid", n=r * c, rows=r, cols=c, wmodel="unit"))
+        for r, c in ((2, 2), (3, 5), (6, 7), (8, 12))
+    ]
+    depths = (7, 8, 9, 16, 17)
+    cycles = [unit_graph(2 * d, cycle(2 * d)) for d in depths]
+    lollipops = [lollipop(d) for d in depths]
+    gnps = [
+        generate(GenSpec(family="gnp", n=n, p=p, wmodel="unit", seed=seed))
+        for n, p, seed in ((24, 0.2, 1), (40, 0.08, 2), (40, 0.15, 3))
+    ]
+    draws = np.random.default_rng(3).integers(1, 4, gnps[2].m).tolist()
+    gnps[2] = WeightedGraph(gnps[2].n, [(u, v, float(w)) for (u, v, _), w in zip(gnps[2].edge_items(), draws)])
+    free = generate(GenSpec(family="gnp", n=20, p=0.3, wmodel="uniform", seed=4))
+    path = unit_graph(17, [(i, i + 1) for i in range(16)])
+    unions = [union(grids[2], free), union(path, cycles[4], free), union(free, gnps[2])]
+    return grids + cycles + lollipops + gnps + unions
+
+
+DEEP_TIED_GRAPHS = deep_tied_graphs()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, None])
+@pytest.mark.parametrize("g", DEEP_TIED_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+def test_blocked_kernel_matches_per_source_rule_on_deep_ties(rows, g):
+    dist, W, parent = per_source_reference(g)
+    roots = list(range(0, g.n, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            set_block_sizes(mp, rows)
+        idx = build_index(g)
+        every = canonical_rows(g, parents=True)
+        sub = canonical_rows(g, roots)
+        sub_parents = canonical_rows(g, roots, parents=True)
+    assert np.array_equal(idx.dist, dist) and np.array_equal(idx.W, W)
+    assert np.array_equal(every[1], parent)
+    assert np.array_equal(sub[1], W[roots]) and np.array_equal(sub_parents[1], parent[roots])
+
+
+ABSORBING = st.sampled_from([1.0, 2.0, 1e16, 3e16])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@settings(max_examples=80, deadline=None)
+@given(g=small_graphs(max_n=10, weights=ABSORBING), data=st.data())
+def test_absorbed_weight_error_matches_per_source_rule(rows, g, data):
+    # 1e16 + 1 == 1e16, so these weights absorb one another in float sums
+    roots = data.draw(st.lists(st.integers(min_value=0, max_value=g.n - 1), min_size=1, max_size=6))
+    dist = distance_matrix(g.csr(), roots)
+    adj = neighbor_lists(g)
+    want = None
+    try:
+        for i, s in enumerate(roots):
+            canonical_tree_from_dist(adj, s, dist[i].tolist())
+    except ValueError as exc:
+        want = str(exc)
+    with pytest.MonkeyPatch.context() as mp:
+        set_block_sizes(mp, rows)
+        for parents in (False, True):
+            got = None
+            try:
+                canonical_rows(g, roots, parents=parents)
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want
+
+
 def counting_tie_rule(monkeypatch):
     calls = []
     orig = shortest.canonical_tree_from_dist
@@ -291,22 +393,18 @@ def counting_tie_rule(monkeypatch):
     return calls
 
 
-def test_tie_rule_runs_once_per_tied_source(monkeypatch):
-    # a unit 4-cycle (every source ties) beside a path (no source ties)
-    g = WeightedGraph(
-        7, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0), (4, 5, 2.0), (5, 6, 3.0)]
-    )
+def test_tie_rule_never_runs_on_tied_sources(monkeypatch):
+    # every source ties on a unit 4-cycle and on a unit grid
+    four_cycle = unit_graph(4, cycle(4))
     grid = generate(GenSpec(family="grid", n=36, rows=6, cols=6, wmodel="unit"))
-    grid_tied = [s for s in range(grid.n) if tied_source(grid, s)]
     calls = counting_tie_rule(monkeypatch)
-    for rows in (1, 3, 7):
-        monkeypatch.setattr(shortest, "_block_rows", lambda n, m: rows)
-        calls.clear()
+    for g in (four_cycle, grid):
+        assert all(tied_source(g, s) for s in range(g.n))
         build_index(g)
-        assert sorted(calls) == [0, 1, 2, 3]
-        calls.clear()
-        build_index(grid)
-        assert sorted(calls) == grid_tied
+        canonical_rows(g, parents=True)
+        sssp_canonical(g, 0)
+        path_vertices(g, 0, g.n - 2)
+    assert calls == []
 
 
 def test_fast2w_runs_no_tie_rule_on_tied_roots(monkeypatch):
@@ -362,4 +460,25 @@ def test_index_temporaries_stay_within_block_budget():
             tracemalloc.stop()
         returned = idx.dist.nbytes + idx.W.nbytes
         # slack: the edge list, scipy's CSR copies and the directed edge arrays
+        assert peak - base - returned < shortest._BLOCK_BYTES + (1 << 20)
+
+
+def test_tied_index_temporaries_stay_within_block_budget():
+    build_index(unit_graph(4, cycle(4)))  # warm up lazy imports
+    for spec in (
+        GenSpec(family="grid", n=784, rows=28, cols=28, wmodel="unit"),
+        GenSpec(family="gnp", n=800, p=0.01, wmodel="unit", seed=5),
+    ):
+        g = generate(spec)
+        g.csr(), g.edge_arrays()
+        assert sum(tied_source(g, s) for s in range(0, g.n, 50)) >= 15
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            idx = build_index(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = idx.dist.nbytes + idx.W.nbytes
+        # slack: the directed edge arrays and scipy's copies of the BFS graph
         assert peak - base - returned < shortest._BLOCK_BYTES + (1 << 20)
