@@ -143,7 +143,7 @@ def _cmd_build(args) -> int:
     name = args.algo
     algo = ALGOS[name]
     # the CLI reads the subset from --subset; a size field only matters to bench
-    subset = read_subset(_require(args, "subset", name)) if algo.takes_subset else None
+    subset = read_subset(_require(args, "subset", name), g.n) if algo.takes_subset else None
     params = {
         f.name: _require(args, f.name, name, f.default) for f in algo.fields if f.name != "size"
     }
@@ -176,7 +176,7 @@ def _cmd_verify(args) -> int:
     algo = ALGOS[name]
     g = read_graph(args.graph)
     h = read_emulator(args.spanner).to_graph() if algo.emulator else read_graph(args.spanner)
-    subset = read_subset(params["subset"]) if algo.takes_subset else None
+    subset = read_subset(params["subset"], g.n) if algo.takes_subset else None
     reports = algo.certify(g, h, params, idx=None, subset=subset)
     payload = {"bound": args.bound, "reports": [r.to_dict() for r in reports]}
     print(json.dumps(payload, sort_keys=True))

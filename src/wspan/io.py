@@ -51,10 +51,10 @@ def _parse_edge_line(path, lineno: int, line: str, n: int, columns: int) -> tupl
         _fail(path, lineno, f"vertex id out of range in ({u}, {v}) for n={n}")
     if u == v:
         _fail(path, lineno, f"self-loop at vertex {u}")
+    if not math.isfinite(w):
+        _fail(path, lineno, f"non-finite weight {parts[2]!r}")
     if not w > 0:
         _fail(path, lineno, f"non-positive weight {w}")
-    if w == math.inf:
-        _fail(path, lineno, f"non-finite weight {parts[2]!r}")
     tag = parts[3] if columns == 4 else "g"
     if tag not in ("g", "v"):
         _fail(path, lineno, f"edge tag must be 'g' or 'v', got {tag!r}")
@@ -106,8 +106,9 @@ def write_emulator(em: EmulatorResult, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_subset(path: str | Path) -> list[int]:
-    """One vertex id per line; duplicates rejected."""
+def read_subset(path: str | Path, n: int) -> list[int]:
+    """One vertex id per line, each below n; duplicates and an empty subset
+    rejected."""
     path = Path(path)
     out: list[int] = []
     seen = set()
@@ -120,10 +121,14 @@ def read_subset(path: str | Path) -> list[int]:
             _fail(path, lineno, f"malformed vertex id {ln.strip()!r}")
         if v < 0:
             _fail(path, lineno, f"negative vertex id {v}")
+        if v >= n:
+            _fail(path, lineno, f"subset vertex {v} out of range for n={n}")
         if v in seen:
             _fail(path, lineno, f"duplicate vertex id {v}")
         seen.add(v)
         out.append(v)
+    if not out:
+        raise GraphFormatError(f"{path}: subset must be nonempty")
     return out
 
 

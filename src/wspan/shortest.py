@@ -25,14 +25,19 @@ are then taken a block at a time: one gather-and-compare over the edge
 arrays finds every tight edge of the block, a source is tie-free when each
 reachable vertex has exactly one tight in-edge (which is then its parent),
 and W(s, v) follows for the whole block by pointer doubling up the parent
-trees.  The sources whose distances tie are finished afterwards, a run of
-them at a time: a BFS over their tight edges gives the hop layers, and
-layer by layer a knockout among each vertex's min-hop tight in-edges picks
-its parent.  Two candidates' canonical paths share the tree path down to
-their lowest common ancestor and are edge-disjoint below it, so the winner
-is the one whose branch below it, with its edge to the vertex, holds the
-smaller edge key; binary-lifting tables answer that for a whole layer in
-one vectorized climb.  Blocks and runs are sized from n, m and the tight
+trees.  A tied source's W row is finished in its block too when all its
+tight edges weigh one w0 and none is tight both ways, as on unit weights:
+every edge of every shortest path from s is tight, so every shortest s-v
+path, the canonical one included, has heaviest edge w0, and W(s, v) is w0
+for every reachable v != s with no float arithmetic involved.  The other
+tied sources, and every tied source of parent rows, are finished
+afterwards, a run of them at a time: a BFS over their tight edges gives the
+hop layers, and layer by layer a knockout among each vertex's min-hop tight
+in-edges picks its parent.  Two candidates' canonical paths share the tree
+path down to their lowest common ancestor and are edge-disjoint below it,
+so the winner is the one whose branch below it, with its edge to the
+vertex, holds the smaller edge key; binary-lifting tables answer that for a
+whole layer in one vectorized climb.  Blocks and runs are sized from n, m and the tight
 edges so that the temporaries beyond the returned arrays stay within
 _BLOCK_BYTES (1 MiB).  The CSR and the edge arrays are the graph's own
 cached layouts (WeightedGraph.csr, edge_arrays).
@@ -305,25 +310,70 @@ def _tree_block(
     Dijkstra's final predecessor of every reachable vertex is tight, so a
     row is tie-free iff its tight edges number one less than its reachable
     vertices; then every reachable vertex other than the source has exactly
-    one tight in-edge, which is its canonical parent.  Rows with ties are
-    left for _tie_block: returns their indices and tight-edge counts.
+    one tight in-edge, which is its canonical parent.
+
+    A tied W row is finished here too when its tight edges all weigh one w0
+    and none is tight both ways (_one_weight): W is 0 at the source, w0 at
+    every other reachable vertex and inf elsewhere.  Other rows with ties,
+    and every tied parent row, are left for _tie_block: returns their
+    indices and tight-edge counts.
     """
     k = len(dist)
     m = len(ea[2])
     reach, tight = _tight_edges(dist, ea, buf)
-    tied = count = np.zeros(0, dtype=np.int64)
+    tied = count = flat = np.zeros(0, dtype=np.int64)
     if np.count_nonzero(tight) != np.count_nonzero(reach) - k:
         per_row = np.count_nonzero(tight, axis=2).sum(axis=0)
         tied = np.flatnonzero(per_row != np.count_nonzero(reach, axis=1) - 1)
         count = per_row[tied]
+        w0 = np.full(len(tied), INF) if parents else _one_weight(tight, ea[2], buf, tied)
         tight[:, tied] = False
+        one = np.isfinite(w0)
+        flat, w0 = tied[one], w0[one]
+        tied, count = tied[~one], count[~one]
     # at most n - 1 tight edges per row remain
     side, hit = np.divmod(np.flatnonzero(tight), k * m)
     row, e = np.divmod(hit, m)
     e += side * m  # index into the directed arrays
     del side, hit
     _write_trees(out, reach, row, e, ea, parents)
+    if len(flat):
+        d = dist[flat]
+        out[flat] = np.where(d == 0, 0.0, np.where(reach[flat], w0[:, None], INF))
     return tied, count
+
+
+def _one_weight(
+    tight: np.ndarray, w: np.ndarray, buf: tuple[np.ndarray, ...], tied: np.ndarray
+) -> np.ndarray:
+    """w0 of each tied row whose tight edges all weigh w0, none of them tight
+    both ways; inf for the other tied rows.
+
+    tight and buf as in _tight_edges, which has returned, so buf's float
+    rows are free scratch.  Such a row's W is exactly w0 at every reachable
+    vertex but the source: every edge of every shortest path from the
+    source is tight, and the canonical path is one of them.  An absorbed
+    weight always leaves an edge tight both ways (its endpoints share one
+    distance), so those rows still reach _tie_block and its ValueError.
+    """
+    span = slice(tied[0], tied[-1] + 1)
+    fwd, back = tight[0, span], tight[1, span]
+    both, low, high = (x[: span.stop - span.start] for x in buf[:3])
+    np.logical_and(fwd, back, out=both)
+    clean = both.max(axis=1) == 0
+    if w.min() == w.max():
+        w0 = np.full(len(clean), w[0])
+    else:
+        # each edge's weight where it is tight either way, else inf / 0
+        low.fill(INF)
+        high.fill(0.0)
+        for side in (fwd, back):
+            np.copyto(low, w, where=side)
+            np.copyto(high, w, where=side)
+        w0 = high.max(axis=1)
+        clean &= low.min(axis=1) == w0
+    w0[~clean] = INF
+    return w0[tied - span.start]
 
 
 def _tie_block(
@@ -345,6 +395,10 @@ def _tie_block(
     such source in src order, it names the vertex at which
     canonical_tree_from_dist stops, the endpoint smallest by (dist, id) of
     an edge tight in both directions (its endpoints share one distance).
+
+    W rows come here only when their tight edges mix weights or some edge
+    is tight both ways; _tree_block finishes the one-weight rows.  Parent
+    rows come here whenever they tie.
     """
     a, b = ea[:2]
     k, n = dist.shape
@@ -539,10 +593,13 @@ def canonical_rows(
     parents true the second array holds the canonical parent rows instead
     of W (int32; -1 for the source and for unreachable vertices), for
     sssp_canonical and path_vertices; build_index and index_rows read W.
-    _tree_block finishes the tie-free sources a block at a time, then
-    _tie_block the sources whose distances tie, in the runs _tie_runs
-    sizes.  Both stay within _BLOCK_BYTES of temporaries.  Raises
-    ValueError when a float sum absorbed an edge weight (_tie_block).
+    _tree_block finishes the tie-free sources a block at a time, and for W
+    the tied sources whose tight edges all weigh one w0, none tight both
+    ways (W is then w0 off the source, exactly).  _tie_block then finishes
+    the other tied sources, in the runs _tie_runs sizes.  Both stay within
+    _BLOCK_BYTES of temporaries.  Raises ValueError when a float sum
+    absorbed an edge weight (_tie_block): such a row has an edge tight both
+    ways, so it never takes the one-weight path.
     """
     n = g.n
     dist = _sp_dijkstra(g.csr(), directed=True, indices=sources)
@@ -582,9 +639,10 @@ def sssp_canonical(g: WeightedGraph, s: int) -> tuple[np.ndarray, np.ndarray]:
 def build_index(g: WeightedGraph) -> ShortestPathIndex:
     """All-pairs canonical index: canonical_rows from every source.
 
-    One scipy call computes all distances.  The tie-free sources then get
-    their W rows a block at a time, and the tied ones from the hop-layer
-    knockout, a run at a time; the temporaries stay within _BLOCK_BYTES
+    One scipy call computes all distances.  The tie-free sources, and the
+    tied ones whose tight edges share one weight, then get their W rows a
+    block at a time; the other tied ones get theirs from the hop-layer
+    knockout, a run at a time.  The temporaries stay within _BLOCK_BYTES
     (1 MiB) beyond the returned 16 * n^2 bytes.
     """
     n = g.n

@@ -300,6 +300,23 @@ def test_subset_bound_vertex_out_of_range_is_exit_2(capsys, tmp_path):
     assert "subset vertex 999 out of range" in err
 
 
+def test_subset_file_errors_name_the_file_and_line(capsys, tmp_path):
+    graph, meta = gen_graph(capsys, tmp_path)
+    sfile = tmp_path / "s.txt"
+    n = meta["n"]
+    for text, where in ((f"0\n3\n{n}\n", f"{sfile}:3: subset vertex {n} out of range for n={n}"),
+                        ("\n", f"{sfile}: subset must be nonempty")):
+        sfile.write_text(text)
+        for argv in (
+            ["build", "--algo", "subsetwise", "--eps", "0.5", "--subset", str(sfile),
+             "--graph", str(graph), "-o", str(tmp_path / "h.txt")],
+            ["verify", "--graph", str(graph), "--spanner", str(graph), "--bound", f"subset:0.5:{sfile}"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert where in err
+
+
 def test_subset_bound_empty_subset_is_exit_2(capsys, tmp_path):
     graph, _ = gen_graph(capsys, tmp_path)
     sfile = tmp_path / "s.txt"

@@ -47,9 +47,17 @@ def test_negative_weight_rejected(tmp_path):
 
 def test_non_finite_weight_rejected(tmp_path):
     path = tmp_path / "bad.txt"
-    for w in ("inf", "1e400"):
+    for w in ("inf", "1e400", "-inf"):
         path.write_text(f"3 2\n0 1 {w}\n1 2 1.0\n")
         with pytest.raises(GraphFormatError, match=r"bad\.txt:2: non-finite weight"):
+            read_graph(path)
+
+
+def test_nan_weight_is_non_finite_not_non_positive(tmp_path):
+    path = tmp_path / "bad.txt"
+    for w in ("nan", "NaN", "-nan"):
+        path.write_text(f"3 2\n0 1 1.0\n1 2 {w}\n")
+        with pytest.raises(GraphFormatError, match=rf"bad\.txt:3: non-finite weight '{w}'"):
             read_graph(path)
 
 
@@ -101,13 +109,25 @@ def test_emulator_tag_validation(tmp_path):
 def test_subset_round_trip_and_errors(tmp_path):
     p = tmp_path / "s.txt"
     write_subset([4, 1, 9], p)
-    assert read_subset(p) == [4, 1, 9]
+    assert read_subset(p, 10) == [4, 1, 9]
     p.write_text("1\n1\n")
     with pytest.raises(GraphFormatError, match="duplicate"):
-        read_subset(p)
+        read_subset(p, 10)
     p.write_text("a\n")
     with pytest.raises(GraphFormatError, match="malformed"):
-        read_subset(p)
+        read_subset(p, 10)
+
+
+def test_subset_range_and_emptiness_errors_are_located(tmp_path):
+    p = tmp_path / "s.txt"
+    p.write_text("0\n\n8\n9\n")
+    assert read_subset(p, 10) == [0, 8, 9]
+    with pytest.raises(GraphFormatError, match=r"s\.txt:4: subset vertex 9 out of range for n=9"):
+        read_subset(p, 9)
+    for text in ("", "\n", "\n  \n"):
+        p.write_text(text)
+        with pytest.raises(GraphFormatError, match=r"s\.txt: subset must be nonempty"):
+            read_subset(p, 9)
 
 
 def test_jsonl_round_trip(tmp_path):

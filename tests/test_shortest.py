@@ -11,11 +11,13 @@ import wspan.shortest as shortest
 from wspan import (
     GenSpec,
     WeightedGraph,
+    build_6eps_spanner,
     build_fast_2w,
     build_index,
     generate,
     sample_levels,
     sssp_canonical,
+    verify_additive_W,
 )
 from wspan.shortest import (
     ShortestPathIndex,
@@ -351,6 +353,133 @@ def test_blocked_kernel_matches_per_source_rule_on_deep_ties(rows, g):
     assert np.array_equal(idx.dist, dist) and np.array_equal(idx.W, W)
     assert np.array_equal(every[1], parent)
     assert np.array_equal(sub[1], W[roots]) and np.array_equal(sub_parents[1], parent[roots])
+
+
+def weighted_grid_cut(rows, cols, cut):
+    """A unit grid whose edges between rows cut - 1 and cut weigh 2: every
+    source reaches both sides, so its tight edges weigh 1 and 2."""
+    g = generate(GenSpec(family="grid", n=rows * cols, rows=rows, cols=cols, wmodel="unit"))
+    across = {(cut - 1) * cols + c for c in range(cols)}
+    return WeightedGraph(g.n, [
+        (u, v, 2.0 if min(u, v) in across and abs(u - v) == cols else w) for u, v, w in g.edge_items()
+    ])
+
+
+def weighted_lollipop(depth):
+    """lollipop(depth) whose 4-cycle sides from the path weigh (1, 3) and (2, 2):
+    the two shortest paths to the far corner tie at equal hops with heaviest
+    edges 3 and 2, so W there is the knockout's choice."""
+    c0, c1, c2, c3 = range(depth - 2, depth + 2)
+    path = [(i, i + 1, 1.0) for i in range(depth - 2)]
+    return WeightedGraph(depth + 2, path + [(c0, c1, 1.0), (c1, c2, 3.0), (c0, c3, 2.0), (c3, c2, 2.0)])
+
+
+# tied graphs whose every tied source mixes tight weights, so its W row
+# still takes the hop-layer knockout
+MIXED_TIED_GRAPHS = [weighted_grid_cut(8, 12, 4), weighted_lollipop(9), weighted_lollipop(17)]
+
+
+def counting_knockout(monkeypatch):
+    """Rows the knockout finishes, one entry per call."""
+    rows = []
+    orig = shortest._knockout
+
+    def counted(x, e, start, head, layers, kn, m):
+        rows.append(kn)
+        return orig(x, e, start, head, layers, kn, m)
+
+    monkeypatch.setattr(shortest, "_knockout", counted)
+    return rows
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, None])
+@pytest.mark.parametrize("g", MIXED_TIED_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+def test_knockout_still_finishes_mixed_weight_w_rows(rows, g):
+    dist, W, _ = per_source_reference(g)
+    tied = [s for s in range(g.n) if tied_source(g, s)]
+    assert tied
+    roots = list(range(0, g.n, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            set_block_sizes(mp, rows)
+        knocked = counting_knockout(mp)
+        idx = build_index(g)
+        assert sum(knocked) == len(tied) * g.n
+        sub = canonical_rows(g, roots)
+    assert np.array_equal(idx.dist, dist) and np.array_equal(idx.W, W)
+    assert np.array_equal(sub[1], W[roots])
+
+
+@st.composite
+def one_weight_graphs(draw):
+    """Tied graphs whose W rows the one-weight rule finishes, in part or whole:
+    a unit part joined to a {1, 2, 3} or an absorbing {1, 1e16} part, a unit
+    cycle with a chord too heavy ever to be tight, or one weight other than 1
+    on every edge."""
+    kind = draw(st.sampled_from(["joined", "absorbing", "chord", "one"]))
+    if kind == "chord":
+        n = draw(st.integers(min_value=4, max_value=12))
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        if j == i + 1 or (i, j) == (0, n - 1):
+            return unit_graph(n, cycle(n))
+        extra = draw(st.sampled_from([0.5, 1.0, 3.0]))
+        return WeightedGraph(n, [(u, v, 1.0) for u, v in cycle(n)] + [(i, j, min(j - i, n - j + i) + extra)])
+    if kind == "one":
+        w = draw(st.sampled_from([2.5, 1e16]))
+        return draw(small_graphs(max_n=9, weights=st.just(w)))
+    unit = draw(small_graphs(max_n=7, weights=st.just(1.0)))
+    other = st.sampled_from([1.0, 2.0, 3.0] if kind == "joined" else [1.0, 1e16])
+    return union(unit, draw(small_graphs(max_n=7, weights=other)))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@settings(max_examples=80, deadline=None)
+@given(g=one_weight_graphs(), data=st.data())
+def test_one_weight_w_rows_match_per_source_rule(rows, g, data):
+    roots = data.draw(st.one_of(
+        st.none(), st.lists(st.integers(min_value=0, max_value=g.n - 1), min_size=1, max_size=6)
+    ))
+    sources = range(g.n) if roots is None else roots
+    dist = distance_matrix(g.csr(), roots)
+    adj = neighbor_lists(g)
+    want = err = None
+    try:
+        want = [canonical_tree_from_dist(adj, s, dist[i].tolist())[1] for i, s in enumerate(sources)]
+    except ValueError as exc:
+        err = str(exc)
+    with pytest.MonkeyPatch.context() as mp:
+        set_block_sizes(mp, rows)
+        try:
+            got = canonical_rows(g, roots)
+        except ValueError as exc:
+            assert str(exc) == err
+            return
+    assert err is None and np.array_equal(got[0], dist)
+    for i, s in enumerate(sources):
+        reach = np.isfinite(dist[i])
+        heavy = np.where(reach, want[i], math.inf)
+        heavy[s] = 0.0
+        assert np.array_equal(got[1][i], heavy)
+
+
+def test_unit_grid_6w_build_and_check_run_no_knockout(monkeypatch):
+    g = generate(GenSpec(family="grid", n=144, rows=12, cols=12, wmodel="unit"))
+    assert all(tied_source(g, s) for s in range(g.n))
+    blocks = []
+    orig = shortest._tie_block
+    monkeypatch.setattr(shortest, "_tie_block", lambda *args: blocks.append(args) or orig(*args))
+    res = build_6eps_spanner(g, 1.0)
+    assert verify_additive_W(g, res.to_graph(g), 7.0).passed
+    assert blocks == []
+    # parent rows still take the knockout, and match the per-source rule
+    _, _, parent = per_source_reference(g)
+    knocked = counting_knockout(monkeypatch)
+    for u, v in ((0, g.n - 1), (5, 130), (77, 12)):
+        want = [v]
+        while want[-1] != u:
+            want.append(int(parent[u, want[-1]]))
+        assert path_vertices(g, u, v) == want[::-1]
+    assert len(blocks) == len(knocked) == 3
 
 
 ABSORBING = st.sampled_from([1.0, 2.0, 1e16, 3e16])

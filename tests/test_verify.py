@@ -234,7 +234,7 @@ def test_emulator_certify_memory_stays_within_block_budget():
 
 
 def test_subset_check_without_index_builds_no_full_index(monkeypatch, medium_grid):
-    g = medium_grid  # unit weights: every source takes the tie rule
+    g = medium_grid  # unit weights: every source ties
     h = g.subgraph(sorted(g.edge_keys())[::2])
     S = [40, 3, 17, 3, 25]
     expected = verify_additive_W(g, h, 2.5, pair_class=S, idx=build_index(g)).to_dict()
@@ -293,7 +293,7 @@ def test_multiplicative_cycle_minus_edge():
 
 
 def test_multiplicative_check_reads_no_w(monkeypatch, medium_grid):
-    g = medium_grid  # unit weights: W would take the tie rule on every source
+    g = medium_grid  # unit weights: every source ties
     h = greedy_multiplicative(g, 2).to_graph(g)
     fails = g.subgraph(sorted(g.edge_keys())[::2])
     idx = build_index(g)
