@@ -25,22 +25,30 @@ are then taken a block at a time: one gather-and-compare over the edge
 arrays finds every tight edge of the block, a source is tie-free when each
 reachable vertex has exactly one tight in-edge (which is then its parent),
 and W(s, v) follows for the whole block by pointer doubling up the parent
-trees.  A tied source's W row is finished in its block too when all its
-tight edges weigh one w0 and none is tight both ways, as on unit weights:
-every edge of every shortest path from s is tight, so every shortest s-v
-path, the canonical one included, has heaviest edge w0, and W(s, v) is w0
-for every reachable v != s with no float arithmetic involved.  The other
-tied sources, and every tied source of parent rows, are finished
-afterwards, a run of them at a time: a BFS over their tight edges gives the
-hop layers, and layer by layer a knockout among each vertex's min-hop tight
-in-edges picks its parent.  Two candidates' canonical paths share the tree
-path down to their lowest common ancestor and are edge-disjoint below it,
-so the winner is the one whose branch below it, with its edge to the
-vertex, holds the smaller edge key; binary-lifting tables answer that for a
-whole layer in one vectorized climb.  Blocks and runs are sized from n, m and the tight
+trees.  The sources whose distances tie are finished afterwards, a run of
+them at a time: a BFS over their tight edges gives the hop layers, and
+layer by layer a knockout among each vertex's min-hop tight in-edges picks
+its parent.  Two candidates' canonical paths share the tree path down to
+their lowest common ancestor and are edge-disjoint below it, so the winner
+is the one whose branch below it, with its edge to the vertex, holds the
+smaller edge key; binary-lifting tables answer that for a whole layer in
+one vectorized climb.  Blocks and runs are sized from n, m and the tight
 edges so that the temporaries beyond the returned arrays stay within
 _BLOCK_BYTES (1 MiB).  The CSR and the edge arrays are the graph's own
 cached layouts (WeightedGraph.csr, edge_arrays).
+
+W rows of a graph whose edges all weigh one w0, as on unit weights, need
+neither step: W(s, v) is w0 at every reachable v != s, 0 at s and inf
+elsewhere.  Every shortest s-v path, the canonical one included, has only
+edges of weight w0, so its heaviest edge is w0, with no float arithmetic
+involved.  Nor can a float sum absorb the weight there, which the tie rule
+would report: a vertex h hops from s gets the distance d_h, w0 added h
+times in turn, and d_h rises strictly with h while it is below 2^53 w0
+(w0 is then more than half of d_h's last place), each step by less than
+2 w0, so only paths of more than 2^52 hops, far beyond n - 1, could reach
+it.  So an edge u->v is tight exactly when v is one hop further from s
+than u, and none is tight both ways.  Parent rows, and W rows of graphs with two or more
+edge weights, take the blocks and the tie rule above.
 
 canonical_tree_from_dist is the same rule one source at a time, in pure
 Python.  No code here calls it; the tests check canonical_rows against it,
@@ -310,70 +318,27 @@ def _tree_block(
     Dijkstra's final predecessor of every reachable vertex is tight, so a
     row is tie-free iff its tight edges number one less than its reachable
     vertices; then every reachable vertex other than the source has exactly
-    one tight in-edge, which is its canonical parent.
-
-    A tied W row is finished here too when its tight edges all weigh one w0
-    and none is tight both ways (_one_weight): W is 0 at the source, w0 at
-    every other reachable vertex and inf elsewhere.  Other rows with ties,
-    and every tied parent row, are left for _tie_block: returns their
-    indices and tight-edge counts.
+    one tight in-edge, which is its canonical parent.  Rows with ties are
+    left for _tie_block: returns their indices and tight-edge counts.  W
+    rows of a graph whose edges all weigh one w0 never come here:
+    canonical_rows writes them from dist alone.
     """
     k = len(dist)
     m = len(ea[2])
     reach, tight = _tight_edges(dist, ea, buf)
-    tied = count = flat = np.zeros(0, dtype=np.int64)
+    tied = count = np.zeros(0, dtype=np.int64)
     if np.count_nonzero(tight) != np.count_nonzero(reach) - k:
         per_row = np.count_nonzero(tight, axis=2).sum(axis=0)
         tied = np.flatnonzero(per_row != np.count_nonzero(reach, axis=1) - 1)
         count = per_row[tied]
-        w0 = np.full(len(tied), INF) if parents else _one_weight(tight, ea[2], buf, tied)
         tight[:, tied] = False
-        one = np.isfinite(w0)
-        flat, w0 = tied[one], w0[one]
-        tied, count = tied[~one], count[~one]
     # at most n - 1 tight edges per row remain
     side, hit = np.divmod(np.flatnonzero(tight), k * m)
     row, e = np.divmod(hit, m)
     e += side * m  # index into the directed arrays
     del side, hit
     _write_trees(out, reach, row, e, ea, parents)
-    if len(flat):
-        d = dist[flat]
-        out[flat] = np.where(d == 0, 0.0, np.where(reach[flat], w0[:, None], INF))
     return tied, count
-
-
-def _one_weight(
-    tight: np.ndarray, w: np.ndarray, buf: tuple[np.ndarray, ...], tied: np.ndarray
-) -> np.ndarray:
-    """w0 of each tied row whose tight edges all weigh w0, none of them tight
-    both ways; inf for the other tied rows.
-
-    tight and buf as in _tight_edges, which has returned, so buf's float
-    rows are free scratch.  Such a row's W is exactly w0 at every reachable
-    vertex but the source: every edge of every shortest path from the
-    source is tight, and the canonical path is one of them.  An absorbed
-    weight always leaves an edge tight both ways (its endpoints share one
-    distance), so those rows still reach _tie_block and its ValueError.
-    """
-    span = slice(tied[0], tied[-1] + 1)
-    fwd, back = tight[0, span], tight[1, span]
-    both, low, high = (x[: span.stop - span.start] for x in buf[:3])
-    np.logical_and(fwd, back, out=both)
-    clean = both.max(axis=1) == 0
-    if w.min() == w.max():
-        w0 = np.full(len(clean), w[0])
-    else:
-        # each edge's weight where it is tight either way, else inf / 0
-        low.fill(INF)
-        high.fill(0.0)
-        for side in (fwd, back):
-            np.copyto(low, w, where=side)
-            np.copyto(high, w, where=side)
-        w0 = high.max(axis=1)
-        clean &= low.min(axis=1) == w0
-    w0[~clean] = INF
-    return w0[tied - span.start]
 
 
 def _tie_block(
@@ -396,9 +361,8 @@ def _tie_block(
     canonical_tree_from_dist stops, the endpoint smallest by (dist, id) of
     an edge tight in both directions (its endpoints share one distance).
 
-    W rows come here only when their tight edges mix weights or some edge
-    is tight both ways; _tree_block finishes the one-weight rows.  Parent
-    rows come here whenever they tie.
+    W rows come here only from graphs with two or more edge weights (see
+    canonical_rows); parent rows come here whenever they tie.
     """
     a, b = ea[:2]
     k, n = dist.shape
@@ -593,21 +557,30 @@ def canonical_rows(
     parents true the second array holds the canonical parent rows instead
     of W (int32; -1 for the source and for unreachable vertices), for
     sssp_canonical and path_vertices; build_index and index_rows read W.
-    _tree_block finishes the tie-free sources a block at a time, and for W
-    the tied sources whose tight edges all weigh one w0, none tight both
-    ways (W is then w0 off the source, exactly).  _tie_block then finishes
-    the other tied sources, in the runs _tie_runs sizes.  Both stay within
-    _BLOCK_BYTES of temporaries.  Raises ValueError when a float sum
-    absorbed an edge weight (_tie_block): such a row has an edge tight both
-    ways, so it never takes the one-weight path.
+    _tree_block finishes the tie-free sources a block at a time, then
+    _tie_block the sources whose distances tie, in the runs _tie_runs
+    sizes.  Both stay within _BLOCK_BYTES of temporaries.  Raises
+    ValueError when a float sum absorbed an edge weight (_tie_block).
+
+    W rows of a graph whose edges all weigh one w0 skip both: W is w0 where
+    dist is finite, 0 at the source and inf elsewhere, exact and never
+    absorbed (module docstring), written _sweep_rows(n) rows at a time.
     """
     n = g.n
     dist = _sp_dijkstra(g.csr(), directed=True, indices=sources)
     a, b, w = g.edge_arrays()
-    ea = (a, b, w, np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w]))
     src = np.arange(n) if sources is None else np.asarray(sources, dtype=np.int64)
     k, m = len(src), len(w)
     out = np.full((k, n), -1, dtype=np.int32) if parents else np.empty((k, n))
+    if not parents and m and w.min() == w.max():
+        step = _sweep_rows(n)
+        for lo in range(0, k, step):
+            blk = out[lo : lo + step]
+            blk.fill(INF)
+            np.copyto(blk, w[0], where=np.isfinite(dist[lo : lo + step]))
+        out[np.arange(k), src] = 0.0
+        return dist, out
+    ea = (a, b, w, np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w]))
     rows = max(1, min(k, _block_rows(n, m)))
     buf = _edge_buffers(rows, m)
     tied, count = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
@@ -639,11 +612,12 @@ def sssp_canonical(g: WeightedGraph, s: int) -> tuple[np.ndarray, np.ndarray]:
 def build_index(g: WeightedGraph) -> ShortestPathIndex:
     """All-pairs canonical index: canonical_rows from every source.
 
-    One scipy call computes all distances.  The tie-free sources, and the
-    tied ones whose tight edges share one weight, then get their W rows a
-    block at a time; the other tied ones get theirs from the hop-layer
-    knockout, a run at a time.  The temporaries stay within _BLOCK_BYTES
-    (1 MiB) beyond the returned 16 * n^2 bytes.
+    One scipy call computes all distances.  The tie-free sources then get
+    their W rows a block at a time, and the tied ones from the hop-layer
+    knockout, a run at a time, unless every edge has one weight (then W is
+    that weight between any two distinct connected vertices).  The
+    temporaries stay within _BLOCK_BYTES (1 MiB) beyond the returned
+    16 * n^2 bytes.
     """
     n = g.n
     if n == 0:

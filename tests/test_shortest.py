@@ -251,8 +251,10 @@ def per_source_reference(g):
 
 
 def set_block_sizes(mp, rows):
-    """Blocks of tie-free sources and runs of tied sources of the given size."""
+    """Blocks of tie-free sources, runs of tied sources and blocks of
+    one-weight W rows of the given size."""
     mp.setattr(shortest, "_block_rows", lambda n, m: rows)
+    mp.setattr(shortest, "_sweep_rows", lambda n: rows)
     mp.setattr(shortest, "_tie_runs", lambda n, m, tight: [
         slice(lo, lo + rows) for lo in range(0, len(tight), rows)
     ])
@@ -374,8 +376,8 @@ def weighted_lollipop(depth):
     return WeightedGraph(depth + 2, path + [(c0, c1, 1.0), (c1, c2, 3.0), (c0, c3, 2.0), (c3, c2, 2.0)])
 
 
-# tied graphs whose every tied source mixes tight weights, so its W row
-# still takes the hop-layer knockout
+# tied graphs with two edge weights, whose every tied source mixes tight
+# weights, so its W row still takes the hop-layer knockout
 MIXED_TIED_GRAPHS = [weighted_grid_cut(8, 12, 4), weighted_lollipop(9), weighted_lollipop(17)]
 
 
@@ -412,10 +414,11 @@ def test_knockout_still_finishes_mixed_weight_w_rows(rows, g):
 
 @st.composite
 def one_weight_graphs(draw):
-    """Tied graphs whose W rows the one-weight rule finishes, in part or whole:
-    a unit part joined to a {1, 2, 3} or an absorbing {1, 1e16} part, a unit
-    cycle with a chord too heavy ever to be tight, or one weight other than 1
-    on every edge."""
+    """Tied graphs near the one-weight rule: one weight on every edge (1,
+    2.5, 0.1, whose sums round, or 1e16), whose W rows skip the tie rule,
+    and graphs whose unit parts meet other weights, which take it: a unit
+    part joined to a {1, 2, 3} or an absorbing {1, 1e16} part, or a unit
+    cycle with a chord too heavy ever to be tight."""
     kind = draw(st.sampled_from(["joined", "absorbing", "chord", "one"]))
     if kind == "chord":
         n = draw(st.integers(min_value=4, max_value=12))
@@ -425,7 +428,7 @@ def one_weight_graphs(draw):
         extra = draw(st.sampled_from([0.5, 1.0, 3.0]))
         return WeightedGraph(n, [(u, v, 1.0) for u, v in cycle(n)] + [(i, j, min(j - i, n - j + i) + extra)])
     if kind == "one":
-        w = draw(st.sampled_from([2.5, 1e16]))
+        w = draw(st.sampled_from([1.0, 2.5, 0.1, 1e16]))
         return draw(small_graphs(max_n=9, weights=st.just(w)))
     unit = draw(small_graphs(max_n=7, weights=st.just(1.0)))
     other = st.sampled_from([1.0, 2.0, 3.0] if kind == "joined" else [1.0, 1e16])
@@ -465,12 +468,13 @@ def test_one_weight_w_rows_match_per_source_rule(rows, g, data):
 def test_unit_grid_6w_build_and_check_run_no_knockout(monkeypatch):
     g = generate(GenSpec(family="grid", n=144, rows=12, cols=12, wmodel="unit"))
     assert all(tied_source(g, s) for s in range(g.n))
-    blocks = []
-    orig = shortest._tie_block
-    monkeypatch.setattr(shortest, "_tie_block", lambda *args: blocks.append(args) or orig(*args))
+    blocks, trees = [], []
+    tie, tree = shortest._tie_block, shortest._tree_block
+    monkeypatch.setattr(shortest, "_tie_block", lambda *args: blocks.append(args) or tie(*args))
+    monkeypatch.setattr(shortest, "_tree_block", lambda *args: trees.append(args) or tree(*args))
     res = build_6eps_spanner(g, 1.0)
     assert verify_additive_W(g, res.to_graph(g), 7.0).passed
-    assert blocks == []
+    assert blocks == trees == []
     # parent rows still take the knockout, and match the per-source rule
     _, _, parent = per_source_reference(g)
     knocked = counting_knockout(monkeypatch)
