@@ -103,6 +103,8 @@ def run_bench(
     Returns (records, deterministic_failure): the flag is True when any
     algorithm with a deterministic guarantee failed verification.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     algos = [parse_algo(s) for s in algo_specs]
     if not seeds:
         seeds = [0]

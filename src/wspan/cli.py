@@ -185,7 +185,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     with open(args.corpus) as fh:
-        specs = [GenSpec.from_dict(d) for d in json.load(fh)]
+        entries = json.load(fh)
+    if not isinstance(entries, list):
+        kind = type(entries).__name__
+        raise ValueError(f"{args.corpus}: expected a JSON list of generator specs, got {kind}")
+    specs = []
+    for i, entry in enumerate(entries):
+        try:
+            specs.append(GenSpec.from_dict(entry))
+        except ValueError as exc:
+            raise ValueError(f"{args.corpus}: entry {i}: {exc}") from None
     algo_specs = [s for s in args.algos.split(",") if s]
     seeds = (
         [int(s) for s in args.seeds.split(",") if s] if args.seeds is not None else [_default_seed()]
@@ -197,7 +206,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    records = read_jsonl(args.records)
+    records = read_jsonl(args.records, keys=("algo", "n", "m_out", "verify_pass"))
     if args.algo:
         records = [r for r in records if r["algo"] == args.algo]
     by_algo: dict[str, dict[int, list[dict]]] = defaultdict(lambda: defaultdict(list))

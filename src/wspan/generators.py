@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -46,6 +46,17 @@ class GenSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "GenSpec":
+        """The spec of a JSON object; ValueError naming a field it does not
+        know or lacks."""
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+        known = {f.name for f in fields(GenSpec)}
+        for key in d:
+            if key not in known:
+                raise ValueError(f"unknown field {key!r}")
+        for key in ("family", "n"):
+            if key not in d:
+                raise ValueError(f"missing field {key!r}")
         return GenSpec(**d)
 
 

@@ -42,6 +42,18 @@ def vertex_count(n) -> int:
     return n
 
 
+def subset_vertices(subset: Iterable[int], n: int) -> list[int]:
+    """The distinct vertices of subset, sorted; ValueError unless there is
+    at least one and each is a vertex id below n."""
+    S = sorted(set(subset))
+    if not S:
+        raise ValueError("subset must be nonempty")
+    for s in (S[0], S[-1]):
+        if not 0 <= s < n:
+            raise ValueError(f"subset vertex {s} out of range for n={n}")
+    return S
+
+
 def graph_csr(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> csr_matrix:
     """Symmetric n x n CSR matrix of the undirected edges (a[i], b[i], w[i]).
 

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-from .graph import WeightedGraph, edge_key, edge_key_set, graph_csr
+from .graph import WeightedGraph, edge_key, edge_key_set, graph_csr, subset_vertices
 from .light import t_light_init
 from .shortest import (
     INF,
@@ -317,12 +317,7 @@ def build_subsetwise_spanner(
     Seeds with a ceil(sqrt(|S|))-light initialization and scans the subset
     pairs by heaviest path edge only, reading G's rows of S alone.
     """
-    S = sorted(set(subset))
-    if not S:
-        raise ValueError("subset must be nonempty")
-    for s in S:
-        if not 0 <= s < g.n:
-            raise ValueError(f"subset vertex {s} out of range")
+    S = subset_vertices(subset, g.n)
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and > 0, got {eps}")
     t = max(1, math.ceil(math.sqrt(len(S))))

@@ -18,7 +18,7 @@ from .graph import WeightedGraph, edge_key
 
 
 class GraphFormatError(ValueError):
-    """Raised for malformed graph/subset files; message carries location."""
+    """Raised for malformed input files; message carries location."""
 
 
 def _fail(path, lineno: int, msg: str) -> None:
@@ -140,5 +140,22 @@ def write_jsonl(records: list[dict], path: str | Path) -> None:
     Path(path).write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    return [json.loads(ln) for ln in Path(path).read_text().splitlines() if ln.strip()]
+def read_jsonl(path: str | Path, keys: tuple[str, ...] = ()) -> list[dict]:
+    """One JSON object per nonblank line.  A line that is not valid JSON, is
+    not an object, or lacks one of keys is rejected with its line number."""
+    path = Path(path)
+    out = []
+    for lineno, ln in enumerate(path.read_text().splitlines(), start=1):
+        if not ln.strip():
+            continue
+        try:
+            rec = json.loads(ln)
+        except json.JSONDecodeError as exc:
+            _fail(path, lineno, f"invalid JSON: {exc.msg} at column {exc.colno}")
+        if not isinstance(rec, dict):
+            _fail(path, lineno, f"expected a JSON object, got {type(rec).__name__}")
+        for key in keys:
+            if key not in rec:
+                _fail(path, lineno, f"record has no {key!r}")
+        out.append(rec)
+    return out

@@ -641,12 +641,6 @@ def index_rows(
     return canonical_rows(g, sources)
 
 
-def distance_rows(g: WeightedGraph, idx: ShortestPathIndex | None, sources: Sequence[int]) -> np.ndarray:
-    """G's distance rows of the given sources, row i for sources[i]: sliced
-    from idx when given, else one Dijkstra run.  Checks that read no W use this."""
-    return idx.dist[sources] if idx is not None else distance_matrix(g.csr(), sources)
-
-
 def path_vertices(g: WeightedGraph, u: int, v: int) -> list[int]:
     """Vertex sequence of the canonical u-v path.
 

@@ -1,21 +1,23 @@
 """Exact brute-force certification of stretch bounds and size scaling.
 
-Every upper-bound check (additive on all pairs or on S x S, multiplicative)
-is one sweep: Dijkstra on H from a block of sources at a time over one CSR
-of H, compared with the same rows of G's distances and W, read through
-shortest.index_rows (sliced from G's index when one is given).  All pairs is
-the case S = every vertex.  Blocks are sized by shortest._sweep_rows, so a
-check holds O(block * n) memory beyond H and any index given.  The
-multiplicative bound reads no W: its sweep takes G's distances alone
-(shortest.distance_rows), and W only for the rows that hold a violation.
+Checks take one of two shapes.  The additive bound d_H <= d_G + c * W, on
+all pairs or on S x S, is a sweep: Dijkstra on H from a block of sources at
+a time, compared with the same rows of G's distances and W, read through
+shortest.index_rows (sliced from G's index when one is given).  Blocks are
+sized by shortest._sweep_rows, so a check holds O(block * n) memory beyond H
+and any index given.
 
-The lower bound d_H >= d_G holds for every pair iff every edge (a, b) of H
-has w_H(a, b) >= d_G(a, b): an H path is then no shorter than the chain of G
-distances along it, which the triangle inequality bounds by d_G, and the
-edge is itself an H path.  So verify_non_contracting reads one index entry
-per H edge, computes no distances of H, and reports violating edges.
-Without an index it runs Dijkstra on G from H's distinct edge tails only, a
-sweep block of them at a time (shortest._edge_distances).
+The other two bounds are local, and are checked on edges.  d_H >= d_G holds
+for every pair iff every edge (a, b) of H has w_H(a, b) >= d_G(a, b): chain
+G's distances along an H path.  d_H <= alpha * d_G holds for every pair iff
+every edge (a, b) of G has d_H(a, b) <= alpha * w(a, b): chain the edge
+bound along a shortest G path, and w(a, b) >= d_G(a, b).  The largest
+d_H / d_G over pairs is then the largest d_H(a, b) / w(a, b) over G's
+edges, as a shortest path's edges are tight (the local characterization of
+t-spanners; Peleg and Schaffer, "Graph spanners", 1989).  Each edge check
+runs Dijkstra from its edges' distinct tails only (shortest._edge_distances),
+on G for the lower bound when no index is given and on H for the
+multiplicative one, and reads G's rows of its failing edges' tails only.
 
 A passing report is a proof for the instance at hand (up to the stated
 float tolerance).  Pairs that are connected in the base graph but not in the
@@ -26,18 +28,17 @@ construction bugs are not conflated with stretch failures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, subset_vertices
 from .shortest import (
     ShortestPathIndex,
     _edge_distances,
     _sweep_rows,
     distance_matrix,
-    distance_rows,
     index_rows,
 )
 
@@ -60,15 +61,7 @@ class Violation:
     kind: str = "stretch"
 
     def to_dict(self) -> dict:
-        return {
-            "u": self.u,
-            "v": self.v,
-            "d_g": _json_float(self.d_g),
-            "d_h": _json_float(self.d_h),
-            "w_heavy": _json_float(self.w_heavy),
-            "slack": _json_float(self.slack),
-            "kind": self.kind,
-        }
+        return {k: _json_float(x) if isinstance(x, float) else x for k, x in asdict(self).items()}
 
 
 @dataclass
@@ -99,68 +92,63 @@ class StretchReport:
         }
 
 
+def _violations(u, v, dg, dh, wh, slack, kind: str = "stretch") -> list[Violation]:
+    """Violations of the pairs (u[i], v[i]) from index arrays: those with
+    d_h inf, of kind "unreachable", first, then the others as kind, each
+    in (u, v) order."""
+    order = np.lexsort((v, u, np.isfinite(dh)))
+    cols = (np.asarray(x)[order].tolist() for x in (u, v, dg, dh, wh, slack))
+    return [Violation(*row, kind if math.isfinite(row[3]) else "unreachable") for row in zip(*cols)]
+
+
+def _tail_rows(
+    g: WeightedGraph, idx: ShortestPathIndex | None, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """G's (d_G, W) of the pairs (a[i], b[i]), read from the rows of the
+    distinct a[i] through index_rows, a sweep block of them at a time."""
+    tails, at = np.unique(a, return_inverse=True)
+    dg, wh = np.empty(len(a)), np.empty(len(a))
+    rows = _sweep_rows(g.n)
+    for lo in range(0, len(tails), rows):
+        sel = (at >= lo) & (at < lo + rows)
+        dist, W = index_rows(g, idx, tails[lo : lo + rows].tolist())
+        dg[sel], wh[sel] = dist[at[sel] - lo, b[sel]], W[at[sel] - lo, b[sel]]
+    return dg, wh
+
+
 def _sweep(
     report: StretchReport, g: WeightedGraph, h: WeightedGraph, S: list[int],
-    idx: ShortestPathIndex | None, bound: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
-    reads_W: bool = True,
+    idx: ShortestPathIndex | None, c: float,
 ) -> StretchReport:
-    """Check d_H <= bound(d_G, W), up to relative tolerance, on S x S.
+    """Check d_H <= d_G + c * W, up to relative tolerance, on S x S.
 
     S is sorted and duplicate-free; the pairs u < v of S connected in g are
-    checked.  G's rows of each block come from index_rows.  A check whose
-    bound reads no W (reads_W false) reads G's distances alone, gets W only
-    for the block's sources that hold a violation (the reports list it), and
-    reports the largest d_H / d_G as max_slack_ratio instead of the largest
-    (d_H - d_G) / W.  Violations are listed unreachable pairs first, then
-    bound violations, each by (u, v).
+    checked.  G's rows of each block come from index_rows.  max_slack_ratio
+    is the largest (d_H - d_G) / W.
     """
     cols = np.asarray(S)
     csr = h.csr()
-    unreachable: list[Violation] = []
-    over: list[Violation] = []
+    found = []
     tops: list[float] = []
     rows = _sweep_rows(g.n)
     for lo in range(0, len(S), rows):
         hi = min(lo + rows, len(S))
         dh = distance_matrix(csr, S[lo:hi])[:, cols]
-        if reads_W:
-            dist, W = index_rows(g, idx, S[lo:hi])
-            dg, wb = dist[:, cols], W[:, cols]
-        else:
-            dg, wb = distance_rows(g, idx, S[lo:hi])[:, cols], None
+        dist, W = index_rows(g, idx, S[lo:hi])
+        dg, wb = dist[:, cols], W[:, cols]
         # the pairs i < j of S: column position past the row's own
         connected = (np.arange(len(S)) > np.arange(lo, hi)[:, None]) & np.isfinite(dg)
         report.pairs_checked += int(np.count_nonzero(connected))
-        reach = np.isfinite(dh)
-        bd = bound(dg, wb)
-        with np.errstate(invalid="ignore"):  # inf-inf on pairs the masks discard
-            bad = connected & reach & (dh - bd > REL_TOL * np.maximum(1.0, np.abs(bd)))
-        lost = connected & ~reach
-        if wb is None:
-            wb = np.full(dg.shape, np.nan)
-            hit = np.flatnonzero((bad | lost).any(axis=1))
-            if len(hit):
-                wb[hit] = index_rows(g, idx, [S[lo + i] for i in hit.tolist()])[1][:, cols]
-        for i, j in np.argwhere(lost).tolist():
-            unreachable.append(
-                Violation(S[lo + i], S[j], float(dg[i, j]), math.inf, float(wb[i, j]), math.inf, "unreachable")
-            )
-        for i, j in np.argwhere(bad).tolist():
-            over.append(
-                Violation(
-                    S[lo + i], S[j], float(dg[i, j]), float(dh[i, j]), float(wb[i, j]),
-                    float(dh[i, j] - bd[i, j]),
-                )
-            )
-        if reads_W:
-            sel = connected & reach & (wb > 0)
-            if sel.any():
-                tops.append(float(((dh[sel] - dg[sel]) / wb[sel]).max()))
-        else:
-            sel = connected & reach
-            if sel.any():
-                tops.append(float((dh[sel] / dg[sel]).max()))
-    report.violations = unreachable + over
+        with np.errstate(invalid="ignore"):  # inf-inf and 0*inf on pairs the mask discards
+            bd = dg + c * wb
+            # an unreachable pair has d_H - bound = inf, so it is flagged too
+            bad = connected & (dh - bd > REL_TOL * np.maximum(1.0, np.abs(bd)))
+        i, j = np.nonzero(bad)
+        found.append((cols[lo + i], cols[j], dg[i, j], dh[i, j], wb[i, j], dh[i, j] - bd[i, j]))
+        sel = connected & np.isfinite(dh)
+        if sel.any():
+            tops.append(float(((dh[sel] - dg[sel]) / wb[sel]).max()))
+    report.violations = _violations(*(np.concatenate(x) for x in zip(*found)))
     report.max_slack_ratio = max(tops, default=math.nan)
     return report
 
@@ -183,15 +171,7 @@ def verify_additive_W(
     """
     if h.n != g.n:
         raise ValueError(f"vertex set mismatch: g has n={g.n}, h has n={h.n}")
-    if pair_class is None:
-        S = list(range(g.n))
-    else:
-        S = sorted(set(pair_class))
-        if not S:
-            raise ValueError("subset must be nonempty")
-        for s in pair_class:
-            if not 0 <= s < g.n:
-                raise ValueError(f"subset vertex {s} out of range")
+    S = list(range(g.n)) if pair_class is None else subset_vertices(pair_class, g.n)
     c = float(c_of_n(g.n)) if callable(c_of_n) else float(c_of_n)
     if not 0 <= c < math.inf:
         raise ValueError(f"additive factor c must be finite and >= 0, got {c}")
@@ -201,7 +181,7 @@ def verify_additive_W(
         pairs_checked=0,
         size=h.m,
     )
-    return _sweep(report, g, h, S, idx, lambda dg, W: dg + c * np.where(np.isfinite(W), W, 0.0))
+    return _sweep(report, g, h, S, idx, c)
 
 
 def verify_multiplicative(
@@ -212,18 +192,33 @@ def verify_multiplicative(
 ) -> StretchReport:
     """Check d_H <= alpha * d_G for every connected pair; alpha finite, >= 1.
 
-    Reads G's distances only (idx.dist when idx is given, else Dijkstra on
-    g per sweep block) and no W, so it never runs the canonical-tree rule
-    on a passing check.  max_slack_ratio is the largest d_H / d_G.
+    Checked on g's edges (module docstring), so pairs_checked counts them and
+    each violation is a failing edge, with its own d_G, W and slack
+    d_H - alpha * d_G.  max_slack_ratio is the largest d_H(a, b) / w(a, b)
+    over the edges h connects.  Only failing edges get an unbounded search
+    on h and G's rows of their tails (idx is an optional cache).
     """
     if h.n != g.n:
         raise ValueError(f"vertex set mismatch: g has n={g.n}, h has n={h.n}")
     if not 1 <= alpha < math.inf:
         raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
+    a, b, w = g.edge_arrays()
+    bound = alpha * w
+    tol = REL_TOL * np.maximum(1.0, bound)
+    # finite entries are exact; a search stopped by its limit reads inf and fails
+    dh = _edge_distances(h.csr(), a, b, bound + tol)
+    bad = np.flatnonzero(dh - bound > tol)
     report = StretchReport(
-        bound_kind="multiplicative-alpha", params={"alpha": alpha}, pairs_checked=0, size=h.m
+        bound_kind="multiplicative-alpha", params={"alpha": alpha}, pairs_checked=g.m, size=h.m
     )
-    return _sweep(report, g, h, list(range(g.n)), idx, lambda dg, W: alpha * dg, reads_W=False)
+    if len(bad):
+        dh[bad] = _edge_distances(h.csr(), a[bad], b[bad])
+        dg, wh = _tail_rows(g, idx, a[bad], b[bad])
+        report.violations = _violations(a[bad], b[bad], dg, dh[bad], wh, dh[bad] - alpha * dg)
+    reach = np.isfinite(dh)
+    if reach.any():
+        report.max_slack_ratio = float((dh[reach] / w[reach]).max())
+    return report
 
 
 def verify_subgraph(g: WeightedGraph, h: WeightedGraph) -> bool:
@@ -241,14 +236,10 @@ def verify_non_contracting(
 ) -> StretchReport:
     """Check d_H >= d_G for all pairs, edge by edge.
 
-    The lower-bound side of the emulator contract.  It holds iff every edge
-    (a, b) of h has w_H(a, b) >= d_G(a, b) within relative tolerance, so
-    pairs_checked counts h's edges, each violation is an edge with d_h its
-    weight, and max_slack_ratio stays NaN.  An edge between two components
-    of g is a violation: it connects a pair that g keeps apart.  Without
-    idx, d_G comes from Dijkstra on g from h's edge tails, in sweep blocks,
-    and W from g's rows of the violating edges' tails; the report equals
-    the indexed one.
+    The lower-bound side of the emulator contract, checked on h's edges
+    (module docstring): pairs_checked counts them, each violation is an edge
+    with d_h its weight, and max_slack_ratio stays NaN.  An edge between two
+    components of g is a violation: it connects a pair that g keeps apart.
     """
     if h.n != g.n:
         raise ValueError(f"vertex set mismatch: g has n={g.n}, h has n={h.n}")
@@ -257,14 +248,10 @@ def verify_non_contracting(
     # inf - w > REL_TOL * inf is false, so non-finite d_G is flagged on its own
     bad = np.flatnonzero(~np.isfinite(dg) | (dg - w > REL_TOL * np.maximum(1.0, dg)))
     report = StretchReport(bound_kind="exact", params={"direction": "lower"}, pairs_checked=h.m, size=h.m)
-    if not len(bad):
-        return report
-    tails = np.unique(a[bad])
-    heavy = index_rows(g, idx, tails.tolist())[1][np.searchsorted(tails, a[bad]), b[bad]]
-    for i, wh in zip(bad.tolist(), heavy.tolist()):
-        report.violations.append(
-            Violation(int(a[i]), int(b[i]), float(dg[i]), float(w[i]), wh, float(dg[i] - w[i]), "contraction")
-        )
+    if len(bad):
+        heavy = _tail_rows(g, idx, a[bad], b[bad])[1]
+        slack = dg[bad] - w[bad]
+        report.violations = _violations(a[bad], b[bad], dg[bad], w[bad], heavy, slack, "contraction")
     return report
 
 

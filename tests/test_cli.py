@@ -491,3 +491,39 @@ def test_bench_cli_and_stats(capsys, tmp_path):
     entry = next(e for e in summary if e["algo"] == "6w")
     assert "size_exponent" in entry
     assert entry["verify_pass_rate"] == 1.0
+
+
+def test_stats_rejects_bad_records_with_their_line(capsys, tmp_path):
+    records = tmp_path / "r.jsonl"
+    good = json.dumps({"algo": "6w", "n": 8, "m_out": 9, "verify_pass": True})
+    for line, msg in (
+        (json.dumps({"algo": "6w", "n": 8, "verify_pass": True}), "record has no 'm_out'"),
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('{"algo": ', "invalid JSON"),
+    ):
+        records.write_text(f"{good}\n\n{line}\n")
+        code, out, err = run(capsys, "stats", "--records", str(records))
+        assert code == 2 and out == ""
+        assert err.startswith(f"wspan: error: {records}:3: {msg}") and "Traceback" not in err
+
+
+def test_bench_rejects_bad_corpus_and_jobs(capsys, tmp_path):
+    corpus = tmp_path / "corpus.json"
+    out_file = tmp_path / "r.jsonl"
+    for entries, msg in (
+        ({"family": "gnp"}, f"{corpus}: expected a JSON list of generator specs, got dict"),
+        ([{"family": "path", "n": 4}, {"family": "path", "n": 4, "bogus": 1}], f"{corpus}: entry 1: unknown field 'bogus'"),
+        (["path"], f"{corpus}: entry 0: expected a JSON object, got str"),
+        ([{"n": 4}], f"{corpus}: entry 0: missing field 'family'"),
+    ):
+        corpus.write_text(json.dumps(entries))
+        code, out, err = run(capsys, "bench", "--corpus", str(corpus), "--algos", "6w:1", "--out", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err == f"wspan: error: {msg}\n"
+    corpus.write_text(json.dumps([{"family": "path", "n": 4}]))
+    for jobs in ("0", "-1"):
+        code, out, err = run(
+            capsys, "bench", "--corpus", str(corpus), "--algos", "6w:1", "--out", str(out_file), "--jobs", jobs
+        )
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err == f"wspan: error: jobs must be >= 1, got {jobs}\n"

@@ -135,3 +135,15 @@ def test_jsonl_round_trip(tmp_path):
     p = tmp_path / "r.jsonl"
     write_jsonl(rows, p)
     assert read_jsonl(p) == rows
+
+
+def test_jsonl_errors_name_the_file_and_line(tmp_path):
+    p = tmp_path / "r.jsonl"
+    for text, where in (
+        ('{"a": 1, "b": 2}\n\n{"a": \n', r"r\.jsonl:3: invalid JSON: Expecting value at column 7"),
+        ('{"a": 1, "b": 2}\n[1, 2]\n', r"r\.jsonl:2: expected a JSON object, got list"),
+        ('{"a": 1, "b": 2}\n{"a": 2}\n', r"r\.jsonl:2: record has no 'b'"),
+    ):
+        p.write_text(text)
+        with pytest.raises(GraphFormatError, match=where):
+            read_jsonl(p, keys=("a", "b"))

@@ -27,7 +27,14 @@ from wspan.algos import ALGOS
 from wspan.shortest import _BLOCK_BYTES
 from wspan.verify import REL_TOL, Violation
 
-from conftest import brute_force_apsp, forbid_full_index, minimax_path_weight, small_graphs, sparse_800
+from conftest import (
+    brute_force_apsp,
+    forbid_full_index,
+    minimax_path_weight,
+    mixed_graphs,
+    small_graphs,
+    sparse_800,
+)
 
 
 def triangle_heavy():
@@ -110,11 +117,11 @@ def test_pair_class_out_of_range_rejected():
         verify_additive_W(g, g, 1.0, pair_class=[0, 999])
 
 
-def full_matrix_report(idx, dh: np.ndarray, bound, pairs, additive=True) -> tuple[list, int, float]:
+def full_matrix_report(idx, dh: np.ndarray, bound, pairs) -> tuple[list, int, float]:
     """(violations, pairs checked, max slack ratio) of d_H <= bound(d_G, W),
     pair by pair over full n x n matrices, in the verifier's order:
     unreachable pairs first, then bound violations, each by (u, v).  The
-    slack ratio is (d_H - d_G) / W when additive, else d_H / d_G."""
+    slack ratio is (d_H - d_G) / W."""
     unreachable, over, ratios = [], [], []
     checked = 0
     for u, v in pairs:
@@ -128,7 +135,7 @@ def full_matrix_report(idx, dh: np.ndarray, bound, pairs, additive=True) -> tupl
         b = bound(dg, w)
         if d - b > REL_TOL * max(1.0, abs(b)):
             over.append(Violation(u, v, dg, d, w, d - b))
-        ratios.append((d - dg) / w if additive else d / dg)
+        ratios.append((d - dg) / w)
     return unreachable + over, checked, max(ratios) if ratios else math.nan
 
 
@@ -140,7 +147,6 @@ def test_subset_report_matches_full_matrix_reference(g, data):
     h = g.subgraph([k for k, keep in zip(keys, kept) if keep])
     S = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n), label="S")
     c = data.draw(st.sampled_from([0.0, 0.5, 2.0]), label="c")
-    alpha = data.draw(st.sampled_from([1.0, 1.5, 3.0]), label="alpha")
     rows = data.draw(st.sampled_from([1, 2, 3, None]), label="sources per block")
     idx = build_index(g)
     dh = brute_force_apsp(h)
@@ -154,13 +160,7 @@ def test_subset_report_matches_full_matrix_reference(g, data):
         if rows is not None:
             mp.setattr(wspan.verify, "_sweep_rows", lambda n: rows)
         reports = [verify_additive_W(g, h, c, pair_class=p, idx=given) for p, _, given in cases]
-        reports += [verify_multiplicative(g, h, alpha, idx=given) for given in (idx, None)]
     expected = [full_matrix_report(idx, dh, additive, pairs) for _, pairs, _ in cases]
-    expected += 2 * [
-        full_matrix_report(
-            idx, dh, lambda dg, w: alpha * dg, itertools.combinations(range(g.n), 2), additive=False
-        )
-    ]
     for rep, (violations, checked, ratio) in zip(reports, expected):
         assert rep.violations == violations
         assert rep.pairs_checked == checked
@@ -311,6 +311,86 @@ def test_multiplicative_check_reads_no_w(monkeypatch, medium_grid):
         if given is None:
             hit = sorted({v.u for v in reports[1].violations})
             assert sorted(s for r in rows for s in r) == hit
+
+
+def pairwise_multiplicative(idx, dh: np.ndarray, alpha: float) -> tuple[dict, float]:
+    """({(u, v): violation}, max d_H / d_G) of d_H <= alpha * d_G, pair by
+    pair over full n x n matrices; the ratio over the pairs H connects."""
+    bad, ratios = {}, []
+    for u, v in itertools.combinations(range(len(dh)), 2):
+        dg, w, d = float(idx.dist[u, v]), float(idx.W[u, v]), float(dh[u, v])
+        if not math.isfinite(dg):
+            continue
+        if not math.isfinite(d):
+            bad[u, v] = Violation(u, v, dg, math.inf, w, math.inf, "unreachable")
+            continue
+        if d - alpha * dg > REL_TOL * max(1.0, alpha * dg):
+            bad[u, v] = Violation(u, v, dg, d, w, d - alpha * dg)
+        ratios.append(d / dg)
+    return bad, max(ratios, default=math.nan)
+
+
+@st.composite
+def multiplicative_candidates(draw):
+    """(G, H): G a union of one or two small graphs, each with its own
+    weight set (unit, integer, decimal or continuous), so possibly
+    disconnected; H a random subgraph of G, an emulator output, a greedy
+    multiplicative spanner or a copy of G."""
+    g = draw(mixed_graphs())
+    kind = draw(st.sampled_from(["subgraph", "emulator", "greedy", "copy"]))
+    if kind == "subgraph":
+        keys = sorted(g.edge_keys())
+        kept = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+        h = g.subgraph([k for k, keep in zip(keys, kept) if keep])
+    elif kind == "emulator":
+        h = build_4w_emulator(g, seed=draw(st.integers(0, 3))).to_graph()
+    elif kind == "greedy":
+        h = greedy_multiplicative(g, draw(st.integers(1, 3))).to_graph(g)
+    else:
+        h = WeightedGraph(g.n, g.edge_items())
+    return g, h
+
+
+@settings(max_examples=200, deadline=None)
+@given(multiplicative_candidates(), st.sampled_from([1.0, 1.5, 3.0, 5.0]), st.integers(1, 3), st.booleans())
+def test_edgewise_multiplicative_matches_pairwise_reference(gh, alpha, rows, indexed):
+    g, h = gh
+    idx = build_index(g)
+    dh = wspan.shortest.distance_matrix(h.csr())
+    bad, ratio = pairwise_multiplicative(idx, dh, alpha)
+    searched = []
+    real = wspan.shortest._sp_dijkstra
+
+    def dijkstra(csr, *args, **kwargs):
+        searched.append(csr)
+        return real(csr, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        # H's searches and G's rows of the failing edges' tails, `rows` sources at a time
+        mp.setattr(wspan.shortest, "_sweep_rows", lambda n: rows)
+        mp.setattr(wspan.verify, "_sweep_rows", lambda n: rows)
+        mp.setattr(wspan.shortest, "_sp_dijkstra", dijkstra)
+        rep = verify_multiplicative(g, h, alpha, idx=idx if indexed else None)
+    assert rep.passed == (not bad)
+    assert rep.pairs_checked == g.m
+    if rep.passed:
+        assert all(csr is not g.csr() for csr in searched)  # G's edges alone
+    for viol in rep.violations:
+        ref = bad[viol.u, viol.v]
+        assert g.has_edge(viol.u, viol.v) and viol.kind == ref.kind
+        assert (viol.d_g, viol.d_h, viol.w_heavy, viol.slack) == (ref.d_g, ref.d_h, ref.w_heavy, ref.slack)
+    if np.isfinite(dh[np.isfinite(idx.dist)]).all():  # H connects every pair G does
+        assert rep.max_slack_ratio == ratio or (math.isnan(rep.max_slack_ratio) and math.isnan(ratio))
+    else:
+        assert math.isnan(rep.max_slack_ratio) or rep.max_slack_ratio <= ratio
+
+
+def test_multiplicative_tolerance_applies_per_edge():
+    # 0.1 + 0.2 rounds above 0.3: within the tolerance of the edge (0, 2)
+    g = WeightedGraph(3, [(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3)])
+    rep = verify_multiplicative(g, g.subgraph({(0, 1), (1, 2)}), 1.0)
+    assert rep.passed and rep.pairs_checked == 3
+    assert rep.max_slack_ratio == (0.1 + 0.2) / 0.3 > 1.0
 
 
 def test_multiplicative_rejects_alpha_below_one():
