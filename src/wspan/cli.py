@@ -206,7 +206,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    records = read_jsonl(args.records, keys=("algo", "n", "m_out", "verify_pass"))
+    records = read_jsonl(args.records, keys={"algo": str, "n": int, "m_out": int, "verify_pass": bool})
     if args.algo:
         records = [r for r in records if r["algo"] == args.algo]
     by_algo: dict[str, dict[int, list[dict]]] = defaultdict(lambda: defaultdict(list))

@@ -7,9 +7,11 @@ level's random sample D_i.  Low-degree vertices keep everything.  Shortest
 path trees rooted at every sampled vertex over the level's surviving edges
 (plus the pivot edges) repair every pair whose shortest path lost an edge at
 this level, at an additive cost of twice the heaviest path edge.  Whatever
-survives all levels is small enough to dump wholesale.  Every level's
-pivots and bunches are masks over one sort of the incident edges by
-(vertex, weight, neighbor id).
+survives all levels is small enough to dump wholesale.  Pivots are found
+in one sort of the incident edges by (vertex, weight, neighbor id).  Every
+edge set, a level's pivot edges, its surviving edges and its trees, is a
+boolean mask over g.edge_arrays(); a level's Dijkstra runs on graph_csr of
+the masked arrays, and only the result becomes a set of edge keys.
 
 The proof needs from each sampled root only exact distances over its level's
 edges, so each tree is whichever shortest-path tree Dijkstra builds; the
@@ -24,32 +26,30 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .graph import WeightedGraph, edge_key_set
+from .graph import WeightedGraph, edge_key_set, graph_csr
 from .greedy import SpannerResult
-
-EdgeSet = set[tuple[int, int]]
 
 
 @dataclass
 class LevelStructure:
-    """Sampled level data: thresholds, samples and edge sets.
+    """Sampled level data: thresholds, samples and edge masks.
 
     Lists are indexed by level 0..k (level 0 is empty by convention since
     s_0 = n exceeds every degree): v_sizes[i] counts the vertices of degree
     >= s_i, D[i] is the sample and estar[i] the pivot edges.  E maps level i
-    in [1, k+1] to the edge set surviving into that level.
+    in [1, k+1] to the edges surviving into that level.  Each edge set is a
+    boolean mask over g.edge_arrays().
     """
 
     k: int
     s: list[float]
     v_sizes: list[int]
     D: list[frozenset[int]]
-    estar: list[EdgeSet]
-    E: dict[int, EdgeSet]
-    rng_seed: int
-    c: float
+    estar: list[np.ndarray]
+    E: dict[int, np.ndarray]
 
     def level_sizes(self) -> list[dict]:
         return [
@@ -58,10 +58,10 @@ class LevelStructure:
                 "s": self.s[i],
                 "v_size": self.v_sizes[i],
                 "d_size": len(self.D[i]),
-                "e_size": len(self.E.get(i, ())) if i >= 1 else None,
+                "e_size": int(np.count_nonzero(self.E[i])) if i >= 1 else None,
             }
             for i in range(self.k + 1)
-        ] + [{"level": self.k + 1, "e_size": len(self.E[self.k + 1])}]
+        ] + [{"level": self.k + 1, "e_size": int(np.count_nonzero(self.E[self.k + 1]))}]
 
 
 def sample_levels(g: WeightedGraph, c: float, seed: int) -> LevelStructure:
@@ -82,43 +82,48 @@ def sample_levels(g: WeightedGraph, c: float, seed: int) -> LevelStructure:
     k = max(0, math.ceil(0.5 * math.log2(n))) if n >= 2 else 0
     s = [n / 2.0**i for i in range(k + 1)]
     deg = np.diff(g.csr().indptr)
-    tail, head, w = g.incident_by_weight()
+    tail, head, wt = g.incident_by_weight()
+    a, b, w = g.edge_arrays()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     D: list[frozenset[int]] = [frozenset()]
-    estar: list[EdgeSet] = [set()]
-    E: dict[int, EdgeSet] = {1: g.edge_keys()}
+    estar = [np.zeros(len(w), dtype=bool)]
+    E = {1: np.ones(len(w), dtype=bool)}
     for i in range(1, k + 1):
         in_d = rng.random(n) < min(1.0, c * math.log2(n) / s[i])
         D.append(frozenset(np.flatnonzero(in_d).tolist()))
         hits = np.flatnonzero(in_d[head] & (deg[tail] >= s[i]))
         # entries are grouped by tail, so a tail's first hit is its pivot edge
         piv = hits[np.diff(tail[hits], prepend=-1) != 0]
-        estar.append(edge_key_set(tail[piv], head[piv]))
+        pivots = np.zeros(len(w), dtype=bool)
+        pivots[g.edge_ids(tail[piv], head[piv])] = True
+        estar.append(pivots)
         cutoff = np.full(n, math.inf)
-        cutoff[tail[piv]] = w[piv]
-        bunch = w < cutoff[tail]
-        E[i + 1] = edge_key_set(tail[bunch], head[bunch])
+        cutoff[tail[piv]] = wt[piv]
+        # an edge is in a bunch when it is lighter than either end's pivot edge
+        E[i + 1] = (w < cutoff[a]) | (w < cutoff[b])
     v_sizes = [int(np.count_nonzero(deg >= si)) for si in s]
-    return LevelStructure(k=k, s=s, v_sizes=v_sizes, D=D, estar=estar, E=E, rng_seed=seed, c=c)
+    return LevelStructure(k=k, s=s, v_sizes=v_sizes, D=D, estar=estar, E=E)
 
 
-def _spt_edges(g: WeightedGraph, roots: list[int]) -> EdgeSet:
-    """Union of shortest-path-tree edges of g over the given roots.
+def _spt_edges(g: WeightedGraph, level: csr_matrix, roots: list[int]) -> np.ndarray:
+    """Mask over g.edge_arrays() of the union of shortest-path-tree edges
+    over the given roots, in the subgraph of g whose CSR is level.
 
     Each root's tree is Dijkstra's own predecessor tree, from one scipy call
-    over g's CSR.  Where no distance from a root ties, it is the only
+    over that CSR.  Where no distance from a root ties, it is the only
     shortest-path tree.
     """
+    tree = np.zeros(g.m, dtype=bool)
     if not roots:
-        return set()
-    _, parent = dijkstra(g.csr(), directed=True, indices=roots, return_predecessors=True)
+        return tree
+    _, parent = dijkstra(level, directed=True, indices=roots, return_predecessors=True)
     # each vertex's distinct parents, found down its column without a k x n index array;
     # scipy marks the root and unreachable vertices with -9999
     parent.sort(axis=0)
     fresh = parent >= 0
     fresh[1:] &= parent[1:] != parent[:-1]
-    u = parent[fresh].astype(np.int64)
-    return edge_key_set(u, np.nonzero(fresh)[1])
+    tree[g.edge_ids(parent[fresh], np.nonzero(fresh)[1])] = True
+    return tree
 
 
 def build_fast_2w(g: WeightedGraph, c: float = 4.0, seed: int = 0) -> SpannerResult:
@@ -131,21 +136,22 @@ def build_fast_2w(g: WeightedGraph, c: float = 4.0, seed: int = 0) -> SpannerRes
     given scipy; the stretch bound holds with high probability in c.
     """
     ls = sample_levels(g, c, seed)
-    edges: EdgeSet = set()
+    a, b, w = g.edge_arrays()
+    kept = ls.E[ls.k + 1].copy()
     per_level_tree_edges = []
     for i in range(1, ls.k + 1):
-        tree = _spt_edges(g.subgraph(ls.E[i] | ls.estar[i]), sorted(ls.D[i]))
-        per_level_tree_edges.append(len(tree))
-        edges |= tree
-    edges |= ls.E[ls.k + 1]
+        level = ls.E[i] | ls.estar[i]
+        tree = _spt_edges(g, graph_csr(g.n, a[level], b[level], w[level]), sorted(ls.D[i]))
+        per_level_tree_edges.append(int(np.count_nonzero(tree)))
+        kept |= tree
     return SpannerResult(
-        edges=edges,
+        edges=edge_key_set(a[kept], b[kept]),
         params={"algo": "fast2w", "c": c, "seed": seed, "k": ls.k},
         stats={
             "levels": ls.level_sizes(),
             "phase_edge_counts": {
                 "spt_trees": per_level_tree_edges,
-                "final_dump": len(ls.E[ls.k + 1]),
+                "final_dump": int(np.count_nonzero(ls.E[ls.k + 1])),
             },
         },
     )

@@ -47,16 +47,32 @@ class GenSpec:
     @staticmethod
     def from_dict(d: dict) -> "GenSpec":
         """The spec of a JSON object; ValueError naming a field it does not
-        know or lacks."""
+        know or lacks, or whose value is not of the field's type.  A float
+        field also takes an integer, an optional field null, and a bool is no
+        number."""
         if not isinstance(d, dict):
             raise ValueError(f"expected a JSON object, got {type(d).__name__}")
-        known = {f.name for f in fields(GenSpec)}
+        known = {f.name: f.type for f in fields(GenSpec)}
         for key in d:
             if key not in known:
                 raise ValueError(f"unknown field {key!r}")
         for key in ("family", "n"):
             if key not in d:
                 raise ValueError(f"missing field {key!r}")
+        for key, value in d.items():
+            # the annotations are strings: "int", "float | None", ...
+            kind, _, optional = known[key].partition(" | ")
+            if value is None and optional:
+                continue
+            number = not isinstance(value, bool) and isinstance(value, numbers.Real)
+            ok = {
+                "str": isinstance(value, str),
+                "int": number and isinstance(value, numbers.Integral),
+                "float": number,
+                "bool": isinstance(value, bool),
+            }[kind]
+            if not ok:
+                raise ValueError(f"field {key!r} must be {kind}, got {value!r}")
         return GenSpec(**d)
 
 
@@ -189,8 +205,8 @@ def generate(spec: GenSpec) -> WeightedGraph:
     if spec.wmodel not in WEIGHT_MODELS:
         raise ValueError(f"unknown weight model {spec.wmodel!r}")
     wmax = spec.wmax if spec.wmax is not None else DEFAULT_WMAX[spec.wmodel]
-    if wmax < 1.0:
-        raise ValueError(f"wmax must be >= 1, got {wmax}")
+    if not 1.0 <= wmax < math.inf:
+        raise ValueError(f"wmax must be finite and >= 1, got {wmax}")
     vertex_count(spec.n)  # a ValueError, before numpy or range() raise a TypeError
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
 
@@ -198,8 +214,8 @@ def generate(spec: GenSpec) -> WeightedGraph:
         # weights are the euclidean lengths, rescaled so the minimum is 1
         n = spec.n
         r = spec.radius
-        if r is None or r <= 0:
-            raise ValueError(f"geometric needs radius > 0, got {r}")
+        if r is None or not 0 < r < math.inf:
+            raise ValueError(f"geometric needs a finite radius > 0, got {r}")
         pts = rng.random((n, 2))
         iu, iv, lengths = _close_pairs(pts, r)
         edges = []

@@ -8,6 +8,8 @@ This module is the one place that knows how edges are laid out.  The
 validated weight dict serves lookups, equality and subgraphs.  The edge
 arrays sorted by (a, b) and the symmetric CSR matrix, whose rows are the
 neighbor lists in id order, are derived from it on first use and cached.
+The builders hold a subset of a graph's edges as a boolean mask over its
+edge arrays; edge_ids gives the positions of endpoint pairs there.
 """
 
 from __future__ import annotations
@@ -129,6 +131,13 @@ class WeightedGraph:
             self._arrays = arrays
         return self._arrays
 
+    def edge_ids(self, u, v) -> np.ndarray:
+        """Positions in edge_arrays() of the edges {u[i], v[i]}, which must be
+        edges of the graph: a binary search of the codes a*n + b."""
+        a, b, _ = self.edge_arrays()
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        return np.searchsorted(a * self.n + b, np.minimum(u, v) * self.n + np.maximum(u, v))
+
     def csr(self) -> csr_matrix:
         """Symmetric CSR matrix of the edges (graph_csr); callers must not modify it."""
         if self._csr is None:
@@ -154,9 +163,6 @@ class WeightedGraph:
 
     def edge_keys(self) -> set[tuple[int, int]]:
         return set(self._w)
-
-    def weights(self) -> dict[tuple[int, int], float]:
-        return dict(self._w)
 
     def subgraph(self, keys: Iterable[tuple[int, int]]) -> "WeightedGraph":
         """Graph on the same vertex set keeping only the given edge keys."""

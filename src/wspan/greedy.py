@@ -19,7 +19,8 @@ cached estimate meets its threshold is skipped.  The cache starts with H0's
 rows of the candidates' endpoints, the only rows read.  Pairs that still
 look violating get a fresh single-source run (C-speed), so the scan-time
 semantics are exactly "query the current spanner".  The spanner's one edge
-set is the oracle's weight dict.
+set is the oracle's boolean mask over g.edge_arrays(), as in the
+multiplicative greedy; only the result becomes a set of edge keys.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-from .graph import WeightedGraph, edge_key, edge_key_set, graph_csr, subset_vertices
+from .graph import WeightedGraph, edge_key_set, graph_csr, subset_vertices
 from .light import t_light_init
 from .shortest import (
     INF,
@@ -74,17 +75,17 @@ def make_pair_order(pairs: np.ndarray, W: np.ndarray, d: np.ndarray | None = Non
 
 
 class _GrowingDistances:
-    """Distance oracle for an edge set that only grows.
+    """Distance oracle for a subset of G's edges that only grows.
 
-    Cached rows are exact for the version at which they were computed and
-    remain valid upper bounds afterwards.  refresh() recomputes one row
-    against the current edges.  weights, the edge set with its weights, is
-    owned by the oracle and grows with add_edge.
+    The subset is kept, a boolean mask over g.edge_arrays() that the oracle
+    owns and add_path grows.  Cached rows are exact for the version at which
+    they were computed and remain valid upper bounds afterwards.  refresh()
+    recomputes one row against the current edges.
     """
 
-    def __init__(self, n: int, weights: dict[tuple[int, int], float]):
-        self.n = n
-        self.weights = weights
+    def __init__(self, g: WeightedGraph, kept: np.ndarray):
+        self.g = g
+        self.kept = kept
         self._csr = None
         self._rows: dict[int, np.ndarray] = {}
 
@@ -96,18 +97,19 @@ class _GrowingDistances:
 
     def _matrix(self):
         if self._csr is None:
-            ab = np.array(list(self.weights), dtype=np.int64).reshape(-1, 2)
-            w = np.fromiter(self.weights.values(), dtype=np.float64, count=len(ab))
-            self._csr = graph_csr(self.n, ab[:, 0], ab[:, 1], w)
+            a, b, w = self.g.edge_arrays()
+            k = self.kept
+            self._csr = graph_csr(self.g.n, a[k], b[k], w[k])
         return self._csr
 
-    def add_edge(self, u: int, v: int, w: float) -> bool:
-        key = edge_key(u, v)
-        if key in self.weights:
-            return False
-        self.weights[key] = w
-        self._csr = None
-        return True
+    def add_path(self, seq: list[int]) -> int:
+        """Add the edges of the vertex path seq; returns how many were new."""
+        ids = self.g.edge_ids(seq[:-1], seq[1:])
+        new = int(np.count_nonzero(~self.kept[ids]))
+        if new:
+            self.kept[ids] = True
+            self._csr = None
+        return new
 
     def upper(self, u: int, v: int) -> float:
         """Best known upper bound on the current distance between u and v."""
@@ -146,11 +148,10 @@ def _buy_paths(
         row = oracle.refresh(u)
         if row[v] <= t:
             continue
-        seq = path_vertices(g, u, v)
-        for a, b in zip(seq, seq[1:]):
-            added += oracle.add_edge(a, b, g.weight(a, b))
+        added += oracle.add_path(path_vertices(g, u, v))
         bought.append((u, v))
-    return set(oracle.weights), bought, added
+    a, b, _ = g.edge_arrays()
+    return edge_key_set(a[oracle.kept], b[oracle.kept]), bought, added
 
 
 def _path_buying(
@@ -168,7 +169,10 @@ def _path_buying(
     disconnected pairs drop out.  The order key is (W, d, u, v) when
     by_dist, else (W, u, v).
     """
-    oracle = _GrowingDistances(g.n, {k: g.weight(*k) for k in start})
+    ab = np.array(list(start), dtype=np.int64).reshape(-1, 2)
+    kept = np.zeros(g.m, dtype=bool)
+    kept[g.edge_ids(ab[:, 0], ab[:, 1])] = True
+    oracle = _GrowingDistances(g, kept)
     h0 = oracle._matrix()  # the oracle's own CSR, built once
     cols = np.asarray(S, dtype=np.int64)
     found = [np.zeros((0, 2), dtype=np.int64)]

@@ -140,9 +140,10 @@ def write_jsonl(records: list[dict], path: str | Path) -> None:
     Path(path).write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
 
-def read_jsonl(path: str | Path, keys: tuple[str, ...] = ()) -> list[dict]:
+def read_jsonl(path: str | Path, keys: dict[str, type] | None = None) -> list[dict]:
     """One JSON object per nonblank line.  A line that is not valid JSON, is
-    not an object, or lacks one of keys is rejected with its line number."""
+    not an object, lacks one of keys or holds a value not of its key's type
+    is rejected with its line number; a bool is no int."""
     path = Path(path)
     out = []
     for lineno, ln in enumerate(path.read_text().splitlines(), start=1):
@@ -154,8 +155,11 @@ def read_jsonl(path: str | Path, keys: tuple[str, ...] = ()) -> list[dict]:
             _fail(path, lineno, f"invalid JSON: {exc.msg} at column {exc.colno}")
         if not isinstance(rec, dict):
             _fail(path, lineno, f"expected a JSON object, got {type(rec).__name__}")
-        for key in keys:
+        for key, kind in (keys or {}).items():
             if key not in rec:
                 _fail(path, lineno, f"record has no {key!r}")
+            value = rec[key]
+            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+                _fail(path, lineno, f"record's {key!r} must be {kind.__name__}, got {value!r}")
         out.append(rec)
     return out

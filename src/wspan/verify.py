@@ -225,8 +225,7 @@ def verify_subgraph(g: WeightedGraph, h: WeightedGraph) -> bool:
     """True iff every edge of h exists in g with an identical weight."""
     if h.n != g.n:
         return False
-    gw = g.weights()
-    return all(gw.get(k) == w for k, w in h.weights().items())
+    return all(g.has_edge(u, v) and g.weight(u, v) == w for u, v, w in h.edge_items())
 
 
 def verify_non_contracting(

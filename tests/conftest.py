@@ -6,7 +6,8 @@ canonical-path rule, rebuild-from-scratch simulations of the greedy
 multiplicative spanner (by Floyd-Warshall, and by one scipy search per edge
 in greedy_mult_reference) and of path buying, and per-vertex loops for the
 light selections and the +2W levels.  They read a graph only through
-edge_items().
+edge_items(), and so does mask_keys, which turns the builders' edge masks
+into key sets for comparison with them.
 Expected values in the tests are computed by these, never by the code under
 test.  minimax_path_weight is a cross-check rather than an oracle: it reads
 the distances of the index it is given.  canonical_paths is no oracle
@@ -49,6 +50,12 @@ def light_selections(g: WeightedGraph, t: int) -> list[list[int]]:
 def light_kept_edges(g: WeightedGraph, t: int) -> set[tuple[int, int]]:
     """Union over both endpoints of the light selections."""
     return {(min(u, v), max(u, v)) for u, sel in enumerate(light_selections(g, t)) for v in sel}
+
+
+def mask_keys(g: WeightedGraph, mask: np.ndarray) -> set[tuple[int, int]]:
+    """Keys (u, v) of the edges a boolean mask over g's edge arrays selects."""
+    assert mask.dtype == bool and mask.shape == (g.m,)
+    return {(u, v) for (u, v, _), keep in zip(g.edge_items(), mask.tolist()) if keep}
 
 
 def levels_reference(g: WeightedGraph, c: float, seed: int):

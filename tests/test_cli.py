@@ -160,6 +160,22 @@ def test_non_finite_build_parameters_are_exit_2(capsys, tmp_path):
         assert err.startswith("wspan: error:") and "must be finite" in err, flags
 
 
+def test_non_finite_generate_parameters_are_exit_2(capsys, tmp_path):
+    out_path = tmp_path / "g.txt"
+    cases = [
+        (["--family", "geometric", "--radius", "nan"], "radius"),
+        (["--family", "geometric", "--radius", "inf"], "radius"),
+        (["--family", "gnp", "--p", "0.3", "--wmodel", "uniform", "--wmax", "nan"], "wmax"),
+        (["--family", "gnp", "--p", "0.3", "--wmodel", "uniform", "--wmax", "inf"], "wmax"),
+        (["--family", "gnp", "--p", "0.3", "--wmodel", "exp-spread", "--wmax", "nan"], "wmax"),
+        (["--family", "gnp", "--p", "0.3", "--wmodel", "exp-spread", "--wmax", "inf"], "wmax"),
+    ]
+    for flags, name in cases:
+        code, out, err = run(capsys, "generate", "--n", "10", *flags, "-o", str(out_path))
+        assert code == 2 and out == "" and not out_path.exists(), flags
+        assert err.startswith("wspan: error:") and name in err and "finite" in err, flags
+
+
 def test_build_emulator_and_verify(capsys, tmp_path, monkeypatch):
     graph, _ = gen_graph(capsys, tmp_path, n=40, p=0.4)
     out_path = tmp_path / "emu.txt"
@@ -252,7 +268,7 @@ def test_non_integer_vertex_count_is_exit_2(capsys, tmp_path):
         capsys, "bench", "--corpus", str(corpus), "--algos", "6w:1", "--out", str(tmp_path / "r.jsonl")
     )
     assert code == 2 and out == ""
-    assert err == "wspan: error: vertex count must be an integer, got 2.5\n"
+    assert err == f"wspan: error: {corpus}: entry 0: field 'n' must be int, got 2.5\n"
 
 
 def test_grid_vertex_count_mismatch_is_exit_2(capsys, tmp_path):
@@ -500,6 +516,10 @@ def test_stats_rejects_bad_records_with_their_line(capsys, tmp_path):
         (json.dumps({"algo": "6w", "n": 8, "verify_pass": True}), "record has no 'm_out'"),
         ("[1, 2]", "expected a JSON object, got list"),
         ('{"algo": ', "invalid JSON"),
+        (json.dumps({"algo": "6w", "n": 8, "m_out": "x", "verify_pass": True}), "record's 'm_out' must be int, got 'x'"),
+        (json.dumps({"algo": "6w", "n": True, "m_out": 9, "verify_pass": True}), "record's 'n' must be int, got True"),
+        (json.dumps({"algo": 6, "n": 8, "m_out": 9, "verify_pass": True}), "record's 'algo' must be str, got 6"),
+        (json.dumps({"algo": "6w", "n": 8, "m_out": 9, "verify_pass": 1}), "record's 'verify_pass' must be bool, got 1"),
     ):
         records.write_text(f"{good}\n\n{line}\n")
         code, out, err = run(capsys, "stats", "--records", str(records))
@@ -515,6 +535,11 @@ def test_bench_rejects_bad_corpus_and_jobs(capsys, tmp_path):
         ([{"family": "path", "n": 4}, {"family": "path", "n": 4, "bogus": 1}], f"{corpus}: entry 1: unknown field 'bogus'"),
         (["path"], f"{corpus}: entry 0: expected a JSON object, got str"),
         ([{"n": 4}], f"{corpus}: entry 0: missing field 'family'"),
+        ([{"family": "gnp", "n": 8, "p": "x"}], f"{corpus}: entry 0: field 'p' must be float, got 'x'"),
+        ([{"family": "gnp", "n": 8, "p": 0.5, "seed": 1.5}], f"{corpus}: entry 0: field 'seed' must be int, got 1.5"),
+        ([{"family": "path", "n": 4, "keep_lcc": "yes"}], f"{corpus}: entry 0: field 'keep_lcc' must be bool, got 'yes'"),
+        ([{"family": "path", "n": "8"}], f"{corpus}: entry 0: field 'n' must be int, got '8'"),
+        ([{"family": "path", "n": 4, "wmodel": None}], f"{corpus}: entry 0: field 'wmodel' must be str, got None"),
     ):
         corpus.write_text(json.dumps(entries))
         code, out, err = run(capsys, "bench", "--corpus", str(corpus), "--algos", "6w:1", "--out", str(out_file))

@@ -1,12 +1,29 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wspan import GenSpec, WeightedGraph, build_4w_emulator, build_index, generate
 from wspan import graph
 from wspan.algos import ALGOS
 
 from conftest import small_graphs
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_graphs(), st.data())
+def test_edge_ids_round_trip(g, data):
+    a, b, _ = g.edge_arrays()
+    every = np.arange(g.m)
+    assert np.array_equal(g.edge_ids(a, b), every)
+    assert np.array_equal(g.edge_ids(b, a), every)
+    # any edges, in any order, as Python ints with either endpoint first
+    ids = data.draw(st.lists(st.integers(0, g.m - 1), max_size=2 * g.m) if g.m else st.just([]))
+    flip = data.draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+    items = g.edge_items()
+    ends = [items[i][1::-1] if f else items[i][:2] for i, f in zip(ids, flip)]
+    got = g.edge_ids([u for u, _ in ends], [v for _, v in ends])
+    assert got.tolist() == ids
 
 
 def test_rejects_self_loop():

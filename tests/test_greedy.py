@@ -13,6 +13,7 @@ from wspan import (
     GenSpec,
     WeightedGraph,
     build_6eps_spanner,
+    build_fast_2w,
     build_index,
     build_poly_spanner,
     build_subsetwise_spanner,
@@ -519,6 +520,22 @@ def test_builders_without_index_build_no_full_index(monkeypatch):
     assert rows[:2] == [S[:3], S[3:]]
     # then path_vertices: one source's parent row per bought pair
     assert len(rows) == 2 + len(res.paths_added) and all(len(r) == 1 for r in rows[2:])
+
+
+def test_builders_hold_edge_masks_not_graphs(monkeypatch):
+    # fast2w's levels and path buying's spanner are masks over G's edge arrays:
+    # no subgraph is built and no edge weight is looked up one at a time
+    g = two_cliques(k=9)
+    levels = generate(GenSpec(family="gnp", n=64, p=0.2, wmodel="uniform", seed=3))
+    built, looked_up = [], []
+    init, weight = WeightedGraph.__init__, WeightedGraph.weight
+    monkeypatch.setattr(WeightedGraph, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    monkeypatch.setattr(WeightedGraph, "weight", lambda self, u, v: looked_up.append((u, v)) or weight(self, u, v))
+    fast = build_fast_2w(levels, 4.0, seed=1)
+    bought = [build_6eps_spanner(g, 0.25), build_subsetwise_spanner(g, [1, 4, 10, 13], 0.5)]
+    assert built == [] and looked_up == []
+    assert fast.params["k"] >= 1 and any(fast.stats["phase_edge_counts"]["spt_trees"])
+    assert all(res.paths_added for res in bought)
 
 
 @pytest.mark.parametrize("family", ["geometric", "gnp"])

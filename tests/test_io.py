@@ -143,7 +143,9 @@ def test_jsonl_errors_name_the_file_and_line(tmp_path):
         ('{"a": 1, "b": 2}\n\n{"a": \n', r"r\.jsonl:3: invalid JSON: Expecting value at column 7"),
         ('{"a": 1, "b": 2}\n[1, 2]\n', r"r\.jsonl:2: expected a JSON object, got list"),
         ('{"a": 1, "b": 2}\n{"a": 2}\n', r"r\.jsonl:2: record has no 'b'"),
+        ('{"a": 1, "b": "x"}\n', r"r\.jsonl:1: record's 'b' must be int, got 'x'"),
+        ('{"a": 1, "b": 2}\n{"a": false, "b": 2}\n', r"r\.jsonl:2: record's 'a' must be int, got False"),
     ):
         p.write_text(text)
         with pytest.raises(GraphFormatError, match=where):
-            read_jsonl(p, keys=("a", "b"))
+            read_jsonl(p, keys={"a": int, "b": int})

@@ -30,6 +30,7 @@ from wspan.shortest import (
 from conftest import (
     brute_force_apsp,
     canonical_paths,
+    mask_keys,
     mixed_graphs,
     neighbor_lists,
     oracle_canonical_path,
@@ -544,7 +545,7 @@ def test_fast2w_runs_no_tie_rule_on_tied_roots(monkeypatch):
     g = generate(GenSpec(family="gnp", n=40, p=0.15, wmodel="unit", seed=2))
     ls = sample_levels(g, 4.0, seed=3)
     tied_roots = sum(
-        tied_source(g.subgraph(ls.E[i] | ls.estar[i]), r)
+        tied_source(g.subgraph(mask_keys(g, ls.E[i] | ls.estar[i])), r)
         for i in range(1, ls.k + 1)
         for r in ls.D[i]
     )

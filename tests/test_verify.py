@@ -408,6 +408,10 @@ def test_subgraph_checks():
     assert not verify_subgraph(g, rew)
     extra = WeightedGraph(3, [(0, 1, 1.0)])
     assert verify_subgraph(g, extra)
+    assert not verify_subgraph(g, WeightedGraph(4, [(0, 1, 1.0)]))  # another vertex set
+    assert verify_subgraph(g, WeightedGraph(3, []))
+    triangle = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+    assert not verify_subgraph(extra, triangle)  # edges g lacks
 
 
 # ------------------------------------------------------- non-contracting
