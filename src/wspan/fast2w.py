@@ -10,8 +10,15 @@ this level, at an additive cost of twice the heaviest path edge.  Whatever
 survives all levels is small enough to dump wholesale.  Pivots are found
 in one sort of the incident edges by (vertex, weight, neighbor id).  Every
 edge set, a level's pivot edges, its surviving edges and its trees, is a
-boolean mask over g.edge_arrays(); a level's Dijkstra runs on graph_csr of
-the masked arrays, and only the result becomes a set of edge keys.
+boolean mask over g.edge_arrays(), and only the result becomes a set of
+edge keys.
+
+While s_i exceeds every degree no vertex pivots, so the first levels are
+often all of g.  Levels are therefore grouped by edge set: each distinct
+level graph gets one graph_csr of its masked arrays, and Dijkstra runs once
+from each root sampled at any level of the group, a _sweep_rows block of
+roots at a time, each level taking the rows of its own roots.  Memory is
+O(block * n + k * m).
 
 The proof needs from each sampled root only exact distances over its level's
 edges, so each tree is whichever shortest-path tree Dijkstra builds; the
@@ -29,7 +36,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .graph import WeightedGraph, edge_key_set, graph_csr
+from .graph import WeightedGraph, _sweep_rows, edge_key_set, graph_csr
 from .greedy import SpannerResult
 
 
@@ -105,25 +112,45 @@ def sample_levels(g: WeightedGraph, c: float, seed: int) -> LevelStructure:
     return LevelStructure(k=k, s=s, v_sizes=v_sizes, D=D, estar=estar, E=E)
 
 
-def _spt_edges(g: WeightedGraph, level: csr_matrix, roots: list[int]) -> np.ndarray:
-    """Mask over g.edge_arrays() of the union of shortest-path-tree edges
-    over the given roots, in the subgraph of g whose CSR is level.
-
-    Each root's tree is Dijkstra's own predecessor tree, from one scipy call
-    over that CSR.  Where no distance from a root ties, it is the only
-    shortest-path tree.
-    """
-    tree = np.zeros(g.m, dtype=bool)
-    if not roots:
-        return tree
-    _, parent = dijkstra(level, directed=True, indices=roots, return_predecessors=True)
+def _add_tree_edges(g: WeightedGraph, parent: np.ndarray, tree: np.ndarray) -> None:
+    """Mark in tree, a mask over g.edge_arrays(), the edges of the predecessor
+    rows parent (sorted in place)."""
     # each vertex's distinct parents, found down its column without a k x n index array;
     # scipy marks the root and unreachable vertices with -9999
     parent.sort(axis=0)
     fresh = parent >= 0
     fresh[1:] &= parent[1:] != parent[:-1]
     tree[g.edge_ids(parent[fresh], np.nonzero(fresh)[1])] = True
-    return tree
+
+
+def _level_trees(
+    g: WeightedGraph, level: csr_matrix, samples: list[frozenset[int]]
+) -> tuple[list[np.ndarray], int]:
+    """(trees, roots): per sample, the mask over g.edge_arrays() of the union
+    of shortest-path-tree edges over its vertices as roots, in the subgraph
+    of g whose CSR is level; and the number of distinct roots, each of which
+    Dijkstra ran from once.
+
+    Each root's tree is Dijkstra's own predecessor tree.  scipy computes a
+    root's predecessor row from the CSR and that root alone, so one row
+    serves every sample holding the root.  The roots are taken
+    _sweep_rows(n) at a time, and a block's rows are freed before the next.
+    Where no distance from a root ties, its tree is the only shortest-path
+    tree.
+    """
+    trees = [np.zeros(g.m, dtype=bool) for _ in samples]
+    roots = sorted(frozenset().union(*samples))
+    member = np.zeros((len(samples), g.n), dtype=bool)
+    for j, sample in enumerate(samples):
+        member[j, list(sample)] = True
+    rows = _sweep_rows(g.n)
+    for lo in range(0, len(roots), rows):
+        block = roots[lo : lo + rows]
+        _, parent = dijkstra(level, directed=True, indices=block, return_predecessors=True)
+        for tree, held in zip(trees, member[:, block]):
+            if held.any():
+                _add_tree_edges(g, parent[held], tree)
+    return trees, len(roots)
 
 
 def build_fast_2w(g: WeightedGraph, c: float = 4.0, seed: int = 0) -> SpannerResult:
@@ -132,18 +159,29 @@ def build_fast_2w(g: WeightedGraph, c: float = 4.0, seed: int = 0) -> SpannerRes
     For each level, adds a shortest-path tree rooted at every sampled vertex
     over that level's surviving edges plus pivot edges (Dijkstra's own
     predecessors; no tie rule), then dumps the edges surviving past the last
-    level.  Output is always a subgraph of g, fixed by (g, c, seed) for a
-    given scipy; the stretch bound holds with high probability in c.
+    level.  Levels with equal edge sets share one CSR, and Dijkstra runs once
+    from each vertex sampled at any of them; stats["spt_sources"] counts
+    those runs.  Output is always a subgraph of g, fixed by (g, c, seed) for
+    a given scipy; the stretch bound holds with high probability in c.
     """
     ls = sample_levels(g, c, seed)
     a, b, w = g.edge_arrays()
     kept = ls.E[ls.k + 1].copy()
-    per_level_tree_edges = []
+    # levels by edge set: while s_i exceeds every degree, a level is all of g
+    groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
     for i in range(1, ls.k + 1):
         level = ls.E[i] | ls.estar[i]
-        tree = _spt_edges(g, graph_csr(g.n, a[level], b[level], w[level]), sorted(ls.D[i]))
-        per_level_tree_edges.append(int(np.count_nonzero(tree)))
-        kept |= tree
+        groups.setdefault(level.tobytes(), (level, []))[1].append(i)
+    per_level_tree_edges = [0] * ls.k
+    sources = 0
+    for level, members in groups.values():
+        trees, roots = _level_trees(
+            g, graph_csr(g.n, a[level], b[level], w[level]), [ls.D[i] for i in members]
+        )
+        sources += roots
+        for i, tree in zip(members, trees):
+            per_level_tree_edges[i - 1] = int(np.count_nonzero(tree))
+            kept |= tree
     return SpannerResult(
         edges=edge_key_set(a[kept], b[kept]),
         params={"algo": "fast2w", "c": c, "seed": seed, "k": ls.k},
@@ -153,5 +191,6 @@ def build_fast_2w(g: WeightedGraph, c: float = 4.0, seed: int = 0) -> SpannerRes
                 "spt_trees": per_level_tree_edges,
                 "final_dump": int(np.count_nonzero(ls.E[ls.k + 1])),
             },
+            "spt_sources": sources,
         },
     )

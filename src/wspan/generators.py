@@ -52,28 +52,37 @@ class GenSpec:
         number."""
         if not isinstance(d, dict):
             raise ValueError(f"expected a JSON object, got {type(d).__name__}")
-        known = {f.name: f.type for f in fields(GenSpec)}
         for key in d:
-            if key not in known:
+            if key not in _FIELD_TYPES:
                 raise ValueError(f"unknown field {key!r}")
         for key in ("family", "n"):
             if key not in d:
                 raise ValueError(f"missing field {key!r}")
-        for key, value in d.items():
-            # the annotations are strings: "int", "float | None", ...
-            kind, _, optional = known[key].partition(" | ")
-            if value is None and optional:
-                continue
-            number = not isinstance(value, bool) and isinstance(value, numbers.Real)
-            ok = {
-                "str": isinstance(value, str),
-                "int": number and isinstance(value, numbers.Integral),
-                "float": number,
-                "bool": isinstance(value, bool),
-            }[kind]
-            if not ok:
-                raise ValueError(f"field {key!r} must be {kind}, got {value!r}")
+        _check_types(d)
         return GenSpec(**d)
+
+
+# the annotations are strings: "int", "float | None", ...
+_FIELD_TYPES = {f.name: f.type for f in fields(GenSpec)}
+
+
+def _check_types(d: dict) -> None:
+    """ValueError naming the first field of d whose value is not of the
+    field's type.  A float field also takes an integer, an optional field
+    None, and a bool is no number."""
+    for key, value in d.items():
+        kind, _, optional = _FIELD_TYPES[key].partition(" | ")
+        if value is None and optional:
+            continue
+        number = not isinstance(value, bool) and isinstance(value, numbers.Real)
+        ok = {
+            "str": isinstance(value, str),
+            "int": number and isinstance(value, numbers.Integral),
+            "float": number,
+            "bool": isinstance(value, bool),
+        }[kind]
+        if not ok:
+            raise ValueError(f"field {key!r} must be {kind}, got {value!r}")
 
 
 def _draw_weights(rng: np.random.Generator, count: int, wmodel: str, wmax: float) -> np.ndarray:
@@ -199,15 +208,21 @@ def _structure(spec: GenSpec, rng: np.random.Generator) -> tuple[int, list[tuple
 
 
 def generate(spec: GenSpec) -> WeightedGraph:
-    """Build the graph described by spec.  Pure function of the spec."""
+    """Build the graph described by spec.  Pure function of the spec.
+
+    ValueError for a spec that describes no graph, naming the field whose
+    value is not of its type as GenSpec.from_dict does.
+    """
     if spec.family not in FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}")
     if spec.wmodel not in WEIGHT_MODELS:
         raise ValueError(f"unknown weight model {spec.wmodel!r}")
+    vertex_count(spec.n)  # a ValueError, before numpy or range() raise a TypeError
+    # the same for the other fields; the grid sides have a check of their own
+    _check_types({f: getattr(spec, f) for f in _FIELD_TYPES if f not in ("n", "rows", "cols")})
     wmax = spec.wmax if spec.wmax is not None else DEFAULT_WMAX[spec.wmodel]
     if not 1.0 <= wmax < math.inf:
         raise ValueError(f"wmax must be finite and >= 1, got {wmax}")
-    vertex_count(spec.n)  # a ValueError, before numpy or range() raise a TypeError
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
 
     if spec.family == "geometric":

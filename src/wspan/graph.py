@@ -5,11 +5,16 @@ key (min(u,v), max(u,v)).  Instances are immutable after construction and
 safe to share between threads.
 
 This module is the one place that knows how edges are laid out.  The
-validated weight dict serves lookups, equality and subgraphs.  The edge
+validated weight dict serves lookups and equality.  The edge
 arrays sorted by (a, b) and the symmetric CSR matrix, whose rows are the
 neighbor lists in id order, are derived from it on first use and cached.
 The builders hold a subset of a graph's edges as a boolean mask over its
-edge arrays; edge_ids gives the positions of endpoint pairs there.
+edge arrays; edge_ids gives the positions of endpoint pairs there, and a
+subgraph is cut from those arrays without validating its edges again.
+
+_BLOCK_BYTES is the one budget for the temporaries of work done a block of
+sources at a time (shortest, verify, greedy, fast2w), and _sweep_rows turns
+it into the sources per block of a sweep over a graph's rows.
 """
 
 from __future__ import annotations
@@ -54,6 +59,19 @@ def subset_vertices(subset: Iterable[int], n: int) -> list[int]:
         if not 0 <= s < n:
             raise ValueError(f"subset vertex {s} out of range for n={n}")
     return S
+
+
+# Bytes of temporaries one block of sources may hold: a block or a run of
+# tied sources in shortest's kernels, a _sweep_rows block elsewhere.  Small
+# blocks also keep the block's working set in a core's L2 cache.
+_BLOCK_BYTES = 1 << 20
+
+
+def _sweep_rows(n: int) -> int:
+    """Sources per block of a sweep over a graph's rows (verifier, greedy
+    candidates, fast2w's trees): about 64 bytes per vertex per source (G's
+    and H's rows, their columns, masks)."""
+    return max(1, _BLOCK_BYTES // (64 * max(n, 1)))
 
 
 def graph_csr(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> csr_matrix:
@@ -132,11 +150,17 @@ class WeightedGraph:
         return self._arrays
 
     def edge_ids(self, u, v) -> np.ndarray:
-        """Positions in edge_arrays() of the edges {u[i], v[i]}, which must be
-        edges of the graph: a binary search of the codes a*n + b."""
+        """Positions in edge_arrays() of the edges {u[i], v[i]}: a binary search
+        of the codes a*n + b.  A pair that is no edge gets some position in
+        [0, m], so callers that may pass one compare the endpoints found."""
         a, b, _ = self.edge_arrays()
         u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-        return np.searchsorted(a * self.n + b, np.minimum(u, v) * self.n + np.maximum(u, v))
+        codes = np.minimum(u, v) * self.n + np.maximum(u, v)
+        # searching the codes in sorted order is several times faster
+        order = np.argsort(codes)
+        ids = np.empty(len(codes), dtype=np.intp)
+        ids[order] = np.searchsorted(a * self.n + b, codes[order])
+        return ids
 
     def csr(self) -> csr_matrix:
         """Symmetric CSR matrix of the edges (graph_csr); callers must not modify it."""
@@ -165,8 +189,48 @@ class WeightedGraph:
         return set(self._w)
 
     def subgraph(self, keys: Iterable[tuple[int, int]]) -> "WeightedGraph":
-        """Graph on the same vertex set keeping only the given edge keys."""
-        return WeightedGraph(self.n, [(u, v, self._w[edge_key(u, v)]) for u, v in keys])
+        """Graph on the same vertex set keeping only the given edge keys.
+
+        The result is cut from this graph's validated edge arrays.  The first
+        key, in the given order, that is no edge of this graph raises
+        KeyError, or that repeats an earlier one, in either orientation, the
+        parallel-edge ValueError.
+        """
+        keys = list(keys)
+        uv = np.array(keys) if keys else np.zeros((0, 2), dtype=np.int64)
+        if uv.shape[1:] != (2,) or uv.dtype.kind not in "iu":
+            # keys that are not pairs of integers get __init__'s checks
+            return WeightedGraph(self.n, [(u, v, self._w[edge_key(u, v)]) for u, v in keys])
+        a, b, w = self.edge_arrays()
+        u, v = np.minimum(uv[:, 0], uv[:, 1]), np.maximum(uv[:, 0], uv[:, 1])
+        at = np.minimum(self.edge_ids(u, v), max(self.m - 1, 0))
+        found = (a[at] == u) & (b[at] == v) if self.m else np.zeros(len(keys), dtype=bool)
+        # among keys at one position all but the first are missing or repeated
+        order = np.argsort(at, kind="stable")
+        later = np.zeros(len(keys), dtype=bool)
+        later[order[1:]] = at[order[1:]] == at[order[:-1]]
+        bad = np.flatnonzero(~found | later)
+        if len(bad):
+            key = (int(u[bad[0]]), int(v[bad[0]]))
+            if not found[bad[0]]:
+                raise KeyError(key)
+            raise ValueError(f"parallel edge {key}")
+        keep = np.zeros(self.m, dtype=bool)
+        keep[at] = True
+        return WeightedGraph._from_edge_arrays(self.n, a[keep], b[keep], w[keep])
+
+    @classmethod
+    def _from_edge_arrays(cls, n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> "WeightedGraph":
+        """Graph of edge arrays laid out as edge_arrays() returns them, whose
+        edges are already validated; __init__ is skipped."""
+        g = cls.__new__(cls)
+        g.n = n
+        g._w = dict(zip(zip(a.tolist(), b.tolist()), w.tolist()))
+        for x in (a, b, w):
+            x.flags.writeable = False
+        g._arrays = (a, b, w)
+        g._csr = None
+        return g
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedGraph):

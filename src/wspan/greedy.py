@@ -33,13 +33,12 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-from .graph import WeightedGraph, edge_key_set, graph_csr, subset_vertices
+from .graph import WeightedGraph, _sweep_rows, edge_key_set, graph_csr, subset_vertices
 from .light import t_light_init
 from .shortest import (
     INF,
     ShortestPathIndex,
     _edge_distances,
-    _sweep_rows,
     index_rows,
     path_vertices,
 )

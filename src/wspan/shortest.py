@@ -34,7 +34,7 @@ is the one whose branch below it, with its edge to the vertex, holds the
 smaller edge key; binary-lifting tables answer that for a whole layer in
 one vectorized climb.  Blocks and runs are sized from n, m and the tight
 edges so that the temporaries beyond the returned arrays stay within
-_BLOCK_BYTES (1 MiB).  The CSR and the edge arrays are the graph's own
+graph._BLOCK_BYTES (1 MiB).  The CSR and the edge arrays are the graph's own
 cached layouts (WeightedGraph.csr, edge_arrays).
 
 W rows of a graph whose edges all weigh one w0, as on unit weights, need
@@ -73,7 +73,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order as _sp_bfs
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-from .graph import WeightedGraph
+from .graph import _BLOCK_BYTES, WeightedGraph, _sweep_rows
 
 INF = math.inf
 
@@ -186,12 +186,6 @@ def canonical_tree_from_dist(
     return parent, heavy
 
 
-# Bytes of temporaries one block of sources may hold in _tree_block, and one
-# run of tied sources in _tie_block.  Small blocks also keep the block's
-# working set in a core's L2 cache.
-_BLOCK_BYTES = 1 << 20
-
-
 def _block_rows(n: int, m: int) -> int:
     """Sources per block: the most whose _tree_block temporaries fit _BLOCK_BYTES.
 
@@ -203,12 +197,6 @@ def _block_rows(n: int, m: int) -> int:
     arrays are freed, so ties do not shrink the blocks.
     """
     return max(1, _BLOCK_BYTES // max(1, 26 * m + 64 * n))
-
-
-def _sweep_rows(n: int) -> int:
-    """Sources per block of a sweep over G's rows (verifier, greedy candidates):
-    about 64 bytes per vertex per source (G's and H's rows, their columns, masks)."""
-    return max(1, _BLOCK_BYTES // (64 * max(n, 1)))
 
 
 def _edge_distances(

@@ -4,7 +4,7 @@ Checks take one of two shapes.  The additive bound d_H <= d_G + c * W, on
 all pairs or on S x S, is a sweep: Dijkstra on H from a block of sources at
 a time, compared with the same rows of G's distances and W, read through
 shortest.index_rows (sliced from G's index when one is given).  Blocks are
-sized by shortest._sweep_rows, so a check holds O(block * n) memory beyond H
+sized by graph._sweep_rows, so a check holds O(block * n) memory beyond H
 and any index given.
 
 The other two bounds are local, and are checked on edges.  d_H >= d_G holds
@@ -33,11 +33,10 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import WeightedGraph, subset_vertices
+from .graph import WeightedGraph, _sweep_rows, subset_vertices
 from .shortest import (
     ShortestPathIndex,
     _edge_distances,
-    _sweep_rows,
     distance_matrix,
     index_rows,
 )
@@ -225,7 +224,13 @@ def verify_subgraph(g: WeightedGraph, h: WeightedGraph) -> bool:
     """True iff every edge of h exists in g with an identical weight."""
     if h.n != g.n:
         return False
-    return all(g.has_edge(u, v) and g.weight(u, v) == w for u, v, w in h.edge_items())
+    if not g.m:
+        return not h.m
+    a, b, w = g.edge_arrays()
+    ha, hb, hw = h.edge_arrays()
+    # where an edge of h is no edge of g, the position found holds other endpoints
+    at = np.minimum(g.edge_ids(ha, hb), g.m - 1)
+    return bool(np.array_equal(a[at], ha) and np.array_equal(b[at], hb) and np.array_equal(w[at], hw))
 
 
 def verify_non_contracting(

@@ -5,7 +5,9 @@ code: Floyd-Warshall for distances, exhaustive path enumeration for the
 canonical-path rule, rebuild-from-scratch simulations of the greedy
 multiplicative spanner (by Floyd-Warshall, and by one scipy search per edge
 in greedy_mult_reference) and of path buying, and per-vertex loops for the
-light selections and the +2W levels.  They read a graph only through
+light selections and the +2W levels, and fast2w_reference, which grows the
++2W spanner on those levels with one scipy Dijkstra call per level over all
+of its roots (spt_edges_reference).  They read a graph only through
 edge_items(), and so does mask_keys, which turns the builders' edge masks
 into key sets for comparison with them.
 Expected values in the tests are computed by these, never by the code under
@@ -26,10 +28,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 import wspan.shortest
 from wspan import GenSpec, WeightedGraph, generate
+from wspan.graph import edge_key
 from wspan.shortest import canonical_rows
 
 
@@ -92,6 +96,59 @@ def levels_reference(g: WeightedGraph, c: float, seed: int):
             if v not in pv or w < pv[v][0]
         }
     return D, pivot, estar, E
+
+
+def spt_edges_reference(n: int, weights: dict[tuple[int, int], float], roots: list[int]) -> set:
+    """Keys of the union of scipy's Dijkstra predecessor trees from roots, in
+    one call over the graph of the given edge weights.
+
+    The CSR is laid out as graph_csr lays one out, each edge in both
+    directions and every row sorted by column, so on tied inputs scipy picks
+    the same trees it picks over the package's CSR.
+    """
+    if not roots:
+        return set()
+    tails = [u for u, _ in weights] + [v for _, v in weights]
+    heads = [v for _, v in weights] + [u for u, _ in weights]
+    csr = csr_matrix((list(weights.values()) * 2, (tails, heads)), shape=(n, n))
+    csr.sort_indices()
+    _, parent = dijkstra(csr, directed=True, indices=roots, return_predecessors=True)
+    return {edge_key(p, v) for row in parent.tolist() for v, p in enumerate(row) if p >= 0}
+
+
+def fast2w_reference(g: WeightedGraph, c: float, seed: int):
+    """(edges, stats) of the +2W spanner, with one Dijkstra call per level.
+
+    The levels are those of levels_reference; level i adds the trees that
+    spt_edges_reference grows from all of D_i at once over E_i and its pivot
+    edges, and the edges surviving past level k are kept.  The stats are
+    build_fast_2w's but spt_sources: the level sizes and the edge counts.
+    """
+    n = g.n
+    D, _, estar, E = levels_reference(g, c, seed)
+    k = len(D) - 1
+    weight = {(u, v): w for u, v, w in g.edge_items()}
+    kept, spt_trees = set(E[k + 1]), []
+    for i in range(1, k + 1):
+        tree = spt_edges_reference(n, {e: weight[e] for e in E[i] | estar[i]}, sorted(D[i]))
+        spt_trees.append(len(tree))
+        kept |= tree
+    deg = [len(nb) for nb in neighbor_lists(g)]
+    s = [n / 2.0**i for i in range(k + 1)]
+    levels = [
+        {
+            "level": i,
+            "s": s[i],
+            "v_size": sum(d >= s[i] for d in deg),
+            "d_size": len(D[i]),
+            "e_size": len(E[i]) if i >= 1 else None,
+        }
+        for i in range(k + 1)
+    ] + [{"level": k + 1, "e_size": len(E[k + 1])}]
+    return kept, {
+        "levels": levels,
+        "phase_edge_counts": {"spt_trees": spt_trees, "final_dump": len(E[k + 1])},
+    }
 
 
 def canonical_paths(g: WeightedGraph):

@@ -5,6 +5,7 @@ import pytest
 import wspan.shortest
 from wspan.algos import ALGOS, BOUNDS, parse_algo, parse_bound
 from wspan.bench import run_bench
+from wspan.fast2w import build_fast_2w
 from wspan.cli import _build_parser, main
 from wspan.generators import GenSpec
 from wspan.greedy import greedy_multiplicative
@@ -72,6 +73,18 @@ def test_build_mult_reports_its_searches(capsys, tmp_path):
     res = greedy_multiplicative(read_graph(graph), 2)
     assert stats["searched_edges"] == res.stats["searched_edges"] > 0
     assert stats["m_out"] == res.m
+
+
+def test_build_fast2w_reports_its_dijkstra_sources(capsys, tmp_path):
+    graph, _ = gen_graph(capsys, tmp_path, n=60, p=0.3)
+    out_path = tmp_path / "h2.txt"
+    argv = ["--algo", "fast2w", "--c", "4", "--seed", "3", "--graph", str(graph), "-o", str(out_path)]
+    code, out, _ = run(capsys, "build", *argv)
+    assert code == 0
+    stats = json.loads(out)
+    res = build_fast_2w(read_graph(graph), 4.0, 3)
+    assert stats["spt_sources"] == res.stats["spt_sources"] > 0
+    assert stats["levels"] == res.stats["levels"] and stats["m_out"] == res.m
 
 
 def test_build_subsetwise_with_subset_file(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,15 +17,29 @@ from wspan import (
     verify_additive_W,
     verify_subgraph,
 )
-from wspan.fast2w import _spt_edges
+import wspan.fast2w
+from wspan.fast2w import _level_trees
 from wspan.graph import edge_key
 from wspan.shortest import canonical_rows
 
-from conftest import levels_reference, mask_keys, mixed_graphs, neighbor_lists, tied_source
+from conftest import (
+    fast2w_reference,
+    levels_reference,
+    mask_keys,
+    mixed_graphs,
+    neighbor_lists,
+    spt_edges_reference,
+    tied_source,
+)
 
 
 def gnp(n, p, seed, wmodel="uniform"):
     return generate(GenSpec(family="gnp", n=n, p=p, wmodel=wmodel, seed=seed))
+
+
+def sampled_roots(stats) -> int:
+    """The sum of |D_i| over the levels 1..k."""
+    return sum(level["d_size"] for level in stats["levels"][1:-1])
 
 
 def test_same_seed_same_structure():
@@ -100,7 +115,8 @@ def test_spt_union_keeps_root_distances(g, data):
     everything = data.draw(st.booleans())
     drawn = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
     level = g.subgraph(mask_keys(g, np.array(drawn, dtype=bool) | everything))
-    spt = mask_keys(g, _spt_edges(g, level.csr(), roots))
+    trees, _ = _level_trees(g, level.csr(), [frozenset(roots)])
+    spt = mask_keys(g, trees[0])
     assert spt <= level.edge_keys()
     assert len(spt) <= len(roots) * (g.n - 1)
     # exact distances from every root, inf included, over the union alone
@@ -109,6 +125,90 @@ def test_spt_union_keeps_root_distances(g, data):
         # a tie-free root has one shortest-path tree: the canonical one
         _, parent = canonical_rows(level, roots, parents=True)
         assert spt == {edge_key(v, int(u)) for row in parent for v, u in enumerate(row) if u >= 0}
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=mixed_graphs(), data=st.data())
+def test_level_trees_match_one_dijkstra_call_per_sample(g, data):
+    vertices = st.frozensets(st.integers(min_value=0, max_value=g.n - 1), max_size=g.n)
+    samples = data.draw(st.lists(vertices, min_size=1, max_size=4))
+    drawn = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+    level = g.subgraph(mask_keys(g, np.array(drawn, dtype=bool)))
+    rows = data.draw(st.integers(min_value=1, max_value=4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wspan.fast2w, "_sweep_rows", lambda n: rows)
+        trees, roots = _level_trees(g, level.csr(), samples)
+    weights = {(u, v): w for u, v, w in level.edge_items()}
+    assert [mask_keys(g, t) for t in trees] == [
+        spt_edges_reference(g.n, weights, sorted(sample)) for sample in samples
+    ]
+    assert roots == len(frozenset().union(*samples))
+
+
+@st.composite
+def level_graphs(draw):
+    """Trees, cycles, grids and sparse gnp graphs, whose first levels are all
+    of g since no vertex reaches s_i, and dense gnp graphs, whose levels all
+    differ.  On weighted grids and sparse gnp the levels' tree unions differ."""
+    kind = draw(st.sampled_from(["tree", "cycle", "grid", "sparse-gnp", "dense-gnp"]))
+    wmodel = draw(st.sampled_from(["unit", "uniform"]))
+    seed = draw(st.integers(min_value=0, max_value=1000))
+    if kind == "cycle":
+        n = draw(st.integers(min_value=3, max_value=40))
+        w = draw(st.lists(st.sampled_from([1.0, 2.0, 3.5]), min_size=n, max_size=n))
+        return WeightedGraph(n, [(v, (v + 1) % n, w[v]) for v in range(n)])
+    if kind == "grid":
+        rows, cols = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+        return generate(GenSpec(family="grid", n=rows * cols, rows=rows, cols=cols, wmodel=wmodel, seed=seed))
+    if kind == "tree":
+        return generate(GenSpec(family="tree", n=draw(st.integers(2, 60)), wmodel=wmodel, seed=seed))
+    if kind == "sparse-gnp":
+        n = draw(st.integers(min_value=30, max_value=100))
+        return gnp(n, 4.0 / n, seed, wmodel)
+    n = draw(st.integers(min_value=16, max_value=48))
+    return gnp(n, draw(st.floats(min_value=0.5, max_value=0.9)), seed, wmodel)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=level_graphs(), seed=st.integers(min_value=0, max_value=1000), data=st.data())
+def test_fast2w_matches_per_level_reference(g, seed, data):
+    # small c samples few roots at the first levels, so their tree unions differ
+    c = data.draw(st.sampled_from([1.0, 1.5, 2.0]))
+    rows = data.draw(st.integers(min_value=1, max_value=8))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wspan.fast2w, "_sweep_rows", lambda n: rows)
+        res = build_fast_2w(g, c, seed)
+    edges, stats = fast2w_reference(g, c, seed)
+    sources = res.stats.pop("spt_sources")
+    assert res.edges == edges and res.stats == stats
+    assert sources <= sampled_roots(stats)
+
+
+def test_spt_sources_counts_the_dijkstra_roots(monkeypatch):
+    g = generate(GenSpec(family="grid", n=196, rows=14, cols=14, wmodel="unit", seed=1))
+    roots = []
+    real = wspan.fast2w.dijkstra
+    monkeypatch.setattr(
+        wspan.fast2w, "dijkstra", lambda csr, **kw: roots.append(len(kw["indices"])) or real(csr, **kw)
+    )
+    res = build_fast_2w(g, 4.0, seed=1)
+    # no grid vertex reaches s_i = 196 / 2^i, so every level is the whole grid
+    assert res.stats["spt_sources"] == sum(roots) == g.n < sampled_roots(res.stats)
+
+
+def test_fast2w_peak_stays_below_16_mib():
+    n = 2048
+    g = gnp(n, 2 * math.sqrt(n) / (n - 1), 5)
+    g.edge_arrays(), g.csr()  # the graph's own cached layouts
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build_fast_2w(g, 4.0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # holding every root's distance and predecessor rows at once takes 58 MiB
+    assert peak - base <= 16 << 20
 
 
 def test_rejects_small_c():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -165,6 +166,22 @@ def test_invalid_parameters():
         generate(GenSpec(family="path", n=5, wmodel="zipf"))
     with pytest.raises(ValueError):
         generate(GenSpec(family="path", n=5, wmodel="uniform", wmax=0.5))
+
+
+def test_generate_names_a_field_of_the_wrong_type():
+    # the field check of GenSpec.from_dict, before numpy or a comparison raises TypeError
+    for given, message in (
+        ({"p": "x"}, "field 'p' must be float, got 'x'"),
+        ({"p": 0.5, "seed": 1.5}, "field 'seed' must be int, got 1.5"),
+        ({"p": 0.5, "wmodel": "uniform", "wmax": "9"}, "field 'wmax' must be float, got '9'"),
+        ({"p": 0.5, "keep_lcc": "yes"}, "field 'keep_lcc' must be bool, got 'yes'"),
+        ({"p": True}, "field 'p' must be float, got True"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate(GenSpec(family="gnp", n=8, **given))
+    # numpy scalars are numbers of their field's type
+    spec = GenSpec(family="gnp", n=np.int64(8), p=np.float64(0.5), seed=np.int64(3))
+    assert generate(spec) == generate(GenSpec(family="gnp", n=8, p=0.5, seed=3))
 
 
 def test_spec_round_trips_through_dict():

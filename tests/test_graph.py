@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,43 @@ def test_edge_ids_round_trip(g, data):
     ends = [items[i][1::-1] if f else items[i][:2] for i, f in zip(ids, flip)]
     got = g.edge_ids([u for u, _ in ends], [v for _, v in ends])
     assert got.tolist() == ids
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_graphs(), st.data())
+def test_subgraph_is_cut_from_the_edge_arrays(g, data):
+    items = g.edge_items()
+    chosen = data.draw(st.lists(st.sampled_from(items), unique=True) if items else st.just([]))
+    keys = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v, _ in chosen]
+    h, fresh = g.subgraph(keys), WeightedGraph(g.n, chosen)
+    assert h == fresh and h.edge_keys() == fresh.edge_keys()
+    for x, y in zip(h.edge_arrays(), fresh.edge_arrays()):
+        assert x.dtype == y.dtype and np.array_equal(x, y) and not x.flags.writeable
+    assert np.array_equal(h.csr().toarray(), fresh.csr().toarray())
+    # a pair that is no edge of g raises KeyError, an edge given twice ValueError
+    missing = [p for p in itertools.combinations(range(g.n), 2) if not g.has_edge(*p)]
+    absent = data.draw(st.sampled_from(missing + [(0, 0), (0, g.n), (-1, 1)]))
+    with pytest.raises(KeyError):
+        g.subgraph(keys + [absent])
+    if keys:
+        u, v = keys[data.draw(st.integers(0, len(keys) - 1))]
+        with pytest.raises(ValueError, match="parallel edge"):
+            g.subgraph(keys + [data.draw(st.sampled_from([(u, v), (v, u)]))])
+
+
+def test_subgraph_raises_for_the_first_bad_key():
+    g = WeightedGraph(4, [(0, 1, 1.5), (1, 2, 2.5), (0, 2, 9.0)])
+    with pytest.raises(ValueError, match=r"parallel edge \(0, 1\)"):
+        g.subgraph([(0, 1), (1, 0), (2, 3)])
+    with pytest.raises(KeyError, match=r"\(2, 3\)"):
+        g.subgraph([(3, 2), (0, 1), (1, 0)])
+    # numpy ids are vertex ids; ids that are no integers are no edge keys
+    assert g.subgraph(np.array([[2, 1]])) == WeightedGraph(4, [(1, 2, 2.5)])
+    with pytest.raises(KeyError):
+        g.subgraph([(0, 1), ("1", "2")])
+    with pytest.raises(KeyError):
+        g.subgraph([(0.5, 1)])
+    assert g.subgraph([]) == WeightedGraph(4, []) == WeightedGraph(4, []).subgraph(set())
 
 
 def test_rejects_self_loop():

@@ -528,8 +528,10 @@ def test_builders_hold_edge_masks_not_graphs(monkeypatch):
     g = two_cliques(k=9)
     levels = generate(GenSpec(family="gnp", n=64, p=0.2, wmodel="uniform", seed=3))
     built, looked_up = [], []
-    init, weight = WeightedGraph.__init__, WeightedGraph.weight
+    init, weight, subgraph = WeightedGraph.__init__, WeightedGraph.weight, WeightedGraph.subgraph
     monkeypatch.setattr(WeightedGraph, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    # a subgraph is cut from G's arrays without __init__
+    monkeypatch.setattr(WeightedGraph, "subgraph", lambda self, keys: built.append(keys) or subgraph(self, keys))
     monkeypatch.setattr(WeightedGraph, "weight", lambda self, u, v: looked_up.append((u, v)) or weight(self, u, v))
     fast = build_fast_2w(levels, 4.0, seed=1)
     bought = [build_6eps_spanner(g, 0.25), build_subsetwise_spanner(g, [1, 4, 10, 13], 0.5)]

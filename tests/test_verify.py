@@ -412,6 +412,26 @@ def test_subgraph_checks():
     assert verify_subgraph(g, WeightedGraph(3, []))
     triangle = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     assert not verify_subgraph(extra, triangle)  # edges g lacks
+    # an edge g lacks next to one of g's with the same larger endpoint
+    assert not verify_subgraph(WeightedGraph(6, [(2, 5, 1.0)]), WeightedGraph(6, [(1, 5, 1.0)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=mixed_graphs(), data=st.data())
+def test_subgraph_check_matches_its_per_edge_definition(g, data):
+    # h: some of g's edges, perhaps one reweighted, a pair g lacks, another vertex set
+    keep = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+    edges = [e for e, k in zip(g.edge_items(), keep) if k]
+    if edges and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(edges) - 1))
+        u, v, w = edges[i]
+        edges[i] = (u, v, data.draw(st.sampled_from([w, w + 1.0, w * (1 + 2**-52)])))
+    missing = [p for p in itertools.combinations(range(g.n), 2) if not g.has_edge(*p)]
+    if missing and data.draw(st.booleans()):
+        edges.append((*data.draw(st.sampled_from(missing)), 1.0))
+    h = WeightedGraph(g.n + data.draw(st.sampled_from([0, 0, 1])), edges)
+    expected = h.n == g.n and all(g.has_edge(u, v) and g.weight(u, v) == w for u, v, w in h.edge_items())
+    assert verify_subgraph(g, h) is expected
 
 
 # ------------------------------------------------------- non-contracting
