@@ -16,35 +16,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, edge_key
+from .graph import WeightedGraph
 from .light import t_light_init
 from .shortest import ShortestPathIndex, distance_matrix
 
 
-@dataclass
+@dataclass(eq=False)
 class EmulatorResult:
     """A weighted graph on the input's vertex set, edges tagged by origin.
 
-    edges maps (u, v) with u < v to (weight, tag); tag "g" marks an original
-    graph edge at its original weight, tag "v" a virtual edge weighted with
-    the exact graph distance of its endpoints.
+    The edges are the arrays (a, b, w), a < b, sorted by (a, b); virtual is
+    False for an original graph edge at its original weight and True for a
+    virtual edge weighted with the exact graph distance of its endpoints.
     """
 
     n: int
-    edges: dict[tuple[int, int], tuple[float, str]]
+    a: np.ndarray
+    b: np.ndarray
+    w: np.ndarray
+    virtual: np.ndarray
     S: tuple[int, ...]
     params: dict
 
     @property
+    def edges(self) -> dict[tuple[int, int], tuple[float, str]]:
+        """{(u, v): (weight, tag)}, tag "g" for a graph edge, "v" for a virtual one."""
+        tags = np.where(self.virtual, "v", "g").tolist()
+        return dict(zip(zip(self.a.tolist(), self.b.tolist()), zip(self.w.tolist(), tags)))
+
+    @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.a)
 
     @property
     def virtual_count(self) -> int:
-        return sum(1 for _, tag in self.edges.values() if tag == "v")
+        return int(np.count_nonzero(self.virtual))
 
     def to_graph(self) -> WeightedGraph:
-        return WeightedGraph(self.n, [(u, v, w) for (u, v), (w, _) in self.edges.items()])
+        return WeightedGraph._from_arrays(self.n, self.a, self.b, self.w)
 
 
 def build_4w_emulator(
@@ -63,27 +72,25 @@ def build_4w_emulator(
     if n < 2:
         raise ValueError(f"emulator needs n >= 2, got n={n}")
     t = max(1, math.ceil(2.0 * n ** (1.0 / 3.0) * math.log(n)))
-    edges: dict[tuple[int, int], tuple[float, str]] = {}
-    for u, v in t_light_init(g, t).kept_edges:
-        edges[(u, v)] = (g.weight(u, v), "g")
+    kept = t_light_init(g, t).kept
+    ga, gb, gw = (x[kept] for x in g.edge_arrays())
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    sample = np.nonzero(rng.random(n) < n ** (-1.0 / 3.0))[0].tolist()
+    sample = np.nonzero(rng.random(n) < n ** (-1.0 / 3.0))[0]
     if idx is None:
         dist = distance_matrix(g.csr(), sample)[:, sample]
     else:
         dist = idx.dist[np.ix_(sample, sample)]
-    for i, a in enumerate(sample):
-        for j, b in enumerate(sample[i + 1 :], start=i + 1):
-            d = float(dist[i, j])
-            if not np.isfinite(d):
-                continue
-            key = edge_key(a, b)
-            held = edges.get(key)
-            if held is None or d < held[0]:
-                edges[key] = (d, "v")
-    return EmulatorResult(
-        n=n,
-        edges=edges,
-        S=tuple(sample),
-        params={"algo": "emulator4w", "seed": seed, "t": t, "sample_prob": n ** (-1.0 / 3.0)},
-    )
+    # the kept edges, then the connected sample pairs (sorted, so a < b);
+    # each pair's lightest entry wins, and on a tie the graph edge
+    i, j = np.triu_indices(len(sample), k=1)
+    d = dist[i, j]
+    finite = np.isfinite(d)
+    a = np.concatenate([ga, sample[i[finite]]])
+    b = np.concatenate([gb, sample[j[finite]]])
+    w = np.concatenate([gw, d[finite]])
+    virtual = np.arange(len(a)) >= len(ga)
+    codes = a * n + b
+    order = np.lexsort((virtual, w, codes))
+    order = order[np.diff(codes[order], prepend=-1) != 0]
+    params = {"algo": "emulator4w", "seed": seed, "t": t, "sample_prob": n ** (-1.0 / 3.0)}
+    return EmulatorResult(n, a[order], b[order], w[order], virtual[order], tuple(sample.tolist()), params)

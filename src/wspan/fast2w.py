@@ -9,9 +9,8 @@ path trees rooted at every sampled vertex over the level's surviving edges
 this level, at an additive cost of twice the heaviest path edge.  Whatever
 survives all levels is small enough to dump wholesale.  Pivots are found
 in one sort of the incident edges by (vertex, weight, neighbor id).  Every
-edge set, a level's pivot edges, its surviving edges and its trees, is a
-boolean mask over g.edge_arrays(), and only the result becomes a set of
-edge keys.
+edge set, a level's pivot edges, its surviving edges, its trees and the
+result, is a boolean mask over g.edge_arrays().
 
 While s_i exceeds every degree no vertex pivots, so the first levels are
 often all of g.  Levels are therefore grouped by edge set: each distinct
@@ -36,7 +35,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .graph import WeightedGraph, _sweep_rows, edge_key_set, graph_csr
+from .graph import WeightedGraph, _sweep_rows, graph_csr
 from .greedy import SpannerResult
 
 
@@ -183,7 +182,7 @@ def build_fast_2w(g: WeightedGraph, c: float = 4.0, seed: int = 0) -> SpannerRes
             per_level_tree_edges[i - 1] = int(np.count_nonzero(tree))
             kept |= tree
     return SpannerResult(
-        edges=edge_key_set(a[kept], b[kept]),
+        kept=kept,
         params={"algo": "fast2w", "c": c, "seed": seed, "k": ls.k},
         stats={
             "levels": ls.level_sizes(),

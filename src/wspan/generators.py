@@ -114,7 +114,7 @@ def _close_pairs(pts: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.
     """
     n = len(pts)
     rows = _block_rows(n)
-    iu, iv, lengths = [], [], []
+    iu, iv, lengths = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for lo in range(0, n, rows):
         diff = pts[lo : lo + rows, None, :] - pts[None, :, :]
         d = np.sqrt((diff * diff).sum(axis=2))
@@ -124,13 +124,11 @@ def _close_pairs(pts: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.
         iu.append(i + lo)
         iv.append(j)
         lengths.append(d[i, j])
-    if not iu:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     return np.concatenate(iu), np.concatenate(iv), np.concatenate(lengths)
 
 
-def _gnp_pairs(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """The pairs i < j whose uniform draw is below p, in lexicographic order.
+def _gnp_pairs(n: int, p: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of the pairs i < j whose uniform draw is below p, in lexicographic order.
 
     One uniform per pair, in lexicographic pair order, drawn one block of
     rows at a time.  PCG64 yields the same doubles whether they are drawn in
@@ -138,7 +136,7 @@ def _gnp_pairs(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, in
     n(n-1)/2 uniforms gives.
     """
     rows = _block_rows(n)
-    pairs: list[tuple[int, int]] = []
+    iu, iv = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for lo in range(0, n - 1, rows):
         i = np.arange(lo, min(lo + rows, n - 1))
         # row i holds the pairs (i, i+1) .. (i, n-1), from draw start[k] of the block on
@@ -146,11 +144,13 @@ def _gnp_pairs(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, in
         start = np.cumsum(lens) - lens
         hit = np.flatnonzero(rng.random(int(lens.sum())) < p)
         k = np.searchsorted(start, hit, side="right") - 1
-        pairs += zip(i[k].tolist(), (hit - start[k] + i[k] + 1).tolist())
-    return pairs
+        iu.append(i[k])
+        iv.append(hit - start[k] + i[k] + 1)
+    return np.concatenate(iu), np.concatenate(iv)
 
 
-def _structure(spec: GenSpec, rng: np.random.Generator) -> tuple[int, list[tuple[int, int]]]:
+def _structure(spec: GenSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) of the family's edges, u < v, in any order."""
     fam = spec.family
     n = spec.n
     if n < 1:
@@ -159,7 +159,7 @@ def _structure(spec: GenSpec, rng: np.random.Generator) -> tuple[int, list[tuple
         p = spec.p
         if p is None or not 0.0 <= p <= 1.0:
             raise ValueError(f"gnp needs edge probability p in [0, 1], got {p}")
-        return n, _gnp_pairs(n, p, rng)
+        return _gnp_pairs(n, p, rng)
     if fam == "grid":
         rows, cols = spec.rows, spec.cols
         for name, x in (("rows", rows), ("cols", cols)):
@@ -176,34 +176,27 @@ def _structure(spec: GenSpec, rng: np.random.Generator) -> tuple[int, list[tuple
             rows, cols = (given, n // given) if cols is None else (n // given, given)
         elif rows * cols != n:
             raise ValueError(f"grid n={n} differs from rows*cols = {rows}*{cols} = {rows * cols}")
-        pairs = []
-        for r in range(rows):
-            for c in range(cols):
-                v = r * cols + c
-                if c + 1 < cols:
-                    pairs.append((v, v + 1))
-                if r + 1 < rows:
-                    pairs.append((v, v + cols))
-        return n, pairs
+        ids = np.arange(n).reshape(rows, cols)
+        right, down = ids[:, :-1].ravel(), ids[:-1, :].ravel()
+        return np.concatenate([right, down]), np.concatenate([right + 1, down + cols])
     if fam == "star":
-        return n, [(0, v) for v in range(1, n)]
+        return np.zeros(n - 1, dtype=np.int64), np.arange(1, n)
     if fam == "path":
-        return n, [(v, v + 1) for v in range(n - 1)]
+        return np.arange(n - 1), np.arange(1, n)
     if fam == "complete":
-        iu, iv = np.triu_indices(n, k=1)
-        return n, list(zip(iu.tolist(), iv.tolist()))
+        return np.triu_indices(n, k=1)
     if fam == "tree":
         b = spec.branching
         if b is not None and b < 1:
             raise ValueError("branching must be >= 1")
-        pairs = []
+        parents = []
         child_count = [0] * n
         for v in range(1, n):
             eligible = [u for u in range(v) if b is None or child_count[u] < b]
             u = eligible[int(rng.integers(0, len(eligible)))]
             child_count[u] += 1
-            pairs.append((u, v))
-        return n, pairs
+            parents.append(u)
+        return np.array(parents, dtype=np.int64), np.arange(1, n)
     raise ValueError(f"unknown family {spec.family!r}")
 
 
@@ -225,37 +218,35 @@ def generate(spec: GenSpec) -> WeightedGraph:
         raise ValueError(f"wmax must be finite and >= 1, got {wmax}")
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
 
+    n = spec.n
     if spec.family == "geometric":
         # weights are the euclidean lengths, rescaled so the minimum is 1
-        n = spec.n
         r = spec.radius
         if r is None or not 0 < r < math.inf:
             raise ValueError(f"geometric needs a finite radius > 0, got {r}")
         pts = rng.random((n, 2))
-        iu, iv, lengths = _close_pairs(pts, r)
-        edges = []
-        if len(lengths):
-            w_min = float(lengths.min())
+        u, v, w = _close_pairs(pts, r)
+        if len(w):
+            w_min = float(w.min())
             if w_min <= 0:
                 raise ValueError("coincident points produce a zero-length edge")
-            edges = list(zip(iu.tolist(), iv.tolist(), (lengths / w_min).tolist()))
+            w = w / w_min
     else:
-        n, pairs = _structure(spec, rng)
-        pairs.sort()
-        weights = _draw_weights(rng, len(pairs), spec.wmodel, wmax)
-        edges = [(u, v, float(w)) for (u, v), w in zip(pairs, weights.tolist())]
+        u, v = _structure(spec, rng)
+        # weights are drawn in sorted edge order
+        order = np.lexsort((v, u))
+        u, v = u[order], v[order]
+        w = _draw_weights(rng, len(u), spec.wmodel, wmax)
 
-    g = WeightedGraph(n, edges)
+    g = WeightedGraph._from_arrays(n, u, v, w)
     if spec.keep_lcc and g.n > 0:
         # components are labelled in order of their lowest vertex, so argmax
         # keeps the largest component with the lowest vertex
         _, labels = connected_components(g.csr(), directed=False)
         big = labels == np.argmax(np.bincount(labels))
+        # the relabel is monotone, so the kept edges stay sorted with a < b
         relabel = np.cumsum(big) - 1
-        a, b, w = g.edge_arrays()
-        kept = big[a]
-        g = WeightedGraph(
-            int(np.count_nonzero(big)),
-            zip(relabel[a[kept]].tolist(), relabel[b[kept]].tolist(), w[kept].tolist()),
-        )
+        kept = big[g.edge_arrays()[0]]
+        a, b, w = (x[kept] for x in g.edge_arrays())
+        g = WeightedGraph._from_arrays(int(np.count_nonzero(big)), relabel[a], relabel[b], w)
     return g

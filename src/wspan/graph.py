@@ -1,16 +1,16 @@
 """Undirected weighted graph with strictly positive edge weights.
 
-Vertices are integer ids 0..n-1.  Edges are unordered pairs stored under the
-key (min(u,v), max(u,v)).  Instances are immutable after construction and
-safe to share between threads.
+Vertices are integer ids 0..n-1.  An edge is an unordered pair, keyed
+(min(u,v), max(u,v)).  Instances are immutable after construction and safe
+to share between threads.
 
-This module is the one place that knows how edges are laid out.  The
-validated weight dict serves lookups and equality.  The edge
-arrays sorted by (a, b) and the symmetric CSR matrix, whose rows are the
-neighbor lists in id order, are derived from it on first use and cached.
-The builders hold a subset of a graph's edges as a boolean mask over its
-edge arrays; edge_ids gives the positions of endpoint pairs there, and a
-subgraph is cut from those arrays without validating its edges again.
+This module is the one place that knows how edges are laid out.  A graph is
+its edge arrays (a, b, w), a < b, sorted by (a, b) and validated in one
+batch at construction; the symmetric CSR matrix, whose rows are the
+neighbor lists in id order, is derived from them on first use and cached.
+Lookups binary-search the arrays and equality compares them.  The builders
+hold a subset of a graph's edges as a boolean mask over its edge arrays;
+edge_ids gives the positions of endpoint pairs there.
 
 _BLOCK_BYTES is the one budget for the temporaries of work done a block of
 sources at a time (shortest, verify, greedy, fast2w), and _sweep_rows turns
@@ -19,8 +19,6 @@ it into the sources per block of a sweep over a graph's rows.
 
 from __future__ import annotations
 
-import itertools
-import math
 import operator
 from collections.abc import Iterable
 
@@ -29,13 +27,8 @@ from scipy.sparse import csr_matrix
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
-    """Normalized dict key for the undirected edge {u, v}."""
+    """Normalized key (min, max) of the undirected edge {u, v}."""
     return (u, v) if u < v else (v, u)
-
-
-def edge_key_set(u: np.ndarray, v: np.ndarray) -> set[tuple[int, int]]:
-    """Keys of the edges {u[i], v[i]}, as a set of Python int pairs."""
-    return set(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
 
 
 def vertex_count(n) -> int:
@@ -88,79 +81,143 @@ def graph_csr(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> csr_matrix
     return csr_matrix((np.concatenate([w, w])[order], heads[order], indptr), shape=(n, n))
 
 
+def _column(x, kinds: str, convert, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(values, bad): x as a dtype array, and where convert rejects an entry.
+    A 1-d array numpy holds in a dtype of one of kinds is cast at once;
+    anything else is converted one entry at a time."""
+    try:
+        arr = np.asarray(x)
+        if arr.ndim == 1 and arr.dtype.kind in kinds:
+            return arr.astype(dtype), np.zeros(len(arr), dtype=bool)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    out, bad = np.zeros(len(x), dtype=dtype), np.zeros(len(x), dtype=bool)
+    for i, e in enumerate(x):
+        try:
+            out[i] = convert(e)
+        except (TypeError, ValueError, OverflowError):
+            bad[i] = True
+    return out, bad
+
+
+def _checked_edges(n: int, u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (a, b, w) of the edges (u[i], v[i], w[i]), laid out as
+    edge_arrays() returns them.
+
+    All edges are checked at once, and the first edge in the given order
+    that fails a check raises.  Per edge, in this order: ids that are no
+    integers, an id out of range, a self-loop and a pair given before in
+    either orientation raise ValueError, a weight float() rejects raises
+    float()'s error, and one not finite and positive ValueError.
+    """
+    # ids beyond int64 are out of range for every graph, so they are clipped
+    vertex_id = lambda x: max(-1, min(operator.index(x), 2**63 - 1))  # noqa: E731
+    (ui, u_bad), (vi, v_bad) = (_column(x, "biu", vertex_id, np.int64) for x in (u, v))
+    wf, w_bad = _column(w, "biuf", float, np.float64)
+    a, b = np.minimum(ui, vi), np.maximum(ui, vi)
+    ok = ~(u_bad | v_bad) & (a >= 0) & (b < n)
+    # edges that fail an earlier check get distinct negative codes
+    codes = np.where(ok, a * n + b, -1 - np.arange(len(a)))
+    order = np.argsort(codes, kind="stable")
+    # among equal codes, in input order, all but the first repeat it
+    later = np.zeros(len(a), dtype=bool)
+    later[order[1:]] = codes[order[1:]] == codes[order[:-1]]
+    faults = np.stack([u_bad | v_bad, ~ok, a == b, later, w_bad, ~((wf > 0) & (wf < np.inf))])
+    if faults.any():
+        i = int(np.argmax(faults.any(axis=0)))
+        check, key = int(np.argmax(faults[:, i])), (int(a[i]), int(b[i]))
+        if check == 0:
+            raise ValueError(f"vertex ids must be integers in edge ({u[i]!r}, {v[i]!r})")
+        if check == 1:
+            ends = operator.index(u[i]), operator.index(v[i])
+            raise ValueError(f"vertex id out of range in edge ({ends[0]}, {ends[1]})")
+        if check == 2:
+            raise ValueError(f"self-loop at vertex {key[0]}")
+        if check == 3:
+            raise ValueError(f"parallel edge {key}")
+        if check == 4:
+            float(w[i])  # raises float()'s own error
+        raise ValueError(f"non-positive or non-finite weight {float(wf[i])} on edge {key}")
+    arrays = a[order], b[order], wf[order]
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
 class WeightedGraph:
     """Simple undirected graph with positive real edge weights.
 
-    Rejects a non-integer or negative vertex count, non-integer,
-    out-of-range and self-loop vertex ids, parallel edges, and non-positive
-    or non-finite weights at construction time.  The vertex count and ids
-    are stored as Python ints.
-
-    The edge arrays and the CSR matrix are computed on first use and freed
-    with the graph.  Two threads filling a cache at once compute the same
-    value twice; neither result is wrong.
+    Rejects a non-integer or negative vertex count, and the first bad edge
+    in the given order (_checked_edges), at construction time.  The vertex
+    count is stored as a Python int.  The CSR matrix is computed on first
+    use; two threads filling it at once compute the same value twice.
     """
 
-    __slots__ = ("n", "_w", "_arrays", "_csr")
+    __slots__ = ("n", "_arrays", "_csr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
-        self.n = n = vertex_count(n)
-        w: dict[tuple[int, int], float] = {}
-        for u, v, weight in edges:
-            try:
-                u, v = operator.index(u), operator.index(v)
-            except TypeError:
-                raise ValueError(f"vertex ids must be integers in edge ({u!r}, {v!r})") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"vertex id out of range in edge ({u}, {v})")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            key = edge_key(u, v)
-            if key in w:
-                raise ValueError(f"parallel edge {key}")
-            weight = float(weight)
-            if not 0 < weight < math.inf:
-                raise ValueError(f"non-positive or non-finite weight {weight} on edge {key}")
-            w[key] = weight
-        self._w = w
-        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._csr: csr_matrix | None = None
+        n = vertex_count(n)
+        u, v, w = [], [], []
+        for x, y, z in edges:
+            u.append(x)
+            v.append(y)
+            w.append(z)
+        self.n, self._arrays, self._csr = n, _checked_edges(n, u, v, w), None
+
+    @classmethod
+    def _from_arrays(cls, n: int, u, v, w) -> "WeightedGraph":
+        """Graph of the edges (u[i], v[i], w[i]), checked as __init__ checks
+        its triples."""
+        g = cls.__new__(cls)
+        g.n = vertex_count(n)
+        g._arrays, g._csr = _checked_edges(g.n, u, v, w), None
+        return g
 
     @property
     def m(self) -> int:
-        return len(self._w)
+        return len(self._arrays[2])
+
+    def _find(self, u: int, v: int) -> int:
+        """Position of the edge {u, v} in edge_arrays(), or -1 if it is none:
+        a binary search for the run of a's equal to the smaller end, then for
+        the larger end in that run's b's, so a lookup allocates no O(m) array."""
+        key = edge_key(u, v)
+        if not (0 <= key[0] and key[1] < self.n):
+            return -1
+        a, b, _ = self._arrays
+        lo, hi = np.searchsorted(a, key[0]), np.searchsorted(a, key[0], side="right")
+        i = lo + int(np.searchsorted(b[lo:hi], key[1]))
+        return i if i < hi and b[i] == key[1] else -1
 
     def weight(self, u: int, v: int) -> float:
-        return self._w[edge_key(u, v)]
+        i = self._find(u, v)
+        if i < 0:
+            raise KeyError(edge_key(u, v))
+        return float(self._arrays[2][i])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self._w
+        return self._find(u, v) >= 0
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (a, b, w): int64 endpoints with a < b and float64 weights,
         sorted by (a, b)."""
-        if self._arrays is None:
-            m = len(self._w)
-            ab = np.fromiter(itertools.chain.from_iterable(self._w), np.int64, 2 * m).reshape(m, 2)
-            order = np.lexsort((ab[:, 1], ab[:, 0]))
-            arrays = (ab[order, 0], ab[order, 1], np.fromiter(self._w.values(), np.float64, m)[order])
-            for x in arrays:
-                x.flags.writeable = False
-            self._arrays = arrays
         return self._arrays
 
     def edge_ids(self, u, v) -> np.ndarray:
-        """Positions in edge_arrays() of the edges {u[i], v[i]}: a binary search
-        of the codes a*n + b.  A pair that is no edge gets some position in
-        [0, m], so callers that may pass one compare the endpoints found."""
+        """Positions in edge_arrays() of the pairs {u[i], v[i]}, -1 for a pair
+        that is no edge: a binary search of the codes a*n + b."""
         a, b, _ = self.edge_arrays()
         u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-        codes = np.minimum(u, v) * self.n + np.maximum(u, v)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        codes = lo * self.n + hi
         # searching the codes in sorted order is several times faster
         order = np.argsort(codes)
         ids = np.empty(len(codes), dtype=np.intp)
         ids[order] = np.searchsorted(a * self.n + b, codes[order])
-        return ids
+        # the position found holds the pair, or other endpoints, or is m
+        found = ids < len(a)
+        found[found] = (a[ids[found]] == lo[found]) & (b[ids[found]] == hi[found])
+        return np.where(found, ids, -1)
 
     def csr(self) -> csr_matrix:
         """Symmetric CSR matrix of the edges (graph_csr); callers must not modify it."""
@@ -186,56 +243,33 @@ class WeightedGraph:
         return list(zip(a.tolist(), b.tolist(), w.tolist()))
 
     def edge_keys(self) -> set[tuple[int, int]]:
-        return set(self._w)
+        a, b, _ = self.edge_arrays()
+        return set(zip(a.tolist(), b.tolist()))
 
     def subgraph(self, keys: Iterable[tuple[int, int]]) -> "WeightedGraph":
         """Graph on the same vertex set keeping only the given edge keys.
 
-        The result is cut from this graph's validated edge arrays.  The first
-        key, in the given order, that is no edge of this graph raises
-        KeyError, or that repeats an earlier one, in either orientation, the
-        parallel-edge ValueError.
+        The first key, in the given order, that is no edge of this graph
+        raises KeyError, or that repeats an earlier one, in either
+        orientation, the parallel-edge ValueError.  Keys that are not pairs
+        of integers raise KeyError.
         """
         keys = list(keys)
         uv = np.array(keys) if keys else np.zeros((0, 2), dtype=np.int64)
         if uv.shape[1:] != (2,) or uv.dtype.kind not in "iu":
-            # keys that are not pairs of integers get __init__'s checks
-            return WeightedGraph(self.n, [(u, v, self._w[edge_key(u, v)]) for u, v in keys])
-        a, b, w = self.edge_arrays()
-        u, v = np.minimum(uv[:, 0], uv[:, 1]), np.maximum(uv[:, 0], uv[:, 1])
-        at = np.minimum(self.edge_ids(u, v), max(self.m - 1, 0))
-        found = (a[at] == u) & (b[at] == v) if self.m else np.zeros(len(keys), dtype=bool)
-        # among keys at one position all but the first are missing or repeated
-        order = np.argsort(at, kind="stable")
-        later = np.zeros(len(keys), dtype=bool)
-        later[order[1:]] = at[order[1:]] == at[order[:-1]]
-        bad = np.flatnonzero(~found | later)
-        if len(bad):
-            key = (int(u[bad[0]]), int(v[bad[0]]))
-            if not found[bad[0]]:
-                raise KeyError(key)
-            raise ValueError(f"parallel edge {key}")
-        keep = np.zeros(self.m, dtype=bool)
-        keep[at] = True
-        return WeightedGraph._from_edge_arrays(self.n, a[keep], b[keep], w[keep])
-
-    @classmethod
-    def _from_edge_arrays(cls, n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> "WeightedGraph":
-        """Graph of edge arrays laid out as edge_arrays() returns them, whose
-        edges are already validated; __init__ is skipped."""
-        g = cls.__new__(cls)
-        g.n = n
-        g._w = dict(zip(zip(a.tolist(), b.tolist()), w.tolist()))
-        for x in (a, b, w):
-            x.flags.writeable = False
-        g._arrays = (a, b, w)
-        g._csr = None
-        return g
+            raise KeyError("edge keys must be pairs of integer vertex ids")
+        at = self.edge_ids(uv[:, 0], uv[:, 1])
+        stop = np.append(np.flatnonzero(at < 0), len(keys))[0]
+        # a key that repeats one before the first missing key raises here
+        h = WeightedGraph._from_arrays(self.n, *(x[at[:stop]] for x in self._arrays))
+        if stop < len(keys):
+            raise KeyError(edge_key(*uv[stop].tolist()))
+        return h
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        return self.n == other.n and self._w == other._w
+        return self.n == other.n and all(map(np.array_equal, self._arrays, other._arrays))
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, m={self.m})"

@@ -18,9 +18,9 @@ any previously computed distance is a valid upper bound, so a pair whose
 cached estimate meets its threshold is skipped.  The cache starts with H0's
 rows of the candidates' endpoints, the only rows read.  Pairs that still
 look violating get a fresh single-source run (C-speed), so the scan-time
-semantics are exactly "query the current spanner".  The spanner's one edge
-set is the oracle's boolean mask over g.edge_arrays(), as in the
-multiplicative greedy; only the result becomes a set of edge keys.
+semantics are exactly "query the current spanner".  Every edge set, the
+light init, the spanner and the result, is a boolean mask over
+g.edge_arrays(); the spanner's is the oracle's, which path buying grows.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-from .graph import WeightedGraph, _sweep_rows, edge_key_set, graph_csr, subset_vertices
+from .graph import WeightedGraph, _sweep_rows, graph_csr, subset_vertices
 from .light import t_light_init
 from .shortest import (
     INF,
@@ -44,21 +44,23 @@ from .shortest import (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class SpannerResult:
-    """A constructed spanner: an edge subset of the input graph."""
+    """A constructed spanner: kept is a boolean mask over the input graph's
+    edge_arrays() of the edges it keeps."""
 
-    edges: set[tuple[int, int]]
+    kept: np.ndarray
     params: dict
     paths_added: list[tuple[int, int]] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return int(np.count_nonzero(self.kept))
 
     def to_graph(self, g: WeightedGraph) -> WeightedGraph:
-        return g.subgraph(self.edges)
+        a, b, w = g.edge_arrays()
+        return WeightedGraph._from_arrays(g.n, a[self.kept], b[self.kept], w[self.kept])
 
 
 def make_pair_order(pairs: np.ndarray, W: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
@@ -129,13 +131,13 @@ class _GrowingDistances:
 
 def _buy_paths(
     g: WeightedGraph, oracle: _GrowingDistances, thresh: np.ndarray, pairs: np.ndarray
-) -> tuple[set[tuple[int, int]], list[tuple[int, int]], int]:
+) -> tuple[np.ndarray, list[tuple[int, int]], int]:
     """Scan pairs (k x 2, in order) against their thresholds, buying paths.
 
     A pair's canonical path is added (path_vertices) only when the current
     spanner distance strictly exceeds its threshold.  The oracle holds H0;
     it is primed with the rows of the pairs' endpoints, the only rows read.
-    Returns (final edges, pairs bought, edges added by paths).
+    Returns (the final edge mask, pairs bought, edges added by paths).
     """
     if len(pairs):
         oracle.prime(np.unique(pairs).tolist())
@@ -149,29 +151,26 @@ def _buy_paths(
             continue
         added += oracle.add_path(path_vertices(g, u, v))
         bought.append((u, v))
-    a, b, _ = g.edge_arrays()
-    return edge_key_set(a[oracle.kept], b[oracle.kept]), bought, added
+    return oracle.kept, bought, added
 
 
 def _path_buying(
     g: WeightedGraph,
     idx: ShortestPathIndex | None,
     S: list[int],
-    start: set[tuple[int, int]],
+    start: np.ndarray,
     c: float,
     by_dist: bool,
-) -> tuple[set[tuple[int, int]], list[tuple[int, int]], int]:
-    """_buy_paths from H0 = start over the candidates among the pairs u < v of S.
+) -> tuple[np.ndarray, list[tuple[int, int]], int]:
+    """_buy_paths from H0 = start, an edge mask it leaves unchanged, over the
+    candidates among the pairs u < v of S.
 
     S is sorted and unique.  A candidate has d_H0(u->v) > d_G(u,v) + c*W(u,v),
     read from u's rows; an infinite threshold fails no comparison, so
     disconnected pairs drop out.  The order key is (W, d, u, v) when
     by_dist, else (W, u, v).
     """
-    ab = np.array(list(start), dtype=np.int64).reshape(-1, 2)
-    kept = np.zeros(g.m, dtype=bool)
-    kept[g.edge_ids(ab[:, 0], ab[:, 1])] = True
-    oracle = _GrowingDistances(g, kept)
+    oracle = _GrowingDistances(g, start.copy())
     h0 = oracle._matrix()  # the oracle's own CSR, built once
     cols = np.asarray(S, dtype=np.int64)
     found = [np.zeros((0, 2), dtype=np.int64)]
@@ -281,11 +280,10 @@ def greedy_multiplicative(g: WeightedGraph, k: int) -> SpannerResult:
         if _sp_dijkstra(h, directed=True, indices=int(a[i]), limit=t)[b[i]] > t:
             kept[i] = True
             data[at[:, i]] = w[i]
-    edges = edge_key_set(a[kept], b[kept])
     return SpannerResult(
-        edges=edges,
+        kept=kept[np.argsort(order)],  # in g.edge_arrays() order
         params={"algo": "mult", "k": k, "stretch": stretch},
-        stats={"phase_edge_counts": {"greedy": len(edges)}, "searched_edges": len(rest)},
+        stats={"phase_edge_counts": {"greedy": int(np.count_nonzero(kept))}, "searched_edges": len(rest)},
     )
 
 
@@ -302,13 +300,13 @@ def build_6eps_spanner(
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and > 0, got {eps}")
     t = max(1, math.ceil(g.n ** (1.0 / 3.0)))
-    start = t_light_init(g, t).kept_edges
-    edges, bought, added = _path_buying(g, idx, list(range(g.n)), start, 6.0 + eps, by_dist=True)
+    start = t_light_init(g, t).kept
+    kept, bought, added = _path_buying(g, idx, list(range(g.n)), start, 6.0 + eps, by_dist=True)
     return SpannerResult(
-        edges=edges,
+        kept=kept,
         params={"algo": "6w", "eps": eps, "t": t},
         paths_added=bought,
-        stats={"phase_edge_counts": {"light_init": len(start), "paths": added}},
+        stats={"phase_edge_counts": {"light_init": int(np.count_nonzero(start)), "paths": added}},
     )
 
 
@@ -324,13 +322,13 @@ def build_subsetwise_spanner(
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and > 0, got {eps}")
     t = max(1, math.ceil(math.sqrt(len(S))))
-    start = t_light_init(g, t).kept_edges
-    edges, bought, added = _path_buying(g, idx, S, start, 2.0 + eps, by_dist=False)
+    start = t_light_init(g, t).kept
+    kept, bought, added = _path_buying(g, idx, S, start, 2.0 + eps, by_dist=False)
     return SpannerResult(
-        edges=edges,
+        kept=kept,
         params={"algo": "subsetwise", "eps": eps, "t": t, "subset_size": len(S)},
         paths_added=bought,
-        stats={"phase_edge_counts": {"light_init": len(start), "paths": added}},
+        stats={"phase_edge_counts": {"light_init": int(np.count_nonzero(start)), "paths": added}},
     )
 
 
@@ -362,8 +360,10 @@ def build_poly_spanner(
     whose distance exceeds d_G + c * n^((1-eps)/2) * log2(n) * W, scanned by
     nondecreasing heaviest path edge.  A precomputed multiplicative spanner
     may be passed to share work across eps values; it must come from
-    greedy_multiplicative(g, multiplicative_k_for(g.n)).  idx is an optional
-    cache.
+    greedy_multiplicative(g, multiplicative_k_for(g.n)).  One built with
+    another k, or over a graph with another edge count, raises ValueError;
+    one from another graph with g's edge count is the caller's to rule out.
+    idx is an optional cache.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
@@ -371,25 +371,24 @@ def build_poly_spanner(
         raise ValueError(f"c must be finite and > 0, got {c}")
     n = g.n
     t = max(1, math.ceil(n**eps))
-    start = set(t_light_init(g, t).kept_edges)
-    light_count = len(start)
+    light = t_light_init(g, t).kept
     k = multiplicative_k_for(n)
     if mult is None:
         mult = greedy_multiplicative(g, k)
     elif mult.params.get("k") != k:
         raise ValueError(f"precomputed multiplicative spanner used k={mult.params.get('k')}, need {k}")
-    mult_new = len(mult.edges - start)
-    start |= mult.edges
+    elif len(mult.kept) != g.m:
+        raise ValueError(f"precomputed multiplicative spanner is over {len(mult.kept)} edges, not {g.m}")
     factor = poly_stretch_factor(n, eps, c)
-    edges, bought, added = _path_buying(g, idx, list(range(n)), start, factor, by_dist=False)
+    kept, bought, added = _path_buying(g, idx, list(range(n)), light | mult.kept, factor, by_dist=False)
     return SpannerResult(
-        edges=edges,
+        kept=kept,
         params={"algo": "poly", "eps": eps, "c": c, "t": t, "mult_k": k, "stretch_factor": factor},
         paths_added=bought,
         stats={
             "phase_edge_counts": {
-                "light_init": light_count,
-                "mult_spanner": mult_new,
+                "light_init": int(np.count_nonzero(light)),
+                "mult_spanner": int(np.count_nonzero(mult.kept & ~light)),
                 "paths": added,
             }
         },

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from pathlib import Path
 
+import numpy as np
+
 from .emulator import EmulatorResult
-from .graph import WeightedGraph, edge_key
+from .graph import WeightedGraph
 
 
 class GraphFormatError(ValueError):
@@ -61,7 +64,11 @@ def _parse_edge_line(path, lineno: int, line: str, n: int, columns: int) -> tupl
     return u, v, w, tag
 
 
-def _read_edge_lines(path: str | Path, columns: int) -> tuple[int, list[tuple[int, int, float, str]]]:
+def _read_edge_lines(
+    path: str | Path, columns: int
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(n, a, b, w, virtual) of an edge-list file, a < b, sorted by (a, b);
+    the first bad line, malformed or repeating an earlier pair, is reported."""
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines:
@@ -70,21 +77,31 @@ def _read_edge_lines(path: str | Path, columns: int) -> tuple[int, list[tuple[in
     body = [(i + 2, ln) for i, ln in enumerate(lines[1:]) if ln.strip()]
     if len(body) != m:
         raise GraphFormatError(f"{path}: header promises {m} edges, found {len(body)}")
-    seen: set[tuple[int, int]] = set()
-    out = []
-    for lineno, ln in body:
-        u, v, w, tag = _parse_edge_line(path, lineno, ln, n, columns)
-        key = edge_key(u, v)
-        if key in seen:
-            _fail(path, lineno, f"duplicate edge {key}")
-        seen.add(key)
-        out.append((u, v, w, tag))
-    return n, out
+    rows, error = [], None
+    try:
+        for lineno, ln in body:
+            rows.append(_parse_edge_line(path, lineno, ln, n, columns))
+    except GraphFormatError as exc:
+        error = exc
+    u, v, w, tags = (list(map(operator.itemgetter(k), rows)) for k in range(4))
+    u, v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+    a, b = np.minimum(u, v), np.maximum(u, v)
+    # the lines parsed before a malformed one may repeat a pair first
+    codes = a * n + b
+    order = np.argsort(codes, kind="stable")
+    repeats = order[1:][codes[order[1:]] == codes[order[:-1]]]
+    if len(repeats):
+        i = int(repeats.min())
+        _fail(path, body[i][0], f"duplicate edge {(int(a[i]), int(b[i]))}")
+    if error is not None:
+        raise error
+    w, virtual = np.array(w, dtype=np.float64), np.array(tags, dtype=str) == "v"
+    return n, a[order], b[order], w[order], virtual[order]
 
 
 def read_graph(path: str | Path) -> WeightedGraph:
-    n, rows = _read_edge_lines(path, columns=3)
-    return WeightedGraph(n, [(u, v, w) for u, v, w, _ in rows])
+    n, a, b, w, _ = _read_edge_lines(path, columns=3)
+    return WeightedGraph._from_arrays(n, a, b, w)
 
 
 def write_graph(g: WeightedGraph, path: str | Path) -> None:
@@ -95,14 +112,14 @@ def write_graph(g: WeightedGraph, path: str | Path) -> None:
 
 def read_emulator(path: str | Path) -> EmulatorResult:
     """Read a tagged edge list; the sampled set is not stored in the file."""
-    n, rows = _read_edge_lines(path, columns=4)
-    edges = {edge_key(u, v): (w, tag) for u, v, w, tag in rows}
-    return EmulatorResult(n=n, edges=edges, S=(), params={})
+    return EmulatorResult(*_read_edge_lines(path, columns=4), S=(), params={})
 
 
 def write_emulator(em: EmulatorResult, path: str | Path) -> None:
+    """Write the tagged edge list in the emulator's (a, b) order."""
+    tags = np.where(em.virtual, "v", "g").tolist()
     lines = [f"{em.n} {em.m}"]
-    lines += [f"{u} {v} {w!r} {tag}" for (u, v), (w, tag) in sorted(em.edges.items())]
+    lines += [f"{u} {v} {w!r} {t}" for u, v, w, t in zip(em.a.tolist(), em.b.tolist(), em.w.tolist(), tags)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -13,16 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, edge_key_set
+from .graph import WeightedGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LightInit:
-    """Result of a t-light initialization: kept_edges holds the keys (u, v),
-    u < v, of the edges that either endpoint selected."""
+    """Result of a t-light initialization: kept is a boolean mask over
+    g.edge_arrays() of the edges that either endpoint selected."""
 
     t: int
-    kept_edges: set[tuple[int, int]]
+    kept: np.ndarray
+
+    @property
+    def kept_edges(self) -> np.ndarray:
+        """Positions in g.edge_arrays() of the kept edges."""
+        return np.flatnonzero(self.kept)
 
 
 def t_light_init(g: WeightedGraph, t: int) -> LightInit:
@@ -36,4 +41,6 @@ def t_light_init(g: WeightedGraph, t: int) -> LightInit:
     tail, head, _ = g.incident_by_weight()
     # rank of each entry among its vertex's entries
     keep = np.arange(len(tail)) - g.csr().indptr[tail] < t
-    return LightInit(t, edge_key_set(tail[keep], head[keep]))
+    kept = np.zeros(g.m, dtype=bool)
+    kept[g.edge_ids(tail[keep], head[keep])] = True
+    return LightInit(t, kept)

@@ -224,13 +224,9 @@ def verify_subgraph(g: WeightedGraph, h: WeightedGraph) -> bool:
     """True iff every edge of h exists in g with an identical weight."""
     if h.n != g.n:
         return False
-    if not g.m:
-        return not h.m
-    a, b, w = g.edge_arrays()
     ha, hb, hw = h.edge_arrays()
-    # where an edge of h is no edge of g, the position found holds other endpoints
-    at = np.minimum(g.edge_ids(ha, hb), g.m - 1)
-    return bool(np.array_equal(a[at], ha) and np.array_equal(b[at], hb) and np.array_equal(w[at], hw))
+    at = g.edge_ids(ha, hb)
+    return bool((at >= 0).all() and np.array_equal(g.edge_arrays()[2][at], hw))
 
 
 def verify_non_contracting(

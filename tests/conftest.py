@@ -7,9 +7,11 @@ multiplicative spanner (by Floyd-Warshall, and by one scipy search per edge
 in greedy_mult_reference) and of path buying, and per-vertex loops for the
 light selections and the +2W levels, and fast2w_reference, which grows the
 +2W spanner on those levels with one scipy Dijkstra call per level over all
-of its roots (spt_edges_reference).  They read a graph only through
-edge_items(), and so does mask_keys, which turns the builders' edge masks
-into key sets for comparison with them.
+of its roots (spt_edges_reference).  edge_weights_reference checks edges one
+at a time, and emulator_reference merges the emulator's sampled clique into
+a dict one pair at a time.  They read a graph only through edge_items(),
+and so does mask_keys, which turns the builders' edge masks into key sets
+for comparison with them.
 Expected values in the tests are computed by these, never by the code under
 test.  minimax_path_weight is a cross-check rather than an oracle: it reads
 the distances of the index it is given.  canonical_paths is no oracle
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -54,6 +57,58 @@ def light_selections(g: WeightedGraph, t: int) -> list[list[int]]:
 def light_kept_edges(g: WeightedGraph, t: int) -> set[tuple[int, int]]:
     """Union over both endpoints of the light selections."""
     return {(min(u, v), max(u, v)) for u, sel in enumerate(light_selections(g, t)) for v in sel}
+
+
+def edge_weights_reference(n: int, edges) -> dict[tuple[int, int], float]:
+    """{(u, v): w}, u < v, of the edges (u, v, w), checked one edge at a time.
+
+    Each edge's checks run in order: integer ids, ids in range, no
+    self-loop, no pair given before in either orientation, float() of the
+    weight, a finite positive weight.  The first failure raises.
+    """
+    w: dict[tuple[int, int], float] = {}
+    for u, v, weight in edges:
+        try:
+            u, v = operator.index(u), operator.index(v)
+        except TypeError:
+            raise ValueError(f"vertex ids must be integers in edge ({u!r}, {v!r})") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"vertex id out of range in edge ({u}, {v})")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        key = edge_key(u, v)
+        if key in w:
+            raise ValueError(f"parallel edge {key}")
+        weight = float(weight)
+        if not 0 < weight < math.inf:
+            raise ValueError(f"non-positive or non-finite weight {weight} on edge {key}")
+        w[key] = weight
+    return w
+
+
+def emulator_reference(g: WeightedGraph, seed: int) -> list[tuple[int, int, float, str]]:
+    """Sorted (u, v, w, tag) of the +4W emulator, merged one pair at a time.
+
+    The kept edges are light_kept_edges' at the emulator's t, tagged "g".  The
+    sample replays the documented draw: n uniforms from the seeded PCG64
+    stream, a vertex kept below n^(-1/3).  Each connected sample pair u < v
+    then takes scipy's distance d, tagged "v", unless it is a kept edge of
+    weight w <= d.
+    """
+    n = g.n
+    t = max(1, math.ceil(2.0 * n ** (1.0 / 3.0) * math.log(n)))
+    weight = {(u, v): w for u, v, w in g.edge_items()}
+    edges = {key: (weight[key], "g") for key in light_kept_edges(g, t)}
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    sample = [v for v, x in enumerate(rng.random(n).tolist()) if x < n ** (-1.0 / 3.0)]
+    dist = dijkstra(g.csr(), indices=sample) if sample else np.zeros((0, n))
+    for i, u in enumerate(sample):
+        for v in sample[i + 1 :]:
+            d = float(dist[i, v])
+            held = edges.get((u, v))
+            if math.isfinite(d) and (held is None or d < held[0]):
+                edges[(u, v)] = (d, "v")
+    return sorted((u, v, w, tag) for (u, v), (w, tag) in edges.items())
 
 
 def mask_keys(g: WeightedGraph, mask: np.ndarray) -> set[tuple[int, int]]:

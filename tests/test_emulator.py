@@ -18,7 +18,7 @@ from wspan import (
     verify_subgraph,
 )
 
-from conftest import small_graphs
+from conftest import emulator_reference, mixed_graphs, small_graphs
 
 
 def dense(n, seed):
@@ -146,3 +146,33 @@ def test_emulator_without_index_reads_sample_distances_only(g, seed):
     assert calls == []
     assert alone.edges == indexed.edges
     assert (alone.S, alone.params) == (indexed.S, indexed.params)
+
+
+def emulator_rows(em) -> list[tuple[int, int, float, str]]:
+    tags = ["v" if x else "g" for x in em.virtual.tolist()]
+    return list(zip(em.a.tolist(), em.b.tolist(), em.w.tolist(), tags))
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=mixed_graphs(), seed=st.integers(min_value=0, max_value=1000))
+def test_emulator_arrays_match_the_pairwise_merge(g, seed):
+    expected = emulator_reference(g, seed)
+    for idx in (None, build_index(g)):
+        em = build_4w_emulator(g, seed, idx=idx)
+        assert emulator_rows(em) == expected
+        assert em.m == len(expected) and em.virtual_count == sum(tag == "v" for *_, tag in expected)
+        assert em.edges == {(u, v): (w, tag) for u, v, w, tag in expected}
+        assert em.to_graph() == WeightedGraph(g.n, [(u, v, w) for u, v, w, _ in expected])
+
+
+def test_sampled_kept_edge_at_its_distance_stays_a_graph_edge():
+    # every edge is a shortest path, so a sampled pair that is an edge has d == w
+    g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    for seed in range(60):
+        em = build_4w_emulator(g, seed=seed)
+        if {0, 1} <= set(em.S):
+            assert em.edges[(0, 1)] == (1.0, "g")
+            assert emulator_rows(em) == emulator_reference(g, seed)
+            break
+    else:
+        pytest.fail("no seed sampled both endpoints")

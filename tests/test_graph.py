@@ -1,15 +1,123 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wspan import GenSpec, WeightedGraph, build_4w_emulator, build_index, generate
 from wspan import graph
 from wspan.algos import ALGOS
 
-from conftest import small_graphs
+from conftest import edge_weights_reference, mixed_graphs, small_graphs
+
+
+# values that fail one check each, by the check
+FAULTS = {
+    "id": st.sampled_from([0.5, 1.0, "1", None, np.float64(2.0)]),
+    "range": st.sampled_from([-1, -5, 99, 2**70]),
+    "weight": st.sampled_from([0.0, -0.0, -1.0, math.inf, -math.inf, math.nan]),
+    "convert": st.sampled_from(["x", None, 1j]),
+}
+
+
+@st.composite
+def faulty_edges(draw):
+    """(n, edges): distinct valid triples with 0-3 faults of any kind put in
+    anywhere: bad ids, self-loops, repeated pairs in either orientation, bad
+    weights.  Some valid entries are numpy scalars or weight strings."""
+    n = draw(st.integers(1, 7))
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2)) or [(0, 0)]), unique=True))
+    edges = [[u, v, draw(st.integers(1, 5).map(float))] for u, v in pairs if u != v]
+    for e in edges:
+        e[0] = draw(st.sampled_from([e[0], np.int64(e[0]), np.int32(e[0])]))
+        e[2] = draw(st.sampled_from([e[2], str(e[2]), np.float32(e[2])]))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["id", "range", "loop", "repeat", "weight", "convert"]))
+        at = draw(st.integers(0, len(edges)))
+        x = draw(st.integers(0, max(n - 1, 0)))
+        if kind in ("id", "range"):
+            e = [x, (x + 1) % n, 1.0]
+            e[draw(st.integers(0, 1))] = draw(FAULTS[kind])
+        elif kind == "loop":
+            e = [x, x, 1.0]
+        elif kind == "repeat" and edges:
+            u, v, _ = edges[draw(st.integers(0, len(edges) - 1))]
+            e = [v, u, 2.0] if draw(st.booleans()) else [u, v, 2.0]
+            at = draw(st.integers(0, len(edges)))
+        elif kind in ("weight", "convert"):
+            e = [x, (x + 1) % n, draw(FAULTS[kind])]
+        else:
+            continue
+        edges.insert(at, e)
+    return n, [tuple(e) for e in edges]
+
+
+def outcome(build):
+    """The graph's sorted (u, v, w) triples, or the type and message it raised."""
+    try:
+        return sorted(build())
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+def columns(edges):
+    """The edges as (u, v, w) columns: numpy arrays where numpy keeps every
+    value as it is (integer ids, numeric weights), else lists, whose entries
+    the messages show as given."""
+
+    def array(col, kinds):
+        try:
+            arr = np.asarray(col)
+        except (ValueError, TypeError, OverflowError):
+            return None
+        return arr if arr.ndim == 1 and arr.dtype.kind in kinds else None
+
+    u, v, w = list(map(list, zip(*edges))) or [[], [], []]
+    ids = array(u, "iu"), array(v, "iu")
+    if all(x is not None for x in ids):
+        u, v = ids
+    weights = array(w, "iuf")
+    return u, v, w if weights is None else weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_edges())
+@example((3, [(0, 1, 1.0), (1, 2, 0.0), (2, 2, 1.0)]))
+@example((3, [(0, 1, 1.0), (2, 2, 0.0), (1, 0, 1.0)]))
+@example((3, [(2, 1, "x"), (1, 2, 1.0)]))
+@example((3, [(0, 1, 1.0), (1, 0, "x")]))
+@example((3, [(0, 1, 1.0), (0, 3, 1.0), (0.5, 2, 1.0)]))
+@example((3, [(0, 1, 1.0), (2, 0.5, 1.0), (0, 9, 1.0)]))
+def test_validation_matches_the_per_edge_loop(case):
+    n, edges = case
+    expected = outcome(lambda: [(u, v, w) for (u, v), w in edge_weights_reference(n, edges).items()])
+    assert outcome(lambda: WeightedGraph(n, edges).edge_items()) == expected
+    assert outcome(lambda: WeightedGraph(n, iter(edges)).edge_items()) == expected
+    assert outcome(lambda: WeightedGraph._from_arrays(n, *columns(edges)).edge_items()) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(mixed_graphs(), st.data())
+def test_lookups_and_equality_read_the_arrays(g, data):
+    items = {(a, b): w for a, b, w in g.edge_items()}
+    for u, v in itertools.product(range(-1, g.n + 1), repeat=2):
+        key = (min(u, v), max(u, v))
+        assert g.has_edge(u, v) == (key in items)
+        if key in items:
+            assert g.weight(u, v) == items[key] and type(g.weight(u, v)) is float
+        else:
+            with pytest.raises(KeyError):
+                g.weight(u, v)
+    assert not g.has_edge(0.5, 1) and not g.has_edge(0, 2**70)
+    items = g.edge_items()
+    assert g == WeightedGraph(g.n, items[::-1]) and g != WeightedGraph(g.n + 1, items)
+    if items:
+        i = data.draw(st.integers(0, len(items) - 1))
+        u, v, w = items[i]
+        assert g != WeightedGraph(g.n, items[:i] + [(u, v, w + 1.0)] + items[i + 1 :])
+        assert g != WeightedGraph(g.n, items[:i] + items[i + 1 :])
 
 
 @settings(max_examples=50, deadline=None)
@@ -26,6 +134,9 @@ def test_edge_ids_round_trip(g, data):
     ends = [items[i][1::-1] if f else items[i][:2] for i, f in zip(ids, flip)]
     got = g.edge_ids([u for u, _ in ends], [v for _, v in ends])
     assert got.tolist() == ids
+    # pairs that are no edge get -1, out of range ones too: (u, n + v) has the code of (u + 1, v)
+    pairs = [(u, v) for u in range(-1, g.n + 1) for v in range(-1, 2 * g.n + 1) if not g.has_edge(u, v)]
+    assert g.edge_ids(*zip(*pairs)).tolist() == [-1] * len(pairs)
 
 
 @settings(max_examples=50, deadline=None)

@@ -34,6 +34,7 @@ from conftest import (
     forbid_full_index,
     greedy_mult_oracle,
     greedy_mult_reference,
+    mask_keys,
     mixed_graphs,
     oracle_canonical_path,
     path_buying_oracle,
@@ -120,20 +121,20 @@ def test_pair_order_triangle_heavy_edge_last():
 def test_mult_tree_is_incompressible():
     g = random_tree()
     for k in (1, 2, 3):
-        assert greedy_multiplicative(g, k).edges == g.edge_keys()
+        assert mask_keys(g, greedy_multiplicative(g, k).kept) == g.edge_keys()
 
 
 def test_mult_triangle_k1_keeps_all():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     assert greedy_mult_oracle(g, 1) == g.edge_keys()
-    assert greedy_multiplicative(g, 1).edges == g.edge_keys()
+    assert mask_keys(g, greedy_multiplicative(g, 1).kept) == g.edge_keys()
 
 
 def test_mult_four_cycle_k2_drops_one():
     g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
     expected = greedy_mult_oracle(g, 2)
     res = greedy_multiplicative(g, 2)
-    assert res.edges == expected
+    assert mask_keys(g, res.kept) == expected
     assert res.m == 3
 
 
@@ -143,12 +144,12 @@ def test_mult_rejects_bad_k():
         with pytest.raises(ValueError, match="k must"):
             greedy_multiplicative(g, k)
     # an integer of another type is an integer
-    assert greedy_multiplicative(g, np.int64(2)).edges == greedy_multiplicative(g, 2).edges
+    assert np.array_equal(greedy_multiplicative(g, np.int64(2)).kept, greedy_multiplicative(g, 2).kept)
 
 
 def test_mult_rejects_an_overflowing_threshold():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1e308)])
-    assert greedy_multiplicative(g, 1).edges == g.edge_keys()
+    assert mask_keys(g, greedy_multiplicative(g, 1).kept) == g.edge_keys()
     with pytest.raises(ValueError, match=r"overflows on edge \(1, 2\)"):
         greedy_multiplicative(g, 2)
 
@@ -174,7 +175,7 @@ def test_mult_matches_one_search_per_edge(g):
         for k in (1, 2, 3):
             del calls[:]
             res = greedy_multiplicative(g, k)
-            assert res.edges == greedy_mult_reference(g, k)
+            assert mask_keys(g, res.kept) == greedy_mult_reference(g, k)
             assert res.stats["searched_edges"] == len(calls) <= g.m
 
 
@@ -190,7 +191,7 @@ def test_mult_forest_path_at_the_threshold_drops_without_a_search(monkeypatch):
     g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
     calls = counted_searches(monkeypatch)
     res = greedy_multiplicative(g, 2)
-    assert res.edges == {(0, 1), (0, 3), (1, 2)} == greedy_mult_reference(g, 2)
+    assert mask_keys(g, res.kept) == {(0, 1), (0, 3), (1, 2)} == greedy_mult_reference(g, 2)
     assert calls == [] and res.stats["searched_edges"] == 0
 
 
@@ -201,7 +202,7 @@ def test_mult_searches_from_the_tail_up_to_the_threshold(monkeypatch):
     res = greedy_multiplicative(g, 1)
     # (0, 3) is searched and kept; (0, 2) has d_F = 2 <= 2.5 and is dropped
     assert calls == [(0, 1.5)]
-    assert res.edges == {(0, 1), (1, 2), (2, 3), (0, 3)}
+    assert mask_keys(g, res.kept) == {(0, 1), (1, 2), (2, 3), (0, 3)}
     assert res.stats["searched_edges"] == 1
 
 
@@ -237,7 +238,7 @@ def test_mult_peaks_below_8_mib(family):
 @given(small_graphs(max_n=8))
 def test_mult_matches_bruteforce_simulation(g):
     for k in (1, 2):
-        assert greedy_multiplicative(g, k).edges == greedy_mult_oracle(g, k)
+        assert mask_keys(g, greedy_multiplicative(g, k).kept) == greedy_mult_oracle(g, k)
 
 
 @settings(max_examples=25, deadline=None)
@@ -254,13 +255,13 @@ def test_mult_stretch_bound_per_edge(g):
 def test_6eps_tree_returns_tree():
     g = random_tree(n=30, seed=9)
     res = build_6eps_spanner(g, 0.5)
-    assert res.edges == g.edge_keys()
+    assert mask_keys(g, res.kept) == g.edge_keys()
 
 
 def test_6eps_small_tree_zero_paths():
     g = generate(GenSpec(family="path", n=6, wmodel="uniform", seed=2))
     res = build_6eps_spanner(g, 0.5)
-    assert res.edges == g.edge_keys()
+    assert mask_keys(g, res.kept) == g.edge_keys()
     assert res.paths_added == []
 
 
@@ -291,7 +292,7 @@ def test_6eps_rejects_bad_eps():
 def test_6eps_bound_holds_on_random_graphs(g):
     idx = build_index(g)
     res = build_6eps_spanner(g, 0.25, idx=idx)
-    assert res.edges <= g.edge_keys()
+    assert mask_keys(g, res.kept) <= g.edge_keys()
     assert verify_additive_W(g, res.to_graph(g), 6.25, idx=idx).passed
 
 
@@ -299,10 +300,10 @@ def test_6eps_bound_holds_on_random_graphs(g):
 @given(buying_graphs, st.sampled_from([0.25, 1.0]))
 def test_6eps_matches_path_buying_oracle(g, eps):
     res = build_6eps_spanner(g, eps)
-    start = t_light_init(g, res.params["t"]).kept_edges if g.m else set()
+    start = mask_keys(g, t_light_init(g, res.params["t"]).kept)
     pairs = list(itertools.combinations(range(g.n), 2))
     edges, bought = path_buying_oracle(g, start, pairs, 6.0 + eps, by_dist=True)
-    assert res.edges == edges
+    assert mask_keys(g, res.kept) == edges
     assert res.paths_added == bought
 
 
@@ -339,10 +340,10 @@ def test_subsetwise_bound_only_inside_subset():
 def test_subsetwise_matches_path_buying_oracle(g, data):
     S = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n), label="S")
     res = build_subsetwise_spanner(g, S, 0.5)
-    start = t_light_init(g, res.params["t"]).kept_edges if g.m else set()
+    start = mask_keys(g, t_light_init(g, res.params["t"]).kept)
     pairs = list(itertools.combinations(sorted(set(S)), 2))
     edges, bought = path_buying_oracle(g, start, pairs, 2.5, by_dist=False)
-    assert res.edges == edges
+    assert mask_keys(g, res.kept) == edges
     assert res.paths_added == bought
 
 
@@ -371,7 +372,7 @@ def test_poly_eps_one_keeps_distances_exactly():
 def test_poly_two_vertices():
     g = WeightedGraph(2, [(0, 1, 2.5)])
     res = build_poly_spanner(g, 0.5)
-    assert res.edges == g.edge_keys()
+    assert mask_keys(g, res.kept) == g.edge_keys()
 
 
 def test_poly_k_selection():
@@ -398,10 +399,40 @@ def test_poly_bound_holds(g):
     res = build_poly_spanner(g, 0.0, 16.0, idx=idx)
     factor = poly_stretch_factor(g.n, 0.0, 16.0)
     assert verify_additive_W(g, res.to_graph(g), factor, idx=idx).passed
-    assert res.edges <= g.edge_keys()
+    assert mask_keys(g, res.kept) <= g.edge_keys()
 
 
 # ------------------------------------------------------------ shared shape
+
+
+def test_poly_rejects_a_multiplicative_spanner_of_another_edge_count():
+    # both graphs have n = 64, so k alone cannot tell them apart
+    other = generate(GenSpec(family="gnp", n=64, p=0.3, wmodel="uniform", seed=1))
+    g = generate(GenSpec(family="gnp", n=64, p=0.1, wmodel="uniform", seed=2))
+    mult = greedy_multiplicative(other, multiplicative_k_for(64))
+    with pytest.raises(ValueError, match=rf"over {other.m} edges, not {g.m}"):
+        build_poly_spanner(g, 0.5, mult=mult)
+    own = greedy_multiplicative(g, multiplicative_k_for(64))
+    assert np.array_equal(build_poly_spanner(g, 0.5, mult=own).kept, build_poly_spanner(g, 0.5).kept)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_graphs(), st.integers(0, 3))
+def test_to_graph_cuts_g_by_the_mask(g, seed):
+    results = (
+        greedy_multiplicative(g, 2),
+        build_6eps_spanner(g, 1.0),
+        build_subsetwise_spanner(g, [0, g.n - 1], 0.5),
+        build_poly_spanner(g, 0.5),
+        build_fast_2w(g, 1.0, seed),
+    )
+    for res in results:
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(WeightedGraph, "edge_ids", lambda self, u, v: calls.append(1))
+            h = res.to_graph(g)
+        assert calls == []
+        assert h == g.subgraph(mask_keys(g, res.kept)) and h.m == res.m
 
 
 def test_edgeless_graph_gives_empty_spanners():
@@ -412,7 +443,7 @@ def test_edgeless_graph_gives_empty_spanners():
         build_subsetwise_spanner(g, [0, 2], 0.5),
         build_poly_spanner(g, 0.5),
     ):
-        assert res.edges == set() and res.paths_added == []
+        assert not res.kept.any() and res.paths_added == []
 
 
 def test_results_record_processing_order(medium_gnp):
@@ -463,8 +494,8 @@ def test_buy_paths_gets_the_pairs_h0_fails(monkeypatch):
     S = [1, 6, 9, 14]
     everywhere = list(itertools.combinations(range(g.n), 2))
     inside = list(itertools.combinations(S, 2))
-    light = lambda t: t_light_init(g, t).kept_edges  # noqa: E731
-    mult = greedy_multiplicative(g, multiplicative_k_for(g.n)).edges
+    light = lambda t: mask_keys(g, t_light_init(g, t).kept)  # noqa: E731
+    mult = mask_keys(g, greedy_multiplicative(g, multiplicative_k_for(g.n)).kept)
     expected = [
         h0_failures(g, light(math.ceil(g.n ** (1 / 3))), everywhere, 7.0),
         h0_failures(g, light(math.ceil(g.n**0.5)) | mult, everywhere, poly_stretch_factor(g.n, 0.5, 16.0)),
@@ -499,7 +530,7 @@ def test_index_is_an_optional_cache(g, data):
             mp.setattr(greedy, "_sweep_rows", lambda n: rows)
         for build in builds:
             cached, computed = build(idx), build(None)
-            assert cached.edges == computed.edges
+            assert np.array_equal(cached.kept, computed.kept)
             assert cached.paths_added == computed.paths_added
             assert cached.stats == computed.stats
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from wspan import GenSpec, WeightedGraph, generate
@@ -35,6 +36,19 @@ def test_duplicate_edge_line_reports_location(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("3 2\n0 1 1.0\n1 0 2.0\n")
     with pytest.raises(GraphFormatError, match=r"bad\.txt:3: duplicate edge"):
+        read_graph(path)
+
+
+def test_first_bad_line_is_reported(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("4 4\n0 1 1.0\n2 3 1.0\n3 2 1.0\n0 x 1.0\n")
+    with pytest.raises(GraphFormatError, match=r"bad\.txt:4: duplicate edge \(2, 3\)"):
+        read_graph(path)
+    path.write_text("4 4\n0 1 1.0\n0 x 1.0\n2 3 1.0\n1 0 1.0\n")
+    with pytest.raises(GraphFormatError, match=r"bad\.txt:3: malformed edge line"):
+        read_graph(path)
+    path.write_text("4 4\n0 1 1.0\n1 0 2.0\n2 3 1.0\n3 2 1.0\n")
+    with pytest.raises(GraphFormatError, match=r"bad\.txt:3: duplicate edge \(0, 1\)"):
         read_graph(path)
 
 
@@ -88,15 +102,19 @@ def test_malformed_tokens_and_range(tmp_path):
 def test_emulator_round_trip(tmp_path):
     em = EmulatorResult(
         n=4,
-        edges={(0, 1): (1.5, "g"), (1, 3): (2.0, "v")},
+        a=np.array([0, 1]),
+        b=np.array([1, 3]),
+        w=np.array([1.5, 2.0]),
+        virtual=np.array([False, True]),
         S=(1, 3),
         params={},
     )
     path = tmp_path / "em.txt"
     write_emulator(em, path)
+    assert path.read_text() == "4 2\n0 1 1.5 g\n1 3 2.0 v\n"
     back = read_emulator(path)
     assert back.n == 4
-    assert back.edges == em.edges
+    assert back.edges == em.edges == {(0, 1): (1.5, "g"), (1, 3): (2.0, "v")}
 
 
 def test_emulator_tag_validation(tmp_path):

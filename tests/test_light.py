@@ -34,15 +34,15 @@ def test_star_center_keeps_two_but_leaves_keep_all():
     li = t_light_init(g, 2)
     # center selects weights 1 and 2; every leaf re-adds its only edge
     assert light_selections(g, 2)[0] == [1, 2]
-    assert li.kept_edges == light_kept_edges(g, 2)
-    assert li.kept_edges == {(0, leaf) for leaf in range(1, 6)}
+    assert mask_keys(g, li.kept) == light_kept_edges(g, 2)
+    assert mask_keys(g, li.kept) == {(0, leaf) for leaf in range(1, 6)}
     assert len(li.kept_edges) == 5
 
 
 def test_saturating_t_keeps_everything():
     g = star_15()
     li = t_light_init(g, 5)
-    assert li.kept_edges == g.edge_keys()
+    assert mask_keys(g, li.kept) == g.edge_keys()
 
 
 def test_tie_at_cutoff_prefers_smaller_neighbor_id():
@@ -52,9 +52,9 @@ def test_tie_at_cutoff_prefers_smaller_neighbor_id():
         8,
         [(3, 2, 2.0), (3, 1, 2.0), (3, 0, 1.0), (1, 4, 1.0), (1, 5, 1.0), (2, 6, 1.0), (2, 7, 1.0)],
     )
-    li = t_light_init(g, 2)
-    assert (1, 3) in li.kept_edges and (2, 3) not in li.kept_edges
-    assert li.kept_edges == g.edge_keys() - {(2, 3)}
+    kept = mask_keys(g, t_light_init(g, 2).kept)
+    assert (1, 3) in kept and (2, 3) not in kept
+    assert kept == g.edge_keys() - {(2, 3)}
 
 
 def test_t_zero_rejected():
@@ -64,12 +64,12 @@ def test_t_zero_rejected():
 
 def test_light_neighbor_queries():
     g = star_15()
-    li = t_light_init(g, 2)
+    kept = mask_keys(g, t_light_init(g, 2).kept)
     sel = light_selections(g, 2)
-    assert (0, 5) in li.kept_edges  # kept from the leaf's side
+    assert (0, 5) in kept  # kept from the leaf's side
     assert 5 not in sel[0] and 0 in sel[5]
-    assert (1, 2) not in li.kept_edges  # non-adjacent
-    assert all(u < v for u, v in li.kept_edges)
+    assert (1, 2) not in kept  # non-adjacent
+    assert all(u < v for u, v in kept)
 
 
 @settings(max_examples=50, deadline=None)
@@ -78,11 +78,12 @@ def test_selection_counts_and_size_cap(g):
     adj = neighbor_lists(g)
     for t in (1, 2, 4):
         li = t_light_init(g, t)
+        kept = mask_keys(g, li.kept)
         assert len(li.kept_edges) <= g.n * t
-        assert li.kept_edges == light_kept_edges(g, t)
+        assert kept == light_kept_edges(g, t)
         for u, sel in enumerate(light_selections(g, t)):
             assert len(sel) == min(len(adj[u]), t)
-            assert all(edge_key(u, v) in li.kept_edges for v in sel)
+            assert all(edge_key(u, v) in kept for v in sel)
             if sel:
                 cutoff = max(g.weight(u, v) for v in sel)
                 for v, w in adj[u]:
@@ -93,7 +94,7 @@ def test_selection_counts_and_size_cap(g):
 @settings(max_examples=60, deadline=None)
 @given(g=small_graphs(max_n=12), t=st.integers(min_value=1, max_value=12), seed=st.integers(0, 3))
 def test_array_selections_match_per_vertex_reference(g, t, seed):
-    assert t_light_init(g, t).kept_edges == light_kept_edges(g, t)
+    assert mask_keys(g, t_light_init(g, t).kept) == light_kept_edges(g, t)
     ls = sample_levels(g, 1.0, seed)
     D, _, estar, E = levels_reference(g, 1.0, seed)
     assert ls.D == D
@@ -106,7 +107,7 @@ def test_array_selections_match_per_vertex_reference(g, t, seed):
 def test_monotone_in_t(g):
     prev = set()
     for t in (1, 2, 3, 4):
-        cur = t_light_init(g, t).kept_edges
+        cur = mask_keys(g, t_light_init(g, t).kept)
         assert prev <= cur
         prev = cur
 
@@ -125,7 +126,7 @@ def test_light_neighbor_density_on_missing_paths():
         idx = build_index(g)
         path_of = canonical_paths(g)
         t = 4
-        li = t_light_init(g, t)
+        kept = mask_keys(g, t_light_init(g, t).kept)
         adj = neighbor_lists(g)
         pairs = [(u, v) for u in range(0, 60, 7) for v in range(3, 60, 9) if u < v]
         for u, v in pairs:
@@ -134,7 +135,7 @@ def test_light_neighbor_density_on_missing_paths():
             path = path_of(u, v)
             on_path = set(path)
             missing = sum(
-                1 for a, b in zip(path, path[1:]) if (min(a, b), max(a, b)) not in li.kept_edges
+                1 for a, b in zip(path, path[1:]) if (min(a, b), max(a, b)) not in kept
             )
             if missing == 0:
                 continue
@@ -142,7 +143,7 @@ def test_light_neighbor_density_on_missing_paths():
             members = set()
             for y in path:
                 for x, w in adj[y]:
-                    if w <= wmax and edge_key(x, y) in li.kept_edges:
+                    if w <= wmax and edge_key(x, y) in kept:
                         members.add(x)
             floor = t * missing / 8.0
             total_found += len(members)
