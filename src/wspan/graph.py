@@ -10,7 +10,8 @@ batch at construction; the symmetric CSR matrix, whose rows are the
 neighbor lists in id order, is derived from them on first use and cached.
 Lookups binary-search the arrays and equality compares them.  The builders
 hold a subset of a graph's edges as a boolean mask over its edge arrays;
-edge_ids gives the positions of endpoint pairs there.
+edge_ids gives the positions of endpoint pairs there, searching the sorted
+codes a*n + b, which are cached beside the CSR.
 
 _BLOCK_BYTES is the one budget for the temporaries of work done a block of
 sources at a time (shortest, verify, greedy, fast2w), and _sweep_rows turns
@@ -149,11 +150,12 @@ class WeightedGraph:
 
     Rejects a non-integer or negative vertex count, and the first bad edge
     in the given order (_checked_edges), at construction time.  The vertex
-    count is stored as a Python int.  The CSR matrix is computed on first
-    use; two threads filling it at once compute the same value twice.
+    count is stored as a Python int.  The CSR matrix and the edge codes are
+    computed on first use; two threads filling one at once compute the same
+    value twice.
     """
 
-    __slots__ = ("n", "_arrays", "_csr")
+    __slots__ = ("n", "_arrays", "_csr", "_codes")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
         n = vertex_count(n)
@@ -162,7 +164,8 @@ class WeightedGraph:
             u.append(x)
             v.append(y)
             w.append(z)
-        self.n, self._arrays, self._csr = n, _checked_edges(n, u, v, w), None
+        self.n, self._arrays = n, _checked_edges(n, u, v, w)
+        self._csr = self._codes = None
 
     @classmethod
     def _from_arrays(cls, n: int, u, v, w) -> "WeightedGraph":
@@ -170,7 +173,8 @@ class WeightedGraph:
         its triples."""
         g = cls.__new__(cls)
         g.n = vertex_count(n)
-        g._arrays, g._csr = _checked_edges(g.n, u, v, w), None
+        g._arrays = _checked_edges(g.n, u, v, w)
+        g._csr = g._codes = None
         return g
 
     @property
@@ -205,15 +209,20 @@ class WeightedGraph:
 
     def edge_ids(self, u, v) -> np.ndarray:
         """Positions in edge_arrays() of the pairs {u[i], v[i]}, -1 for a pair
-        that is no edge: a binary search of the codes a*n + b."""
+        that is no edge: a binary search of the cached sorted codes a*n + b,
+        O(k log m) for k pairs once the codes are cached."""
         a, b, _ = self.edge_arrays()
+        if self._codes is None:
+            keys = a * self.n + b
+            keys.flags.writeable = False
+            self._codes = keys
         u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         codes = lo * self.n + hi
         # searching the codes in sorted order is several times faster
         order = np.argsort(codes)
         ids = np.empty(len(codes), dtype=np.intp)
-        ids[order] = np.searchsorted(a * self.n + b, codes[order])
+        ids[order] = np.searchsorted(self._codes, codes[order])
         # the position found holds the pair, or other endpoints, or is m
         found = ids < len(a)
         found[found] = (a[ids[found]] == lo[found]) & (b[ids[found]] == hi[found])

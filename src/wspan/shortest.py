@@ -13,29 +13,29 @@ The rule prefers the lower-id neighbor in the common symmetric cases (e.g.
 both shortest paths around an even cycle) while remaining consistent across
 sources, which a naive "smaller predecessor id" relaxation is not.
 
-The rule serves W, which the greedy builders and the verifier read through
-index_rows, and path buying (path_vertices).  The +2W spanner needs exact
-distances only, so fast2w takes scipy's own shortest-path trees and does
-not use this module.
+The rule serves W, which the greedy builders and the verifier compute on
+demand (tree_rows), and path buying (path_vertices).  The +2W spanner needs
+exact distances only, so fast2w takes scipy's own shortest-path trees and
+does not use this module.
 
-One kernel, canonical_rows, computes the canonical trees behind
-build_index, index_rows, sssp_canonical and path_vertices, all in numpy.
-scipy gives the exact distances from the requested sources.  The sources
-are then taken a block at a time: one gather-and-compare over the edge
-arrays finds every tight edge of the block, a source is tie-free when each
-reachable vertex has exactly one tight in-edge (which is then its parent),
-and W(s, v) follows for the whole block by pointer doubling up the parent
-trees.  The sources whose distances tie are finished afterwards, a run of
-them at a time: a BFS over their tight edges gives the hop layers, and
-layer by layer a knockout among each vertex's min-hop tight in-edges picks
-its parent.  Two candidates' canonical paths share the tree path down to
-their lowest common ancestor and are edge-disjoint below it, so the winner
-is the one whose branch below it, with its edge to the vertex, holds the
-smaller edge key; binary-lifting tables answer that for a whole layer in
-one vectorized climb.  Blocks and runs are sized from n, m and the tight
-edges so that the temporaries beyond the returned arrays stay within
-graph._BLOCK_BYTES (1 MiB).  The CSR and the edge arrays are the graph's own
-cached layouts (WeightedGraph.csr, edge_arrays).
+One kernel, tree_rows, computes the canonical trees of given sources from
+their exact distance rows, all in numpy; canonical_rows is scipy's Dijkstra
+plus that kernel, behind sssp_canonical and path_vertices.  The sources are
+taken a block at a time: one gather-and-compare over the edge arrays finds
+every tight edge of the block, a source is tie-free when each reachable
+vertex has exactly one tight in-edge (which is then its parent), and
+W(s, v) follows for the whole block by pointer doubling up the parent trees.
+The sources whose distances tie are finished afterwards, a run of them at a
+time: a BFS over their tight edges gives the hop layers, and layer by layer
+a knockout among each vertex's min-hop tight in-edges picks its parent.
+Two candidates' canonical paths share the tree path down to their lowest
+common ancestor and are edge-disjoint below it, so the winner is the one
+whose branch below it, with its edge to the vertex, holds the smaller edge
+key; binary-lifting tables answer that for a whole layer in one vectorized
+climb.  Blocks and runs are sized from n, m and the tight edges so that the
+temporaries beyond the returned arrays stay within graph._BLOCK_BYTES
+(1 MiB).  The CSR and the edge arrays are the graph's own cached layouts
+(WeightedGraph.csr, edge_arrays).
 
 W rows of a graph whose edges all weigh one w0, as on unit weights, need
 neither step: W(s, v) is w0 at every reachable v != s, 0 at s and inf
@@ -50,12 +50,21 @@ it.  So an edge u->v is tight exactly when v is one hop further from s
 than u, and none is tight both ways.  Parent rows, and W rows of graphs with two or more
 edge weights, take the blocks and the tie rule above.
 
+W is read on demand because a cheap bound settles most pairs (w_floor).
+For u != v connected, the canonical u-v path leaves u along an edge at u
+and enters v along an edge at v, so W(u, v) >= L(u, v) = max(minw(u),
+minw(v)), minw being a vertex's lightest incident weight; L takes no
+arithmetic.  And W(u, v) <= d_G(u, v) in floats: each tight step sets
+d' = fl(d + w) >= w, as d >= 0 and rounding is monotone, and d never falls
+along the path.  The index therefore stores distances only, and the
+verifier and the path buyers compute W on the rows that L cannot settle.
+
 canonical_tree_from_dist is the same rule one source at a time, in pure
 Python.  No code here calls it; the tests check canonical_rows against it,
 and perfbench/layers.py probes its name.
 
-A call writes the W rows (build_index, index_rows) or the parent rows
-(sssp_canonical, path_vertices) its caller reads, never both.
+A call writes the W rows or the parent rows (sssp_canonical,
+path_vertices) its caller reads, never both.
 
 Distance ties are detected with exact float equality: the intended regimes
 are integer-valued weights (float arithmetic is exact) and continuous random
@@ -81,22 +90,20 @@ Adjacency = Sequence[Sequence[tuple[int, float]]]
 
 
 class ShortestPathIndex:
-    """All-pairs canonical shortest-path data for one graph: 16 * n^2 bytes.
+    """All-pairs shortest-path distances of one graph: 8 * n^2 bytes.
 
     dist[u][v]   exact shortest-path distance (inf when disconnected)
-    W[u][v]      heaviest edge weight on the canonical u-v path (inf when
-                 disconnected, 0 on the diagonal)
 
-    Canonical paths are not stored; path_vertices computes one on demand.
-    Immutable after construction; safe for concurrent reads.
+    W and canonical paths are not stored: tree_rows computes W rows from
+    dist rows, and path_vertices one canonical path, on demand.  Immutable
+    after construction; safe for concurrent reads.
     """
 
-    __slots__ = ("n", "dist", "W")
+    __slots__ = ("n", "dist")
 
-    def __init__(self, n: int, dist: np.ndarray, W: np.ndarray):
+    def __init__(self, n: int, dist: np.ndarray):
         self.n = n
         self.dist = dist
-        self.W = W
 
 
 def distance_matrix(
@@ -309,7 +316,7 @@ def _tree_block(
     one tight in-edge, which is its canonical parent.  Rows with ties are
     left for _tie_block: returns their indices and tight-edge counts.  W
     rows of a graph whose edges all weigh one w0 never come here:
-    canonical_rows writes them from dist alone.
+    tree_rows writes them from dist alone.
     """
     k = len(dist)
     m = len(ea[2])
@@ -350,7 +357,7 @@ def _tie_block(
     an edge tight in both directions (its endpoints share one distance).
 
     W rows come here only from graphs with two or more edge weights (see
-    canonical_rows); parent rows come here whenever they tie.
+    tree_rows); parent rows come here whenever they tie.
     """
     a, b = ea[:2]
     k, n = dist.shape
@@ -536,15 +543,53 @@ def _tie_runs(n: int, m: int, tight: np.ndarray) -> list[slice]:
     return runs
 
 
-def canonical_rows(
-    g: WeightedGraph, sources: list[int] | None = None, parents: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """(dist, W) rows of the canonical trees from the given sources.
+def absorb_free(g: WeightedGraph) -> bool:
+    """True when no float sum over g can absorb an edge weight; else W must
+    be computed on every row, because only the tie rule (_tie_block)
+    detects an absorbed weight and raises.
 
-    Row i belongs to sources[i]; sources None means every vertex.  With
-    parents true the second array holds the canonical parent rows instead
-    of W (int32; -1 for the source and for unreachable vertices), for
-    sssp_canonical and path_vertices; build_index and index_rows read W.
+    Absorption cannot happen when n * w_max <= 2^52 * w_min: a finite
+    distance is the float sum of at most n - 1 weights along a path, each
+    rounding a partial sum up by a factor of at most 1 + 2^-53, so it is
+    below (n - 1) w_max (1 + 2^-53)^n < 2 n w_max.  A weight w is absorbed
+    into a distance d, fl(d + w) == d, only when w <= ulp(d) / 2 <= 2^-53 d
+    < 2^-52 n w_max, which the bound rules out for w >= w_min.  The test
+    below computes n * (w_max / w_min) with two roundings and asks for
+    2^51, half the bound, which covers them.
+    """
+    w = g.edge_arrays()[2]
+    return not len(w) or g.n * (w.max() / w.min()) <= 2.0**51
+
+
+def w_floor(g: WeightedGraph) -> np.ndarray | None:
+    """minw, each vertex's lightest incident weight (inf when isolated), so
+    that W(u, v) >= max(minw[u], minw[v]) for connected u != v (module
+    docstring); or None when every row should take W instead.
+
+    That is so where a float sum might absorb an edge weight (absorb_free),
+    and where every edge weighs one w0: W is then w0 = L on every connected
+    pair, and tree_rows writes those rows from dist alone, for less than
+    the bound's own arithmetic costs.
+    """
+    w = g.edge_arrays()[2]
+    if not absorb_free(g) or (len(w) and w.min() == w.max()):
+        return None
+    csr = g.csr()
+    minw = np.full(g.n, INF)
+    has = np.diff(csr.indptr) > 0
+    if has.any():
+        minw[has] = np.minimum.reduceat(csr.data, csr.indptr[:-1][has])
+    return minw
+
+
+def tree_rows(
+    g: WeightedGraph, dist: np.ndarray, sources, parents: bool = False
+) -> np.ndarray:
+    """W rows of the canonical trees from the given sources, given their
+    exact distance rows (dist[i] from sources[i], as scipy's Dijkstra gives
+    them); with parents true, the canonical parent rows instead (int32; -1
+    for the source and for unreachable vertices).
+
     _tree_block finishes the tie-free sources a block at a time, then
     _tie_block the sources whose distances tie, in the runs _tie_runs
     sizes.  Both stay within _BLOCK_BYTES of temporaries.  Raises
@@ -555,9 +600,8 @@ def canonical_rows(
     absorbed (module docstring), written _sweep_rows(n) rows at a time.
     """
     n = g.n
-    dist = _sp_dijkstra(g.csr(), directed=True, indices=sources)
     a, b, w = g.edge_arrays()
-    src = np.arange(n) if sources is None else np.asarray(sources, dtype=np.int64)
+    src = np.asarray(sources, dtype=np.int64)
     k, m = len(src), len(w)
     out = np.full((k, n), -1, dtype=np.int32) if parents else np.empty((k, n))
     if not parents and m and w.min() == w.max():
@@ -567,7 +611,7 @@ def canonical_rows(
             blk.fill(INF)
             np.copyto(blk, w[0], where=np.isfinite(dist[lo : lo + step]))
         out[np.arange(k), src] = 0.0
-        return dist, out
+        return out
     ea = (a, b, w, np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w]))
     rows = max(1, min(k, _block_rows(n, m)))
     buf = _edge_buffers(rows, m)
@@ -582,7 +626,20 @@ def canonical_rows(
     for run in _tie_runs(n, m, np.concatenate(count)):
         at = tied[run]
         out[at] = _tie_block(dist[at], src[at], ea, parents)
-    return dist, out
+    return out
+
+
+def canonical_rows(
+    g: WeightedGraph, sources: list[int] | None = None, parents: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """(dist, W) rows of the canonical trees from the given sources.
+
+    Row i belongs to sources[i]; sources None means every vertex.  scipy's
+    Dijkstra gives the distances and tree_rows the W rows, or with parents
+    true the canonical parent rows (for sssp_canonical and path_vertices).
+    """
+    dist = _sp_dijkstra(g.csr(), directed=True, indices=sources)
+    return dist, tree_rows(g, dist, np.arange(g.n) if sources is None else sources, parents)
 
 
 def sssp_canonical(g: WeightedGraph, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -598,35 +655,34 @@ def sssp_canonical(g: WeightedGraph, s: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_index(g: WeightedGraph) -> ShortestPathIndex:
-    """All-pairs canonical index: canonical_rows from every source.
+    """All-pairs distances: one scipy call, 8 * n^2 bytes.
 
-    One scipy call computes all distances.  The tie-free sources then get
-    their W rows a block at a time, and the tied ones from the hop-layer
-    knockout, a run at a time, unless every edge has one weight (then W is
-    that weight between any two distinct connected vertices).  The
-    temporaries stay within _BLOCK_BYTES (1 MiB) beyond the returned
-    16 * n^2 bytes.
+    W is not stored (tree_rows computes it on demand).  On a graph where a
+    float sum might absorb an edge weight (not absorb_free) the W rows of
+    every source are computed and dropped, so that an absorbed weight
+    raises ValueError here, as it would on any row read later.
     """
     n = g.n
     if n == 0:
-        z = np.zeros((0, 0))
-        return ShortestPathIndex(0, z, z.copy())
-    dist, W = canonical_rows(g)
-    return ShortestPathIndex(n, dist, W)
+        return ShortestPathIndex(0, np.zeros((0, 0)))
+    dist = _sp_dijkstra(g.csr(), directed=True)
+    if not absorb_free(g):
+        tree_rows(g, dist, np.arange(n))
+    return ShortestPathIndex(n, dist)
 
 
 def index_rows(
     g: WeightedGraph, idx: ShortestPathIndex | None, sources: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """G's (dist, W) rows of the given (nonempty) sources, row i for sources[i].
+) -> np.ndarray:
+    """G's distance rows of the given (nonempty) sources, row i for sources[i].
 
-    The greedy builders and the verifier read G only through this.  idx is
-    an optional cache, sliced when given; else canonical_rows computes the
-    same rows.
+    The greedy builders and the verifier read G's distances only through
+    this.  idx is an optional cache, sliced when given; else one Dijkstra
+    call computes the same rows.
     """
     if idx is not None:
-        return idx.dist[sources], idx.W[sources]
-    return canonical_rows(g, sources)
+        return idx.dist[sources]
+    return _sp_dijkstra(g.csr(), directed=True, indices=sources)
 
 
 def path_vertices(g: WeightedGraph, u: int, v: int) -> list[int]:

@@ -2,10 +2,31 @@
 
 Checks take one of two shapes.  The additive bound d_H <= d_G + c * W, on
 all pairs or on S x S, is a sweep: Dijkstra on H from a block of sources at
-a time, compared with the same rows of G's distances and W, read through
+a time, compared with the same rows of G's distances, read through
 shortest.index_rows (sliced from G's index when one is given).  Blocks are
 sized by graph._sweep_rows, so a check holds O(block * n) memory beyond H
 and any index given.
+
+W is computed (shortest.tree_rows, one call per block) only on the rows
+whose outcome the lower bound L(u, v) = max(minw(u), minw(v)) <= W(u, v)
+cannot settle (shortest.w_floor); StretchReport.w_rows counts them.  The
+result is exactly the all-rows one, because rounding is monotone:
+- Violations.  The bound b = fl(d_G + fl(c * W)) only grows with W, and the
+  test d_H - b > REL_TOL * max(1, b) only weakens as b grows.  So a pair
+  that passes with L in place of W passes with W, and a row needs W only
+  when some pair fails with L (an unreachable pair always does).
+- max_slack_ratio, the largest r = x / W over pairs H connects, x = d_H -
+  d_G.  As L <= W <= d_G, r <= x / L when x >= 0 and r <= x / d_G when
+  x < 0, and the reverse bounds hold below.  A block's rows are fetched
+  when their upper bound exceeds T, the larger of the exact maximum over
+  the rows fetched so far and the block's largest lower bound; the row
+  holding that lower bound is fetched too when it exceeds the maximum so
+  far.  Every row left out then has all its ratios at most T, which the
+  fetched rows reach, so the maximum over fetched rows is the maximum.
+Every row takes W where w_floor gives no bound: on a graph whose float sums
+might absorb an edge weight, so that the absorbed weight raises as it
+always did, and on a graph of one edge weight, whose W rows cost less than
+the bound.
 
 The other two bounds are local, and are checked on edges.  d_H >= d_G holds
 for every pair iff every edge (a, b) of H has w_H(a, b) >= d_G(a, b): chain
@@ -39,6 +60,8 @@ from .shortest import (
     _edge_distances,
     distance_matrix,
     index_rows,
+    tree_rows,
+    w_floor,
 )
 
 REL_TOL = 1e-9
@@ -65,7 +88,8 @@ class Violation:
 
 @dataclass
 class StretchReport:
-    """Outcome of one verification pass."""
+    """Outcome of one verification pass; w_rows counts the rows of G whose
+    W was computed."""
 
     bound_kind: str
     params: dict
@@ -73,6 +97,7 @@ class StretchReport:
     violations: list[Violation] = field(default_factory=list)
     max_slack_ratio: float = math.nan
     size: int = 0
+    w_rows: int = 0
 
     @property
     def passed(self) -> bool:
@@ -88,6 +113,7 @@ class StretchReport:
             "violations": [v.to_dict() for v in self.violations[:50]],
             "max_slack_ratio": _json_float(self.max_slack_ratio),
             "size": self.size,
+            "w_rows": self.w_rows,
         }
 
 
@@ -101,18 +127,32 @@ def _violations(u, v, dg, dh, wh, slack, kind: str = "stretch") -> list[Violatio
 
 
 def _tail_rows(
-    g: WeightedGraph, idx: ShortestPathIndex | None, a: np.ndarray, b: np.ndarray
+    report: StretchReport,
+    g: WeightedGraph,
+    idx: ShortestPathIndex | None,
+    a: np.ndarray,
+    b: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """G's (d_G, W) of the pairs (a[i], b[i]), read from the rows of the
-    distinct a[i] through index_rows, a sweep block of them at a time."""
+    distinct a[i], a sweep block of them at a time; report.w_rows counts
+    those rows."""
     tails, at = np.unique(a, return_inverse=True)
     dg, wh = np.empty(len(a)), np.empty(len(a))
     rows = _sweep_rows(g.n)
     for lo in range(0, len(tails), rows):
         sel = (at >= lo) & (at < lo + rows)
-        dist, W = index_rows(g, idx, tails[lo : lo + rows].tolist())
+        block = tails[lo : lo + rows]
+        dist = index_rows(g, idx, block.tolist())
+        W = tree_rows(g, dist, block)
         dg[sel], wh[sel] = dist[at[sel] - lo, b[sel]], W[at[sel] - lo, b[sel]]
+    report.w_rows += len(tails)
     return dg, wh
+
+
+def _exceeds(dh: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """d_H > bound up to relative tolerance; an unreachable pair, d_H inf
+    against a finite bound, exceeds it."""
+    return dh - bound > REL_TOL * np.maximum(1.0, np.abs(bound))
 
 
 def _sweep(
@@ -122,33 +162,56 @@ def _sweep(
     """Check d_H <= d_G + c * W, up to relative tolerance, on S x S.
 
     S is sorted and duplicate-free; the pairs u < v of S connected in g are
-    checked.  G's rows of each block come from index_rows.  max_slack_ratio
-    is the largest (d_H - d_G) / W.
+    checked.  G's distance rows of each block come from index_rows, and W
+    only on the rows that need it (module docstring).  max_slack_ratio is
+    the largest (d_H - d_G) / W.
     """
     cols = np.asarray(S)
     csr = h.csr()
-    found = []
-    tops: list[float] = []
+    minw = w_floor(g)
+    found = [(cols[:0], cols[:0], *(np.zeros(0) for _ in range(4)))]
+    top = -math.inf  # the largest ratio of the rows fetched so far
     rows = _sweep_rows(g.n)
     for lo in range(0, len(S), rows):
         hi = min(lo + rows, len(S))
         dh = distance_matrix(csr, S[lo:hi])[:, cols]
-        dist, W = index_rows(g, idx, S[lo:hi])
-        dg, wb = dist[:, cols], W[:, cols]
+        dist = index_rows(g, idx, S[lo:hi])
+        dg = dist[:, cols]
         # the pairs i < j of S: column position past the row's own
         connected = (np.arange(len(S)) > np.arange(lo, hi)[:, None]) & np.isfinite(dg)
         report.pairs_checked += int(np.count_nonzero(connected))
+        sel = connected & np.isfinite(dh)
+        if minw is None:
+            need = np.ones(hi - lo, dtype=bool)
+        else:
+            # inf-inf, 0*inf and x/inf on pairs the masks discard
+            with np.errstate(invalid="ignore", divide="ignore"):
+                L = np.maximum(minw[cols[lo:hi], None], minw[cols])
+                need = (connected & _exceeds(dh, dg + c * L)).any(axis=1)
+                # x / W lies between x / L and x / d_G, whatever the sign of x
+                x = dh - dg
+                by_l, by_d = x / L, x / dg
+                upper = np.where(sel, np.maximum(by_l, by_d), -math.inf).max(axis=1)
+                lower = np.where(sel, np.minimum(by_l, by_d), -math.inf).max(axis=1)
+            best = int(np.argmax(lower))
+            need |= upper > max(top, lower[best])
+            if lower[best] > top:
+                need[best] = True
+        at = np.flatnonzero(need)
+        if not len(at):
+            continue
+        report.w_rows += len(at)
+        wb = tree_rows(g, dist[at], cols[lo + at])[:, cols]
+        dg, dh, connected, sel = dg[at], dh[at], connected[at], sel[at]
         with np.errstate(invalid="ignore"):  # inf-inf and 0*inf on pairs the mask discards
             bd = dg + c * wb
-            # an unreachable pair has d_H - bound = inf, so it is flagged too
-            bad = connected & (dh - bd > REL_TOL * np.maximum(1.0, np.abs(bd)))
+            bad = connected & _exceeds(dh, bd)
         i, j = np.nonzero(bad)
-        found.append((cols[lo + i], cols[j], dg[i, j], dh[i, j], wb[i, j], dh[i, j] - bd[i, j]))
-        sel = connected & np.isfinite(dh)
+        found.append((cols[lo + at[i]], cols[j], dg[i, j], dh[i, j], wb[i, j], dh[i, j] - bd[i, j]))
         if sel.any():
-            tops.append(float(((dh[sel] - dg[sel]) / wb[sel]).max()))
+            top = max(top, float(((dh[sel] - dg[sel]) / wb[sel]).max()))
     report.violations = _violations(*(np.concatenate(x) for x in zip(*found)))
-    report.max_slack_ratio = max(tops, default=math.nan)
+    report.max_slack_ratio = top if top > -math.inf else math.nan
     return report
 
 
@@ -212,7 +275,7 @@ def verify_multiplicative(
     )
     if len(bad):
         dh[bad] = _edge_distances(h.csr(), a[bad], b[bad])
-        dg, wh = _tail_rows(g, idx, a[bad], b[bad])
+        dg, wh = _tail_rows(report, g, idx, a[bad], b[bad])
         report.violations = _violations(a[bad], b[bad], dg, dh[bad], wh, dh[bad] - alpha * dg)
     reach = np.isfinite(dh)
     if reach.any():
@@ -249,7 +312,7 @@ def verify_non_contracting(
     bad = np.flatnonzero(~np.isfinite(dg) | (dg - w > REL_TOL * np.maximum(1.0, dg)))
     report = StretchReport(bound_kind="exact", params={"direction": "lower"}, pairs_checked=h.m, size=h.m)
     if len(bad):
-        heavy = _tail_rows(g, idx, a[bad], b[bad])[1]
+        heavy = _tail_rows(report, g, idx, a[bad], b[bad])[1]
         slack = dg[bad] - w[bad]
         report.violations = _violations(a[bad], b[bad], dg[bad], w[bad], heavy, slack, "contraction")
     return report

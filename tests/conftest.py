@@ -19,7 +19,11 @@ either: it walks the package's own parent rows, for tests that read the
 canonical paths of many pairs of one graph.  tied_source classifies sources
 by scipy's distances, the ones the package's kernels see.  forbid_full_index
 is a guard for the tests that check G without its index, and sparse_800
-gives the graphs of their memory checks.
+gives the graphs of their memory checks.  sweep_reference and
+path_buying_reference are the verifier's sweep and path buying's candidate
+pass as they were when every row took W: the oracles for the rows that now
+take it on demand.  clustered_graphs draws graphs on which path buying buys
+paths, and buying_graphs mixes them with small_graphs.
 """
 
 from __future__ import annotations
@@ -34,10 +38,12 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+import wspan.greedy
 import wspan.shortest
+import wspan.verify
 from wspan import GenSpec, WeightedGraph, generate
 from wspan.graph import edge_key
-from wspan.shortest import canonical_rows
+from wspan.shortest import canonical_rows, index_rows, tree_rows
 
 
 def neighbor_lists(g: WeightedGraph) -> list[list[tuple[int, float]]]:
@@ -239,20 +245,92 @@ def tied_source(g: WeightedGraph, s: int) -> bool:
 
 
 def forbid_full_index(monkeypatch) -> list:
-    """Fail every canonical_rows call over all vertices, the one build_index
-    makes; record the sources of the others."""
+    """Fail G's all-pairs distances (build_index's one Dijkstra call over
+    every vertex) and any W or parent rows computed over every vertex;
+    record the sources of the other tree_rows calls."""
     calls = []
-    real = wspan.shortest.canonical_rows
+    dijkstra, rows = wspan.shortest._sp_dijkstra, wspan.shortest.tree_rows
 
-    def rows(g, sources=None, parents=False):
-        if sources is None:
+    def no_full_dijkstra(csr, *args, indices=None, **kwargs):
+        if indices is None:
             raise AssertionError("full index built")
-        calls.append(list(sources))
-        return real(g, sources, parents)
+        return dijkstra(csr, *args, indices=indices, **kwargs)
 
-    # index_rows and build_index reach the kernel through this module attribute
-    monkeypatch.setattr(wspan.shortest, "canonical_rows", rows)
+    def some_rows(g, dist, sources, parents=False):
+        sources = np.asarray(sources).tolist()
+        if len(set(sources)) == g.n:
+            raise AssertionError("W or parent rows of every vertex computed")
+        calls.append(sources)
+        return rows(g, dist, sources, parents)
+
+    monkeypatch.setattr(wspan.shortest, "_sp_dijkstra", no_full_dijkstra)
+    # the verifier and the path buyers bind the kernel by name
+    for module in (wspan.shortest, wspan.verify, wspan.greedy):
+        monkeypatch.setattr(module, "tree_rows", some_rows)
     return calls
+
+
+def sweep_reference(g: WeightedGraph, h: WeightedGraph, c: float, pair_class=None, idx=None):
+    """verify_additive_W's report as the sweep gave it with W on every row:
+    G's distance and W rows of each block of verify._sweep_rows(n) sources,
+    and the same float operations.  w_rows stays 0."""
+    S = list(range(g.n)) if pair_class is None else sorted(set(pair_class))
+    report = wspan.verify.StretchReport(
+        bound_kind="additive-cW",
+        params={"c": c, "pair_class": "all" if pair_class is None else "subset"},
+        pairs_checked=0,
+        size=h.m,
+    )
+    cols = np.asarray(S)
+    csr = h.csr()
+    found = []
+    tops: list[float] = []
+    rows = wspan.verify._sweep_rows(g.n)
+    for lo in range(0, len(S), rows):
+        hi = min(lo + rows, len(S))
+        dh = dijkstra(csr, indices=S[lo:hi])[:, cols]
+        dist = index_rows(g, idx, S[lo:hi])
+        W = tree_rows(g, dist, S[lo:hi])
+        dg, wb = dist[:, cols], W[:, cols]
+        connected = (np.arange(len(S)) > np.arange(lo, hi)[:, None]) & np.isfinite(dg)
+        report.pairs_checked += int(np.count_nonzero(connected))
+        with np.errstate(invalid="ignore"):
+            bd = dg + c * wb
+            bad = connected & (dh - bd > wspan.verify.REL_TOL * np.maximum(1.0, np.abs(bd)))
+        i, j = np.nonzero(bad)
+        found.append((cols[lo + i], cols[j], dg[i, j], dh[i, j], wb[i, j], dh[i, j] - bd[i, j]))
+        sel = connected & np.isfinite(dh)
+        if sel.any():
+            tops.append(float(((dh[sel] - dg[sel]) / wb[sel]).max()))
+    report.violations = wspan.verify._violations(*(np.concatenate(x) for x in zip(*found)))
+    report.max_slack_ratio = max(tops, default=math.nan)
+    return report
+
+
+def path_buying_reference(g, idx, S, start, c, by_dist):
+    """greedy._path_buying with W on every row of the candidate pass (the
+    same blocks, of greedy._sweep_rows(n) sources, and float operations);
+    its w_rows is every row of S."""
+    oracle = wspan.greedy._GrowingDistances(g, start.copy())
+    h0 = oracle._matrix()
+    cols = np.asarray(S, dtype=np.int64)
+    found = [np.zeros((0, 2), dtype=np.int64)]
+    keys = [np.zeros((3, 0))]
+    rows = wspan.greedy._sweep_rows(g.n)
+    for lo in range(0, len(S), rows):
+        block = S[lo : lo + rows]
+        dist = index_rows(g, idx, block)
+        W = tree_rows(g, dist, block)
+        dg, wg = dist[:, cols], W[:, cols]
+        thresh = dg + c * wg
+        dh = dijkstra(h0, indices=block)[:, cols]
+        i, j = np.nonzero((dh > thresh) & (cols > cols[lo : lo + len(block), None]))
+        found.append(np.stack([cols[lo + i], cols[j]], axis=1))
+        keys.append(np.stack([thresh[i, j], wg[i, j], dg[i, j]]))
+    pairs = np.concatenate(found)
+    thresh, W, d = np.concatenate(keys, axis=1)
+    order = wspan.greedy.make_pair_order(pairs, W, d if by_dist else None)
+    return (*wspan.greedy._buy_paths(g, oracle, thresh[order], pairs[order]), len(S))
 
 
 def brute_force_apsp(g: WeightedGraph) -> np.ndarray:
@@ -459,6 +537,34 @@ def mixed_graphs(draw):
         edges += [(u + n, v + n, w) for u, v, w in part.edge_items()]
         n += part.n
     return WeightedGraph(n, edges)
+
+
+@st.composite
+def clustered_graphs(draw, max_n: int = 9):
+    """Two clusters of light edges joined by heavy ones.
+
+    Each cluster holds a cycle through its vertices, so every vertex has two
+    edges lighter than any cross edge and a 2-light initialization keeps the
+    clusters apart; path buying then has to join them.  Random graphs this
+    small rarely buy a path at all.
+    """
+    n = draw(st.integers(min_value=6, max_value=max_n))
+    k = draw(st.integers(min_value=3, max_value=n - 3))
+    light = st.integers(1, 3).map(float)
+    heavy = st.integers(8, 20).map(float)
+    cycles = {(i, i + 1) for i in range(k - 1)} | {(0, k - 1)}
+    cycles |= {(i, i + 1) for i in range(k, n - 1)} | {(k, n - 1)}
+    edges = []
+    for u, v in itertools.combinations(range(n), 2):
+        inside = (u < k) == (v < k)
+        if (u, v) in cycles or draw(st.booleans()):
+            edges.append((u, v, draw(light if inside else heavy)))
+    if not any((u < k) != (v < k) for u, v, _ in edges):
+        edges.append((k - 1, k, draw(heavy)))
+    return WeightedGraph(n, edges)
+
+
+buying_graphs = st.one_of(small_graphs(max_n=8), clustered_graphs())
 
 
 def sparse_800(family: str) -> WeightedGraph:

@@ -8,6 +8,7 @@ from wspan.bench import run_bench
 from wspan.fast2w import build_fast_2w
 from wspan.cli import _build_parser, main
 from wspan.generators import GenSpec
+from wspan.graph import WeightedGraph
 from wspan.greedy import greedy_multiplicative
 from wspan.io import read_graph, read_jsonl, write_graph, write_subset
 from wspan.shortest import build_index
@@ -73,6 +74,32 @@ def test_build_mult_reports_its_searches(capsys, tmp_path):
     res = greedy_multiplicative(read_graph(graph), 2)
     assert stats["searched_edges"] == res.stats["searched_edges"] > 0
     assert stats["m_out"] == res.m
+
+
+def test_build_and_verify_echo_their_w_rows(capsys, tmp_path):
+    # two unit 5-cliques joined by a heavy edge, which 6w's light init drops:
+    # only the rows 0..4 hold pairs across, the ones whose W is computed
+    clique = lambda o: [(o + i, o + j, 1.0) for i in range(5) for j in range(i + 1, 5)]  # noqa: E731
+    g = WeightedGraph(10, clique(0) + clique(5) + [(0, 5, 10.0)])
+    graph, sfile = tmp_path / "g.txt", tmp_path / "s.txt"
+    write_graph(g, graph)
+    write_subset([1, 2, 6, 7], sfile)
+    for name, flags, bound in (
+        ("6w", ["--eps", "1"], "6w:1"),
+        ("poly", ["--eps", "0.5"], "poly:0.5"),
+        ("subsetwise", ["--eps", "0.5", "--subset", str(sfile)], f"subset:0.5:{sfile}"),
+    ):
+        out_path = tmp_path / f"{name}.txt"
+        code, out, _ = run(capsys, "build", "--algo", name, *flags, "--graph", str(graph), "-o", str(out_path))
+        assert code == 0
+        subset = [1, 2, 6, 7] if name == "subsetwise" else None
+        res = ALGOS[name].build(g, parse_algo(f"{name}:{flags[1]}")[1], None, 0, subset)
+        assert json.loads(out)["w_rows"] == res.stats["w_rows"]
+        code, out, _ = run(capsys, "verify", "--graph", str(graph), "--spanner", str(out_path), "--bound", bound)
+        reports = ALGOS[name].certify(g, res.to_graph(g), parse_bound(bound)[1], None, subset)
+        assert code == 0
+        assert [r["w_rows"] for r in json.loads(out)["reports"]] == [r.w_rows for r in reports]
+    assert res.stats["w_rows"] == 2  # subsetwise: rows 1 and 2 of S
 
 
 def test_build_fast2w_reports_its_dijkstra_sources(capsys, tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import wspan.shortest as shortest
 from wspan import (
     GenSpec,
     WeightedGraph,
@@ -18,7 +17,7 @@ from wspan import (
     verify_subgraph,
 )
 
-from conftest import emulator_reference, mixed_graphs, small_graphs
+from conftest import emulator_reference, forbid_full_index, mixed_graphs, small_graphs
 
 
 def dense(n, seed):
@@ -132,16 +131,9 @@ TWO_CLIQUES = WeightedGraph(
 @example(g=TWO_CLIQUES, seed=3)
 def test_emulator_without_index_reads_sample_distances_only(g, seed):
     indexed = build_4w_emulator(g, seed, idx=build_index(g))
-    calls = []
-    orig = shortest.canonical_rows
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return orig(*args, **kwargs)
-
-    # counts build_index too: it reaches the kernel through this module attribute
+    # fails on build_index's all-pairs Dijkstra; records any W or parent rows
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(shortest, "canonical_rows", counted)
+        calls = forbid_full_index(mp)
         alone = build_4w_emulator(g, seed)
     assert calls == []
     assert alone.edges == indexed.edges

@@ -139,6 +139,38 @@ def test_edge_ids_round_trip(g, data):
     assert g.edge_ids(*zip(*pairs)).tolist() == [-1] * len(pairs)
 
 
+def edge_ids_uncached(g: WeightedGraph, u, v) -> np.ndarray:
+    """edge_ids as it was before the codes were cached: all m codes a*n + b
+    formed on every call."""
+    a, b, _ = g.edge_arrays()
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    codes = lo * g.n + hi
+    order = np.argsort(codes)
+    ids = np.empty(len(codes), dtype=np.intp)
+    ids[order] = np.searchsorted(a * g.n + b, codes[order])
+    found = ids < len(a)
+    found[found] = (a[ids[found]] == lo[found]) & (b[ids[found]] == hi[found])
+    return np.where(found, ids, -1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_graphs(), st.data())
+def test_edge_ids_match_the_uncached_search(g, data):
+    ends = st.integers(-2, 2 * g.n + 1)
+    for _ in range(3):
+        pairs = data.draw(st.lists(st.tuples(ends, ends), max_size=12))
+        u, v = [p[0] for p in pairs], [p[1] for p in pairs]
+        got = g.edge_ids(u, v)
+        assert got.tolist() == edge_ids_uncached(g, u, v).tolist()
+        assert all((i >= 0) == g.has_edge(x, y) for i, x, y in zip(got.tolist(), u, v))
+    # the codes are formed once per graph and kept read-only
+    codes = g._codes
+    assert codes is not None and not codes.flags.writeable
+    g.edge_ids([0], [0])
+    assert g._codes is codes
+
+
 @settings(max_examples=50, deadline=None)
 @given(small_graphs(), st.data())
 def test_subgraph_is_cut_from_the_edge_arrays(g, data):

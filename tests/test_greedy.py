@@ -27,10 +27,12 @@ from wspan import (
 )
 import wspan.greedy as greedy
 from wspan.greedy import multiplicative_k_for, poly_stretch_factor
+from wspan.shortest import canonical_rows
 
 from conftest import (
     WEIGHTS,
     brute_force_apsp,
+    buying_graphs,
     forbid_full_index,
     greedy_mult_oracle,
     greedy_mult_reference,
@@ -38,6 +40,7 @@ from conftest import (
     mixed_graphs,
     oracle_canonical_path,
     path_buying_oracle,
+    path_buying_reference,
     small_graphs,
     sparse_800,
 )
@@ -47,72 +50,42 @@ def random_tree(n=12, seed=3):
     return generate(GenSpec(family="tree", n=n, wmodel="uniform", seed=seed))
 
 
-@st.composite
-def clustered_graphs(draw, max_n: int = 9):
-    """Two clusters of light edges joined by heavy ones.
-
-    Each cluster holds a cycle through its vertices, so every vertex has two
-    edges lighter than any cross edge and a 2-light initialization keeps the
-    clusters apart; path buying then has to join them.  Random graphs this
-    small rarely buy a path at all.
-    """
-    n = draw(st.integers(min_value=6, max_value=max_n))
-    k = draw(st.integers(min_value=3, max_value=n - 3))
-    light = st.integers(1, 3).map(float)
-    heavy = st.integers(8, 20).map(float)
-    cycles = {(i, i + 1) for i in range(k - 1)} | {(0, k - 1)}
-    cycles |= {(i, i + 1) for i in range(k, n - 1)} | {(k, n - 1)}
-    edges = []
-    for u, v in itertools.combinations(range(n), 2):
-        inside = (u < k) == (v < k)
-        if (u, v) in cycles or draw(st.booleans()):
-            edges.append((u, v, draw(light if inside else heavy)))
-    if not any((u < k) != (v < k) for u, v, _ in edges):
-        edges.append((k - 1, k, draw(heavy)))
-    return WeightedGraph(n, edges)
-
-
-buying_graphs = st.one_of(small_graphs(max_n=8), clustered_graphs())
-
-
 # ---------------------------------------------------------------- pair order
 
 
-def ordered(idx, pairs, by_dist=True):
-    """pairs in make_pair_order's order, with keys read from idx."""
+def ordered(g, pairs, by_dist=True):
+    """pairs in make_pair_order's order, with keys read from g's rows."""
+    dist, W = canonical_rows(g)
     uv = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     us, vs = uv[:, 0], uv[:, 1]
-    order = make_pair_order(uv, idx.W[us, vs], idx.dist[us, vs] if by_dist else None)
+    order = make_pair_order(uv, W[us, vs], dist[us, vs] if by_dist else None)
     assert order.shape == (len(uv),)
     return uv[order].tolist()
 
 
 def test_pair_order_w_then_dist():
     g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 4.0)])
-    idx = build_index(g)
     # equal W=1 for both, d(0,1)=1 < d(0,2)=2, whatever the input order
     for pairs in ([(0, 2), (0, 1)], [(0, 1), (0, 2)]):
-        assert ordered(idx, pairs) == [[0, 1], [0, 2]]
-    assert ordered(idx, []) == []
+        assert ordered(g, pairs) == [[0, 1], [0, 2]]
+    assert ordered(g, []) == []
 
 
 def test_pair_order_all_equal_keys_id_lexicographic():
     g = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
-    idx = build_index(g)
     for pairs in ([(0, 3), (0, 2), (0, 1)], [(0, 2), (0, 3), (0, 1)]):
-        assert ordered(idx, pairs) == [[0, 1], [0, 2], [0, 3]]
+        assert ordered(g, pairs) == [[0, 1], [0, 2], [0, 3]]
 
 
 def test_pair_order_triangle_heavy_edge_last():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)])
-    idx = build_index(g)
     # W is 1 for every pair (the heavy edge is never on a shortest path),
     # so the distance key pushes (0,2) last
     for pairs in ([(0, 2), (1, 2), (0, 1)], [(1, 2), (0, 2), (0, 1)]):
-        assert ordered(idx, pairs) == [[0, 1], [1, 2], [0, 2]]
+        assert ordered(g, pairs) == [[0, 1], [1, 2], [0, 2]]
         # without distances the all-equal key falls back to id order
-        assert ordered(idx, pairs, by_dist=False) == [[0, 1], [0, 2], [1, 2]]
-    assert ordered(idx, [], by_dist=False) == []
+        assert ordered(g, pairs, by_dist=False) == [[0, 1], [0, 2], [1, 2]]
+    assert ordered(g, [], by_dist=False) == []
 
 
 # ------------------------------------------------------------- multiplicative
@@ -450,7 +423,8 @@ def test_results_record_processing_order(medium_gnp):
     idx = build_index(medium_gnp)
     res = build_6eps_spanner(medium_gnp, 0.1, idx=idx)
     # paths_added is ordered exactly as processed: W nondecreasing
-    ws = [idx.W[u][v] for u, v in res.paths_added]
+    W = canonical_rows(medium_gnp)[1]
+    ws = [W[u][v] for u, v in res.paths_added]
     assert ws == sorted(ws)
     counts = res.stats["phase_edge_counts"]
     assert counts["light_init"] + counts["paths"] == res.m
@@ -535,22 +509,75 @@ def test_index_is_an_optional_cache(g, data):
             assert cached.stats == computed.stats
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(buying_graphs, mixed_graphs()), st.data())
+def test_candidate_pass_matches_the_all_rows_reference(g, data):
+    S = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n), label="S")
+    rows = data.draw(st.integers(1, 3), label="sources per block")
+    idx = build_index(g) if data.draw(st.booleans(), label="indexed") else None
+    builds = (
+        lambda: build_6eps_spanner(g, 0.25, idx=idx),
+        lambda: build_poly_spanner(g, 0.0, 0.5, idx=idx),
+        lambda: build_subsetwise_spanner(g, S, 0.5, idx=idx),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greedy, "_sweep_rows", lambda n: rows)
+        got = [build() for build in builds]
+        mp.setattr(greedy, "_path_buying", path_buying_reference)
+        want = [build() for build in builds]
+    for res, ref in zip(got, want):
+        assert np.array_equal(res.kept, ref.kept)
+        assert res.paths_added == ref.paths_added
+        assert res.stats["w_rows"] <= ref.stats["w_rows"]
+        assert {**res.stats, "w_rows": 0} == {**ref.stats, "w_rows": 0}
+    # and from any H0 at any c, where candidates are many and W varies
+    start = np.array(data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m), label="H0"), dtype=bool)
+    # the builders' c is always positive
+    c = data.draw(st.sampled_from([0.5, 2.0, 7.0]), label="c")
+    by_dist = data.draw(st.booleans(), label="by_dist")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greedy, "_sweep_rows", lambda n: rows)
+        kept, bought, added, w_rows = greedy._path_buying(g, idx, sorted(set(S)), start, c, by_dist)
+        ref = path_buying_reference(g, idx, sorted(set(S)), start, c, by_dist)
+    assert np.array_equal(kept, ref[0]) and (bought, added) == ref[1:3]
+    # W is read on exactly the rows of S with a later pair d_H0 > d_G + c * L,
+    # or on all of them where every edge has one weight
+    minw = np.full(g.n, math.inf)
+    for u, v, w in g.edge_items():
+        minw[u], minw[v] = min(minw[u], w), min(minw[v], w)
+    d_g = dijkstra(g.csr())
+    d_h0 = dijkstra(g.subgraph(mask_keys(g, start)).csr())
+    T = sorted(set(S))
+    fails = [any(d_h0[u, v] > d_g[u, v] + c * max(minw[u], minw[v]) for v in T if v > u) for u in T]
+    one_weight = len({w for *_, w in g.edge_items()}) == 1
+    assert w_rows == (len(T) if one_weight else sum(fails))
+
+
 def test_builders_without_index_build_no_full_index(monkeypatch):
+    # every vertex's lightest edge weighs 1, so L = 1 on every pair, and only
+    # a pair across the cliques, whose H0 path is missing or long, can fail
+    # d_H0 <= d_G + c * L: W is computed on the rows holding one
     g = two_cliques(k=9)
     S = [1, 4, 10, 13]
     rows = forbid_full_index(monkeypatch)
     monkeypatch.setattr(greedy, "_sweep_rows", lambda n: 4)
-    for build in (lambda: build_6eps_spanner(g, 1.0), lambda: build_poly_spanner(g, 0.5)):
-        del rows[:]
-        build()
-        assert rows[:5] == [list(range(lo, min(lo + 4, g.n))) for lo in range(0, g.n, 4)]
+    res = build_6eps_spanner(g, 1.0)
+    # H0 lacks the heavy edge: rows 0..8 have a later vertex across, 9..17 none
+    assert rows[:3] == [[0, 1, 2, 3], [4, 5, 6, 7], [8]] and res.stats["w_rows"] == 9
+    # then path_vertices: one source's parent row per bought pair
+    assert len(rows) == 3 + len(res.paths_added) and all(len(r) == 1 for r in rows[3:])
+    del rows[:]
+    # poly's H0 holds the heavy edge (a bridge, so in the multiplicative
+    # spanner), and its stretch factor exceeds every d_H0 - d_G
+    res = build_poly_spanner(g, 0.5)
+    assert rows == [] and res.stats["w_rows"] == 0 and not res.paths_added
     monkeypatch.setattr(greedy, "_sweep_rows", lambda n: 3)
     del rows[:]
     res = build_subsetwise_spanner(g, S, 0.5)
     assert res.paths_added
-    assert rows[:2] == [S[:3], S[3:]]
-    # then path_vertices: one source's parent row per bought pair
-    assert len(rows) == 2 + len(res.paths_added) and all(len(r) == 1 for r in rows[2:])
+    # blocks [1, 4, 10] and [13]: 10 and 13 have no later vertex across
+    assert rows[:1] == [[1, 4]] and res.stats["w_rows"] == 2
+    assert len(rows) == 1 + len(res.paths_added) and all(len(r) == 1 for r in rows[1:])
 
 
 def test_builders_hold_edge_masks_not_graphs(monkeypatch):

@@ -13,6 +13,7 @@ from wspan import (
     t_light_init,
 )
 from wspan.graph import edge_key
+from wspan.shortest import canonical_rows
 
 from conftest import (
     canonical_paths,
@@ -124,6 +125,7 @@ def test_light_neighbor_density_on_missing_paths():
     for seed in range(4):
         g = generate(GenSpec(family="gnp", n=60, p=0.25, wmodel="exp-spread", seed=seed))
         idx = build_index(g)
+        W = canonical_rows(g)[1]
         path_of = canonical_paths(g)
         t = 4
         kept = mask_keys(g, t_light_init(g, t).kept)
@@ -139,7 +141,7 @@ def test_light_neighbor_density_on_missing_paths():
             )
             if missing == 0:
                 continue
-            wmax = idx.W[u][v]
+            wmax = W[u][v]
             members = set()
             for y in path:
                 for x, w in adj[y]:

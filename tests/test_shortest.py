@@ -71,42 +71,42 @@ def test_sssp_source_out_of_range():
 def test_index_triangle_route_around_heavy_edge():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)])
     assert brute_force_apsp(g)[0, 2] == 2.0
-    idx = build_index(g)
-    assert idx.dist[0][2] == 2.0
-    assert idx.W[0][2] == 1.0
+    dist, W = canonical_rows(g)
+    assert dist[0][2] == 2.0
+    assert W[0][2] == 1.0
     assert path_vertices(g, 0, 2) == [0, 1, 2]
 
 
 def test_index_single_edge():
     g = WeightedGraph(2, [(0, 1, 3.0)])
-    idx = build_index(g)
-    assert idx.dist[0][1] == 3.0
-    assert idx.W[0][1] == 3.0
+    dist, W = canonical_rows(g)
+    assert dist[0][1] == 3.0
+    assert W[0][1] == 3.0
 
 
 def test_index_star_heaviest_of_two_legs():
     g = WeightedGraph(5, [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0), (0, 4, 4.0)])
-    idx = build_index(g)
+    dist, W = canonical_rows(g)
     for i in range(1, 5):
         for j in range(i + 1, 5):
-            assert idx.W[i][j] == max(float(i), float(j))
-            assert idx.dist[i][j] == float(i + j)
+            assert W[i][j] == max(float(i), float(j))
+            assert dist[i][j] == float(i + j)
 
 
 def test_canonical_path_identity():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    idx = build_index(g)
+    dist, W = canonical_rows(g)
     assert path_vertices(g, 1, 1) == [1]
-    assert idx.dist[1][1] == 0.0
-    assert idx.W[1][1] == 0.0
+    assert dist[1][1] == 0.0
+    assert W[1][1] == 0.0
 
 
 def test_canonical_path_whole_path_graph():
     g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0)])
-    idx = build_index(g)
+    dist, W = canonical_rows(g)
     assert path_vertices(g, 0, 3) == [0, 1, 2, 3]
-    assert idx.dist[0][3] == 4.0
-    assert idx.W[0][3] == 2.0
+    assert dist[0][3] == 4.0
+    assert W[0][3] == 2.0
 
 
 def test_canonical_path_disconnected_errors():
@@ -158,19 +158,20 @@ def test_distances_match_brute_force_floats(g):
 @given(small_graphs(max_n=9))
 def test_index_structural_invariants(g):
     idx = build_index(g)
+    W = canonical_rows(g)[1]
     path = canonical_paths(g)
     n = g.n
     assert np.array_equal(idx.dist, idx.dist.T)
     assert all(idx.dist[i][i] == 0.0 for i in range(n))
-    assert np.array_equal(idx.W, idx.W.T)
+    assert np.array_equal(W, W.T)
     for u in range(n):
         for v in range(u + 1, n):
             if not math.isfinite(idx.dist[u][v]):
                 continue
             h = len(path(u, v)) - 1
             assert h >= 1
-            assert idx.W[u][v] >= idx.dist[u][v] / h
-            assert idx.W[u][v] <= idx.dist[u][v]
+            assert W[u][v] >= idx.dist[u][v] / h
+            assert W[u][v] <= idx.dist[u][v]
 
 
 @settings(max_examples=60, deadline=None)
@@ -272,12 +273,13 @@ def test_blocked_kernel_matches_per_source_rule(rows, g, data):
     with pytest.MonkeyPatch.context() as mp:
         set_block_sizes(mp, rows)
         idx = build_index(g)
+        full = canonical_rows(g)
         every = canonical_rows(g, parents=True)
         sub = canonical_rows(g, roots)
         sub_parents = canonical_rows(g, roots, parents=True)
         single = [sssp_canonical(g, s) for s in range(g.n)]
-    assert np.array_equal(idx.dist, dist)
-    assert np.array_equal(idx.W, W)
+    assert np.array_equal(idx.dist, dist) and np.array_equal(full[0], dist)
+    assert np.array_equal(full[1], W)
     assert np.array_equal(every[0], dist)
     assert every[1].dtype == np.int32 and np.array_equal(every[1], parent)
     assert np.array_equal(sub[0], dist[roots]) and np.array_equal(sub[1], W[roots])
@@ -350,10 +352,11 @@ def test_blocked_kernel_matches_per_source_rule_on_deep_ties(rows, g):
         if rows is not None:
             set_block_sizes(mp, rows)
         idx = build_index(g)
+        full = canonical_rows(g)
         every = canonical_rows(g, parents=True)
         sub = canonical_rows(g, roots)
         sub_parents = canonical_rows(g, roots, parents=True)
-    assert np.array_equal(idx.dist, dist) and np.array_equal(idx.W, W)
+    assert np.array_equal(idx.dist, dist) and np.array_equal(full[1], W)
     assert np.array_equal(every[1], parent)
     assert np.array_equal(sub[1], W[roots]) and np.array_equal(sub_parents[1], parent[roots])
 
@@ -406,10 +409,10 @@ def test_knockout_still_finishes_mixed_weight_w_rows(rows, g):
         if rows is not None:
             set_block_sizes(mp, rows)
         knocked = counting_knockout(mp)
-        idx = build_index(g)
+        full = canonical_rows(g)
         assert sum(knocked) == len(tied) * g.n
         sub = canonical_rows(g, roots)
-    assert np.array_equal(idx.dist, dist) and np.array_equal(idx.W, W)
+    assert np.array_equal(full[0], dist) and np.array_equal(full[1], W)
     assert np.array_equal(sub[1], W[roots])
 
 
@@ -578,27 +581,69 @@ def test_absorbed_edge_weight_is_a_value_error():
         build_index(g)
 
 
+@st.composite
+def spread_graphs(draw):
+    """Graphs whose weight spread n * w_max / w_min lies near w_floor's bound
+    2^51, on either side, or well past it, where float sums can absorb a
+    weight: w_min = 1, w_max = 2^e * n^-1 for e in [48, 56], and the weights
+    between drawn from 1, w_max and their geometric mean."""
+    g = draw(small_graphs(max_n=9))
+    if g.m == 0:
+        return g
+    e = draw(st.floats(min_value=48.0, max_value=56.0))
+    w_max = 2.0**e / g.n
+    pick = st.sampled_from([1.0, w_max, math.sqrt(w_max)])
+    weights = [draw(pick) for _ in range(g.m)]
+    weights[0], weights[-1] = 1.0, w_max
+    a, b, _ = g.edge_arrays()
+    return WeightedGraph(g.n, zip(a.tolist(), b.tolist(), weights))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spread_graphs())
+def test_absorb_guard_clears_only_graphs_that_absorb_nothing(g):
+    w = g.edge_arrays()[2]
+    cleared = shortest.absorb_free(g)
+    assert cleared == (not g.m or g.n * (w.max() / w.min()) <= 2.0**51)
+    if not cleared:
+        assert shortest.w_floor(g) is None
+    else:
+        canonical_rows(g)
+        canonical_rows(g, parents=True)
+        build_index(g)
+
+
+def test_absorb_guard_rejects_the_absorbing_example():
+    g = WeightedGraph(3, [(0, 2, 1e16), (1, 2, 1.0)])
+    assert not shortest.absorb_free(g) and shortest.w_floor(g) is None
+    assert shortest.absorb_free(WeightedGraph(3, [(0, 2, 2.0**49), (1, 2, 1.0)]))
+    with pytest.raises(ValueError, match="absorbed an edge weight"):
+        canonical_rows(g)
+
+
 def test_index_temporaries_stay_within_block_budget():
-    assert ShortestPathIndex.__slots__ == ("n", "dist", "W")
-    # at n = 800 an n x n int32 parent array alone (2.4 MiB) would break the bound
+    assert ShortestPathIndex.__slots__ == ("n", "dist")
+    # at n = 800 an n x n int32 parent array alone (2.4 MiB) would break the
+    # bound; the W rows of every source are what build_index computed before
+    # it dropped W
     for n, radius in ((400, 0.12), (800, 0.085)):
         g = generate(GenSpec(family="geometric", n=n, radius=radius, seed=3, keep_lcc=True))
         assert g.n > 0.75 * n and g.m > 5 * n
-        build_index(g)  # warm up lazy imports and caches
+        canonical_rows(g)  # warm up lazy imports and caches
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            idx = build_index(g)
+            dist, W = canonical_rows(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        returned = idx.dist.nbytes + idx.W.nbytes
+        returned = dist.nbytes + W.nbytes
         # slack: the edge list, scipy's CSR copies and the directed edge arrays
         assert peak - base - returned < shortest._BLOCK_BYTES + (1 << 20)
 
 
 def test_tied_index_temporaries_stay_within_block_budget():
-    build_index(unit_graph(4, cycle(4)))  # warm up lazy imports
+    canonical_rows(unit_graph(4, cycle(4)))  # warm up lazy imports
     for spec in (
         GenSpec(family="grid", n=784, rows=28, cols=28, wmodel="unit"),
         GenSpec(family="gnp", n=800, p=0.01, wmodel="unit", seed=5),
@@ -609,10 +654,10 @@ def test_tied_index_temporaries_stay_within_block_budget():
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            idx = build_index(g)
+            dist, W = canonical_rows(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        returned = idx.dist.nbytes + idx.W.nbytes
+        returned = dist.nbytes + W.nbytes
         # slack: the directed edge arrays and scipy's copies of the BFS graph
         assert peak - base - returned < shortest._BLOCK_BYTES + (1 << 20)

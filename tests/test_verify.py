@@ -14,7 +14,10 @@ from wspan import (
     GenSpec,
     WeightedGraph,
     build_4w_emulator,
+    build_6eps_spanner,
     build_index,
+    build_poly_spanner,
+    build_subsetwise_spanner,
     generate,
     greedy_multiplicative,
     size_scaling_fit,
@@ -24,16 +27,18 @@ from wspan import (
     verify_subgraph,
 )
 from wspan.algos import ALGOS
-from wspan.shortest import _BLOCK_BYTES
+from wspan.shortest import _BLOCK_BYTES, canonical_rows, distance_matrix
 from wspan.verify import REL_TOL, Violation
 
 from conftest import (
     brute_force_apsp,
+    buying_graphs,
     forbid_full_index,
     minimax_path_weight,
     mixed_graphs,
     small_graphs,
     sparse_800,
+    sweep_reference,
 )
 
 
@@ -117,7 +122,7 @@ def test_pair_class_out_of_range_rejected():
         verify_additive_W(g, g, 1.0, pair_class=[0, 999])
 
 
-def full_matrix_report(idx, dh: np.ndarray, bound, pairs) -> tuple[list, int, float]:
+def full_matrix_report(dist, W, dh: np.ndarray, bound, pairs) -> tuple[list, int, float]:
     """(violations, pairs checked, max slack ratio) of d_H <= bound(d_G, W),
     pair by pair over full n x n matrices, in the verifier's order:
     unreachable pairs first, then bound violations, each by (u, v).  The
@@ -125,7 +130,7 @@ def full_matrix_report(idx, dh: np.ndarray, bound, pairs) -> tuple[list, int, fl
     unreachable, over, ratios = [], [], []
     checked = 0
     for u, v in pairs:
-        dg, w, d = float(idx.dist[u, v]), float(idx.W[u, v]), float(dh[u, v])
+        dg, w, d = float(dist[u, v]), float(W[u, v]), float(dh[u, v])
         if not math.isfinite(dg):
             continue
         checked += 1
@@ -160,7 +165,8 @@ def test_subset_report_matches_full_matrix_reference(g, data):
         if rows is not None:
             mp.setattr(wspan.verify, "_sweep_rows", lambda n: rows)
         reports = [verify_additive_W(g, h, c, pair_class=p, idx=given) for p, _, given in cases]
-    expected = [full_matrix_report(idx, dh, additive, pairs) for _, pairs, _ in cases]
+    dist, W = canonical_rows(g)
+    expected = [full_matrix_report(dist, W, dh, additive, pairs) for _, pairs, _ in cases]
     for rep, (violations, checked, ratio) in zip(reports, expected):
         assert rep.violations == violations
         assert rep.pairs_checked == checked
@@ -241,7 +247,8 @@ def test_subset_check_without_index_builds_no_full_index(monkeypatch, medium_gri
     assert not expected["passed"]
     rows = forbid_full_index(monkeypatch)
     assert verify_additive_W(g, h, 2.5, pair_class=S).to_dict() == expected
-    assert rows == [sorted(set(S))]
+    # one edge weight: every row takes W, which costs less than its bound there
+    assert rows == [sorted(set(S))] and expected["w_rows"] == 4
 
 
 @pytest.mark.parametrize("family", ["geometric", "gnp"])
@@ -261,9 +268,9 @@ def test_additive_check_without_index_peaks_below_8_mib(family):
 def test_non_contraction_without_index_builds_no_full_index(monkeypatch, medium_gnp):
     g = medium_gnp
     idx = build_index(g)
-    a, b, w = build_4w_emulator(g, seed=3, idx=idx).to_graph().edge_arrays()
     # every third edge halved: contractions, some sharing a tail
-    h = WeightedGraph(g.n, zip(a.tolist(), b.tolist(), np.where(np.arange(len(w)) % 3, w, w / 2).tolist()))
+    h = lowered(build_4w_emulator(g, seed=3, idx=idx).to_graph())
+    a = h.edge_arrays()[0]
     expected = verify_non_contracting(g, h, idx=idx)
     assert len({v.u for v in expected.violations}) < len(expected.violations)
     calls = counted_distance_matrix(monkeypatch, wspan.shortest)
@@ -274,6 +281,121 @@ def test_non_contraction_without_index_builds_no_full_index(monkeypatch, medium_
     tails = np.unique(a).tolist()
     assert calls == [tails[i : i + 7] for i in range(0, len(tails), 7)]
     assert rows == [sorted({v.u for v in expected.violations})]
+
+
+def lowered(g: WeightedGraph, every: int = 3) -> WeightedGraph:
+    """g with every every-th edge at half its weight: pairs with d_H < d_G."""
+    a, b, w = g.edge_arrays()
+    return WeightedGraph(g.n, zip(a.tolist(), b.tolist(), np.where(np.arange(g.m) % every, w, w / 2).tolist()))
+
+
+@st.composite
+def sweep_cases(draw):
+    """(G, H): G from mixed_graphs or buying_graphs, or with no edges at all
+    (no connected pair); H a random subgraph of G (d_H >= d_G, and pairs it
+    cuts apart are unreachable), G's +4W emulator, G with some weights
+    halved (d_H < d_G), or G itself."""
+    g = draw(st.one_of(mixed_graphs(), buying_graphs))
+    if draw(st.integers(0, 9)) == 0:
+        g = WeightedGraph(g.n, [])
+    kind = draw(st.sampled_from(["subgraph", "emulator", "lowered", "copy"]))
+    if kind == "subgraph":
+        keys = sorted(g.edge_keys())
+        kept = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+        return g, g.subgraph([k for k, keep in zip(keys, kept) if keep])
+    if kind == "emulator":
+        return g, build_4w_emulator(g, seed=draw(st.integers(0, 3))).to_graph()
+    if kind == "lowered":
+        return g, lowered(g, draw(st.integers(1, 3)))
+    return g, g
+
+
+def same_report(got, want) -> None:
+    """Equal reports but for w_rows, max_slack_ratio bit for bit."""
+    assert got.violations == want.violations
+    assert {**got.to_dict(), "w_rows": 0} == want.to_dict()
+    assert np.float64(got.max_slack_ratio).tobytes() == np.float64(want.max_slack_ratio).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_cases(), st.data())
+def test_sweep_matches_the_all_rows_reference(gh, data):
+    g, h = gh
+    c = data.draw(st.sampled_from([0.0, 0.5, 2.0, 4.0, 7.0]), label="c")
+    S = data.draw(st.none() | st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n), label="S")
+    rows = data.draw(st.integers(1, 3), label="sources per block")
+    idx = build_index(g) if data.draw(st.booleans(), label="indexed") else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wspan.verify, "_sweep_rows", lambda n: rows)
+        got = verify_additive_W(g, h, c, pair_class=S, idx=idx)
+        want = sweep_reference(g, h, c, S, idx)
+    same_report(got, want)
+    assert 0 <= got.w_rows <= (g.n if S is None else len(set(S)))
+
+
+def test_sweep_matches_the_all_rows_reference_on_each_case():
+    g = generate(GenSpec(family="gnp", n=40, p=0.15, wmodel="uniform", seed=4))
+    idx = build_index(g)
+    d_g = distance_matrix(g.csr())
+    emulator = build_4w_emulator(g, seed=2, idx=idx).to_graph()
+    spanner = build_6eps_spanner(g, 1.0, idx=idx).to_graph(g)
+    cut = g.subgraph(sorted(g.edge_keys())[::2])
+    cases = {
+        # x < 0: the emulator's float sums fall below d_G on some pairs
+        "emulator": (emulator, lambda d: (d < d_g).any()),
+        "lowered": (lowered(g), lambda d: (d < d_g).any()),
+        "spanner": (spanner, lambda d: (d >= d_g).all()),  # x >= 0
+        "cut": (cut, lambda d: (np.isinf(d) & np.isfinite(d_g)).any()),  # unreachable pairs
+    }
+    for name, (h, holds) in cases.items():
+        assert holds(distance_matrix(h.csr())), name
+        for rows in (1, 2, 3, None):
+            with pytest.MonkeyPatch.context() as mp:
+                if rows is not None:
+                    mp.setattr(wspan.verify, "_sweep_rows", lambda n: rows)
+                for given, c in itertools.product((idx, None), (0.0, 2.0, 4.0, 7.0)):
+                    got = verify_additive_W(g, h, c, idx=given)
+                    same_report(got, sweep_reference(g, h, c, idx=given))
+                    assert got.w_rows < g.n, name
+    # no connected pair: nothing checked, and the ratio is NaN
+    empty = WeightedGraph(g.n, [])
+    got = verify_additive_W(empty, empty, 2.0)
+    same_report(got, sweep_reference(empty, empty, 2.0))
+    assert got.pairs_checked == 0 and math.isnan(got.max_slack_ratio) and got.w_rows == 0
+
+
+def test_w_rows_counts_on_a_fixed_instance():
+    # the rows whose W was computed, in the reports and the builders' stats,
+    # on the benchmark's gnp-uniform n = 128 instance at seed 1
+    g = generate(GenSpec(family="gnp", n=128, p=2 * math.sqrt(128) / 127, wmodel="uniform", seed=1128))
+    idx = build_index(g)
+    S = list(range(0, 128, 11))
+    sixw = build_6eps_spanner(g, 1.0, idx=idx)
+    poly = build_poly_spanner(g, 0.5, idx=idx)
+    subset = build_subsetwise_spanner(g, S, 0.5, idx=idx)
+    emulator = build_4w_emulator(g, seed=1, idx=idx).to_graph()
+    counts = {
+        "6w build": sixw.stats["w_rows"],
+        "poly build": poly.stats["w_rows"],
+        "subset build": subset.stats["w_rows"],
+        "6w verify": verify_additive_W(g, sixw.to_graph(g), 7.0, idx=idx).w_rows,
+        "poly verify": verify_additive_W(g, poly.to_graph(g), poly.params["stretch_factor"], idx=idx).w_rows,
+        "subset verify": verify_additive_W(g, subset.to_graph(g), 2.5, pair_class=S, idx=idx).w_rows,
+        "emulator verify": verify_additive_W(g, emulator, 4.0, idx=idx).w_rows,
+        "lowered non-contraction": verify_non_contracting(g, lowered(g), idx=idx).w_rows,
+    }
+    # no candidate pass needs W here; 6w's check at c = 7 needs it on a
+    # quarter of the rows, where (d_H - d_G) / L may beat the ratio found
+    assert counts == {
+        "6w build": 0,
+        "poly build": 0,
+        "subset build": 0,
+        "6w verify": 33,
+        "poly verify": 1,
+        "subset verify": 4,
+        "emulator verify": 1,
+        "lowered non-contraction": 102,
+    }
 
 
 # -------------------------------------------------------- multiplicative
@@ -308,17 +430,16 @@ def test_multiplicative_check_reads_no_w(monkeypatch, medium_grid):
         assert rows == []
         # a failing check reads W for the reports, on the rows holding violations only
         assert verify_multiplicative(g, fails, 3.0, idx=given).to_dict() == expected[1]
-        if given is None:
-            hit = sorted({v.u for v in reports[1].violations})
-            assert sorted(s for r in rows for s in r) == hit
+        hit = sorted({v.u for v in reports[1].violations})
+        assert sorted(s for r in rows for s in r) == hit and expected[1]["w_rows"] == len(hit)
 
 
-def pairwise_multiplicative(idx, dh: np.ndarray, alpha: float) -> tuple[dict, float]:
+def pairwise_multiplicative(dist, W, dh: np.ndarray, alpha: float) -> tuple[dict, float]:
     """({(u, v): violation}, max d_H / d_G) of d_H <= alpha * d_G, pair by
     pair over full n x n matrices; the ratio over the pairs H connects."""
     bad, ratios = {}, []
     for u, v in itertools.combinations(range(len(dh)), 2):
-        dg, w, d = float(idx.dist[u, v]), float(idx.W[u, v]), float(dh[u, v])
+        dg, w, d = float(dist[u, v]), float(W[u, v]), float(dh[u, v])
         if not math.isfinite(dg):
             continue
         if not math.isfinite(d):
@@ -357,7 +478,7 @@ def test_edgewise_multiplicative_matches_pairwise_reference(gh, alpha, rows, ind
     g, h = gh
     idx = build_index(g)
     dh = wspan.shortest.distance_matrix(h.csr())
-    bad, ratio = pairwise_multiplicative(idx, dh, alpha)
+    bad, ratio = pairwise_multiplicative(*canonical_rows(g), dh, alpha)
     searched = []
     real = wspan.shortest._sp_dijkstra
 
@@ -568,9 +689,10 @@ def test_canonical_w_vs_minimax_w_gap(g):
     minimax one (making verified bounds conservative in the loose direction);
     this measures the gap instead of assuming it away."""
     idx = build_index(g)
+    W = canonical_rows(g)[1]
     mm = minimax_path_weight(g, idx=idx)
     finite = np.isfinite(idx.dist)
-    assert (idx.W[finite] >= mm[finite] - 1e-12).all()
+    assert (W[finite] >= mm[finite] - 1e-12).all()
 
 
 # ------------------------------------------------------------ scaling fit
