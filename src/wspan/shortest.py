@@ -564,15 +564,10 @@ def absorb_free(g: WeightedGraph) -> bool:
 def w_floor(g: WeightedGraph) -> np.ndarray | None:
     """minw, each vertex's lightest incident weight (inf when isolated), so
     that W(u, v) >= max(minw[u], minw[v]) for connected u != v (module
-    docstring); or None when every row should take W instead.
-
-    That is so where a float sum might absorb an edge weight (absorb_free),
-    and where every edge weighs one w0: W is then w0 = L on every connected
-    pair, and tree_rows writes those rows from dist alone, for less than
-    the bound's own arithmetic costs.
+    docstring); or None where a float sum might absorb an edge weight
+    (absorb_free), so that every row takes W instead.
     """
-    w = g.edge_arrays()[2]
-    if not absorb_free(g) or (len(w) and w.min() == w.max()):
+    if not absorb_free(g):
         return None
     csr = g.csr()
     minw = np.full(g.n, INF)

@@ -25,8 +25,8 @@ result is exactly the all-rows one, because rounding is monotone:
   fetched rows reach, so the maximum over fetched rows is the maximum.
 Every row takes W where w_floor gives no bound: on a graph whose float sums
 might absorb an edge weight, so that the absorbed weight raises as it
-always did, and on a graph of one edge weight, whose W rows cost less than
-the bound.
+always did.  The bounds are computed in place, in three block-sized float
+buffers beside G's and H's rows.
 
 The other two bounds are local, and are checked on edges.  d_H >= d_G holds
 for every pair iff every edge (a, b) of H has w_H(a, b) >= d_G(a, b): chain
@@ -149,10 +149,15 @@ def _tail_rows(
     return dg, wh
 
 
-def _exceeds(dh: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """d_H > bound up to relative tolerance; an unreachable pair, d_H inf
-    against a finite bound, exceeds it."""
-    return dh - bound > REL_TOL * np.maximum(1.0, np.abs(bound))
+def _exceeds(dh: np.ndarray, bound: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """d_H > bound up to relative tolerance, dh - bound > REL_TOL * max(1,
+    |bound|); an unreachable pair, d_H inf against a finite bound, exceeds
+    it.  Works in place: bound becomes dh - bound, and tol the tolerance."""
+    np.abs(bound, out=tol)
+    np.maximum(tol, 1.0, out=tol)
+    tol *= REL_TOL
+    np.subtract(dh, bound, out=bound)
+    return bound > tol
 
 
 def _sweep(
@@ -186,13 +191,21 @@ def _sweep(
         else:
             # inf-inf, 0*inf and x/inf on pairs the masks discard
             with np.errstate(invalid="ignore", divide="ignore"):
-                L = np.maximum(minw[cols[lo:hi], None], minw[cols])
-                need = (connected & _exceeds(dh, dg + c * L)).any(axis=1)
+                lb = np.maximum(minw[cols[lo:hi], None], minw[cols])  # L
+                buf = np.multiply(lb, c)
+                buf += dg
+                x = np.empty_like(buf)
+                need = (connected & _exceeds(dh, buf, x)).any(axis=1)
                 # x / W lies between x / L and x / d_G, whatever the sign of x
-                x = dh - dg
-                by_l, by_d = x / L, x / dg
-                upper = np.where(sel, np.maximum(by_l, by_d), -math.inf).max(axis=1)
-                lower = np.where(sel, np.minimum(by_l, by_d), -math.inf).max(axis=1)
+                np.subtract(dh, dg, out=x)
+                np.divide(x, lb, out=lb)
+                np.divide(x, dg, out=buf)
+                np.maximum(lb, buf, out=x)  # upper bounds
+                np.minimum(lb, buf, out=lb)  # lower bounds
+                off = ~sel
+                np.copyto(x, -math.inf, where=off)
+                np.copyto(lb, -math.inf, where=off)
+                upper, lower = x.max(axis=1), lb.max(axis=1)
             best = int(np.argmax(lower))
             need |= upper > max(top, lower[best])
             if lower[best] > top:
@@ -204,10 +217,10 @@ def _sweep(
         wb = tree_rows(g, dist[at], cols[lo + at])[:, cols]
         dg, dh, connected, sel = dg[at], dh[at], connected[at], sel[at]
         with np.errstate(invalid="ignore"):  # inf-inf and 0*inf on pairs the mask discards
-            bd = dg + c * wb
-            bad = connected & _exceeds(dh, bd)
+            slack = dg + c * wb  # the bound, then d_H less it
+            bad = connected & _exceeds(dh, slack, np.empty_like(slack))
         i, j = np.nonzero(bad)
-        found.append((cols[lo + at[i]], cols[j], dg[i, j], dh[i, j], wb[i, j], dh[i, j] - bd[i, j]))
+        found.append((cols[lo + at[i]], cols[j], dg[i, j], dh[i, j], wb[i, j], slack[i, j]))
         if sel.any():
             top = max(top, float(((dh[sel] - dg[sel]) / wb[sel]).max()))
     report.violations = _violations(*(np.concatenate(x) for x in zip(*found)))

@@ -540,8 +540,7 @@ def test_candidate_pass_matches_the_all_rows_reference(g, data):
         kept, bought, added, w_rows = greedy._path_buying(g, idx, sorted(set(S)), start, c, by_dist)
         ref = path_buying_reference(g, idx, sorted(set(S)), start, c, by_dist)
     assert np.array_equal(kept, ref[0]) and (bought, added) == ref[1:3]
-    # W is read on exactly the rows of S with a later pair d_H0 > d_G + c * L,
-    # or on all of them where every edge has one weight
+    # W is read on exactly the rows of S with a later pair d_H0 > d_G + c * L
     minw = np.full(g.n, math.inf)
     for u, v, w in g.edge_items():
         minw[u], minw[v] = min(minw[u], w), min(minw[v], w)
@@ -549,8 +548,7 @@ def test_candidate_pass_matches_the_all_rows_reference(g, data):
     d_h0 = dijkstra(g.subgraph(mask_keys(g, start)).csr())
     T = sorted(set(S))
     fails = [any(d_h0[u, v] > d_g[u, v] + c * max(minw[u], minw[v]) for v in T if v > u) for u in T]
-    one_weight = len({w for *_, w in g.edge_items()}) == 1
-    assert w_rows == (len(T) if one_weight else sum(fails))
+    assert w_rows == sum(fails)
 
 
 def test_builders_without_index_build_no_full_index(monkeypatch):
