@@ -160,6 +160,38 @@ def _exceeds(dh: np.ndarray, bound: np.ndarray, tol: np.ndarray) -> np.ndarray:
     return bound > tol
 
 
+def _rows_needing_w(
+    dh: np.ndarray, dg: np.ndarray, connected: np.ndarray, sel: np.ndarray,
+    L: np.ndarray, c: float, top: float,
+) -> np.ndarray:
+    """The rows of a sweep block that need W (module docstring): a pair
+    fails the bound with L in place of W, or the row's ratio upper bound
+    beats T; and the row holding the block's largest lower bound, when that
+    beats top, the largest ratio found so far.  Works in three block-sized
+    float buffers, L's among them."""
+    # inf-inf, 0*inf and x/inf on pairs the masks discard
+    with np.errstate(invalid="ignore", divide="ignore"):
+        buf = np.multiply(L, c)
+        buf += dg
+        x = np.empty_like(buf)
+        need = (connected & _exceeds(dh, buf, x)).any(axis=1)
+        # x / W lies between x / L and x / d_G, whatever the sign of x
+        np.subtract(dh, dg, out=x)
+        np.divide(x, L, out=L)
+        np.divide(x, dg, out=buf)
+        np.maximum(L, buf, out=x)  # upper bounds
+        np.minimum(L, buf, out=L)  # lower bounds
+        off = ~sel
+        np.copyto(x, -math.inf, where=off)
+        np.copyto(L, -math.inf, where=off)
+        upper, lower = x.max(axis=1), L.max(axis=1)
+    best = int(np.argmax(lower))
+    need |= upper > max(top, lower[best])
+    if lower[best] > top:
+        need[best] = True
+    return need
+
+
 def _sweep(
     report: StretchReport, g: WeightedGraph, h: WeightedGraph, S: list[int],
     idx: ShortestPathIndex | None, c: float,
@@ -188,28 +220,10 @@ def _sweep(
         sel = connected & np.isfinite(dh)
         if minw is None:
             need = np.ones(hi - lo, dtype=bool)
-        else:
-            # inf-inf, 0*inf and x/inf on pairs the masks discard
-            with np.errstate(invalid="ignore", divide="ignore"):
-                lb = np.maximum(minw[cols[lo:hi], None], minw[cols])  # L
-                buf = np.multiply(lb, c)
-                buf += dg
-                x = np.empty_like(buf)
-                need = (connected & _exceeds(dh, buf, x)).any(axis=1)
-                # x / W lies between x / L and x / d_G, whatever the sign of x
-                np.subtract(dh, dg, out=x)
-                np.divide(x, lb, out=lb)
-                np.divide(x, dg, out=buf)
-                np.maximum(lb, buf, out=x)  # upper bounds
-                np.minimum(lb, buf, out=lb)  # lower bounds
-                off = ~sel
-                np.copyto(x, -math.inf, where=off)
-                np.copyto(lb, -math.inf, where=off)
-                upper, lower = x.max(axis=1), lb.max(axis=1)
-            best = int(np.argmax(lower))
-            need |= upper > max(top, lower[best])
-            if lower[best] > top:
-                need[best] = True
+        else:  # L on the block's pairs, a buffer the call then reuses
+            need = _rows_needing_w(
+                dh, dg, connected, sel, np.maximum(minw[cols[lo:hi], None], minw[cols]), c, top
+            )
         at = np.flatnonzero(need)
         if not len(at):
             continue
