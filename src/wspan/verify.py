@@ -35,7 +35,9 @@ every edge (a, b) of G has d_H(a, b) <= alpha * w(a, b): chain the edge
 bound along a shortest G path, and w(a, b) >= d_G(a, b).  The largest
 d_H / d_G over pairs is then the largest d_H(a, b) / w(a, b) over G's
 edges, as a shortest path's edges are tight (the local characterization of
-t-spanners; Peleg and Schaffer, "Graph spanners", 1989).  Each edge check
+t-spanners; Peleg and Schaffer, "Graph spanners", 1989), up to the rounding
+of float path sums: a pair's d_H / d_G can read an ulp above it unless the
+weights are integers.  Each edge check
 runs Dijkstra from its edges' distinct tails only (shortest._edge_distances),
 on G for the lower bound when no index is given and on H for the
 multiplicative one, and reads G's rows of its failing edges' tails only.
