@@ -8,7 +8,7 @@ verifier recomputes all-pairs distances and certifies every claimed bound.
 """
 
 from .graph import WeightedGraph
-from .shortest import ShortestPathIndex, build_index, sssp_canonical
+from .shortest import build_index, sssp_canonical
 from .light import LightInit, t_light_init
 from .greedy import (
     SpannerResult,
@@ -33,7 +33,6 @@ from .generators import GenSpec, generate
 
 __all__ = [
     "WeightedGraph",
-    "ShortestPathIndex",
     "build_index",
     "sssp_canonical",
     "LightInit",

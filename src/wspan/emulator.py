@@ -5,8 +5,9 @@ graph; it must never shorten a distance.  The construction keeps each
 vertex's ceil(2 * n^(1/3) * ln n) lightest edges at their original weights
 and connects every pair of a random vertex sample (rate n^(-1/3)) by a
 virtual edge weighted with the exact graph distance.  Only the distances
-among the sample are read: from the index when one is given, else from one
-Dijkstra per sampled vertex.
+among the sample are read, from G's rows of the sampled vertices
+(shortest.index_rows: sliced from the index when one is given, else one
+Dijkstra per sampled vertex).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .graph import WeightedGraph
 from .light import t_light_init
-from .shortest import ShortestPathIndex, distance_matrix
+from .shortest import index_rows
 
 
 @dataclass(eq=False)
@@ -57,16 +58,16 @@ class EmulatorResult:
 
 
 def build_4w_emulator(
-    g: WeightedGraph, seed: int = 0, idx: ShortestPathIndex | None = None
+    g: WeightedGraph, seed: int = 0, idx: np.ndarray | None = None
 ) -> EmulatorResult:
     """Build the emulator; deterministic given (g, seed).
 
     Virtual edges are added for connected sample pairs only (a disconnected
     pair has no finite distance to carry).  When a sampled pair is also a
     kept graph edge, the smaller weight wins and the entry is tagged virtual
-    only if the distance is strictly smaller than the edge weight.  Without
-    idx the sample's distances come from distance_matrix over its rows, so no
-    index is built; the edges are the same either way.
+    only if the distance is strictly smaller than the edge weight.  idx,
+    G's index, is an optional cache; without it no index is built, and the
+    edges are the same either way.
     """
     n = g.n
     if n < 2:
@@ -76,10 +77,7 @@ def build_4w_emulator(
     ga, gb, gw = (x[kept] for x in g.edge_arrays())
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sample = np.nonzero(rng.random(n) < n ** (-1.0 / 3.0))[0]
-    if idx is None:
-        dist = distance_matrix(g.csr(), sample)[:, sample]
-    else:
-        dist = idx.dist[np.ix_(sample, sample)]
+    dist = index_rows(g, idx, sample)[:, sample]
     # the kept edges, then the connected sample pairs (sorted, so a < b);
     # each pair's lightest entry wins, and on a tie the graph edge
     i, j = np.triu_indices(len(sample), k=1)

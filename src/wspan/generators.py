@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .graph import WeightedGraph, vertex_count
+from .graph import _BLOCK_BYTES, WeightedGraph, vertex_count
 
 FAMILIES = ("gnp", "grid", "geometric", "star", "path", "complete", "tree")
 WEIGHT_MODELS = ("unit", "uniform", "exp-spread")
@@ -95,14 +95,10 @@ def _draw_weights(rng: np.random.Generator, count: int, wmodel: str, wmax: float
     raise ValueError(f"unknown weight model {wmodel!r}")
 
 
-# Bytes of temporaries one block of rows may hold in _close_pairs and
-# _gnp_pairs, at about 48 per pair of the block's rows.
-_PAIR_BLOCK_BYTES = 1 << 20
-
-
 def _block_rows(n: int) -> int:
-    """Rows of the n x n pair matrix per block: the most that fit _PAIR_BLOCK_BYTES."""
-    return max(1, _PAIR_BLOCK_BYTES // (48 * max(n, 1)))
+    """Rows of the n x n pair matrix per block in _close_pairs and _gnp_pairs:
+    the most whose temporaries, about 48 bytes per pair, fit _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (48 * max(n, 1)))
 
 
 def _close_pairs(pts: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -14,8 +14,9 @@ edge_ids gives the positions of endpoint pairs there, searching the sorted
 codes a*n + b, which are cached beside the CSR.
 
 _BLOCK_BYTES is the one budget for the temporaries of work done a block of
-sources at a time (shortest, verify, greedy, fast2w), and _sweep_rows turns
-it into the sources per block of a sweep over a graph's rows.
+sources or rows at a time (shortest, verify, greedy, fast2w, generators),
+and _sweep_rows turns it into the sources per block of a sweep over a
+graph's rows.
 """
 
 from __future__ import annotations
@@ -55,9 +56,8 @@ def subset_vertices(subset: Iterable[int], n: int) -> list[int]:
     return S
 
 
-# Bytes of temporaries one block of sources may hold: a block or a run of
-# tied sources in shortest's kernels, a _sweep_rows block elsewhere.  Small
-# blocks also keep the block's working set in a core's L2 cache.
+# Bytes of temporaries one block of sources or rows may hold.  Small blocks
+# also keep the block's working set in a core's L2 cache.
 _BLOCK_BYTES = 1 << 20
 
 

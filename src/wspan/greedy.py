@@ -42,7 +42,6 @@ from .graph import WeightedGraph, _sweep_rows, graph_csr, subset_vertices
 from .light import t_light_init
 from .shortest import (
     INF,
-    ShortestPathIndex,
     _edge_distances,
     index_rows,
     path_vertices,
@@ -163,7 +162,7 @@ def _buy_paths(
 
 def _path_buying(
     g: WeightedGraph,
-    idx: ShortestPathIndex | None,
+    idx: np.ndarray | None,
     S: list[int],
     start: np.ndarray,
     c: float,
@@ -310,7 +309,7 @@ def greedy_multiplicative(g: WeightedGraph, k: int) -> SpannerResult:
 
 
 def build_6eps_spanner(
-    g: WeightedGraph, eps: float, idx: ShortestPathIndex | None = None
+    g: WeightedGraph, eps: float, idx: np.ndarray | None = None
 ) -> SpannerResult:
     """Additive spanner with stretch (6+eps) times the heaviest path edge.
 
@@ -336,7 +335,7 @@ def build_6eps_spanner(
 
 
 def build_subsetwise_spanner(
-    g: WeightedGraph, subset: list[int], eps: float, idx: ShortestPathIndex | None = None
+    g: WeightedGraph, subset: list[int], eps: float, idx: np.ndarray | None = None
 ) -> SpannerResult:
     """Additive (2+eps)W spanner for pairs inside the given vertex subset.
 
@@ -378,7 +377,7 @@ def build_poly_spanner(
     g: WeightedGraph,
     eps: float,
     c: float = 16.0,
-    idx: ShortestPathIndex | None = None,
+    idx: np.ndarray | None = None,
     mult: SpannerResult | None = None,
 ) -> SpannerResult:
     """Near-linear-size spanner with polynomial additive stretch.

@@ -47,8 +47,8 @@ times in turn, and d_h rises strictly with h while it is below 2^53 w0
 (w0 is then more than half of d_h's last place), each step by less than
 2 w0, so only paths of more than 2^52 hops, far beyond n - 1, could reach
 it.  So an edge u->v is tight exactly when v is one hop further from s
-than u, and none is tight both ways.  Parent rows, and W rows of graphs with two or more
-edge weights, take the blocks and the tie rule above.
+than u, and none is tight both ways.  Parent rows, and W rows of graphs
+with two or more edge weights, take the blocks and the tie rule above.
 
 W is read on demand because a cheap bound settles most pairs (w_floor).
 For u != v connected, the canonical u-v path leaves u along an edge at u
@@ -56,8 +56,12 @@ and enters v along an edge at v, so W(u, v) >= L(u, v) = max(minw(u),
 minw(v)), minw being a vertex's lightest incident weight; L takes no
 arithmetic.  And W(u, v) <= d_G(u, v) in floats: each tight step sets
 d' = fl(d + w) >= w, as d >= 0 and rounding is monotone, and d never falls
-along the path.  The index therefore stores distances only, and the
-verifier and the path buyers compute W on the rows that L cannot settle.
+along the path.  So G's index (build_index) is its n x n distance matrix
+alone, and the verifier and the path buyers compute W on the rows that L
+cannot settle.  This module is the only one that reads G's distances:
+index_rows and pair_distances slice the index when one is given, check
+its shape, and otherwise run Dijkstra.  Every scipy Dijkstra call here goes
+through distance_matrix.
 
 canonical_tree_from_dist is the same rule one source at a time, in pure
 Python.  No code here calls it; the tests check canonical_rows against it,
@@ -87,23 +91,6 @@ from .graph import _BLOCK_BYTES, WeightedGraph, _sweep_rows
 INF = math.inf
 
 Adjacency = Sequence[Sequence[tuple[int, float]]]
-
-
-class ShortestPathIndex:
-    """All-pairs shortest-path distances of one graph: 8 * n^2 bytes.
-
-    dist[u][v]   exact shortest-path distance (inf when disconnected)
-
-    W and canonical paths are not stored: tree_rows computes W rows from
-    dist rows, and path_vertices one canonical path, on demand.  Immutable
-    after construction; safe for concurrent reads.
-    """
-
-    __slots__ = ("n", "dist")
-
-    def __init__(self, n: int, dist: np.ndarray):
-        self.n = n
-        self.dist = dist
 
 
 def distance_matrix(
@@ -633,7 +620,7 @@ def canonical_rows(
     Dijkstra gives the distances and tree_rows the W rows, or with parents
     true the canonical parent rows (for sssp_canonical and path_vertices).
     """
-    dist = _sp_dijkstra(g.csr(), directed=True, indices=sources)
+    dist = distance_matrix(g.csr(), sources)
     return dist, tree_rows(g, dist, np.arange(g.n) if sources is None else sources, parents)
 
 
@@ -649,35 +636,50 @@ def sssp_canonical(g: WeightedGraph, s: int) -> tuple[np.ndarray, np.ndarray]:
     return dist[0], parent[0]
 
 
-def build_index(g: WeightedGraph) -> ShortestPathIndex:
-    """All-pairs distances: one scipy call, 8 * n^2 bytes.
+def build_index(g: WeightedGraph) -> np.ndarray:
+    """G's index: its n x n all-pairs distance matrix (one scipy call, 8 * n^2 bytes).
 
-    W is not stored (tree_rows computes it on demand).  On a graph where a
-    float sum might absorb an edge weight (not absorb_free) the W rows of
-    every source are computed and dropped, so that an absorbed weight
-    raises ValueError here, as it would on any row read later.
+    The matrix is read-only, so it is safe for concurrent reads.  W is not
+    stored (tree_rows computes it on demand).  On a graph where a float
+    sum might absorb an edge weight (not absorb_free) the W rows of every
+    source are computed and dropped, so that an absorbed weight raises
+    ValueError here, as it would on any row read later.
     """
-    n = g.n
-    if n == 0:
-        return ShortestPathIndex(0, np.zeros((0, 0)))
-    dist = _sp_dijkstra(g.csr(), directed=True)
+    dist = distance_matrix(g.csr())
     if not absorb_free(g):
-        tree_rows(g, dist, np.arange(n))
-    return ShortestPathIndex(n, dist)
+        tree_rows(g, dist, np.arange(g.n))
+    dist.flags.writeable = False
+    return dist
 
 
-def index_rows(
-    g: WeightedGraph, idx: ShortestPathIndex | None, sources: Sequence[int]
-) -> np.ndarray:
-    """G's distance rows of the given (nonempty) sources, row i for sources[i].
+def _read(g: WeightedGraph, idx: np.ndarray, at) -> np.ndarray:
+    """idx[at], once idx is checked to have g's shape: the one read of an index."""
+    if idx.shape != (g.n, g.n):
+        raise ValueError(f"index of shape {idx.shape} given for a graph of shape {(g.n, g.n)}")
+    return idx[at]
 
-    The greedy builders and the verifier read G's distances only through
-    this.  idx is an optional cache, sliced when given; else one Dijkstra
-    call computes the same rows.
+
+def index_rows(g: WeightedGraph, idx: np.ndarray | None, sources: Sequence[int]) -> np.ndarray:
+    """G's distance rows of the given sources, row i for sources[i].
+
+    The builders and the verifier read G's distance rows only through
+    this.  idx, G's index (build_index), is an optional cache, sliced when
+    given; else one Dijkstra call computes the same rows.  Raises
+    ValueError when idx does not have g's shape.
     """
     if idx is not None:
-        return idx.dist[sources]
-    return _sp_dijkstra(g.csr(), directed=True, indices=sources)
+        return _read(g, idx, sources)
+    return distance_matrix(g.csr(), sources)
+
+
+def pair_distances(
+    g: WeightedGraph, idx: np.ndarray | None, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """d_G(a[i], b[i]): read from idx when given, as index_rows does, else
+    computed by _edge_distances from the distinct a[i] only."""
+    if idx is not None:
+        return _read(g, idx, (a, b))
+    return _edge_distances(g.csr(), a, b)
 
 
 def path_vertices(g: WeightedGraph, u: int, v: int) -> list[int]:

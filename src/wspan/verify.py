@@ -2,10 +2,11 @@
 
 Checks take one of two shapes.  The additive bound d_H <= d_G + c * W, on
 all pairs or on S x S, is a sweep: Dijkstra on H from a block of sources at
-a time, compared with the same rows of G's distances, read through
-shortest.index_rows (sliced from G's index when one is given).  Blocks are
-sized by graph._sweep_rows, so a check holds O(block * n) memory beyond H
-and any index given.
+a time, compared with the same rows of G's distances.  G's distances are
+read only through shortest (index_rows for rows, pair_distances for the
+edge checks), which slices G's index, its distance matrix, when one is
+given.  Blocks are sized by graph._sweep_rows, so a check holds
+O(block * n) memory beyond H and any index given.
 
 W is computed (shortest.tree_rows, one call per block) only on the rows
 whose outcome the lower bound L(u, v) = max(minw(u), minw(v)) <= W(u, v)
@@ -37,10 +38,10 @@ d_H / d_G over pairs is then the largest d_H(a, b) / w(a, b) over G's
 edges, as a shortest path's edges are tight (the local characterization of
 t-spanners; Peleg and Schaffer, "Graph spanners", 1989), up to the rounding
 of float path sums: a pair's d_H / d_G can read an ulp above it unless the
-weights are integers.  Each edge check
-runs Dijkstra from its edges' distinct tails only (shortest._edge_distances),
-on G for the lower bound when no index is given and on H for the
-multiplicative one, and reads G's rows of its failing edges' tails only.
+weights are integers.  Each edge check runs Dijkstra from its edges'
+distinct tails only (shortest._edge_distances): on G for the lower bound
+when no index is given (shortest.pair_distances), and on H for the
+multiplicative one, which reads G's rows of its failing edges' tails only.
 
 A passing report is a proof for the instance at hand (up to the stated
 float tolerance).  Pairs that are connected in the base graph but not in the
@@ -52,16 +53,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .graph import WeightedGraph, _sweep_rows, subset_vertices
 from .shortest import (
-    ShortestPathIndex,
     _edge_distances,
     distance_matrix,
     index_rows,
+    pair_distances,
     tree_rows,
     w_floor,
 )
@@ -131,7 +131,7 @@ def _violations(u, v, dg, dh, wh, slack, kind: str = "stretch") -> list[Violatio
 def _tail_rows(
     report: StretchReport,
     g: WeightedGraph,
-    idx: ShortestPathIndex | None,
+    idx: np.ndarray | None,
     a: np.ndarray,
     b: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +196,7 @@ def _rows_needing_w(
 
 def _sweep(
     report: StretchReport, g: WeightedGraph, h: WeightedGraph, S: list[int],
-    idx: ShortestPathIndex | None, c: float,
+    idx: np.ndarray | None, c: float,
 ) -> StretchReport:
     """Check d_H <= d_G + c * W, up to relative tolerance, on S x S.
 
@@ -247,23 +247,23 @@ def _sweep(
 def verify_additive_W(
     g: WeightedGraph,
     h: WeightedGraph,
-    c_of_n: float | Callable[[int], float],
+    c: float,
     pair_class: list[int] | None = None,
-    idx: ShortestPathIndex | None = None,
+    idx: np.ndarray | None = None,
 ) -> StretchReport:
     """Check d_H <= d_G + c * W(u,v) for every connected pair in the class.
 
-    W(u,v) is the heaviest edge on the canonical shortest u-v path of g.
-    c_of_n may be a constant or a function of the vertex count (for bounds
-    like c * sqrt(n) * log n); c must be finite and >= 0.  pair_class None
-    means all pairs; otherwise only pairs inside the given (nonempty) subset
-    are checked, and the distances of H, and of g when idx is None, are
-    computed from the subset's vertices only.  idx is an optional cache.
+    W(u,v) is the heaviest edge on the canonical shortest u-v path of g;
+    c must be finite and >= 0.  pair_class None means all pairs; otherwise
+    only pairs inside the given (nonempty) subset are checked, and the
+    distances of H, and of g when idx is None, are computed from the
+    subset's vertices only.  idx, G's index (build_index), is an optional
+    cache.
     """
     if h.n != g.n:
         raise ValueError(f"vertex set mismatch: g has n={g.n}, h has n={h.n}")
     S = list(range(g.n)) if pair_class is None else subset_vertices(pair_class, g.n)
-    c = float(c_of_n(g.n)) if callable(c_of_n) else float(c_of_n)
+    c = float(c)
     if not 0 <= c < math.inf:
         raise ValueError(f"additive factor c must be finite and >= 0, got {c}")
     report = StretchReport(
@@ -279,7 +279,7 @@ def verify_multiplicative(
     g: WeightedGraph,
     h: WeightedGraph,
     alpha: float,
-    idx: ShortestPathIndex | None = None,
+    idx: np.ndarray | None = None,
 ) -> StretchReport:
     """Check d_H <= alpha * d_G for every connected pair; alpha finite, >= 1.
 
@@ -324,7 +324,7 @@ def verify_subgraph(g: WeightedGraph, h: WeightedGraph) -> bool:
 def verify_non_contracting(
     g: WeightedGraph,
     h: WeightedGraph,
-    idx: ShortestPathIndex | None = None,
+    idx: np.ndarray | None = None,
 ) -> StretchReport:
     """Check d_H >= d_G for all pairs, edge by edge.
 
@@ -336,7 +336,7 @@ def verify_non_contracting(
     if h.n != g.n:
         raise ValueError(f"vertex set mismatch: g has n={g.n}, h has n={h.n}")
     a, b, w = h.edge_arrays()
-    dg = idx.dist[a, b] if idx is not None else _edge_distances(g.csr(), a, b)
+    dg = pair_distances(g, idx, a, b)
     # inf - w > REL_TOL * inf is false, so non-finite d_G is flagged on its own
     bad = np.flatnonzero(~np.isfinite(dg) | (dg - w > REL_TOL * np.maximum(1.0, dg)))
     report = StretchReport(bound_kind="exact", params={"direction": "lower"}, pairs_checked=h.m, size=h.m)

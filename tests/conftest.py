@@ -395,7 +395,7 @@ def minimax_path_weight(g: WeightedGraph, idx) -> np.ndarray:
     Used as a small-n cross-check: the canonical path's heaviest edge can
     only be >= this value, and the gap measures how much slack the canonical
     choice grants the additive bounds.  Computed by dynamic programming over
-    the shortest-path DAG of every source, read off idx.dist; intended for
+    the shortest-path DAG of every source, read off idx; intended for
     n <= ~50.
     """
     n = g.n
@@ -403,7 +403,7 @@ def minimax_path_weight(g: WeightedGraph, idx) -> np.ndarray:
     out = np.full((n, n), math.inf)
     np.fill_diagonal(out, 0.0)
     for s in range(n):
-        dist = idx.dist[s]
+        dist = idx[s]
         order = np.argsort(dist, kind="stable")
         best = [math.inf] * n
         best[s] = 0.0

@@ -59,7 +59,7 @@ def test_virtual_edges_carry_exact_distances():
     assert em.virtual_count > 0
     for (u, v), (w, tag) in em.edges.items():
         if tag == "v":
-            assert w == idx.dist[u][v]
+            assert w == idx[u][v]
         else:
             assert w == g.weight(u, v)
     # emulators are not subgraphs once a virtual shortcut appears

@@ -94,7 +94,7 @@ def dense_close_pairs(pts: np.ndarray, r: float):
 @pytest.mark.parametrize("block_bytes", [48 * 300, 3 * 48 * 300, None])
 def test_geometric_row_blocks_match_dense_formula(block_bytes, monkeypatch):
     if block_bytes is not None:  # 1 and 3 rows per block at n = 300
-        monkeypatch.setattr(generators, "_PAIR_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(generators, "_BLOCK_BYTES", block_bytes)
     for n in (1, 2, 57, 300):
         for seed in range(3):
             pts = np.random.default_rng(np.random.SeedSequence(seed)).random((n, 2))
@@ -125,7 +125,7 @@ def dense_gnp_pairs(n: int, p: float, seed: int):
 @pytest.mark.parametrize("block_bytes", [48 * 300, 3 * 48 * 300, None])
 def test_gnp_row_blocks_match_dense_draw(block_bytes, monkeypatch):
     if block_bytes is not None:  # 1 and 3 rows per block at n = 300
-        monkeypatch.setattr(generators, "_PAIR_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(generators, "_BLOCK_BYTES", block_bytes)
     for n in (1, 2, 57, 300):
         for seed in range(3):
             for p in (0.0, 0.1, 1.0):

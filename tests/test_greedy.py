@@ -614,7 +614,7 @@ def test_6eps_scan_memory_is_linear_in_pairs():
     n = 400
     g = generate(GenSpec(family="gnp", n=n, p=2 * math.sqrt(n) / (n - 1), wmodel="uniform", seed=1))
     idx = build_index(g)
-    pairs = (int(np.isfinite(idx.dist).sum()) - n) // 2
+    pairs = (int(np.isfinite(idx).sum()) - n) // 2
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -132,7 +132,7 @@ def test_light_neighbor_density_on_missing_paths():
         adj = neighbor_lists(g)
         pairs = [(u, v) for u in range(0, 60, 7) for v in range(3, 60, 9) if u < v]
         for u, v in pairs:
-            if not (idx.dist[u][v] < float("inf")):
+            if not (idx[u][v] < float("inf")):
                 continue
             path = path_of(u, v)
             on_path = set(path)

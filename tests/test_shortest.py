@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wspan.fast2w
@@ -11,16 +11,20 @@ import wspan.shortest as shortest
 from wspan import (
     GenSpec,
     WeightedGraph,
+    build_4w_emulator,
     build_6eps_spanner,
     build_fast_2w,
     build_index,
+    build_poly_spanner,
+    build_subsetwise_spanner,
     generate,
     sample_levels,
     sssp_canonical,
     verify_additive_W,
+    verify_multiplicative,
+    verify_non_contracting,
 )
 from wspan.shortest import (
-    ShortestPathIndex,
     canonical_rows,
     canonical_tree_from_dist,
     distance_matrix,
@@ -141,7 +145,7 @@ def test_grid_corner_path_matches_oracle_and_is_stable():
 def test_distances_match_brute_force(g):
     idx = build_index(g)
     bf = brute_force_apsp(g)
-    assert np.array_equal(idx.dist, bf)  # integer weights: exact
+    assert np.array_equal(idx, bf)  # integer weights: exact
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,8 +154,44 @@ def test_distances_match_brute_force_floats(g):
     idx = build_index(g)
     bf = brute_force_apsp(g)
     both = np.isfinite(bf)
-    assert np.isfinite(idx.dist).tolist() == both.tolist()
-    assert np.allclose(idx.dist[both], bf[both], rtol=1e-9)
+    assert np.isfinite(idx).tolist() == both.tolist()
+    assert np.allclose(idx[both], bf[both], rtol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_graphs())
+@example(WeightedGraph(0, []))
+@example(WeightedGraph(1, []))
+def test_index_is_the_read_only_distance_matrix(g):
+    idx = build_index(g)
+    assert np.array_equal(idx, distance_matrix(g.csr()))
+    assert idx.nbytes == 8 * g.n**2
+    with pytest.raises(ValueError, match="read-only"):
+        idx[...] = 0.0
+
+
+# every builder and verifier that takes an index, called so that it reads it
+INDEX_READERS = {
+    "6w": lambda g, idx: build_6eps_spanner(g, 1.0, idx=idx),
+    "subsetwise": lambda g, idx: build_subsetwise_spanner(g, [0, 2], 1.0, idx=idx),
+    "poly": lambda g, idx: build_poly_spanner(g, 0.5, idx=idx),
+    "emulator4w": lambda g, idx: build_4w_emulator(g, 1, idx=idx),
+    "additive": lambda g, idx: verify_additive_W(g, g, 2.0, idx=idx),
+    "additive-subset": lambda g, idx: verify_additive_W(g, g, 2.0, pair_class=[0, 2], idx=idx),
+    # an empty candidate fails every edge, so G's rows are read
+    "multiplicative": lambda g, idx: verify_multiplicative(g, WeightedGraph(3, []), 3.0, idx=idx),
+    "non-contracting": lambda g, idx: verify_non_contracting(g, g, idx=idx),
+}
+
+
+@pytest.mark.parametrize("other", [2, 5])
+@pytest.mark.parametrize("reader", sorted(INDEX_READERS))
+def test_index_of_another_graph_is_rejected(reader, other):
+    g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 4.0)])
+    idx = build_index(WeightedGraph(other, [(u, u + 1, 1.0) for u in range(other - 1)]))
+    with pytest.raises(ValueError, match=rf"\({other}, {other}\) given for a graph of shape \(3, 3\)"):
+        INDEX_READERS[reader](g, idx)
+    INDEX_READERS[reader](g, build_index(g))  # g's own index is read
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,17 +201,17 @@ def test_index_structural_invariants(g):
     W = canonical_rows(g)[1]
     path = canonical_paths(g)
     n = g.n
-    assert np.array_equal(idx.dist, idx.dist.T)
-    assert all(idx.dist[i][i] == 0.0 for i in range(n))
+    assert np.array_equal(idx, idx.T)
+    assert all(idx[i][i] == 0.0 for i in range(n))
     assert np.array_equal(W, W.T)
     for u in range(n):
         for v in range(u + 1, n):
-            if not math.isfinite(idx.dist[u][v]):
+            if not math.isfinite(idx[u][v]):
                 continue
             h = len(path(u, v)) - 1
             assert h >= 1
-            assert W[u][v] >= idx.dist[u][v] / h
-            assert W[u][v] <= idx.dist[u][v]
+            assert W[u][v] >= idx[u][v] / h
+            assert W[u][v] <= idx[u][v]
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,7 +222,7 @@ def test_canonical_paths_reverse_and_subpath(g):
     n = g.n
     for u in range(n):
         for v in range(u + 1, n):
-            if not math.isfinite(idx.dist[u][v]):
+            if not math.isfinite(idx[u][v]):
                 continue
             fwd = path(u, v)
             bwd = path(v, u)
@@ -193,8 +233,8 @@ def test_canonical_paths_reverse_and_subpath(g):
                 for j in range(i + 1, len(fwd)):
                     a, b = fwd[i], fwd[j]
                     assert path(a, b) == fwd[i : j + 1]
-                    assert idx.dist[u][v] == pytest.approx(
-                        idx.dist[u][a] + idx.dist[a][v], rel=1e-12
+                    assert idx[u][v] == pytest.approx(
+                        idx[u][a] + idx[a][v], rel=1e-12
                     )
 
 
@@ -207,7 +247,7 @@ def test_canonical_path_pairs_intersect_contiguously(g):
     paths = []
     for u in range(n):
         for v in range(u + 1, n):
-            if math.isfinite(idx.dist[u][v]):
+            if math.isfinite(idx[u][v]):
                 paths.append(path(u, v))
     for p in paths[:12]:
         for q in paths[:12]:
@@ -223,7 +263,7 @@ def test_index_agrees_with_per_source_sssp(medium_gnp):
     _, _, ref = per_source_reference(medium_gnp)
     for s in (0, 17, 42):
         dist, parent = sssp_canonical(medium_gnp, s)
-        assert np.array_equal(dist, idx.dist[s])
+        assert np.array_equal(dist, idx[s])
         assert np.array_equal(parent, ref[s])
 
 
@@ -232,7 +272,7 @@ def test_index_agrees_with_per_source_sssp_on_ties(medium_grid):
     _, _, ref = per_source_reference(medium_grid)
     for s in (0, 24, 48):
         dist, parent = sssp_canonical(medium_grid, s)
-        assert np.array_equal(dist, idx.dist[s])
+        assert np.array_equal(dist, idx[s])
         assert np.array_equal(parent, ref[s])
 
 
@@ -278,7 +318,7 @@ def test_blocked_kernel_matches_per_source_rule(rows, g, data):
         sub = canonical_rows(g, roots)
         sub_parents = canonical_rows(g, roots, parents=True)
         single = [sssp_canonical(g, s) for s in range(g.n)]
-    assert np.array_equal(idx.dist, dist) and np.array_equal(full[0], dist)
+    assert np.array_equal(idx, dist) and np.array_equal(full[0], dist)
     assert np.array_equal(full[1], W)
     assert np.array_equal(every[0], dist)
     assert every[1].dtype == np.int32 and np.array_equal(every[1], parent)
@@ -356,7 +396,7 @@ def test_blocked_kernel_matches_per_source_rule_on_deep_ties(rows, g):
         every = canonical_rows(g, parents=True)
         sub = canonical_rows(g, roots)
         sub_parents = canonical_rows(g, roots, parents=True)
-    assert np.array_equal(idx.dist, dist) and np.array_equal(full[1], W)
+    assert np.array_equal(idx, dist) and np.array_equal(full[1], W)
     assert np.array_equal(every[1], parent)
     assert np.array_equal(sub[1], W[roots]) and np.array_equal(sub_parents[1], parent[roots])
 
@@ -622,7 +662,9 @@ def test_absorb_guard_rejects_the_absorbing_example():
 
 
 def test_index_temporaries_stay_within_block_budget():
-    assert ShortestPathIndex.__slots__ == ("n", "dist")
+    # the index stores G's distances and nothing else: one float64 n x n matrix
+    idx = build_index(generate(GenSpec(family="gnp", n=30, p=0.2, seed=3)))
+    assert type(idx) is np.ndarray and idx.dtype == np.float64 and idx.shape == (30, 30)
     # at n = 800 an n x n int32 parent array alone (2.4 MiB) would break the
     # bound; the W rows of every source are what build_index computed before
     # it dropped W
