@@ -222,7 +222,8 @@ def _cmd_stats(args) -> int:
             ms = sorted(r["m_out"] for r in recs)
             med = ms[len(ms) // 2]
             sizes[str(n)] = med
-            fit_points.append((n, med))
+            if med > 0:  # a log-log fit takes the n with edges only
+                fit_points.append((n, med))
             passes += sum(1 for r in recs if r["verify_pass"])
             total += len(recs)
         entry = {

@@ -10,7 +10,7 @@ forest cannot decide (greedy_multiplicative).
 The spanner only gains edges, so only the candidates, the pairs with
 d_H0(u->v) > d_G + c*W, can be bought.  One pass over blocks of sources
 finds them: G's distance rows come through shortest.index_rows, H0's from
-one Dijkstra run over the CSR the scan's oracle then uses.  W is computed
+one Dijkstra run over a CSR of H0's edges (graph_csr).  W is computed
 (shortest.tree_rows) only on the rows with a pair d_H0 > d_G + c*L, where
 L(u, v) = max(minw(u), minw(v)) <= W(u, v) (shortest.w_floor): rounding is
 monotone, so fl(d_G + fl(c*L)) <= fl(d_G + fl(c*W)), and a pair at or below
@@ -18,14 +18,17 @@ the first threshold is at or below the second.  stats["w_rows"] counts
 those rows.  No n x n array is held, and on random graphs there are
 usually no candidates.
 
-Distance queries against the growing spanner use an upper-bound row cache:
-any previously computed distance is a valid upper bound, so a pair whose
-cached estimate meets its threshold is skipped.  The cache starts with H0's
-rows of the candidates' endpoints, the only rows read.  Pairs that still
-look violating get a fresh single-source run (C-speed), so the scan-time
-semantics are exactly "query the current spanner".  Every edge set, the
-light init, the spanner and the result, is a boolean mask over
-g.edge_arrays(); the spanner's is the oracle's, which path buying grows.
+The growing spanner, in path buying and in the multiplicative greedy alike,
+is one copy of G's CSR whose entries are inf until their edge is kept
+(_inf_csr), so buying a path writes its weights and no search rebuilds the
+matrix.  Path buying's distance queries use a row cache: a row is a full
+single-source run (C-speed) on the spanner as it stood, an upper bound on
+every later distance, so a pair whose cached estimate from u or v meets its
+threshold is skipped.  The cache starts empty: H0's row of u is the one
+that made (u, v) a candidate, so it could not clear the pair.  Pairs that
+still look violating get a fresh run from u, so the scan-time semantics are
+exactly "query the current spanner".  Every edge set, the light init, the
+spanner and the result, is a boolean mask over g.edge_arrays().
 """
 
 from __future__ import annotations
@@ -81,83 +84,61 @@ def make_pair_order(pairs: np.ndarray, W: np.ndarray, d: np.ndarray | None = Non
     return np.lexsort(keys)
 
 
-class _GrowingDistances:
-    """Distance oracle for a subset of G's edges that only grows.
+def _inf_csr(g: WeightedGraph, a: np.ndarray, b: np.ndarray) -> tuple[csr_matrix, np.ndarray]:
+    """A copy of G's CSR whose entries are all inf, and at[:, i], the two
+    data positions of edge (a[i], b[i]) for the edges a, b of G given.
 
-    The subset is kept, a boolean mask over g.edge_arrays() that the oracle
-    owns and add_path grows.  Cached rows are exact for the version at which
-    they were computed and remain valid upper bounds afterwards.  refresh()
-    recomputes one row against the current edges.
+    An inf entry is no edge to scipy's Dijkstra, as a relaxation through it
+    never wins, so a grown spanner is this matrix with its kept edges'
+    weights written into h.data, the matrix's own array, and no search
+    rebuilds it.
     """
-
-    def __init__(self, g: WeightedGraph, kept: np.ndarray):
-        self.g = g
-        self.kept = kept
-        self._csr = None
-        self._rows: dict[int, np.ndarray] = {}
-
-    def prime(self, rows: list[int]) -> None:
-        """Compute the given rows at the current version in one batch."""
-        dist = _sp_dijkstra(self._matrix(), directed=True, indices=rows)
-        for u, row in zip(rows, dist):
-            self._rows[u] = row
-
-    def _matrix(self):
-        if self._csr is None:
-            a, b, w = self.g.edge_arrays()
-            k = self.kept
-            self._csr = graph_csr(self.g.n, a[k], b[k], w[k])
-        return self._csr
-
-    def add_path(self, seq: list[int]) -> int:
-        """Add the edges of the vertex path seq; returns how many were new."""
-        ids = self.g.edge_ids(seq[:-1], seq[1:])
-        new = int(np.count_nonzero(~self.kept[ids]))
-        if new:
-            self.kept[ids] = True
-            self._csr = None
-        return new
-
-    def upper(self, u: int, v: int) -> float:
-        """Best known upper bound on the current distance between u and v."""
-        best = INF
-        row = self._rows.get(u)
-        if row is not None:
-            best = row[v]
-        row = self._rows.get(v)
-        if row is not None and row[u] < best:
-            best = row[u]
-        return float(best)
-
-    def refresh(self, u: int) -> np.ndarray:
-        row = _sp_dijkstra(self._matrix(), directed=True, indices=u)
-        self._rows[u] = row
-        return row
+    h = g.csr()
+    n = g.n
+    tails = np.repeat(np.arange(n), np.diff(h.indptr))
+    # rows are sorted by column
+    at = np.searchsorted(tails * n + h.indices, np.stack([a * n + b, b * n + a]))
+    return csr_matrix((np.full(len(h.data), INF), h.indices, h.indptr), shape=h.shape), at
 
 
 def _buy_paths(
-    g: WeightedGraph, oracle: _GrowingDistances, thresh: np.ndarray, pairs: np.ndarray
+    g: WeightedGraph, kept: np.ndarray, thresh: np.ndarray, pairs: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[int, int]], int]:
-    """Scan pairs (k x 2, in order) against their thresholds, buying paths.
+    """Scan pairs (k x 2, in order) against their thresholds, buying paths
+    into a copy of kept, H0's edge mask.
 
     A pair's canonical path is added (path_vertices) only when the current
-    spanner distance strictly exceeds its threshold.  The oracle holds H0;
-    it is primed with the rows of the pairs' endpoints, the only rows read.
-    Returns (the final edge mask, pairs bought, edges added by paths).
+    spanner distance strictly exceeds its threshold.  The spanner is an
+    _inf_csr matrix; a row is one single-source run on it, kept as an upper
+    bound on every later distance, so a pair that an earlier row of u or v
+    puts within its threshold is skipped.  Memory is O(m + r * n), r the
+    rows run.  Returns (the final edge mask, pairs bought, edges added by
+    paths).
     """
-    if len(pairs):
-        oracle.prime(np.unique(pairs).tolist())
+    kept = kept.copy()
     bought: list[tuple[int, int]] = []
     added = 0
+    if not len(pairs):
+        return kept, bought, added
+    a, b, w = g.edge_arrays()
+    h, at = _inf_csr(g, a, b)
+    data = h.data
+    data[at[:, kept]] = w[kept]
+    rows: dict[int, np.ndarray] = {}
     for (u, v), t in zip(pairs.tolist(), thresh.tolist()):
-        if oracle.upper(u, v) <= t:
+        if (u in rows and rows[u][v] <= t) or (v in rows and rows[v][u] <= t):
             continue
-        row = oracle.refresh(u)
-        if row[v] <= t:
+        rows[u] = _sp_dijkstra(h, directed=True, indices=u)
+        if rows[u][v] <= t:
             continue
-        added += oracle.add_path(path_vertices(g, u, v))
+        seq = path_vertices(g, u, v)
+        ids = g.edge_ids(seq[:-1], seq[1:])
+        new = ids[~kept[ids]]
+        kept[new] = True
+        data[at[:, new]] = w[new]
+        added += len(new)
         bought.append((u, v))
-    return oracle.kept, bought, added
+    return kept, bought, added
 
 
 def _path_buying(
@@ -178,8 +159,8 @@ def _path_buying(
     one (module docstring), or on every row when w_floor gives no bound.  The
     order key is (W, d, u, v) when by_dist, else (W, u, v).
     """
-    oracle = _GrowingDistances(g, start.copy())
-    h0 = oracle._matrix()  # the oracle's own CSR, built once
+    a, b, w = g.edge_arrays()
+    h0 = graph_csr(g.n, a[start], b[start], w[start])
     cols = np.asarray(S, dtype=np.int64)
     minw = w_floor(g)
     found = [np.zeros((0, 2), dtype=np.int64)]
@@ -209,7 +190,7 @@ def _path_buying(
     pairs = np.concatenate(found)
     thresh, W, d = np.concatenate(keys, axis=1)
     order = make_pair_order(pairs, W, d if by_dist else None)
-    return (*_buy_paths(g, oracle, thresh[order], pairs[order]), w_rows)
+    return (*_buy_paths(g, start, thresh[order], pairs[order]), w_rows)
 
 
 def _forest_mask(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -261,10 +242,10 @@ def greedy_multiplicative(g: WeightedGraph, k: int) -> SpannerResult:
     path's float sum, and the spanner's distance from a is at most it, as
     rounding is monotone.  So the edge is dropped when d_F(a, b) <= t.  Only
     the rest are searched: one bounded Dijkstra from a on the current
-    spanner, stats["searched_edges"] of them.  The spanner is one copy of
-    G's CSR whose entries are inf (no edge to scipy) until their edge is
-    kept, so no search rebuilds it.  Memory is O(m + block * n), block the
-    _sweep_rows sources of the forest distances; no n x n array is held.
+    spanner, stats["searched_edges"] of them.  The spanner is an _inf_csr
+    matrix, as in path buying, so no search rebuilds it.  Memory is
+    O(m + block * n), block the _sweep_rows sources of the forest
+    distances; no n x n array is held.
     """
     k = _mult_k(k)
     stretch = 2 * k - 1
@@ -281,13 +262,8 @@ def greedy_multiplicative(g: WeightedGraph, k: int) -> SpannerResult:
     rest = np.flatnonzero(~kept)
     d_f = _edge_distances(graph_csr(n, a[kept], b[kept], w[kept]), a[rest], b[rest], thresh[rest])
     rest = rest[d_f > thresh[rest]]
-    h = g.csr()
-    tails = np.repeat(np.arange(n), np.diff(h.indptr))
-    # each edge's two entries in the CSR data; rows are sorted by column
-    at = np.searchsorted(tails * n + h.indices, np.stack([a * n + b, b * n + a]))
-    data = np.full(len(h.data), INF)
-    h = csr_matrix((data, h.indices, h.indptr), shape=h.shape)
-    data = h.data  # the matrix's own array, which scipy reads on every search
+    h, at = _inf_csr(g, a, b)
+    data = h.data
     forest = np.flatnonzero(kept)
     done = 0
     for i in rest.tolist():

@@ -311,8 +311,8 @@ def path_buying_reference(g, idx, S, start, c, by_dist):
     """greedy._path_buying with W on every row of the candidate pass (the
     same blocks, of greedy._sweep_rows(n) sources, and float operations);
     its w_rows is every row of S."""
-    oracle = wspan.greedy._GrowingDistances(g, start.copy())
-    h0 = oracle._matrix()
+    a, b, w = g.edge_arrays()
+    h0 = wspan.greedy.graph_csr(g.n, a[start], b[start], w[start])
     cols = np.asarray(S, dtype=np.int64)
     found = [np.zeros((0, 2), dtype=np.int64)]
     keys = [np.zeros((3, 0))]
@@ -330,7 +330,7 @@ def path_buying_reference(g, idx, S, start, c, by_dist):
     pairs = np.concatenate(found)
     thresh, W, d = np.concatenate(keys, axis=1)
     order = wspan.greedy.make_pair_order(pairs, W, d if by_dist else None)
-    return (*wspan.greedy._buy_paths(g, oracle, thresh[order], pairs[order]), len(S))
+    return (*wspan.greedy._buy_paths(g, start, thresh[order], pairs[order]), len(S))
 
 
 def brute_force_apsp(g: WeightedGraph) -> np.ndarray:

@@ -549,6 +549,29 @@ def test_bench_cli_and_stats(capsys, tmp_path):
     assert entry["verify_pass_rate"] == 1.0
 
 
+def test_stats_fits_the_n_with_edges_only(capsys, tmp_path):
+    # a path on one vertex has no edges: its median m_out of 0 is reported
+    # but left out of the log-log fit
+    corpus = tmp_path / "corpus.json"
+    records = tmp_path / "records.jsonl"
+    for ns, fitted in (((1, 4, 8, 16), True), ((1, 4, 8), False)):
+        corpus.write_text(json.dumps([{"family": "path", "n": n} for n in ns]))
+        code, _, _ = run(
+            capsys, "bench", "--corpus", str(corpus), "--algos", "mult:2",
+            "--seeds", "0", "--out", str(records),
+        )
+        assert code == 0
+        code, out, err = run(capsys, "stats", "--records", str(records))
+        assert code == 0 and err == ""
+        (entry,) = json.loads(out)
+        assert entry["median_m_out"] == {str(n): n - 1 for n in ns}
+        assert entry["verify_pass_rate"] == 1.0
+        # a path's size is n - 1, so the exponent sits just above 1
+        assert ("size_exponent" in entry) == fitted
+        if fitted:
+            assert 1.0 < entry["size_exponent"] < 1.3
+
+
 def test_stats_rejects_bad_records_with_their_line(capsys, tmp_path):
     records = tmp_path / "r.jsonl"
     good = json.dumps({"algo": "6w", "n": 8, "m_out": 9, "verify_pass": True})

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -596,6 +597,60 @@ def test_builders_hold_edge_masks_not_graphs(monkeypatch):
     assert all(res.paths_added for res in bought)
 
 
+def three_clusters():
+    """Three 5-cliques of light edges, chained by heavy edges that a 3-light
+    initialization drops: path buying must buy across both joins."""
+    inner = [(i, j, float(1 + (i + j) % 3)) for i, j in itertools.combinations(range(5), 2)]
+    edges = [(o + i, o + j, w) for o in (0, 5, 10) for i, j, w in inner]
+    return WeightedGraph(15, edges + [(0, 5, 12.0), (2, 7, 15.0), (4, 11, 9.0), (8, 13, 20.0)])
+
+
+def test_buy_loop_grows_one_matrix_from_one_source_at_a_time(monkeypatch):
+    # bought paths are written into one matrix, so H0's CSR is the build's
+    # only graph_csr, and every search inside _buy_paths has one source
+    sources, csr_builds, buying = [], [], []
+    dijkstra, csr, buy = greedy._sp_dijkstra, greedy.graph_csr, greedy._buy_paths
+
+    def counting(matrix, **kwargs):
+        if buying:
+            sources.append(kwargs["indices"])
+        return dijkstra(matrix, **kwargs)
+
+    def marked(*args):
+        buying.append(True)
+        try:
+            return buy(*args)
+        finally:
+            buying.pop()
+
+    monkeypatch.setattr(greedy, "_sp_dijkstra", counting)
+    monkeypatch.setattr(greedy, "graph_csr", lambda *a: csr_builds.append(a[0]) or csr(*a))
+    monkeypatch.setattr(greedy, "_buy_paths", marked)
+    cliques, clusters = two_cliques(k=9), three_clusters()
+    builds = (
+        (lambda: build_6eps_spanner(cliques, 0.25), 1),
+        (lambda: build_6eps_spanner(clusters, 0.25), 2),
+        (lambda: build_subsetwise_spanner(clusters, [0, 3, 6, 8, 12, 14], 0.5), 2),
+    )
+    for build, paths in builds:
+        del sources[:], csr_builds[:]
+        res = build()
+        # searches follow a purchase, which a rebuilt matrix would show
+        assert len(res.paths_added) == paths and len(csr_builds) == 1
+        assert sources and all(np.ndim(s) == 0 for s in sources)
+
+
+def test_poly_buy_heavy_golden():
+    # a dense gnp at a small c buys many paths; the output is pinned
+    g = generate(GenSpec(family="gnp", n=200, p=0.2, wmodel="uniform", seed=2))
+    res = build_poly_spanner(g, 0.3, 0.002)
+    assert res.m == 745 and len(res.paths_added) == 124
+    kept = hashlib.sha256(np.packbits(res.kept).tobytes()).hexdigest()
+    assert kept == "34ff3dc8f8a6103bab3938d836e2ddbae36935430f72e93a3a9c742e323313c2"
+    bought = hashlib.sha256(np.array(res.paths_added, dtype=np.int64).tobytes()).hexdigest()
+    assert bought == "03bb615a1ccd61c63098194258aa97a6628f6a42754510f352e137b114d09afd"
+
+
 @pytest.mark.parametrize("family", ["geometric", "gnp"])
 def test_6eps_without_index_peaks_below_8_mib(family):
     g = sparse_800(family)
@@ -622,5 +677,5 @@ def test_6eps_scan_memory_is_linear_in_pairs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # n oracle rows of 8 bytes per vertex, and a bounded cost per scanned pair
+    # n cached rows of 8 bytes per vertex, and a bounded cost per scanned pair
     assert peak - base < 8 * n * n + 160 * pairs
