@@ -162,7 +162,7 @@ def _cmd_build(args) -> int:
         write_graph(res.to_graph(g), args.out)
         stats["paths_bought"] = len(res.paths_added)
         stats["phase_edge_counts"] = res.stats.get("phase_edge_counts", {})
-        echoed = ("levels", "spt_sources", "searched_edges", "w_rows")
+        echoed = ("levels", "spt_sources", "searched_edges", "w_rows", "h_rows")
         stats.update((key, res.stats[key]) for key in echoed if key in res.stats)
     out = json.dumps(stats, sort_keys=True)
     print(out)

@@ -10,13 +10,16 @@ forest cannot decide (greedy_multiplicative).
 The spanner only gains edges, so only the candidates, the pairs with
 d_H0(u->v) > d_G + c*W, can be bought.  One pass over blocks of sources
 finds them: G's distance rows come through shortest.index_rows, H0's from
-one Dijkstra run over a CSR of H0's edges (graph_csr).  W is computed
-(shortest.tree_rows) only on the rows with a pair d_H0 > d_G + c*L, where
-L(u, v) = max(minw(u), minw(v)) <= W(u, v) (shortest.w_floor): rounding is
-monotone, so fl(d_G + fl(c*L)) <= fl(d_G + fl(c*W)), and a pair at or below
-the first threshold is at or below the second.  stats["w_rows"] counts
-those rows.  No n x n array is held, and on random graphs there are
-usually no candidates.
+one Dijkstra run over a CSR of H0's edges (graph_csr).  A row that H0
+shares with G (shortest.shared_rows, exact where w_floor gives a bound)
+holds no candidate, as no threshold lies below d_G = d_H0 there, so
+Dijkstra on H0 runs from the other sources only; stats["h_rows"] counts
+them.  W is computed (shortest.tree_rows) only on the rows with a pair
+d_H0 > d_G + c*L, where L(u, v) = max(minw(u), minw(v)) <= W(u, v)
+(shortest.w_floor): rounding is monotone, so fl(d_G + fl(c*L)) <= fl(d_G +
+fl(c*W)), and a pair at or below the first threshold is at or below the
+second.  stats["w_rows"] counts those rows.  No n x n array is held, and on
+random graphs there are usually no candidates.
 
 The growing spanner, in path buying and in the multiplicative greedy alike,
 is one copy of G's CSR whose entries are inf until their edge is kept
@@ -48,6 +51,7 @@ from .shortest import (
     _edge_distances,
     index_rows,
     path_vertices,
+    shared_rows,
     tree_rows,
     w_floor,
 )
@@ -148,15 +152,17 @@ def _path_buying(
     start: np.ndarray,
     c: float,
     by_dist: bool,
-) -> tuple[np.ndarray, list[tuple[int, int]], int, int]:
+) -> tuple[np.ndarray, list[tuple[int, int]], int, dict]:
     """_buy_paths from H0 = start, an edge mask it leaves unchanged, over the
-    candidates among the pairs u < v of S; also returns the rows whose W
-    was computed.
+    candidates among the pairs u < v of S; also returns the row counts
+    {"w_rows": rows whose W was computed, "h_rows": rows of H0 that
+    Dijkstra computed}.
 
     S is sorted and unique.  A candidate has d_H0(u->v) > d_G(u,v) + c*W(u,v),
     read from u's rows; an infinite threshold fails no comparison, so
-    disconnected pairs drop out.  W is read only on the rows that may hold
-    one (module docstring), or on every row when w_floor gives no bound.  The
+    disconnected pairs drop out.  A row H0 shares with G (shortest.shared_rows)
+    holds none, and W is read only on the rows that may hold one (module
+    docstring); where w_floor gives no bound, every row takes both.  The
     order key is (W, d, u, v) when by_dist, else (W, u, v).
     """
     a, b, w = g.edge_arrays()
@@ -165,32 +171,39 @@ def _path_buying(
     minw = w_floor(g)
     found = [np.zeros((0, 2), dtype=np.int64)]
     keys = [np.zeros((3, 0))]
-    w_rows = 0
+    counts = {"w_rows": 0, "h_rows": 0}
     rows = _sweep_rows(g.n)
     for lo in range(0, len(S), rows):
-        block = S[lo : lo + rows]
-        dist = index_rows(g, idx, block)
-        dh = _sp_dijkstra(h0, directed=True, indices=block)[:, cols]
-        later = cols > cols[lo : lo + len(block), None]
+        src = cols[lo : lo + rows]
+        dist = index_rows(g, idx, src)
+        if minw is not None:
+            # d_H0 = d_G on a shared row, and no threshold lies below d_G
+            run = np.flatnonzero(~shared_rows(h0, dist))
+            if not len(run):
+                continue
+            src, dist = src[run], dist[run]
+        counts["h_rows"] += len(src)
+        dh = _sp_dijkstra(h0, directed=True, indices=src)[:, cols]
+        later = cols > src[:, None]
         if minw is None:
-            need = np.arange(len(block))
+            need = np.arange(len(src))
         else:
             with np.errstate(invalid="ignore"):  # 0*inf on a pair no path joins
-                low = dist[:, cols] + c * np.maximum(minw[block][:, None], minw[cols])
+                low = dist[:, cols] + c * np.maximum(minw[src][:, None], minw[cols])
             need = np.flatnonzero(((dh > low) & later).any(axis=1))
         if not len(need):
             continue
-        w_rows += len(need)
-        wg = tree_rows(g, dist[need], cols[lo + need])[:, cols]
+        counts["w_rows"] += len(need)
+        wg = tree_rows(g, dist[need], src[need])[:, cols]
         dg = dist[need][:, cols]
         thresh = dg + c * wg
         i, j = np.nonzero((dh[need] > thresh) & later[need])
-        found.append(np.stack([cols[lo + need[i]], cols[j]], axis=1))
+        found.append(np.stack([src[need[i]], cols[j]], axis=1))
         keys.append(np.stack([thresh[i, j], wg[i, j], dg[i, j]]))
     pairs = np.concatenate(found)
     thresh, W, d = np.concatenate(keys, axis=1)
     order = make_pair_order(pairs, W, d if by_dist else None)
-    return (*_buy_paths(g, start, thresh[order], pairs[order]), w_rows)
+    return (*_buy_paths(g, start, thresh[order], pairs[order]), counts)
 
 
 def _forest_mask(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -298,14 +311,14 @@ def build_6eps_spanner(
         raise ValueError(f"eps must be finite and > 0, got {eps}")
     t = max(1, math.ceil(g.n ** (1.0 / 3.0)))
     start = t_light_init(g, t).kept
-    kept, bought, added, w_rows = _path_buying(g, idx, list(range(g.n)), start, 6.0 + eps, by_dist=True)
+    kept, bought, added, counts = _path_buying(g, idx, list(range(g.n)), start, 6.0 + eps, by_dist=True)
     return SpannerResult(
         kept=kept,
         params={"algo": "6w", "eps": eps, "t": t},
         paths_added=bought,
         stats={
             "phase_edge_counts": {"light_init": int(np.count_nonzero(start)), "paths": added},
-            "w_rows": w_rows,
+            **counts,
         },
     )
 
@@ -323,14 +336,14 @@ def build_subsetwise_spanner(
         raise ValueError(f"eps must be finite and > 0, got {eps}")
     t = max(1, math.ceil(math.sqrt(len(S))))
     start = t_light_init(g, t).kept
-    kept, bought, added, w_rows = _path_buying(g, idx, S, start, 2.0 + eps, by_dist=False)
+    kept, bought, added, counts = _path_buying(g, idx, S, start, 2.0 + eps, by_dist=False)
     return SpannerResult(
         kept=kept,
         params={"algo": "subsetwise", "eps": eps, "t": t, "subset_size": len(S)},
         paths_added=bought,
         stats={
             "phase_edge_counts": {"light_init": int(np.count_nonzero(start)), "paths": added},
-            "w_rows": w_rows,
+            **counts,
         },
     )
 
@@ -384,7 +397,7 @@ def build_poly_spanner(
         raise ValueError(f"precomputed multiplicative spanner is over {len(mult.kept)} edges, not {g.m}")
     factor = poly_stretch_factor(n, eps, c)
     start = light | mult.kept
-    kept, bought, added, w_rows = _path_buying(g, idx, list(range(n)), start, factor, by_dist=False)
+    kept, bought, added, counts = _path_buying(g, idx, list(range(n)), start, factor, by_dist=False)
     return SpannerResult(
         kept=kept,
         params={"algo": "poly", "eps": eps, "c": c, "t": t, "mult_k": k, "stretch_factor": factor},
@@ -395,6 +408,6 @@ def build_poly_spanner(
                 "mult_spanner": int(np.count_nonzero(mult.kept & ~light)),
                 "paths": added,
             },
-            "w_rows": w_rows,
+            **counts,
         },
     )

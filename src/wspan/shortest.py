@@ -63,6 +63,27 @@ index_rows and pair_distances slice the index when one is given, check
 its shape, and otherwise run Dijkstra.  Every scipy Dijkstra call here goes
 through distance_matrix.
 
+A subgraph H of G, with G's weights, often shares G's distance rows: it
+holds a shortest-path tree of G from that source.  shared_rows tells which
+rows from G's rows alone, and the verifier and path buying run Dijkstra on
+H only for the others.  The test is exact on an absorb_free G.  Write d_G
+and d_H for scipy's Dijkstra rows from u.
+- d_H >= d_G.  Dijkstra's result is the least left-to-right float sum over
+  the paths to v, rounding is monotone, and every H path is a G path.
+- d_H <= d_G where every reachable v != u has an H edge (p, v) with
+  fl(d_G(p) + w) = d_G(v).  Follow those edges back from v: no float sum
+  absorbs w, so each step strictly lowers d_G, and the walk ends at u.
+  Along it, by induction, the float sum of the H path to each vertex is its
+  d_G, so d_H(v) <= d_G(v).
+- Every G edge (p, v) has fl(d_G(p) + w) >= d_G(v), since Dijkstra relaxed
+  it, so the cover above is the test min over v's H edges of fl(d_G(p) + w)
+  == d_G(v).  A vertex with no H edge must sit at inf or be u.
+- The test is exact both ways: where the rows are equal, H's own Dijkstra
+  predecessor of v is such an edge.
+An emulator is not a subgraph, and its virtual edges' sums read an ulp
+below d_G on most rows, so its check runs Dijkstra on every row.  fast2w
+needs scipy's predecessors, not distances, so it keeps its own searches.
+
 canonical_tree_from_dist is the same rule one source at a time, in pure
 Python.  No code here calls it; the tests check canonical_rows against it,
 and perfbench/layers.py probes its name.
@@ -562,6 +583,39 @@ def w_floor(g: WeightedGraph) -> np.ndarray | None:
     if has.any():
         minw[has] = np.minimum.reduceat(csr.data, csr.indptr[:-1][has])
     return minw
+
+
+def shared_rows(csr: csr_matrix, dist: np.ndarray) -> np.ndarray:
+    """Which of G's distance rows are also H's: true at row i iff Dijkstra
+    on csr, the symmetric CSR matrix of a subgraph H of G with G's weights,
+    returns dist[i] bit for bit from dist[i]'s source.
+
+    dist holds G's exact rows, as scipy's Dijkstra gives them, and G must
+    be absorb_free (module docstring).  Row i passes when every vertex v
+    has dist[i, v] = min over v's H edges (p, v) of fl(dist[i, p] + w),
+    inf for a vertex with no H edge, or is the source, at 0.  One gather
+    over csr.indices, an add, a minimum.reduceat over csr.indptr and a
+    compare, in runs of rows whose temporaries fit _BLOCK_BYTES: 8 bytes
+    per H entry and 24 per vertex per row, beside the entries' indices as
+    intp (np.take would convert them on every call) and 40 bytes per vertex.
+    """
+    k, n = dist.shape
+    nbr = csr.indices.astype(np.intp)
+    deg = np.diff(csr.indptr) > 0
+    start, has = csr.indptr[:-1][deg], np.flatnonzero(deg)
+    step = max(1, (_BLOCK_BYTES - 8 * len(nbr) - 40 * n) // (8 * len(nbr) + 24 * n))
+    sums = np.empty((min(k, step), len(nbr)))
+    low = np.full((min(k, step), n), INF)  # a vertex with no H edge keeps inf
+    out = np.empty(k, dtype=bool)
+    for lo in range(0, k, step):
+        d = dist[lo : lo + step]
+        s, m = sums[: len(d)], low[: len(d)]
+        # mode clip: the ids are in range, and the default mode copies through a buffer
+        np.take(d, nbr, axis=1, out=s, mode="clip")
+        s += csr.data
+        m[:, has] = np.minimum.reduceat(s, start, axis=1)
+        out[lo : lo + len(d)] = ((m == d) | (d == 0)).all(axis=1)
+    return out
 
 
 def tree_rows(

@@ -29,6 +29,13 @@ might absorb an edge weight, so that the absorbed weight raises as it
 always did.  The bounds are computed in place, in three block-sized float
 buffers beside G's and H's rows.
 
+H's rows come from Dijkstra only where H does not share G's row.  When H is
+a subgraph of G (verify_subgraph) and w_floor gives a bound, so that no
+float sum absorbs a weight, shortest.shared_rows tells from G's rows which
+rows of H equal them bit for bit, and the sweep runs Dijkstra on H from the
+other sources only; StretchReport.h_rows counts them.  Every other H, the
++4W emulator's output among them, runs it on every row.
+
 The other two bounds are local, and are checked on edges.  d_H >= d_G holds
 for every pair iff every edge (a, b) of H has w_H(a, b) >= d_G(a, b): chain
 G's distances along an H path.  d_H <= alpha * d_G holds for every pair iff
@@ -62,6 +69,7 @@ from .shortest import (
     distance_matrix,
     index_rows,
     pair_distances,
+    shared_rows,
     tree_rows,
     w_floor,
 )
@@ -91,7 +99,8 @@ class Violation:
 @dataclass
 class StretchReport:
     """Outcome of one verification pass; w_rows counts the rows of G whose
-    W was computed."""
+    W was computed, h_rows the additive sweep's rows of H that Dijkstra
+    computed (the others are G's rows that H shares)."""
 
     bound_kind: str
     params: dict
@@ -100,6 +109,7 @@ class StretchReport:
     max_slack_ratio: float = math.nan
     size: int = 0
     w_rows: int = 0
+    h_rows: int = 0
 
     @property
     def passed(self) -> bool:
@@ -116,6 +126,7 @@ class StretchReport:
             "max_slack_ratio": _json_float(self.max_slack_ratio),
             "size": self.size,
             "w_rows": self.w_rows,
+            "h_rows": self.h_rows,
         }
 
 
@@ -208,14 +219,20 @@ def _sweep(
     cols = np.asarray(S)
     csr = h.csr()
     minw = w_floor(g)
+    # G's rows that H shares are H's rows too, where G is absorb-free
+    share = minw is not None and verify_subgraph(g, h)
     found = [(cols[:0], cols[:0], *(np.zeros(0) for _ in range(4)))]
     top = -math.inf  # the largest ratio of the rows fetched so far
     rows = _sweep_rows(g.n)
     for lo in range(0, len(S), rows):
         hi = min(lo + rows, len(S))
-        dh = distance_matrix(csr, S[lo:hi])[:, cols]
         dist = index_rows(g, idx, S[lo:hi])
         dg = dist[:, cols]
+        run = np.flatnonzero(~shared_rows(csr, dist)) if share else np.arange(hi - lo)
+        dh = dg.copy() if share else np.empty_like(dg)
+        if len(run):
+            report.h_rows += len(run)
+            dh[run] = distance_matrix(csr, cols[lo + run])[:, cols]
         # the pairs i < j of S: column position past the row's own
         connected = (np.arange(len(S)) > np.arange(lo, hi)[:, None]) & np.isfinite(dg)
         report.pairs_checked += int(np.count_nonzero(connected))

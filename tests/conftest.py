@@ -21,8 +21,8 @@ by scipy's distances, the ones the package's kernels see.  forbid_full_index
 is a guard for the tests that check G without its index, and sparse_800
 gives the graphs of their memory checks.  sweep_reference and
 path_buying_reference are the verifier's sweep and path buying's candidate
-pass as they were when every row took W: the oracles for the rows that now
-take it on demand.  clustered_graphs draws graphs on which path buying buys
+pass as they were when every row took W and ran Dijkstra on H (H0): the
+oracles for the rows that now take W on demand and H's rows from G's.  clustered_graphs draws graphs on which path buying buys
 paths, and buying_graphs mixes them with small_graphs.
 """
 
@@ -273,7 +273,8 @@ def forbid_full_index(monkeypatch) -> list:
 def sweep_reference(g: WeightedGraph, h: WeightedGraph, c: float, pair_class=None, idx=None):
     """verify_additive_W's report as the sweep gave it with W on every row:
     G's distance and W rows of each block of verify._sweep_rows(n) sources,
-    and the same float operations.  w_rows stays 0."""
+    and the same float operations, with Dijkstra on H from every row.
+    w_rows and h_rows stay 0."""
     S = list(range(g.n)) if pair_class is None else sorted(set(pair_class))
     report = wspan.verify.StretchReport(
         bound_kind="additive-cW",
@@ -308,9 +309,9 @@ def sweep_reference(g: WeightedGraph, h: WeightedGraph, c: float, pair_class=Non
 
 
 def path_buying_reference(g, idx, S, start, c, by_dist):
-    """greedy._path_buying with W on every row of the candidate pass (the
-    same blocks, of greedy._sweep_rows(n) sources, and float operations);
-    its w_rows is every row of S."""
+    """greedy._path_buying with W and H0's Dijkstra on every row of the
+    candidate pass (the same blocks, of greedy._sweep_rows(n) sources, and
+    float operations); its w_rows and h_rows are every row of S."""
     a, b, w = g.edge_arrays()
     h0 = wspan.greedy.graph_csr(g.n, a[start], b[start], w[start])
     cols = np.asarray(S, dtype=np.int64)
@@ -330,7 +331,8 @@ def path_buying_reference(g, idx, S, start, c, by_dist):
     pairs = np.concatenate(found)
     thresh, W, d = np.concatenate(keys, axis=1)
     order = wspan.greedy.make_pair_order(pairs, W, d if by_dist else None)
-    return (*wspan.greedy._buy_paths(g, start, thresh[order], pairs[order]), len(S))
+    counts = {"w_rows": len(S), "h_rows": len(S)}
+    return (*wspan.greedy._buy_paths(g, start, thresh[order], pairs[order]), counts)
 
 
 def brute_force_apsp(g: WeightedGraph) -> np.ndarray:

@@ -94,12 +94,17 @@ def test_build_and_verify_echo_their_w_rows(capsys, tmp_path):
         assert code == 0
         subset = [1, 2, 6, 7] if name == "subsetwise" else None
         res = ALGOS[name].build(g, parse_algo(f"{name}:{flags[1]}")[1], None, 0, subset)
-        assert json.loads(out)["w_rows"] == res.stats["w_rows"]
+        stats = json.loads(out)
+        assert (stats["w_rows"], stats["h_rows"]) == (res.stats["w_rows"], res.stats["h_rows"])
         code, out, _ = run(capsys, "verify", "--graph", str(graph), "--spanner", str(out_path), "--bound", bound)
         reports = ALGOS[name].certify(g, res.to_graph(g), parse_bound(bound)[1], None, subset)
         assert code == 0
-        assert [r["w_rows"] for r in json.loads(out)["reports"]] == [r.w_rows for r in reports]
+        got = [(r["w_rows"], r["h_rows"]) for r in json.loads(out)["reports"]]
+        assert got == [(r.w_rows, r.h_rows) for r in reports]
     assert res.stats["w_rows"] == 2  # subsetwise: rows 1 and 2 of S
+    # the subsetwise H0 (a 2-light init) lacks the heavy edge, so no row of S
+    # is G's; its spanner holds a path across, and so shares rows with G
+    assert res.stats["h_rows"] == 4 and reports[0].h_rows < 4
 
 
 def test_build_fast2w_reports_its_dijkstra_sources(capsys, tmp_path):

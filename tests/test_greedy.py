@@ -530,7 +530,9 @@ def test_candidate_pass_matches_the_all_rows_reference(g, data):
         assert np.array_equal(res.kept, ref.kept)
         assert res.paths_added == ref.paths_added
         assert res.stats["w_rows"] <= ref.stats["w_rows"]
-        assert {**res.stats, "w_rows": 0} == {**ref.stats, "w_rows": 0}
+        assert res.stats["h_rows"] <= ref.stats["h_rows"]
+        masked = {"w_rows": 0, "h_rows": 0}
+        assert {**res.stats, **masked} == {**ref.stats, **masked}
     # and from any H0 at any c, where candidates are many and W varies
     start = np.array(data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m), label="H0"), dtype=bool)
     # the builders' c is always positive
@@ -538,7 +540,7 @@ def test_candidate_pass_matches_the_all_rows_reference(g, data):
     by_dist = data.draw(st.booleans(), label="by_dist")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(greedy, "_sweep_rows", lambda n: rows)
-        kept, bought, added, w_rows = greedy._path_buying(g, idx, sorted(set(S)), start, c, by_dist)
+        kept, bought, added, counts = greedy._path_buying(g, idx, sorted(set(S)), start, c, by_dist)
         ref = path_buying_reference(g, idx, sorted(set(S)), start, c, by_dist)
     assert np.array_equal(kept, ref[0]) and (bought, added) == ref[1:3]
     # W is read on exactly the rows of S with a later pair d_H0 > d_G + c * L
@@ -549,7 +551,30 @@ def test_candidate_pass_matches_the_all_rows_reference(g, data):
     d_h0 = dijkstra(g.subgraph(mask_keys(g, start)).csr())
     T = sorted(set(S))
     fails = [any(d_h0[u, v] > d_g[u, v] + c * max(minw[u], minw[v]) for v in T if v > u) for u in T]
-    assert w_rows == sum(fails)
+    assert counts["w_rows"] == sum(fails)
+    # and H0's Dijkstra on exactly the rows of S where H0's row is not G's
+    assert counts["h_rows"] == sum(not np.array_equal(d_h0[u], d_g[u]) for u in T)
+
+
+def test_candidate_pass_runs_dijkstra_on_h0_only_where_h0_shares_no_row_of_g(monkeypatch):
+    g = generate(GenSpec(family="gnp", n=40, p=0.15, wmodel="uniform", seed=4))
+    start = t_light_init(g, math.ceil(g.n ** (1.0 / 3.0))).kept
+    d_g, d_h0 = dijkstra(g.csr()), dijkstra(g.subgraph(mask_keys(g, start)).csr())
+    # the rows where H0's distances are not G's, bit for bit
+    apart = np.flatnonzero((d_h0 != d_g).any(axis=1)).tolist()
+    assert 0 < len(apart) < g.n
+    sources = []
+    real = greedy._sp_dijkstra
+
+    def counting(csr, **kwargs):
+        if np.ndim(kwargs["indices"]):  # the candidate pass; path buying runs one source at a time
+            sources.extend(kwargs["indices"].tolist())
+        return real(csr, **kwargs)
+
+    monkeypatch.setattr(greedy, "_sp_dijkstra", counting)
+    monkeypatch.setattr(greedy, "_sweep_rows", lambda n: 7)
+    res = build_6eps_spanner(g, 1.0)
+    assert sources == apart and res.stats["h_rows"] == len(apart)
 
 
 def test_builders_without_index_build_no_full_index(monkeypatch):

@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wspan.fast2w
+import wspan.greedy
 import wspan.shortest as shortest
+import wspan.verify
 from wspan import (
     GenSpec,
     WeightedGraph,
@@ -24,11 +26,13 @@ from wspan import (
     verify_multiplicative,
     verify_non_contracting,
 )
+from wspan.graph import graph_csr
 from wspan.shortest import (
     canonical_rows,
     canonical_tree_from_dist,
     distance_matrix,
     path_vertices,
+    shared_rows,
 )
 
 from conftest import (
@@ -39,6 +43,7 @@ from conftest import (
     neighbor_lists,
     oracle_canonical_path,
     small_graphs,
+    sparse_800,
     tied_source,
 )
 
@@ -703,3 +708,89 @@ def test_tied_index_temporaries_stay_within_block_budget():
         returned = dist.nbytes + W.nbytes
         # slack: the directed edge arrays and scipy's copies of the BFS graph
         assert peak - base - returned < shortest._BLOCK_BYTES + (1 << 20)
+
+
+# ------------------------------------------------------------ shared rows
+
+
+def masked_csr(g: WeightedGraph, mask):
+    a, b, w = g.edge_arrays()
+    mask = np.asarray(mask, dtype=bool)
+    return graph_csr(g.n, a[mask], b[mask], w[mask])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(mixed_graphs(), st.integers(1, 6).map(lambda n: WeightedGraph(n, []))),
+    st.data(),
+)
+def test_shared_rows_are_the_rows_dijkstra_on_h_returns(g, data):
+    # decimal, tied and multi-part graphs, G or H without edges, n = 1: the
+    # kernel settles a row exactly when H's Dijkstra row is G's bit for bit
+    mask = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m), label="H's edges")
+    sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=2 * g.n), label="sources")
+    budget = data.draw(st.sampled_from([0, 4096, shortest._BLOCK_BYTES]), label="budget")
+    h = masked_csr(g, mask)
+    dist = distance_matrix(g.csr(), sources)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shortest, "_BLOCK_BYTES", budget)
+        got = shared_rows(h, dist)
+    want = [np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in zip(distance_matrix(h, sources), dist)]
+    assert got.tolist() == want
+
+
+def test_shared_rows_settle_an_isolated_source_of_an_edgeless_h():
+    g = WeightedGraph(4, [(1, 2, 0.5), (2, 3, 0.25)])
+    dist = distance_matrix(g.csr())
+    # 0 is isolated in G too; 1, 2 and 3 reach one another in G only
+    for mask in ([False, False], [True, False]):
+        assert shared_rows(masked_csr(g, mask), dist).tolist() == [True, False, False, False]
+    assert shared_rows(g.csr(), dist).all()
+    one = WeightedGraph(1, [])
+    assert shared_rows(one.csr(), distance_matrix(one.csr())).tolist() == [True]
+
+
+@settings(max_examples=100, deadline=None)
+@given(spread_graphs(), st.data())
+def test_graphs_that_may_absorb_never_reach_the_kernel(g, data):
+    # where a float sum might absorb a weight, a row's cover by H's edges
+    # proves nothing, so every row runs Dijkstra on H (and on H0)
+    if shortest.absorb_free(g):
+        return
+    mask = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m), label="H's edges")
+    h = g.subgraph(mask_keys(g, np.array(mask, dtype=bool)))
+
+    def refuse(*args):
+        raise AssertionError("shared_rows called")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (wspan.verify, wspan.greedy):
+            mp.setattr(module, "shared_rows", refuse)
+        for run, rows in (
+            (lambda: verify_additive_W(g, h, 2.0), lambda rep: rep.h_rows),
+            (lambda: build_6eps_spanner(g, 1.0), lambda res: res.stats["h_rows"]),
+        ):
+            try:
+                out = run()
+            except ValueError as exc:  # W of a row that did absorb a weight
+                assert "absorbed an edge weight" in str(exc)
+            else:
+                assert rows(out) == g.n
+
+
+@pytest.mark.parametrize("family", ["geometric", "gnp"])
+def test_shared_rows_temporaries_stay_within_block_budget(family):
+    g = sparse_800(family)
+    dist = distance_matrix(g.csr(), np.arange(0, g.n, 2))
+    # a third of G's edges dropped (no row is shared), and G itself (all are)
+    for h, settled in ((masked_csr(g, np.arange(g.m) % 3 != 0), 0), (g.csr(), len(dist))):
+        shared_rows(h, dist[:1])  # warm up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = shared_rows(h, dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(out) == settled
+        assert peak - base - out.nbytes < shortest._BLOCK_BYTES

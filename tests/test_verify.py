@@ -305,9 +305,9 @@ def sweep_cases(draw):
 
 
 def same_report(got, want) -> None:
-    """Equal reports but for w_rows, max_slack_ratio bit for bit."""
+    """Equal reports but for w_rows and h_rows, max_slack_ratio bit for bit."""
     assert got.violations == want.violations
-    assert {**got.to_dict(), "w_rows": 0} == want.to_dict()
+    assert {**got.to_dict(), "w_rows": 0, "h_rows": 0} == want.to_dict()
     assert np.float64(got.max_slack_ratio).tobytes() == np.float64(want.max_slack_ratio).tobytes()
 
 
@@ -356,6 +356,24 @@ def test_sweep_matches_the_all_rows_reference_on_each_case():
     got = verify_additive_W(empty, empty, 2.0)
     same_report(got, sweep_reference(empty, empty, 2.0))
     assert got.pairs_checked == 0 and math.isnan(got.max_slack_ratio) and got.w_rows == 0
+
+
+def test_sweep_runs_dijkstra_on_h_only_where_h_shares_no_row_of_g(monkeypatch):
+    g = generate(GenSpec(family="gnp", n=40, p=0.15, wmodel="uniform", seed=4))
+    h = build_6eps_spanner(g, 1.0).to_graph(g)
+    d_g, d_h = distance_matrix(g.csr()), distance_matrix(h.csr())
+    # the rows where H's distances are not G's, bit for bit
+    apart = np.flatnonzero((d_h != d_g).any(axis=1)).tolist()
+    assert 0 < len(apart) < g.n
+    S = list(range(0, g.n, 3))
+    want = [sweep_reference(g, h, 7.0), sweep_reference(g, h, 7.0, S)]
+    calls = counted_distance_matrix(monkeypatch)
+    monkeypatch.setattr(wspan.verify, "_sweep_rows", lambda n: 7)
+    for pair_class, ref, rows in ((None, want[0], apart), (S, want[1], [u for u in apart if u in S])):
+        del calls[:]
+        got = verify_additive_W(g, h, 7.0, pair_class=pair_class)
+        same_report(got, ref)
+        assert [s for srcs in calls for s in srcs] == rows and got.h_rows == len(rows)
 
 
 def test_w_rows_counts_on_a_fixed_instance():
