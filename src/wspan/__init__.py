@@ -8,7 +8,7 @@ verifier recomputes all-pairs distances and certifies every claimed bound.
 """
 
 from .graph import WeightedGraph
-from .shortest import build_index, sssp_canonical
+from .shortest import build_index
 from .light import LightInit, t_light_init
 from .greedy import (
     SpannerResult,
@@ -34,7 +34,6 @@ from .generators import GenSpec, generate
 __all__ = [
     "WeightedGraph",
     "build_index",
-    "sssp_canonical",
     "LightInit",
     "t_light_init",
     "SpannerResult",

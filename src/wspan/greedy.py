@@ -9,16 +9,15 @@ forest cannot decide (greedy_multiplicative).
 
 The spanner only gains edges, so only the candidates, the pairs with
 d_H0(u->v) > d_G + c*W, can be bought.  One pass over blocks of sources
-finds them: G's distance rows come through shortest.index_rows, H0's from
-one Dijkstra run over a CSR of H0's edges (graph_csr).  A row that H0
-shares with G (shortest.shared_rows, exact where w_floor gives a bound)
-holds no candidate, as no threshold lies below d_G = d_H0 there, so
-Dijkstra on H0 runs from the other sources only; stats["h_rows"] counts
-them.  W is computed (shortest.tree_rows) only on the rows with a pair
-d_H0 > d_G + c*L, where L(u, v) = max(minw(u), minw(v)) <= W(u, v)
-(shortest.w_floor): rounding is monotone, so fl(d_G + fl(c*L)) <= fl(d_G +
-fl(c*W)), and a pair at or below the first threshold is at or below the
-second.  stats["w_rows"] counts those rows.  No n x n array is held, and on
+finds them: shortest.sweep gives G's distance rows of each block and the
+rows that H0, a CSR of H0's edges (graph_csr), shares with G (exact where
+w_floor gives a bound).  A shared row holds no candidate, as no threshold
+lies below d_G = d_H0 there, so Dijkstra on H0 runs from the other sources
+only; stats["h_rows"] counts them.  W is computed (shortest.tree_rows) only
+on the rows with a pair d_H0 > d_G + c*L, where L(u, v) = max(minw(u),
+minw(v)) <= W(u, v) (shortest.w_floor): rounding is monotone, so fl(d_G +
+fl(c*L)) <= fl(d_G + fl(c*W)), and a pair at or below the first threshold
+is at or below the second.  stats["w_rows"] counts those rows.  No n x n array is held, and on
 random graphs there are usually no candidates.
 
 The growing spanner, in path buying and in the multiplicative greedy alike,
@@ -30,8 +29,11 @@ every later distance, so a pair whose cached estimate from u or v meets its
 threshold is skipped.  The cache starts empty: H0's row of u is the one
 that made (u, v) a candidate, so it could not clear the pair.  Pairs that
 still look violating get a fresh run from u, so the scan-time semantics are
-exactly "query the current spanner".  Every edge set, the light init, the
-spanner and the result, is a boolean mask over g.edge_arrays().
+exactly "query the current spanner".  A bought path's vertices come from
+u's canonical parent row (shortest.path_vertices), which reads u's
+distance row from G's index when the build was given one, so with an
+index no Dijkstra runs on G.  Every edge set, the light init, the spanner
+and the result, is a boolean mask over g.edge_arrays().
 """
 
 from __future__ import annotations
@@ -44,17 +46,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-from .graph import WeightedGraph, _sweep_rows, graph_csr, subset_vertices
+from .graph import WeightedGraph, graph_csr, subset_vertices
 from .light import t_light_init
-from .shortest import (
-    INF,
-    _edge_distances,
-    index_rows,
-    path_vertices,
-    shared_rows,
-    tree_rows,
-    w_floor,
-)
+from .shortest import INF, _edge_distances, path_vertices, sweep, tree_rows, w_floor
 
 
 @dataclass(eq=False)
@@ -106,16 +100,21 @@ def _inf_csr(g: WeightedGraph, a: np.ndarray, b: np.ndarray) -> tuple[csr_matrix
 
 
 def _buy_paths(
-    g: WeightedGraph, kept: np.ndarray, thresh: np.ndarray, pairs: np.ndarray
+    g: WeightedGraph,
+    kept: np.ndarray,
+    thresh: np.ndarray,
+    pairs: np.ndarray,
+    idx: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[tuple[int, int]], int]:
     """Scan pairs (k x 2, in order) against their thresholds, buying paths
     into a copy of kept, H0's edge mask.
 
-    A pair's canonical path is added (path_vertices) only when the current
-    spanner distance strictly exceeds its threshold.  The spanner is an
-    _inf_csr matrix; a row is one single-source run on it, kept as an upper
-    bound on every later distance, so a pair that an earlier row of u or v
-    puts within its threshold is skipped.  Memory is O(m + r * n), r the
+    A pair's canonical path is added (path_vertices, reading u's row of
+    idx, G's index, when given) only when the current spanner distance
+    strictly exceeds its threshold.  The spanner is an _inf_csr matrix; a
+    row is one single-source run on it, kept as an upper bound on every
+    later distance, so a pair that an earlier row of u or v puts within its
+    threshold is skipped.  Memory is O(m + r * n), r the
     rows run.  Returns (the final edge mask, pairs bought, edges added by
     paths).
     """
@@ -135,7 +134,7 @@ def _buy_paths(
         rows[u] = _sp_dijkstra(h, directed=True, indices=u)
         if rows[u][v] <= t:
             continue
-        seq = path_vertices(g, u, v)
+        seq = path_vertices(g, u, v, idx)
         ids = g.edge_ids(seq[:-1], seq[1:])
         new = ids[~kept[ids]]
         kept[new] = True
@@ -160,7 +159,7 @@ def _path_buying(
 
     S is sorted and unique.  A candidate has d_H0(u->v) > d_G(u,v) + c*W(u,v),
     read from u's rows; an infinite threshold fails no comparison, so
-    disconnected pairs drop out.  A row H0 shares with G (shortest.shared_rows)
+    disconnected pairs drop out.  A row H0 shares with G (shortest.sweep)
     holds none, and W is read only on the rows that may hold one (module
     docstring); where w_floor gives no bound, every row takes both.  The
     order key is (W, d, u, v) when by_dist, else (W, u, v).
@@ -172,16 +171,11 @@ def _path_buying(
     found = [np.zeros((0, 2), dtype=np.int64)]
     keys = [np.zeros((3, 0))]
     counts = {"w_rows": 0, "h_rows": 0}
-    rows = _sweep_rows(g.n)
-    for lo in range(0, len(S), rows):
-        src = cols[lo : lo + rows]
-        dist = index_rows(g, idx, src)
-        if minw is not None:
-            # d_H0 = d_G on a shared row, and no threshold lies below d_G
-            run = np.flatnonzero(~shared_rows(h0, dist))
-            if not len(run):
-                continue
-            src, dist = src[run], dist[run]
+    for lo, dist, run in sweep(g, idx, cols, h0):
+        # d_H0 = d_G on a shared row, and no threshold lies below d_G
+        if not len(run):
+            continue
+        src, dist = cols[lo + run], dist[run]
         counts["h_rows"] += len(src)
         dh = _sp_dijkstra(h0, directed=True, indices=src)[:, cols]
         later = cols > src[:, None]
@@ -203,7 +197,7 @@ def _path_buying(
     pairs = np.concatenate(found)
     thresh, W, d = np.concatenate(keys, axis=1)
     order = make_pair_order(pairs, W, d if by_dist else None)
-    return (*_buy_paths(g, start, thresh[order], pairs[order]), counts)
+    return (*_buy_paths(g, start, thresh[order], pairs[order], idx), counts)
 
 
 def _forest_mask(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -19,12 +19,11 @@ exact distances only, so fast2w takes scipy's own shortest-path trees and
 does not use this module.
 
 One kernel, tree_rows, computes the canonical trees of given sources from
-their exact distance rows, all in numpy; canonical_rows is scipy's Dijkstra
-plus that kernel, behind sssp_canonical and path_vertices.  The sources are
-taken a block at a time: one gather-and-compare over the edge arrays finds
-every tight edge of the block, a source is tie-free when each reachable
-vertex has exactly one tight in-edge (which is then its parent), and
-W(s, v) follows for the whole block by pointer doubling up the parent trees.
+their exact distance rows, all in numpy.  The sources are taken a block at
+a time: one gather-and-compare over the edge arrays finds every tight edge
+of the block, a source is tie-free when each reachable vertex has exactly
+one tight in-edge (which is then its parent), and W(s, v) follows for the
+whole block by pointer doubling up the parent trees.
 The sources whose distances tie are finished afterwards, a run of them at a
 time: a BFS over their tight edges gives the hop layers, and layer by layer
 a knockout among each vertex's min-hop tight in-edges picks its parent.
@@ -61,13 +60,16 @@ alone, and the verifier and the path buyers compute W on the rows that L
 cannot settle.  This module is the only one that reads G's distances:
 index_rows and pair_distances slice the index when one is given, check
 its shape, and otherwise run Dijkstra.  Every scipy Dijkstra call here goes
-through distance_matrix.
+through distance_matrix.  The verifier and path buying read G's rows a
+block at a time through one generator, sweep, which also names the rows of
+each block that a subgraph H shares (below); path_vertices reads one row,
+and its parent row from tree_rows.
 
 A subgraph H of G, with G's weights, often shares G's distance rows: it
 holds a shortest-path tree of G from that source.  shared_rows tells which
-rows from G's rows alone, and the verifier and path buying run Dijkstra on
-H only for the others.  The test is exact on an absorb_free G.  Write d_G
-and d_H for scipy's Dijkstra rows from u.
+rows from G's rows alone, sweep applies it to each block, and the verifier
+and path buying run Dijkstra on H only for the others.  The test is exact
+on an absorb_free G.  Write d_G and d_H for scipy's Dijkstra rows from u.
 - d_H >= d_G.  Dijkstra's result is the least left-to-right float sum over
   the paths to v, rounding is monotone, and every H path is a G path.
 - d_H <= d_G where every reachable v != u has an H edge (p, v) with
@@ -85,11 +87,11 @@ below d_G on most rows, so its check runs Dijkstra on every row.  fast2w
 needs scipy's predecessors, not distances, so it keeps its own searches.
 
 canonical_tree_from_dist is the same rule one source at a time, in pure
-Python.  No code here calls it; the tests check canonical_rows against it,
-and perfbench/layers.py probes its name.
+Python.  No code here calls it; the tests check tree_rows against it, and
+perfbench/layers.py probes its name.
 
-A call writes the W rows or the parent rows (sssp_canonical,
-path_vertices) its caller reads, never both.
+A call writes the W rows or the parent rows (path_vertices) its caller
+reads, never both.
 
 Distance ties are detected with exact float equality: the intended regimes
 are integer-valued weights (float arithmetic is exact) and continuous random
@@ -100,7 +102,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -146,7 +148,7 @@ def canonical_tree_from_dist(
     are encoded as min(u,v)*n + max(u,v) so the tie lists are flat int
     tuples.  Raises ValueError when a float sum absorbed an edge weight (a
     tight neighbor at v's own distance) or dist does not fit adj.  This is
-    the reference for canonical_rows, which computes the same trees.
+    the reference for tree_rows, which computes the same trees.
     """
     n = len(adj)
     parent = [-1] * n
@@ -665,31 +667,6 @@ def tree_rows(
     return out
 
 
-def canonical_rows(
-    g: WeightedGraph, sources: list[int] | None = None, parents: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """(dist, W) rows of the canonical trees from the given sources.
-
-    Row i belongs to sources[i]; sources None means every vertex.  scipy's
-    Dijkstra gives the distances and tree_rows the W rows, or with parents
-    true the canonical parent rows (for sssp_canonical and path_vertices).
-    """
-    dist = distance_matrix(g.csr(), sources)
-    return dist, tree_rows(g, dist, np.arange(g.n) if sources is None else sources, parents)
-
-
-def sssp_canonical(g: WeightedGraph, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and canonical parents from source s.
-
-    dist[v] is inf for vertices disconnected from s; parent[v] is -1 for the
-    source and for unreachable vertices.
-    """
-    if not 0 <= s < g.n:
-        raise ValueError(f"source {s} out of range for n={g.n}")
-    dist, parent = canonical_rows(g, [s], parents=True)
-    return dist[0], parent[0]
-
-
 def build_index(g: WeightedGraph) -> np.ndarray:
     """G's index: its n x n all-pairs distance matrix (one scipy call, 8 * n^2 bytes).
 
@@ -736,19 +713,44 @@ def pair_distances(
     return _edge_distances(g.csr(), a, b)
 
 
-def path_vertices(g: WeightedGraph, u: int, v: int) -> list[int]:
+def sweep(
+    g: WeightedGraph,
+    idx: np.ndarray | None,
+    S: Sequence[int] | np.ndarray,
+    h: csr_matrix | None = None,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """G's distance rows of the sources S, a _sweep_rows(n) block at a time.
+
+    Yields (lo, dist, run) per block: dist holds index_rows of S[lo : lo +
+    len(dist)], and run the positions in the block of the rows that h, the
+    symmetric CSR matrix of a subgraph of G with G's weights, does not share
+    (shared_rows).  run is every row when h is None or G is not absorb_free.
+    The verifier's sweep and edge checks and path buying's candidate pass
+    read G's rows through this alone.
+    """
+    S = np.asarray(S, dtype=np.int64)
+    share = h is not None and absorb_free(g)
+    rows = _sweep_rows(g.n)
+    for lo in range(0, len(S), rows):
+        dist = index_rows(g, idx, S[lo : lo + rows])
+        yield lo, dist, np.flatnonzero(~shared_rows(h, dist)) if share else np.arange(len(dist))
+
+
+def path_vertices(g: WeightedGraph, u: int, v: int, idx: np.ndarray | None = None) -> list[int]:
     """Vertex sequence of the canonical u-v path.
 
-    Walks v up u's parent row, which sssp_canonical computes anew on every
-    call: one Dijkstra and one canonical tree from u.
+    Walks v up u's canonical parent row, which tree_rows computes from u's
+    distance row (index_rows: a slice of idx, G's index, when given, else
+    one Dijkstra from u).
     """
     for x in (u, v):
         if not 0 <= x < g.n:
             raise ValueError(f"vertex {x} out of range for n={g.n}")
     if u == v:
         return [u]
-    dist, prow = sssp_canonical(g, u)
-    if not np.isfinite(dist[v]):
+    dist = index_rows(g, idx, [u])
+    prow = tree_rows(g, dist, [u], parents=True)[0]
+    if not np.isfinite(dist[0, v]):
         raise ValueError(f"no path between {u} and {v}")
     seq = [v]
     x = v

@@ -3,10 +3,10 @@
 Checks take one of two shapes.  The additive bound d_H <= d_G + c * W, on
 all pairs or on S x S, is a sweep: Dijkstra on H from a block of sources at
 a time, compared with the same rows of G's distances.  G's distances are
-read only through shortest (index_rows for rows, pair_distances for the
-edge checks), which slices G's index, its distance matrix, when one is
-given.  Blocks are sized by graph._sweep_rows, so a check holds
-O(block * n) memory beyond H and any index given.
+read only through shortest (shortest.sweep for blocks of rows,
+pair_distances for the edge checks), which slices G's index, its distance
+matrix, when one is given.  Blocks are sized by graph._sweep_rows, so a
+check holds O(block * n) memory beyond H and any index given.
 
 W is computed (shortest.tree_rows, one call per block) only on the rows
 whose outcome the lower bound L(u, v) = max(minw(u), minw(v)) <= W(u, v)
@@ -30,11 +30,13 @@ always did.  The bounds are computed in place, in three block-sized float
 buffers beside G's and H's rows.
 
 H's rows come from Dijkstra only where H does not share G's row.  When H is
-a subgraph of G (verify_subgraph) and w_floor gives a bound, so that no
-float sum absorbs a weight, shortest.shared_rows tells from G's rows which
-rows of H equal them bit for bit, and the sweep runs Dijkstra on H from the
+a subgraph of G (verify_subgraph), shortest.sweep names the rows of each
+block that H shares bit for bit (exact where no float sum absorbs a weight,
+as where w_floor gives a bound), and the sweep runs Dijkstra on H from the
 other sources only; StretchReport.h_rows counts them.  Every other H, the
-+4W emulator's output among them, runs it on every row.
++4W emulator's output among them, runs it on every row.  A shared row has
+d_H = d_G, so it holds no violation and every ratio on it is exactly 0: it
+raises the maximum to 0 and takes no W.
 
 The other two bounds are local, and are checked on edges.  d_H >= d_G holds
 for every pair iff every edge (a, b) of H has w_H(a, b) >= d_G(a, b): chain
@@ -63,16 +65,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graph import WeightedGraph, _sweep_rows, subset_vertices
-from .shortest import (
-    _edge_distances,
-    distance_matrix,
-    index_rows,
-    pair_distances,
-    shared_rows,
-    tree_rows,
-    w_floor,
-)
+from .graph import WeightedGraph, subset_vertices
+from .shortest import _edge_distances, distance_matrix, pair_distances, sweep, tree_rows, w_floor
 
 REL_TOL = 1e-9
 
@@ -151,12 +145,9 @@ def _tail_rows(
     those rows."""
     tails, at = np.unique(a, return_inverse=True)
     dg, wh = np.empty(len(a)), np.empty(len(a))
-    rows = _sweep_rows(g.n)
-    for lo in range(0, len(tails), rows):
-        sel = (at >= lo) & (at < lo + rows)
-        block = tails[lo : lo + rows]
-        dist = index_rows(g, idx, block.tolist())
-        W = tree_rows(g, dist, block)
+    for lo, dist, _ in sweep(g, idx, tails):
+        sel = (at >= lo) & (at < lo + len(dist))
+        W = tree_rows(g, dist, tails[lo : lo + len(dist)])
         dg[sel], wh[sel] = dist[at[sel] - lo, b[sel]], W[at[sel] - lo, b[sel]]
     report.w_rows += len(tails)
     return dg, wh
@@ -212,24 +203,19 @@ def _sweep(
     """Check d_H <= d_G + c * W, up to relative tolerance, on S x S.
 
     S is sorted and duplicate-free; the pairs u < v of S connected in g are
-    checked.  G's distance rows of each block come from index_rows, and W
-    only on the rows that need it (module docstring).  max_slack_ratio is
-    the largest (d_H - d_G) / W.
+    checked.  G's distance rows of each block come from shortest.sweep,
+    with the rows H shares, and W only on the rows that need it (module
+    docstring).  max_slack_ratio is the largest (d_H - d_G) / W.
     """
     cols = np.asarray(S)
     csr = h.csr()
     minw = w_floor(g)
-    # G's rows that H shares are H's rows too, where G is absorb-free
-    share = minw is not None and verify_subgraph(g, h)
     found = [(cols[:0], cols[:0], *(np.zeros(0) for _ in range(4)))]
     top = -math.inf  # the largest ratio of the rows fetched so far
-    rows = _sweep_rows(g.n)
-    for lo in range(0, len(S), rows):
-        hi = min(lo + rows, len(S))
-        dist = index_rows(g, idx, S[lo:hi])
+    for lo, dist, run in sweep(g, idx, cols, csr if verify_subgraph(g, h) else None):
+        hi = lo + len(dist)
         dg = dist[:, cols]
-        run = np.flatnonzero(~shared_rows(csr, dist)) if share else np.arange(hi - lo)
-        dh = dg.copy() if share else np.empty_like(dg)
+        dh = dg.copy()
         if len(run):
             report.h_rows += len(run)
             dh[run] = distance_matrix(csr, cols[lo + run])[:, cols]
@@ -237,6 +223,12 @@ def _sweep(
         connected = (np.arange(len(S)) > np.arange(lo, hi)[:, None]) & np.isfinite(dg)
         report.pairs_checked += int(np.count_nonzero(connected))
         sel = connected & np.isfinite(dh)
+        if len(run) < hi - lo:
+            # a shared row holds no violation, and its ratios are all exactly 0
+            shared = np.ones(hi - lo, dtype=bool)
+            shared[run] = False
+            if sel[shared].any():
+                top = max(top, 0.0)
         if minw is None:
             need = np.ones(hi - lo, dtype=bool)
         else:  # L on the block's pairs, a buffer the call then reuses

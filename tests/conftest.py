@@ -14,12 +14,15 @@ and so does mask_keys, which turns the builders' edge masks into key sets
 for comparison with them.
 Expected values in the tests are computed by these, never by the code under
 test.  minimax_path_weight is a cross-check rather than an oracle: it reads
-the distances of the index it is given.  canonical_paths is no oracle
-either: it walks the package's own parent rows, for tests that read the
-canonical paths of many pairs of one graph.  tied_source classifies sources
-by scipy's distances, the ones the package's kernels see.  forbid_full_index
-is a guard for the tests that check G without its index, and sparse_800
-gives the graphs of their memory checks.  sweep_reference and
+the distances of the index it is given.  canonical_rows and
+sssp_canonical are no oracles either: they are scipy's Dijkstra rows with
+the package's tree_rows on them, which the tests check against
+canonical_tree_from_dist.  Nor is canonical_paths: it walks those parent
+rows, for tests that read the canonical paths of many pairs of one graph.
+tied_source classifies sources by scipy's distances, the ones the
+package's kernels see.  forbid_full_index is a guard for the tests that
+check G without its index, and sparse_800 gives the graphs of their memory
+checks.  sweep_reference and
 path_buying_reference are the verifier's sweep and path buying's candidate
 pass as they were when every row took W and ran Dijkstra on H (H0): the
 oracles for the rows that now take W on demand and H's rows from G's.  clustered_graphs draws graphs on which path buying buys
@@ -43,7 +46,7 @@ import wspan.shortest
 import wspan.verify
 from wspan import GenSpec, WeightedGraph, generate
 from wspan.graph import edge_key
-from wspan.shortest import canonical_rows, index_rows, tree_rows
+from wspan.shortest import distance_matrix, index_rows, tree_rows
 
 
 def neighbor_lists(g: WeightedGraph) -> list[list[tuple[int, float]]]:
@@ -212,6 +215,20 @@ def fast2w_reference(g: WeightedGraph, c: float, seed: int):
     }
 
 
+def canonical_rows(g: WeightedGraph, sources=None, parents: bool = False):
+    """(dist, W) rows of the canonical trees from the given sources (every
+    vertex when None), or (dist, parent rows) with parents true: scipy's
+    Dijkstra rows and the package's tree_rows on them."""
+    dist = distance_matrix(g.csr(), sources)
+    return dist, tree_rows(g, dist, np.arange(g.n) if sources is None else sources, parents)
+
+
+def sssp_canonical(g: WeightedGraph, s: int):
+    """Distances and canonical parents from source s, one row of canonical_rows."""
+    dist, parent = canonical_rows(g, [s], parents=True)
+    return dist[0], parent[0]
+
+
 def canonical_paths(g: WeightedGraph):
     """path(u, v): the canonical u-v vertex sequence, as path_vertices gives it.
 
@@ -272,7 +289,7 @@ def forbid_full_index(monkeypatch) -> list:
 
 def sweep_reference(g: WeightedGraph, h: WeightedGraph, c: float, pair_class=None, idx=None):
     """verify_additive_W's report as the sweep gave it with W on every row:
-    G's distance and W rows of each block of verify._sweep_rows(n) sources,
+    G's distance and W rows of each block of shortest._sweep_rows(n) sources,
     and the same float operations, with Dijkstra on H from every row.
     w_rows and h_rows stay 0."""
     S = list(range(g.n)) if pair_class is None else sorted(set(pair_class))
@@ -286,7 +303,7 @@ def sweep_reference(g: WeightedGraph, h: WeightedGraph, c: float, pair_class=Non
     csr = h.csr()
     found = []
     tops: list[float] = []
-    rows = wspan.verify._sweep_rows(g.n)
+    rows = wspan.shortest._sweep_rows(g.n)
     for lo in range(0, len(S), rows):
         hi = min(lo + rows, len(S))
         dh = dijkstra(csr, indices=S[lo:hi])[:, cols]
@@ -310,14 +327,14 @@ def sweep_reference(g: WeightedGraph, h: WeightedGraph, c: float, pair_class=Non
 
 def path_buying_reference(g, idx, S, start, c, by_dist):
     """greedy._path_buying with W and H0's Dijkstra on every row of the
-    candidate pass (the same blocks, of greedy._sweep_rows(n) sources, and
+    candidate pass (the same blocks, of shortest._sweep_rows(n) sources, and
     float operations); its w_rows and h_rows are every row of S."""
     a, b, w = g.edge_arrays()
     h0 = wspan.greedy.graph_csr(g.n, a[start], b[start], w[start])
     cols = np.asarray(S, dtype=np.int64)
     found = [np.zeros((0, 2), dtype=np.int64)]
     keys = [np.zeros((3, 0))]
-    rows = wspan.greedy._sweep_rows(g.n)
+    rows = wspan.shortest._sweep_rows(g.n)
     for lo in range(0, len(S), rows):
         block = S[lo : lo + rows]
         dist = index_rows(g, idx, block)

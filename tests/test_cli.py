@@ -226,10 +226,10 @@ def test_build_emulator_and_verify(capsys, tmp_path, monkeypatch):
     out_path = tmp_path / "emu.txt"
 
     def no_index(*args, **kwargs):
-        raise AssertionError("canonical index built for an emulator build")
+        raise AssertionError("canonical trees computed for an emulator build")
 
     with monkeypatch.context() as mp:
-        mp.setattr(wspan.shortest, "canonical_rows", no_index)
+        mp.setattr(wspan.shortest, "tree_rows", no_index)
         code, out, _ = run(
             capsys, "build", "--algo", "emulator4w", "--seed", "2",
             "--graph", str(graph), "-o", str(out_path),

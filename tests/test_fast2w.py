@@ -20,9 +20,9 @@ from wspan import (
 import wspan.fast2w
 from wspan.fast2w import _level_trees
 from wspan.graph import edge_key
-from wspan.shortest import canonical_rows
 
 from conftest import (
+    canonical_rows,
     fast2w_reference,
     levels_reference,
     mask_keys,

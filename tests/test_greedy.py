@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
@@ -27,13 +27,15 @@ from wspan import (
     verify_subgraph,
 )
 import wspan.greedy as greedy
+import wspan.shortest as shortest
 from wspan.greedy import multiplicative_k_for, poly_stretch_factor
-from wspan.shortest import canonical_rows
 
 from conftest import (
     WEIGHTS,
     brute_force_apsp,
     buying_graphs,
+    canonical_rows,
+    clustered_graphs,
     forbid_full_index,
     greedy_mult_oracle,
     greedy_mult_reference,
@@ -482,7 +484,7 @@ def test_buy_paths_gets_the_pairs_h0_fails(monkeypatch):
         del seen[:]
         with monkeypatch.context() as mp:
             if rows is not None:
-                mp.setattr(greedy, "_sweep_rows", lambda n: rows)
+                mp.setattr(shortest, "_sweep_rows", lambda n: rows)
             build_6eps_spanner(g, 1.0)
             build_poly_spanner(g, 0.5)
             build_subsetwise_spanner(g, S, 0.5)
@@ -502,7 +504,7 @@ def test_index_is_an_optional_cache(g, data):
     )
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
-            mp.setattr(greedy, "_sweep_rows", lambda n: rows)
+            mp.setattr(shortest, "_sweep_rows", lambda n: rows)
         for build in builds:
             cached, computed = build(idx), build(None)
             assert np.array_equal(cached.kept, computed.kept)
@@ -522,7 +524,7 @@ def test_candidate_pass_matches_the_all_rows_reference(g, data):
         lambda: build_subsetwise_spanner(g, S, 0.5, idx=idx),
     )
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(greedy, "_sweep_rows", lambda n: rows)
+        mp.setattr(shortest, "_sweep_rows", lambda n: rows)
         got = [build() for build in builds]
         mp.setattr(greedy, "_path_buying", path_buying_reference)
         want = [build() for build in builds]
@@ -539,7 +541,7 @@ def test_candidate_pass_matches_the_all_rows_reference(g, data):
     c = data.draw(st.sampled_from([0.5, 2.0, 7.0]), label="c")
     by_dist = data.draw(st.booleans(), label="by_dist")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(greedy, "_sweep_rows", lambda n: rows)
+        mp.setattr(shortest, "_sweep_rows", lambda n: rows)
         kept, bought, added, counts = greedy._path_buying(g, idx, sorted(set(S)), start, c, by_dist)
         ref = path_buying_reference(g, idx, sorted(set(S)), start, c, by_dist)
     assert np.array_equal(kept, ref[0]) and (bought, added) == ref[1:3]
@@ -572,7 +574,7 @@ def test_candidate_pass_runs_dijkstra_on_h0_only_where_h0_shares_no_row_of_g(mon
         return real(csr, **kwargs)
 
     monkeypatch.setattr(greedy, "_sp_dijkstra", counting)
-    monkeypatch.setattr(greedy, "_sweep_rows", lambda n: 7)
+    monkeypatch.setattr(shortest, "_sweep_rows", lambda n: 7)
     res = build_6eps_spanner(g, 1.0)
     assert sources == apart and res.stats["h_rows"] == len(apart)
 
@@ -584,7 +586,7 @@ def test_builders_without_index_build_no_full_index(monkeypatch):
     g = two_cliques(k=9)
     S = [1, 4, 10, 13]
     rows = forbid_full_index(monkeypatch)
-    monkeypatch.setattr(greedy, "_sweep_rows", lambda n: 4)
+    monkeypatch.setattr(shortest, "_sweep_rows", lambda n: 4)
     res = build_6eps_spanner(g, 1.0)
     # H0 lacks the heavy edge: rows 0..8 have a later vertex across, 9..17 none
     assert rows[:3] == [[0, 1, 2, 3], [4, 5, 6, 7], [8]] and res.stats["w_rows"] == 9
@@ -595,7 +597,7 @@ def test_builders_without_index_build_no_full_index(monkeypatch):
     # spanner), and its stretch factor exceeds every d_H0 - d_G
     res = build_poly_spanner(g, 0.5)
     assert rows == [] and res.stats["w_rows"] == 0 and not res.paths_added
-    monkeypatch.setattr(greedy, "_sweep_rows", lambda n: 3)
+    monkeypatch.setattr(shortest, "_sweep_rows", lambda n: 3)
     del rows[:]
     res = build_subsetwise_spanner(g, S, 0.5)
     assert res.paths_added
@@ -663,6 +665,41 @@ def test_buy_loop_grows_one_matrix_from_one_source_at_a_time(monkeypatch):
         # searches follow a purchase, which a rebuilt matrix would show
         assert len(res.paths_added) == paths and len(csr_builds) == 1
         assert sources and all(np.ndim(s) == 0 for s in sources)
+
+
+def builds_searching_g(g, idx):
+    """The three path-buying builds of g with idx, and whether any of them
+    ran Dijkstra on G's own CSR (the shortest module's or greedy's)."""
+    on_g = []
+    S = list(range(0, g.n, 2))
+
+    def spy(real):
+        return lambda csr, *args, **kwargs: on_g.append(csr is g.csr()) or real(csr, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (shortest, greedy):
+            mp.setattr(module, "_sp_dijkstra", spy(module._sp_dijkstra))
+        builds = [
+            build_6eps_spanner(g, 0.25, idx=idx),
+            build_poly_spanner(g, 0.0, 0.5, idx=idx),
+            build_subsetwise_spanner(g, S, 0.5, idx=idx),
+        ]
+    return builds, any(on_g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(clustered_graphs())
+@example(three_clusters())
+def test_builds_with_an_index_run_no_dijkstra_on_g(g):
+    # G's rows of the candidate pass and of every bought path come from the index
+    cached, searched = builds_searching_g(g, build_index(g))
+    free, searched_free = builds_searching_g(g, None)
+    assert not searched and searched_free
+    for res, ref in zip(cached, free):
+        assert np.array_equal(res.kept, ref.kept)
+        assert res.paths_added == ref.paths_added and res.stats == ref.stats
+    if g == three_clusters():
+        assert len(cached[0].paths_added) == 2  # 6w buys across both joins
 
 
 def test_poly_buy_heavy_golden():

@@ -13,10 +13,10 @@ from wspan import (
     t_light_init,
 )
 from wspan.graph import edge_key
-from wspan.shortest import canonical_rows
 
 from conftest import (
     canonical_paths,
+    canonical_rows,
     levels_reference,
     light_kept_edges,
     light_selections,

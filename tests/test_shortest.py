@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wspan.fast2w
+import wspan.graph
 import wspan.greedy
 import wspan.shortest as shortest
 import wspan.verify
@@ -21,14 +22,12 @@ from wspan import (
     build_subsetwise_spanner,
     generate,
     sample_levels,
-    sssp_canonical,
     verify_additive_W,
     verify_multiplicative,
     verify_non_contracting,
 )
 from wspan.graph import graph_csr
 from wspan.shortest import (
-    canonical_rows,
     canonical_tree_from_dist,
     distance_matrix,
     path_vertices,
@@ -38,12 +37,14 @@ from wspan.shortest import (
 from conftest import (
     brute_force_apsp,
     canonical_paths,
+    canonical_rows,
     mask_keys,
     mixed_graphs,
     neighbor_lists,
     oracle_canonical_path,
     small_graphs,
     sparse_800,
+    sssp_canonical,
     tied_source,
 )
 
@@ -73,7 +74,7 @@ def test_disconnected_vertex_gets_inf():
 
 def test_sssp_source_out_of_range():
     g = WeightedGraph(2, [(0, 1, 1.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # from distance_matrix
         sssp_canonical(g, 5)
 
 
@@ -602,9 +603,9 @@ def test_fast2w_runs_no_tie_rule_on_tied_roots(monkeypatch):
     assert all(getattr(x, "__module__", None) != shortest.__name__ for x in vars(wspan.fast2w).values())
     calls = counting_tie_rule(monkeypatch)
     kernel = []
-    real = shortest.canonical_rows
+    real = shortest.tree_rows
     monkeypatch.setattr(
-        shortest, "canonical_rows", lambda *args, **kw: kernel.append(args) or real(*args, **kw)
+        shortest, "tree_rows", lambda *args, **kw: kernel.append(args) or real(*args, **kw)
     )
     build_fast_2w(g, 4.0, seed=3)
     assert kernel == [] and calls == []
@@ -764,8 +765,7 @@ def test_graphs_that_may_absorb_never_reach_the_kernel(g, data):
         raise AssertionError("shared_rows called")
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (wspan.verify, wspan.greedy):
-            mp.setattr(module, "shared_rows", refuse)
+        mp.setattr(shortest, "shared_rows", refuse)
         for run, rows in (
             (lambda: verify_additive_W(g, h, 2.0), lambda rep: rep.h_rows),
             (lambda: build_6eps_spanner(g, 1.0), lambda res: res.stats["h_rows"]),
@@ -776,6 +776,46 @@ def test_graphs_that_may_absorb_never_reach_the_kernel(g, data):
                 assert "absorbed an edge weight" in str(exc)
             else:
                 assert rows(out) == g.n
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(g=st.one_of(mixed_graphs(), spread_graphs()), data=st.data())
+def test_sweep_names_the_rows_h_does_not_share(rows, g, data):
+    # each block holds G's rows of its sources, and run the rows whose
+    # Dijkstra row on H is not G's; every row where G may absorb a weight
+    mask = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m), label="H's edges")
+    S = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n), label="sources")
+    idx = None
+    if data.draw(st.booleans(), label="indexed"):
+        try:
+            idx = build_index(g)
+        except ValueError:  # a float sum absorbed a weight
+            pass
+    h = masked_csr(g, mask)
+    d_g, d_h = distance_matrix(g.csr(), S), distance_matrix(h, S)
+    apart = [not np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in zip(d_h, d_g)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shortest, "_sweep_rows", lambda n: rows)
+        for given in (h, None):
+            blocks = list(shortest.sweep(g, idx, S, given))
+            assert [lo for lo, _, _ in blocks] == list(range(0, len(S), rows))
+            for lo, dist, run in blocks:
+                assert np.array_equal(dist, d_g[lo : lo + rows])
+                if given is not None and shortest.absorb_free(g):
+                    assert run.tolist() == np.flatnonzero(apart[lo : lo + rows]).tolist()
+                else:
+                    assert run.tolist() == list(range(len(dist)))
+
+
+def test_verify_and_greedy_read_g_rows_through_sweep_alone():
+    # no block loop of their own: neither module binds the block size, the
+    # row test or the row reader, under any name
+    kernels = (wspan.graph._sweep_rows, shortest.shared_rows, shortest.index_rows)
+    for module in (wspan.verify, wspan.greedy):
+        assert not any(hasattr(module, f.__name__) for f in kernels)
+        assert not any(x is f for x in vars(module).values() for f in kernels)
+        assert module.sweep is shortest.sweep
 
 
 @pytest.mark.parametrize("family", ["geometric", "gnp"])

@@ -27,12 +27,13 @@ from wspan import (
     verify_subgraph,
 )
 from wspan.algos import ALGOS
-from wspan.shortest import _BLOCK_BYTES, canonical_rows, distance_matrix
+from wspan.shortest import _BLOCK_BYTES, distance_matrix
 from wspan.verify import REL_TOL, Violation
 
 from conftest import (
     brute_force_apsp,
     buying_graphs,
+    canonical_rows,
     forbid_full_index,
     minimax_path_weight,
     mixed_graphs,
@@ -155,7 +156,7 @@ def test_subset_report_matches_full_matrix_reference(g, data):
     ]
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
-            mp.setattr(wspan.verify, "_sweep_rows", lambda n: rows)
+            mp.setattr(wspan.shortest, "_sweep_rows", lambda n: rows)
         reports = [verify_additive_W(g, h, c, pair_class=p, idx=given) for p, _, given in cases]
     dist, W = canonical_rows(g)
     expected = [full_matrix_report(dist, W, dh, additive, pairs) for _, pairs, _ in cases]
@@ -187,7 +188,7 @@ def test_emulator_certify_runs_one_apsp_on_h(monkeypatch, medium_gnp):
     calls = counted_distance_matrix(monkeypatch)
     assert verify_non_contracting(g, h, idx=idx).passed
     assert calls == []  # the lower bound reads one index entry per H edge
-    monkeypatch.setattr(wspan.verify, "_sweep_rows", lambda n: 7)
+    monkeypatch.setattr(wspan.shortest, "_sweep_rows", lambda n: 7)
     certify = ALGOS["emulator4w"].certify
     reports = certify(g, h, {}, idx=idx, subset=None)
     assert len(calls) == math.ceil(g.n / 7)
@@ -204,7 +205,7 @@ def test_subset_certify_asks_for_subset_sources_only(monkeypatch, medium_gnp):
     g = medium_gnp
     S = [3, 17, 4, 40, 17]
     calls = counted_distance_matrix(monkeypatch)
-    monkeypatch.setattr(wspan.verify, "_sweep_rows", lambda n: 3)
+    monkeypatch.setattr(wspan.shortest, "_sweep_rows", lambda n: 3)
     reports = ALGOS["subsetwise"].certify(g, g.subgraph([]), {"eps": 0.5}, idx=build_index(g), subset=S)
     assert calls == [[3, 4, 17], [40]]
     assert [s for srcs in calls for s in srcs] == sorted(set(S))
@@ -272,9 +273,12 @@ def test_non_contraction_without_index_builds_no_full_index(monkeypatch, medium_
     assert got.violations == expected.violations and got.to_dict() == expected.to_dict()
     tails = np.unique(a).tolist()
     bad = sorted({v.u for v in expected.violations})
-    # d_G of H's edges from their tails, then G's rows of the violations' tails
-    assert calls == [tails[i : i + 7] for i in range(0, len(tails), 7)] + [bad]
-    assert rows == [bad]
+    # d_G of H's edges from their tails, then G's rows of the violations' tails,
+    # each in blocks of 7
+    blocks = [bad[i : i + 7] for i in range(0, len(bad), 7)]
+    assert len(blocks) > 1
+    assert calls == [tails[i : i + 7] for i in range(0, len(tails), 7)] + blocks
+    assert rows == blocks
 
 
 def lowered(g: WeightedGraph, every: int = 3) -> WeightedGraph:
@@ -320,7 +324,7 @@ def test_sweep_matches_the_all_rows_reference(gh, data):
     rows = data.draw(st.integers(1, 3), label="sources per block")
     idx = build_index(g) if data.draw(st.booleans(), label="indexed") else None
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wspan.verify, "_sweep_rows", lambda n: rows)
+        mp.setattr(wspan.shortest, "_sweep_rows", lambda n: rows)
         got = verify_additive_W(g, h, c, pair_class=S, idx=idx)
         want = sweep_reference(g, h, c, S, idx)
     same_report(got, want)
@@ -346,7 +350,7 @@ def test_sweep_matches_the_all_rows_reference_on_each_case():
         for rows in (1, 2, 3, None):
             with pytest.MonkeyPatch.context() as mp:
                 if rows is not None:
-                    mp.setattr(wspan.verify, "_sweep_rows", lambda n: rows)
+                    mp.setattr(wspan.shortest, "_sweep_rows", lambda n: rows)
                 for given, c in itertools.product((idx, None), (0.0, 2.0, 4.0, 7.0)):
                     got = verify_additive_W(g, h, c, idx=given)
                     same_report(got, sweep_reference(g, h, c, idx=given))
@@ -368,7 +372,7 @@ def test_sweep_runs_dijkstra_on_h_only_where_h_shares_no_row_of_g(monkeypatch):
     S = list(range(0, g.n, 3))
     want = [sweep_reference(g, h, 7.0), sweep_reference(g, h, 7.0, S)]
     calls = counted_distance_matrix(monkeypatch)
-    monkeypatch.setattr(wspan.verify, "_sweep_rows", lambda n: 7)
+    monkeypatch.setattr(wspan.shortest, "_sweep_rows", lambda n: 7)
     for pair_class, ref, rows in ((None, want[0], apart), (S, want[1], [u for u in apart if u in S])):
         del calls[:]
         got = verify_additive_W(g, h, 7.0, pair_class=pair_class)
@@ -397,13 +401,14 @@ def test_w_rows_counts_on_a_fixed_instance():
         "lowered non-contraction": verify_non_contracting(g, lowered(g), idx=idx).w_rows,
     }
     # no candidate pass needs W here; 6w's check at c = 7 needs it on a
-    # quarter of the rows, where (d_H - d_G) / L may beat the ratio found
+    # quarter of the rows, where (d_H - d_G) / L may beat the ratio found;
+    # poly's spanner shares every row of G, whose ratios are all 0 without W
     assert counts == {
         "6w build": 0,
         "poly build": 0,
         "subset build": 0,
         "6w verify": 33,
-        "poly verify": 1,
+        "poly verify": 0,
         "subset verify": 4,
         "emulator verify": 1,
         "lowered non-contraction": 102,
@@ -435,7 +440,7 @@ def test_multiplicative_check_reads_no_w(monkeypatch, medium_grid):
     assert reports[0].passed and not reports[1].passed
     expected = [r.to_dict() for r in reports]
     rows = forbid_full_index(monkeypatch)
-    monkeypatch.setattr(wspan.verify, "_sweep_rows", lambda n: 5)
+    monkeypatch.setattr(wspan.shortest, "_sweep_rows", lambda n: 5)
     for given in (idx, None):
         del rows[:]
         assert verify_multiplicative(g, h, 3.0, idx=given).to_dict() == expected[0]
@@ -512,7 +517,6 @@ def test_edgewise_multiplicative_matches_pairwise_reference(gh, alpha, rows, ind
     with pytest.MonkeyPatch.context() as mp:
         # H's searches and G's rows of the failing edges' tails, `rows` sources at a time
         mp.setattr(wspan.shortest, "_sweep_rows", lambda n: rows)
-        mp.setattr(wspan.verify, "_sweep_rows", lambda n: rows)
         mp.setattr(wspan.shortest, "_sp_dijkstra", dijkstra)
         rep = verify_multiplicative(g, h, alpha, idx=idx if indexed else None)
     assert rep.passed == (not bad)
