@@ -62,29 +62,36 @@ index_rows and pair_distances slice the index when one is given, check
 its shape, and otherwise run Dijkstra.  Every scipy Dijkstra call here goes
 through distance_matrix.  The verifier and path buying read G's rows a
 block at a time through one generator, sweep, which also names the rows of
-each block that a subgraph H shares (below); path_vertices reads one row,
-and its parent row from tree_rows.
+each block that an H may lengthen (below); path_vertices reads one row, and
+its parent row from tree_rows.
 
-A subgraph H of G, with G's weights, often shares G's distance rows: it
-holds a shortest-path tree of G from that source.  shared_rows tells which
-rows from G's rows alone, sweep applies it to each block, and the verifier
-and path buying run Dijkstra on H only for the others.  The test is exact
-on an absorb_free G.  Write d_G and d_H for scipy's Dijkstra rows from u.
-- d_H >= d_G.  Dijkstra's result is the least left-to-right float sum over
-  the paths to v, rounding is monotone, and every H path is a G path.
-- d_H <= d_G where every reachable v != u has an H edge (p, v) with
-  fl(d_G(p) + w) = d_G(v).  Follow those edges back from v: no float sum
-  absorbs w, so each step strictly lowers d_G, and the walk ends at u.
-  Along it, by induction, the float sum of the H path to each vertex is its
-  d_G, so d_H(v) <= d_G(v).
-- Every G edge (p, v) has fl(d_G(p) + w) >= d_G(v), since Dijkstra relaxed
-  it, so the cover above is the test min over v's H edges of fl(d_G(p) + w)
-  == d_G(v).  A vertex with no H edge must sit at inf or be u.
-- The test is exact both ways: where the rows are equal, H's own Dijkstra
-  predecessor of v is such an edge.
-An emulator is not a subgraph, and its virtual edges' sums read an ulp
-below d_G on most rows, so its check runs Dijkstra on every row.  fast2w
-needs scipy's predecessors, not distances, so it keeps its own searches.
+An H on G's vertices, a subgraph of G or an emulator, often does not
+lengthen G's distance row from a source u: covered_rows tells which rows
+from G's rows alone, sweep applies it to each block, and the verifier and
+path buying run Dijkstra on H only for the others.  Write d_G and d_H for
+scipy's Dijkstra rows from u.  Row u is covered when every vertex v is u,
+has d_G(v) = inf, or has an H edge (p, v) with fl(d_G(p) + w) <= d_G(v).
+- Then d_H <= d_G bit for bit, given absorb_free(G, H): n w_max(G) <=
+  2^51 w_min over G's and H's weights.  That bound keeps every H weight
+  from being absorbed into a finite d_G, so fl(d_G(p) + w) > d_G(p), and a
+  covering edge into a reachable v has d_G(p) < d_G(v).  Follow such edges
+  back from v: d_G falls strictly at each step, so the walk ends at u.  Along
+  it, by induction and monotone rounding, the left-to-right float sum of the
+  H path to each vertex x is at most fl(d_G(p) + w) <= d_G(x), and
+  Dijkstra's d_H(x) is at most the float sum of any H path to x.
+- On a subgraph H of G with G's weights the cover is exact: d_H = d_G on a
+  covered row, and only there.  d_H >= d_G, since Dijkstra's result is the
+  least left-to-right float sum over the paths to v, rounding is monotone,
+  and every H path is a G path.  Every G edge (p, v) has fl(d_G(p) + w) >=
+  d_G(v), since Dijkstra relaxed it, so <= holds exactly where == does, and
+  where the rows are equal, H's own Dijkstra predecessor of v is an edge
+  with fl(d_G(p) + w) = d_G(v).  absorb_free(G) implies absorb_free(G, H).
+- On an H that is not a subgraph, such as the +4W emulator (its virtual
+  edges' float sums read an ulp below d_G on most rows), a covered row has
+  d_H <= d_G, but not always d_H = d_G: the verifier runs Dijkstra on the
+  covered rows only while their ratios may decide the largest one.
+fast2w needs scipy's predecessors, not distances, so it keeps its own
+searches.
 
 canonical_tree_from_dist is the same rule one source at a time, in pure
 Python.  No code here calls it; the tests check tree_rows against it, and
@@ -553,22 +560,28 @@ def _tie_runs(n: int, m: int, tight: np.ndarray) -> list[slice]:
     return runs
 
 
-def absorb_free(g: WeightedGraph) -> bool:
-    """True when no float sum over g can absorb an edge weight; else W must
-    be computed on every row, because only the tie rule (_tie_block)
-    detects an absorbed weight and raises.
+def absorb_free(g: WeightedGraph, h: csr_matrix | None = None) -> bool:
+    """True when no float sum over g can absorb an edge weight of g, nor one
+    of h, a symmetric CSR matrix on g's vertices, when h is given.  Else W
+    must be computed on every row, because only the tie rule (_tie_block)
+    detects an absorbed weight and raises; and a cover of a row by h's edges
+    (covered_rows) proves nothing.
 
-    Absorption cannot happen when n * w_max <= 2^52 * w_min: a finite
-    distance is the float sum of at most n - 1 weights along a path, each
-    rounding a partial sum up by a factor of at most 1 + 2^-53, so it is
-    below (n - 1) w_max (1 + 2^-53)^n < 2 n w_max.  A weight w is absorbed
-    into a distance d, fl(d + w) == d, only when w <= ulp(d) / 2 <= 2^-53 d
-    < 2^-52 n w_max, which the bound rules out for w >= w_min.  The test
-    below computes n * (w_max / w_min) with two roundings and asks for
-    2^51, half the bound, which covers them.
+    Absorption cannot happen when n * w_max <= 2^52 * w_min, w_max being
+    g's largest weight and w_min the smallest of g's and h's: a finite
+    distance of g is the float sum of at most n - 1 of its weights along a
+    path, each rounding a partial sum up by a factor of at most 1 + 2^-53,
+    so it is below (n - 1) w_max (1 + 2^-53)^n < 2 n w_max.  A weight w is
+    absorbed into a distance d, fl(d + w) == d, only when w <= ulp(d) / 2
+    <= 2^-53 d < 2^-52 n w_max, which the bound rules out for w >= w_min.
+    The test below computes n * (w_max / w_min) with two roundings and asks
+    for 2^51, half the bound, which covers them.
     """
     w = g.edge_arrays()[2]
-    return not len(w) or g.n * (w.max() / w.min()) <= 2.0**51
+    low = w.min(initial=INF)
+    if h is not None:
+        low = min(low, h.data.min(initial=INF))
+    return g.n * (w.max(initial=0.0) / low) <= 2.0**51
 
 
 def w_floor(g: WeightedGraph) -> np.ndarray | None:
@@ -587,19 +600,19 @@ def w_floor(g: WeightedGraph) -> np.ndarray | None:
     return minw
 
 
-def shared_rows(csr: csr_matrix, dist: np.ndarray) -> np.ndarray:
-    """Which of G's distance rows are also H's: true at row i iff Dijkstra
-    on csr, the symmetric CSR matrix of a subgraph H of G with G's weights,
-    returns dist[i] bit for bit from dist[i]'s source.
+def covered_rows(csr: csr_matrix, dist: np.ndarray) -> np.ndarray:
+    """Rows that H does not lengthen: true at row i when every vertex v
+    is dist[i]'s source, has dist[i, v] = inf, or has an edge (p, v) of H,
+    the symmetric CSR matrix csr, with fl(dist[i, p] + w) <= dist[i, v].
 
-    dist holds G's exact rows, as scipy's Dijkstra gives them, and G must
-    be absorb_free (module docstring).  Row i passes when every vertex v
-    has dist[i, v] = min over v's H edges (p, v) of fl(dist[i, p] + w),
-    inf for a vertex with no H edge, or is the source, at 0.  One gather
-    over csr.indices, an add, a minimum.reduceat over csr.indptr and a
-    compare, in runs of rows whose temporaries fit _BLOCK_BYTES: 8 bytes
-    per H entry and 24 per vertex per row, beside the entries' indices as
-    intp (np.take would convert them on every call) and 40 bytes per vertex.
+    dist holds G's exact rows, as scipy's Dijkstra gives them.  Where
+    absorb_free(G, csr) holds, Dijkstra on H from a true row's source
+    returns a row <= dist[i] bit for bit, and on a subgraph of G with G's
+    weights exactly dist[i] (module docstring).  One gather over
+    csr.indices, an add, a minimum.reduceat over csr.indptr and a compare,
+    in runs of rows whose temporaries fit _BLOCK_BYTES: 8 bytes per H entry
+    and 24 per vertex per row, beside the entries' indices as intp (np.take
+    would convert them on every call) and 40 bytes per vertex.
     """
     k, n = dist.shape
     nbr = csr.indices.astype(np.intp)
@@ -616,7 +629,7 @@ def shared_rows(csr: csr_matrix, dist: np.ndarray) -> np.ndarray:
         np.take(d, nbr, axis=1, out=s, mode="clip")
         s += csr.data
         m[:, has] = np.minimum.reduceat(s, start, axis=1)
-        out[lo : lo + len(d)] = ((m == d) | (d == 0)).all(axis=1)
+        out[lo : lo + len(d)] = ((m <= d) | (d == 0)).all(axis=1)
     return out
 
 
@@ -722,18 +735,18 @@ def sweep(
     """G's distance rows of the sources S, a _sweep_rows(n) block at a time.
 
     Yields (lo, dist, run) per block: dist holds index_rows of S[lo : lo +
-    len(dist)], and run the positions in the block of the rows that h, the
-    symmetric CSR matrix of a subgraph of G with G's weights, does not share
-    (shared_rows).  run is every row when h is None or G is not absorb_free.
-    The verifier's sweep and edge checks and path buying's candidate pass
-    read G's rows through this alone.
+    len(dist)], and run the positions in the block of the rows that h, a
+    symmetric CSR matrix on G's vertices, may lengthen (covered_rows).  run
+    is every row when h is None or absorb_free(g, h) does not hold.  The
+    verifier's sweep and edge checks and path buying's candidate pass read
+    G's rows through this alone.
     """
     S = np.asarray(S, dtype=np.int64)
-    share = h is not None and absorb_free(g)
+    cover = h is not None and absorb_free(g, h)
     rows = _sweep_rows(g.n)
     for lo in range(0, len(S), rows):
         dist = index_rows(g, idx, S[lo : lo + rows])
-        yield lo, dist, np.flatnonzero(~shared_rows(h, dist)) if share else np.arange(len(dist))
+        yield lo, dist, np.flatnonzero(~covered_rows(h, dist)) if cover else np.arange(len(dist))
 
 
 def path_vertices(g: WeightedGraph, u: int, v: int, idx: np.ndarray | None = None) -> list[int]:

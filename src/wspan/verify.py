@@ -1,17 +1,18 @@
 """Exact brute-force certification of stretch bounds and size scaling.
 
 Checks take one of two shapes.  The additive bound d_H <= d_G + c * W, on
-all pairs or on S x S, is a sweep: Dijkstra on H from a block of sources at
-a time, compared with the same rows of G's distances.  G's distances are
+all pairs or on S x S, is a sweep: H's rows from a block of sources at a
+time, by Dijkstra where H may lengthen G's row (below), compared with the
+same rows of G's distances.  G's distances are
 read only through shortest (shortest.sweep for blocks of rows,
 pair_distances for the edge checks), which slices G's index, its distance
 matrix, when one is given.  Blocks are sized by graph._sweep_rows, so a
 check holds O(block * n) memory beyond H and any index given.
 
-W is computed (shortest.tree_rows, one call per block) only on the rows
-whose outcome the lower bound L(u, v) = max(minw(u), minw(v)) <= W(u, v)
-cannot settle (shortest.w_floor); StretchReport.w_rows counts them.  The
-result is exactly the all-rows one, because rounding is monotone:
+W is computed (shortest.tree_rows, one call per run of rows checked) only
+on the rows whose outcome the lower bound L(u, v) = max(minw(u), minw(v))
+<= W(u, v) cannot settle (shortest.w_floor); StretchReport.w_rows counts
+them.  The result is exactly the all-rows one, because rounding is monotone:
 - Violations.  The bound b = fl(d_G + fl(c * W)) only grows with W, and the
   test d_H - b > REL_TOL * max(1, b) only weakens as b grows.  So a pair
   that passes with L in place of W passes with W, and a row needs W only
@@ -29,14 +30,20 @@ might absorb an edge weight, so that the absorbed weight raises as it
 always did.  The bounds are computed in place, in three block-sized float
 buffers beside G's and H's rows.
 
-H's rows come from Dijkstra only where H does not share G's row.  When H is
-a subgraph of G (verify_subgraph), shortest.sweep names the rows of each
-block that H shares bit for bit (exact where no float sum absorbs a weight,
-as where w_floor gives a bound), and the sweep runs Dijkstra on H from the
-other sources only; StretchReport.h_rows counts them.  Every other H, the
-+4W emulator's output among them, runs it on every row.  A shared row has
-d_H = d_G, so it holds no violation and every ratio on it is exactly 0: it
-raises the maximum to 0 and takes no W.
+H's rows come from Dijkstra only where H may lengthen G's row.
+shortest.sweep names the rows of each block that H does not lengthen
+(shortest.covered_rows: d_H <= d_G bit for bit, for any H on G's vertices,
+where no float sum absorbs a weight of G or H), and the sweep runs Dijkstra
+on H from the other sources; StretchReport.h_rows counts the rows Dijkstra
+computed.  A covered row holds no violation, as d_H <= d_G <= d_G + c * W,
+and every ratio on it is <= 0.  When H is a subgraph of G (verify_subgraph)
+d_H >= d_G too, so a covered row is G's and its ratios are exactly 0: it
+raises the maximum to 0 and takes neither Dijkstra nor W.  On any other H,
+the +4W emulator's output among them, the covered rows with a pair to
+check matter only while the maximum stays below 0.  The sweep then runs
+Dijkstra on H from them in runs of 1, 2, 4, ... rows, a sweep block at a
+time, and checks them like the others, until the maximum reaches 0.  On
+any rows, a pair with d_H = d_G has the ratio 0 exactly, with no W.
 
 The other two bounds are local, and are checked on edges.  d_H >= d_G holds
 for every pair iff every edge (a, b) of H has w_H(a, b) >= d_G(a, b): chain
@@ -94,7 +101,9 @@ class Violation:
 class StretchReport:
     """Outcome of one verification pass; w_rows counts the rows of G whose
     W was computed, h_rows the additive sweep's rows of H that Dijkstra
-    computed (the others are G's rows that H shares)."""
+    computed: the rows H may lengthen, and on an H that is not a subgraph
+    the rows it does not lengthen that the ratio maximum needed (module
+    docstring)."""
 
     bound_kind: str
     params: dict
@@ -196,6 +205,42 @@ def _rows_needing_w(
     return need
 
 
+def _check_rows(
+    report: StretchReport, found: list, g: WeightedGraph, csr, cols: np.ndarray,
+    at: np.ndarray, dist: np.ndarray, minw: np.ndarray | None, c: float, top: float,
+) -> float:
+    """Check the rows at (positions in cols) against H's Dijkstra rows,
+    given G's rows dist, taking W only on the rows that need it (module
+    docstring).  Appends their violations to found; returns the largest
+    ratio found so far.  A pair with d_H = d_G has the ratio 0 exactly."""
+    dg = dist[:, cols]
+    dh = distance_matrix(csr, cols[at])[:, cols]
+    report.h_rows += len(at)
+    # the pairs i < j of S: column position past the row's own
+    connected = (np.arange(len(cols)) > at[:, None]) & np.isfinite(dg)
+    sel = connected & np.isfinite(dh)
+    if (sel & (dh == dg)).any():
+        top = max(top, 0.0)
+    if minw is None:
+        need = np.ones(len(at), dtype=bool)
+    else:  # L on the rows' pairs, a buffer the call then reuses
+        need = _rows_needing_w(dh, dg, connected, sel, np.maximum(minw[cols[at], None], minw[cols]), c, top)
+    rows = np.flatnonzero(need)
+    if not len(rows):
+        return top
+    report.w_rows += len(rows)
+    wb = tree_rows(g, dist[rows], cols[at[rows]])[:, cols]
+    dg, dh, connected, sel = dg[rows], dh[rows], connected[rows], sel[rows]
+    with np.errstate(invalid="ignore"):  # inf-inf and 0*inf on pairs the mask discards
+        slack = dg + c * wb  # the bound, then d_H less it
+        bad = connected & _exceeds(dh, slack, np.empty_like(slack))
+    i, j = np.nonzero(bad)
+    found.append((cols[at[rows[i]]], cols[j], dg[i, j], dh[i, j], wb[i, j], slack[i, j]))
+    if sel.any():
+        top = max(top, float(((dh[sel] - dg[sel]) / wb[sel]).max()))
+    return top
+
+
 def _sweep(
     report: StretchReport, g: WeightedGraph, h: WeightedGraph, S: list[int],
     idx: np.ndarray | None, c: float,
@@ -204,50 +249,43 @@ def _sweep(
 
     S is sorted and duplicate-free; the pairs u < v of S connected in g are
     checked.  G's distance rows of each block come from shortest.sweep,
-    with the rows H shares, and W only on the rows that need it (module
-    docstring).  max_slack_ratio is the largest (d_H - d_G) / W.
+    with the rows H does not lengthen, and W only on the rows that need it
+    (module docstring).  max_slack_ratio is the largest (d_H - d_G) / W.
     """
     cols = np.asarray(S)
     csr = h.csr()
+    subgraph = verify_subgraph(g, h)
     minw = w_floor(g)
     found = [(cols[:0], cols[:0], *(np.zeros(0) for _ in range(4)))]
-    top = -math.inf  # the largest ratio of the rows fetched so far
-    for lo, dist, run in sweep(g, idx, cols, csr if verify_subgraph(g, h) else None):
-        hi = lo + len(dist)
-        dg = dist[:, cols]
-        dh = dg.copy()
-        if len(run):
-            report.h_rows += len(run)
-            dh[run] = distance_matrix(csr, cols[lo + run])[:, cols]
-        # the pairs i < j of S: column position past the row's own
-        connected = (np.arange(len(S)) > np.arange(lo, hi)[:, None]) & np.isfinite(dg)
+    top = -math.inf  # the largest ratio of the rows checked so far
+    held = [cols[:0]]  # covered rows with a pair to check, of an H not a subgraph
+    for lo, dist, run in sweep(g, idx, cols, csr):
+        at = np.arange(lo, lo + len(dist))
+        connected = (np.arange(len(S)) > at[:, None]) & np.isfinite(dist[:, cols])
         report.pairs_checked += int(np.count_nonzero(connected))
-        sel = connected & np.isfinite(dh)
-        if len(run) < hi - lo:
-            # a shared row holds no violation, and its ratios are all exactly 0
-            shared = np.ones(hi - lo, dtype=bool)
-            shared[run] = False
-            if sel[shared].any():
-                top = max(top, 0.0)
-        if minw is None:
-            need = np.ones(hi - lo, dtype=bool)
-        else:  # L on the block's pairs, a buffer the call then reuses
-            need = _rows_needing_w(
-                dh, dg, connected, sel, np.maximum(minw[cols[lo:hi], None], minw[cols]), c, top
-            )
-        at = np.flatnonzero(need)
-        if not len(at):
-            continue
-        report.w_rows += len(at)
-        wb = tree_rows(g, dist[at], cols[lo + at])[:, cols]
-        dg, dh, connected, sel = dg[at], dh[at], connected[at], sel[at]
-        with np.errstate(invalid="ignore"):  # inf-inf and 0*inf on pairs the mask discards
-            slack = dg + c * wb  # the bound, then d_H less it
-            bad = connected & _exceeds(dh, slack, np.empty_like(slack))
-        i, j = np.nonzero(bad)
-        found.append((cols[lo + at[i]], cols[j], dg[i, j], dh[i, j], wb[i, j], slack[i, j]))
-        if sel.any():
-            top = max(top, float(((dh[sel] - dg[sel]) / wb[sel]).max()))
+        # a covered row holds no violation, and its ratios are <= 0; exactly 0
+        # on a subgraph, whose covered rows are G's
+        covered = connected.any(axis=1)
+        covered[run] = False
+        if subgraph and covered.any():
+            top = max(top, 0.0)
+        elif covered.any():
+            held.append(at[covered])
+        if len(run):
+            top = _check_rows(report, found, g, csr, cols, at[run], dist[run], minw, c, top)
+    # the held rows matter only while no ratio reaches 0: check them in
+    # runs of 1, 2, 4, ... rows until one does
+    held = np.concatenate(held)
+    if top < 0 and len(held):
+        k = 1
+        for lo, dist, _ in sweep(g, idx, cols[held]):
+            i = 0
+            while i < len(dist) and top < 0:
+                j = min(i + k, len(dist))
+                top = _check_rows(report, found, g, csr, cols, held[lo + i : lo + j], dist[i:j], minw, c, top)
+                i, k = j, 2 * k
+            if top >= 0:
+                break
     report.violations = _violations(*(np.concatenate(x) for x in zip(*found)))
     report.max_slack_ratio = top if top > -math.inf else math.nan
     return report

@@ -25,8 +25,11 @@ check G without its index, and sparse_800 gives the graphs of their memory
 checks.  sweep_reference and
 path_buying_reference are the verifier's sweep and path buying's candidate
 pass as they were when every row took W and ran Dijkstra on H (H0): the
-oracles for the rows that now take W on demand and H's rows from G's.  clustered_graphs draws graphs on which path buying buys
-paths, and buying_graphs mixes them with small_graphs.
+oracles for the rows that now take W on demand and H's rows from G's.
+shared_rows is the row test shortest.covered_rows replaced, with == in place
+of <=: the oracle for the kernel's mask on subgraphs.  clustered_graphs draws
+graphs on which path buying buys paths, and buying_graphs mixes them with
+small_graphs.
 """
 
 from __future__ import annotations
@@ -323,6 +326,20 @@ def sweep_reference(g: WeightedGraph, h: WeightedGraph, c: float, pair_class=Non
     report.violations = wspan.verify._violations(*(np.concatenate(x) for x in zip(*found)))
     report.max_slack_ratio = max(tops, default=math.nan)
     return report
+
+
+def shared_rows(csr: csr_matrix, dist: np.ndarray) -> np.ndarray:
+    """Rows of G's exact rows dist that H, the CSR matrix csr of a subgraph
+    of G with G's weights, shares: true at row i iff every vertex v has
+    dist[i, v] = min over v's H edges (p, v) of fl(dist[i, p] + w), inf for
+    a vertex with no H edge, or is the source, at 0."""
+    k, n = dist.shape
+    low = np.full((k, n), math.inf)
+    has = np.diff(csr.indptr) > 0
+    if has.any():
+        sums = dist[:, csr.indices] + csr.data
+        low[:, has] = np.minimum.reduceat(sums, csr.indptr[:-1][has], axis=1)
+    return ((low == dist) | (dist == 0)).all(axis=1)
 
 
 def path_buying_reference(g, idx, S, start, c, by_dist):

@@ -57,7 +57,7 @@ def test_traced_pass_yields_every_declared_metric(bench, name, tmp_path):
     declared = {m["name"] for m in SPEC["per_layer"]} - ADDED_BY_RUNNER
     assert {m: missing.get(m) for m in declared - set(values)} == {}
     if name == "unit-ties":
-        # unit weights tie every source, and canonical_rows finishes them all in
+        # unit weights tie every source, and tree_rows finishes them all in
         # numpy: the probed per-source rule never runs
         assert values["shortest.tie_sources"] == 0
     assert p.problems == [] and all(j.passed for j in p.jobs), [j.error for j in p.jobs]

@@ -30,8 +30,8 @@ from wspan.graph import graph_csr
 from wspan.shortest import (
     canonical_tree_from_dist,
     distance_matrix,
+    covered_rows,
     path_vertices,
-    shared_rows,
 )
 
 from conftest import (
@@ -42,6 +42,7 @@ from conftest import (
     mixed_graphs,
     neighbor_lists,
     oracle_canonical_path,
+    shared_rows,
     small_graphs,
     sparse_800,
     sssp_canonical,
@@ -711,7 +712,7 @@ def test_tied_index_temporaries_stay_within_block_budget():
         assert peak - base - returned < shortest._BLOCK_BYTES + (1 << 20)
 
 
-# ------------------------------------------------------------ shared rows
+# ------------------------------------------------------------ covered rows
 
 
 def masked_csr(g: WeightedGraph, mask):
@@ -720,14 +721,19 @@ def masked_csr(g: WeightedGraph, mask):
     return graph_csr(g.n, a[mask], b[mask], w[mask])
 
 
+def same_bits(x, y) -> bool:
+    return np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(mixed_graphs(), st.integers(1, 6).map(lambda n: WeightedGraph(n, []))),
     st.data(),
 )
 def test_shared_rows_are_the_rows_dijkstra_on_h_returns(g, data):
-    # decimal, tied and multi-part graphs, G or H without edges, n = 1: the
-    # kernel settles a row exactly when H's Dijkstra row is G's bit for bit
+    # decimal, tied and multi-part graphs, G or H without edges, n = 1: on a
+    # subgraph the kernel covers a row exactly when H's Dijkstra row is G's
+    # bit for bit, and its mask is the == test it replaced
     mask = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m), label="H's edges")
     sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=2 * g.n), label="sources")
     budget = data.draw(st.sampled_from([0, 4096, shortest._BLOCK_BYTES]), label="budget")
@@ -735,9 +741,54 @@ def test_shared_rows_are_the_rows_dijkstra_on_h_returns(g, data):
     dist = distance_matrix(g.csr(), sources)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shortest, "_BLOCK_BYTES", budget)
-        got = shared_rows(h, dist)
-    want = [np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in zip(distance_matrix(h, sources), dist)]
-    assert got.tolist() == want
+        got = covered_rows(h, dist)
+    want = [same_bits(x, y) for x, y in zip(distance_matrix(h, sources), dist)]
+    assert got.tolist() == want == shared_rows(h, dist).tolist()
+
+
+@st.composite
+def other_h(draw, g: WeightedGraph):
+    """An H on g's vertices that is not in general a subgraph: some of g's
+    edges, and extra edges between random pairs weighing d_G of the pair,
+    an ulp above or below it, half or twice it, or 1 where g keeps the pair
+    apart.  An extra edge on a pair of g replaces g's weight there."""
+    keep = draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m), label="H's edges of G")
+    edges = {(u, v): w for (u, v, w), k in zip(g.edge_items(), keep) if k}
+    d = distance_matrix(g.csr())
+    pairs = st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1)).filter(lambda p: p[0] != p[1])
+    for u, v in draw(st.lists(pairs, max_size=2 * g.n), label="extra pairs"):
+        at = d[u, v]
+        if math.isinf(at):
+            w = 1.0
+        else:
+            w = draw(
+                st.sampled_from([at, np.nextafter(at, math.inf), np.nextafter(at, 0), at / 2, 2 * at]),
+                label="extra weight",
+            )
+        edges[min(u, v), max(u, v)] = float(w)
+    return WeightedGraph(g.n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(g=mixed_graphs(), data=st.data())
+def test_covered_rows_are_rows_h_does_not_lengthen(rows, g, data):
+    # with extra edges at, above and below d_G, H's Dijkstra row from a
+    # covered row's source is <= G's row, entry by entry
+    h = data.draw(other_h(g), label="H").csr()
+    S = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n), label="sources")
+    budget = data.draw(st.sampled_from([0, 4096, shortest._BLOCK_BYTES]), label="budget")
+    idx = build_index(g) if data.draw(st.booleans(), label="indexed") else None
+    assert shortest.absorb_free(g, h)
+    d_h = distance_matrix(h, S)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shortest, "_sweep_rows", lambda n: rows)
+        mp.setattr(shortest, "_BLOCK_BYTES", budget)
+        for lo, dist, run in shortest.sweep(g, idx, S, h):
+            covered = np.ones(len(dist), dtype=bool)
+            covered[run] = False
+            assert covered.tolist() == covered_rows(h, dist).tolist()
+            assert (d_h[lo : lo + rows][covered] <= dist[covered]).all()
 
 
 def test_shared_rows_settle_an_isolated_source_of_an_edgeless_h():
@@ -745,31 +796,39 @@ def test_shared_rows_settle_an_isolated_source_of_an_edgeless_h():
     dist = distance_matrix(g.csr())
     # 0 is isolated in G too; 1, 2 and 3 reach one another in G only
     for mask in ([False, False], [True, False]):
-        assert shared_rows(masked_csr(g, mask), dist).tolist() == [True, False, False, False]
-    assert shared_rows(g.csr(), dist).all()
+        assert covered_rows(masked_csr(g, mask), dist).tolist() == [True, False, False, False]
+    assert covered_rows(g.csr(), dist).all()
     one = WeightedGraph(1, [])
-    assert shared_rows(one.csr(), distance_matrix(one.csr())).tolist() == [True]
+    assert covered_rows(one.csr(), distance_matrix(one.csr())).tolist() == [True]
 
 
 @settings(max_examples=100, deadline=None)
 @given(spread_graphs(), st.data())
 def test_graphs_that_may_absorb_never_reach_the_kernel(g, data):
-    # where a float sum might absorb a weight, a row's cover by H's edges
-    # proves nothing, so every row runs Dijkstra on H (and on H0)
-    if shortest.absorb_free(g):
-        return
-    mask = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m), label="H's edges")
-    h = g.subgraph(mask_keys(g, np.array(mask, dtype=bool)))
+    # where a float sum might absorb a weight of G, or an H weight below G's,
+    # a row's cover by H's edges proves nothing, so every row runs Dijkstra
+    # on H (and on H0)
+    runs = []
+    if not shortest.absorb_free(g):
+        mask = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m), label="H's edges")
+        h = g.subgraph(mask_keys(g, np.array(mask, dtype=bool)))
+        runs.append((lambda: verify_additive_W(g, h, 2.0), lambda rep: rep.h_rows))
+        runs.append((lambda: build_6eps_spanner(g, 1.0), lambda res: res.stats["h_rows"]))
+    if g.m:
+        # not a subgraph: G with its lightest edge, of weight 1, far lighter
+        a, b, w = g.edge_arrays()
+        light = w.copy()
+        light[0] = min(1.0, g.n * w.max() / 2.0**53) / 2
+        emu = WeightedGraph(g.n, zip(a.tolist(), b.tolist(), light.tolist()))
+        assert not shortest.absorb_free(g, emu.csr())
+        runs.append((lambda: verify_additive_W(g, emu, 2.0), lambda rep: rep.h_rows))
 
     def refuse(*args):
-        raise AssertionError("shared_rows called")
+        raise AssertionError("covered_rows called")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(shortest, "shared_rows", refuse)
-        for run, rows in (
-            (lambda: verify_additive_W(g, h, 2.0), lambda rep: rep.h_rows),
-            (lambda: build_6eps_spanner(g, 1.0), lambda res: res.stats["h_rows"]),
-        ):
+        mp.setattr(shortest, "covered_rows", refuse)
+        for run, rows in runs:
             try:
                 out = run()
             except ValueError as exc:  # W of a row that did absorb a weight
@@ -794,7 +853,7 @@ def test_sweep_names_the_rows_h_does_not_share(rows, g, data):
             pass
     h = masked_csr(g, mask)
     d_g, d_h = distance_matrix(g.csr(), S), distance_matrix(h, S)
-    apart = [not np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in zip(d_h, d_g)]
+    apart = [not same_bits(x, y) for x, y in zip(d_h, d_g)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shortest, "_sweep_rows", lambda n: rows)
         for given in (h, None):
@@ -811,7 +870,7 @@ def test_sweep_names_the_rows_h_does_not_share(rows, g, data):
 def test_verify_and_greedy_read_g_rows_through_sweep_alone():
     # no block loop of their own: neither module binds the block size, the
     # row test or the row reader, under any name
-    kernels = (wspan.graph._sweep_rows, shortest.shared_rows, shortest.index_rows)
+    kernels = (wspan.graph._sweep_rows, shortest.covered_rows, shortest.index_rows)
     for module in (wspan.verify, wspan.greedy):
         assert not any(hasattr(module, f.__name__) for f in kernels)
         assert not any(x is f for x in vars(module).values() for f in kernels)
@@ -819,16 +878,19 @@ def test_verify_and_greedy_read_g_rows_through_sweep_alone():
 
 
 @pytest.mark.parametrize("family", ["geometric", "gnp"])
-def test_shared_rows_temporaries_stay_within_block_budget(family):
+def test_covered_rows_temporaries_stay_within_block_budget(family):
     g = sparse_800(family)
     dist = distance_matrix(g.csr(), np.arange(0, g.n, 2))
-    # a third of G's edges dropped (no row is shared), and G itself (all are)
-    for h, settled in ((masked_csr(g, np.arange(g.m) % 3 != 0), 0), (g.csr(), len(dist))):
-        shared_rows(h, dist[:1])  # warm up
+    # a third of G's edges dropped (no row is covered), G itself and its +4W
+    # emulator, with more entries than G (every row is)
+    emulator = build_4w_emulator(g, seed=1).to_graph().csr()
+    assert emulator.nnz > g.csr().nnz
+    for h, settled in ((masked_csr(g, np.arange(g.m) % 3 != 0), 0), (g.csr(), len(dist)), (emulator, len(dist))):
+        covered_rows(h, dist[:1])  # warm up
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = shared_rows(h, dist)
+            out = covered_rows(h, dist)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -34,6 +34,7 @@ from conftest import (
     brute_force_apsp,
     buying_graphs,
     canonical_rows,
+    clustered_graphs,
     forbid_full_index,
     minimax_path_weight,
     mixed_graphs,
@@ -180,7 +181,7 @@ def counted_distance_matrix(monkeypatch, module=wspan.verify) -> list:
     return calls
 
 
-def test_emulator_certify_runs_one_apsp_on_h(monkeypatch, medium_gnp):
+def test_emulator_certify_runs_dijkstra_on_h_from_one_row(monkeypatch, medium_gnp):
     g = medium_gnp
     idx = build_index(g)
     res = build_4w_emulator(g, seed=3, idx=idx)
@@ -191,11 +192,14 @@ def test_emulator_certify_runs_one_apsp_on_h(monkeypatch, medium_gnp):
     monkeypatch.setattr(wspan.shortest, "_sweep_rows", lambda n: 7)
     certify = ALGOS["emulator4w"].certify
     reports = certify(g, h, {}, idx=idx, subset=None)
-    assert len(calls) == math.ceil(g.n / 7)
-    assert [s for srcs in calls for s in srcs] == list(range(g.n))
+    # H lengthens no row of G; row 0 holds pairs with d_H = d_G, so the
+    # largest ratio, 0, needs H's row from 0 alone, and no W
+    assert calls == [[0]]
+    assert (reports[1].h_rows, reports[1].w_rows, reports[1].max_slack_ratio) == (1, 0, 0.0)
+    assert reports[1].to_dict() == sweep_reference(g, h, 4.0, idx=idx).to_dict() | {"h_rows": 1}
     del calls[:]
     again = certify(g, h, {}, idx=idx, subset=None)
-    assert [s for srcs in calls for s in srcs] == list(range(g.n))
+    assert calls == [[0]]
     fresh = certify(g, res.to_graph(), {}, idx=idx, subset=None)
     assert [r.to_dict() for r in reports] == [r.to_dict() for r in again]
     assert [r.to_dict() for r in reports] == [r.to_dict() for r in fresh]
@@ -380,6 +384,50 @@ def test_sweep_runs_dijkstra_on_h_only_where_h_shares_no_row_of_g(monkeypatch):
         assert [s for srcs in calls for s in srcs] == rows and got.h_rows == len(rows)
 
 
+def fallback_runs(held: int, rows: int) -> list[int]:
+    """The run lengths in which the check takes H's rows from held covered
+    rows: 1, 2, 4, ... rows, cut at each sweep block's end."""
+    sizes, k = [], 1
+    for lo in range(0, held, rows):
+        i, end = 0, min(rows, held - lo)
+        while i < end:
+            j = min(i + k, end)
+            sizes.append(j - i)
+            i, k = j, 2 * k
+    return sizes
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@settings(max_examples=50, deadline=None)
+@given(g=st.one_of(mixed_graphs(), clustered_graphs()), data=st.data())
+def test_covered_rows_check_matches_the_all_rows_reference(rows, g, data):
+    # G with every weight halved lengthens no row and shortens every
+    # distance, so no ratio reaches 0 and the check takes H's rows from every
+    # covered row with a pair, in runs of 1, 2, 4, ... rows; the emulator's
+    # covered rows stop at the first pair with d_H = d_G
+    kind = data.draw(st.sampled_from(["halved", "emulator"]), label="H")
+    if kind == "halved":
+        h = lowered(g, 1)
+    else:
+        h = build_4w_emulator(g, seed=data.draw(st.integers(0, 3), label="seed")).to_graph()
+    c = data.draw(st.sampled_from([0.0, 2.0, 4.0]), label="c")
+    S = data.draw(st.none() | st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n), label="S")
+    cols = list(range(g.n)) if S is None else sorted(set(S))
+    d_g = distance_matrix(g.csr(), cols)[:, cols]
+    later = np.arange(len(cols)) > np.arange(len(cols))[:, None]
+    held = int(np.count_nonzero((np.isfinite(d_g) & later).any(axis=1)))
+    for idx in (None, build_index(g)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wspan.shortest, "_sweep_rows", lambda n: rows)
+            calls = counted_distance_matrix(mp)
+            got = verify_additive_W(g, h, c, pair_class=S, idx=idx)
+            want = sweep_reference(g, h, c, S, idx)
+        same_report(got, want)
+        if kind == "halved":
+            assert [len(x) for x in calls] == fallback_runs(held, rows) and got.h_rows == held
+            assert not got.max_slack_ratio >= 0
+
+
 def test_w_rows_counts_on_a_fixed_instance():
     # the rows whose W was computed, in the reports and the builders' stats,
     # on the benchmark's gnp-uniform n = 128 instance at seed 1
@@ -390,27 +438,36 @@ def test_w_rows_counts_on_a_fixed_instance():
     poly = build_poly_spanner(g, 0.5, idx=idx)
     subset = build_subsetwise_spanner(g, S, 0.5, idx=idx)
     emulator = build_4w_emulator(g, seed=1, idx=idx).to_graph()
+    poly_check = verify_additive_W(g, poly.to_graph(g), poly.params["stretch_factor"], idx=idx)
+    emulator_check = verify_additive_W(g, emulator, 4.0, idx=idx)
     counts = {
         "6w build": sixw.stats["w_rows"],
         "poly build": poly.stats["w_rows"],
         "subset build": subset.stats["w_rows"],
         "6w verify": verify_additive_W(g, sixw.to_graph(g), 7.0, idx=idx).w_rows,
-        "poly verify": verify_additive_W(g, poly.to_graph(g), poly.params["stretch_factor"], idx=idx).w_rows,
+        "poly verify": poly_check.w_rows,
+        "poly verify h_rows": poly_check.h_rows,
         "subset verify": verify_additive_W(g, subset.to_graph(g), 2.5, pair_class=S, idx=idx).w_rows,
-        "emulator verify": verify_additive_W(g, emulator, 4.0, idx=idx).w_rows,
+        "emulator verify": emulator_check.w_rows,
+        "emulator verify h_rows": emulator_check.h_rows,
         "lowered non-contraction": verify_non_contracting(g, lowered(g), idx=idx).w_rows,
     }
     # no candidate pass needs W here; 6w's check at c = 7 needs it on a
     # quarter of the rows, where (d_H - d_G) / L may beat the ratio found;
-    # poly's spanner shares every row of G, whose ratios are all 0 without W
+    # poly's spanner shares every row of G, whose ratios are all 0 without
+    # Dijkstra or W; the emulator lengthens no row, and H's row from 0
+    # alone, which holds pairs with d_H = d_G, gives the largest ratio, 0,
+    # without W
     assert counts == {
         "6w build": 0,
         "poly build": 0,
         "subset build": 0,
         "6w verify": 33,
         "poly verify": 0,
+        "poly verify h_rows": 0,
         "subset verify": 4,
-        "emulator verify": 1,
+        "emulator verify": 0,
+        "emulator verify h_rows": 1,
         "lowered non-contraction": 102,
     }
 
