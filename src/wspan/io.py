@@ -64,19 +64,69 @@ def _parse_edge_line(path, lineno: int, line: str, n: int, columns: int) -> tupl
     return u, v, w, tag
 
 
+def _parse_fields(body: list[str], n: int, columns: int):
+    """(u, v, w, virtual) of the nonblank edge lines body, converted a
+    column at a time with int and float, as _parse_edge_line converts one
+    line; None when any line fails one of its checks, for the per-line
+    parse to locate.  The fields go into one flat list: a list per line,
+    kept alive, would leave the garbage collector a full pass to run."""
+    tokens: list[str] = []
+    for parts in map(str.split, body):
+        if len(parts) != columns:
+            return None
+        tokens += parts
+    try:
+        u = np.array(list(map(int, tokens[0::columns])), dtype=np.int64)
+        v = np.array(list(map(int, tokens[1::columns])), dtype=np.int64)
+        w = np.array(list(map(float, tokens[2::columns])), dtype=np.float64)
+        in_range = (u >= 0) & (u < n) & (v >= 0) & (v < n)
+    except (ValueError, OverflowError):
+        return None
+    if not (in_range.all() and (u != v).all() and np.isfinite(w).all() and (w > 0).all()):
+        return None
+    virtual = np.zeros(len(w), dtype=bool)
+    if columns == 4:
+        tags = tokens[3::4]
+        if not set(tags) <= {"g", "v"}:
+            return None
+        virtual = np.array(tags, dtype=str) == "v"
+    return u, v, w, virtual
+
+
 def _read_edge_lines(
     path: str | Path, columns: int
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(n, a, b, w, virtual) of an edge-list file, a < b, sorted by (a, b);
-    the first bad line, malformed or repeating an earlier pair, is reported."""
+    the first bad line, malformed or repeating an earlier pair, is reported.
+
+    Each line is split once and the columns are converted in one pass; only
+    a file that fails a check is parsed again line by line, to locate the
+    error."""
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines:
         _fail(path, 1, "empty file")
     n, m = _parse_header(path, lines[0])
-    body = [(i + 2, ln) for i, ln in enumerate(lines[1:]) if ln.strip()]
+    body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != m:
         raise GraphFormatError(f"{path}: header promises {m} edges, found {len(body)}")
+    parsed = _parse_fields(body, n, columns)
+    if parsed is not None:
+        u, v, w, virtual = parsed
+        a, b = np.minimum(u, v), np.maximum(u, v)
+        codes = a * n + b
+        order = np.argsort(codes, kind="stable")
+        if not (codes[order[1:]] == codes[order[:-1]]).any():
+            return n, a[order], b[order], w[order], virtual[order]
+    return _read_line_by_line(path, lines, n, columns)
+
+
+def _read_line_by_line(
+    path: Path, lines: list[str], n: int, columns: int
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """_read_edge_lines one line at a time, so that the first bad line,
+    malformed or repeating an earlier pair, is reported with its number."""
+    body = [(i + 2, ln) for i, ln in enumerate(lines[1:]) if ln.strip()]
     rows, error = [], None
     try:
         for lineno, ln in body:

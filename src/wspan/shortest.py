@@ -67,8 +67,9 @@ its parent row from tree_rows.
 
 An H on G's vertices, a subgraph of G or an emulator, often does not
 lengthen G's distance row from a source u: covered_rows tells which rows
-from G's rows alone, sweep applies it to each block, and the verifier and
-path buying run Dijkstra on H only for the others.  Write d_G and d_H for
+from G's rows alone, reading only the columns open_columns names (below),
+sweep applies it to each block, and the verifier and path buying run
+Dijkstra on H only for the others.  Write d_G and d_H for
 scipy's Dijkstra rows from u.  Row u is covered when every vertex v is u,
 has d_G(v) = inf, or has an H edge (p, v) with fl(d_G(p) + w) <= d_G(v).
 - Then d_H <= d_G bit for bit, given absorb_free(G, H): n w_max(G) <=
@@ -90,6 +91,17 @@ has d_G(v) = inf, or has an H edge (p, v) with fl(d_G(p) + w) <= d_G(v).
   edges' float sums read an ulp below d_G on most rows), a covered row has
   d_H <= d_G, but not always d_H = d_G: the verifier runs Dijkstra on the
   covered rows only while their ratios may decide the largest one.
+- Only the open columns need reading (open_columns): v is open when G has
+  an edge (p, v) that H lacks or holds at a larger weight.  Any other v
+  passes on every row, exactly in floats.  For v != u with d_G(v) finite,
+  scipy's final d_G(v) is fl(d_G(p) + w) for the G edge (p, v) whose
+  relaxation set it, p settled before v; H holds that edge at some w' <=
+  w, so by monotone rounding fl(d_G(p) + w') <= d_G(v).  And d_G(v) = inf
+  or v = u passes anyway.  So the mask on the open columns is the mask on
+  all of them, bit for bit.  An H that holds every edge of G at G's weight
+  or lighter, G itself or the +4W emulator once each vertex's quota of
+  light edges reaches its degree, opens no column: every row is covered
+  with no gather at all.
 fast2w needs scipy's predecessors, not distances, so it keeps its own
 searches.
 
@@ -600,35 +612,103 @@ def w_floor(g: WeightedGraph) -> np.ndarray | None:
     return minw
 
 
-def covered_rows(csr: csr_matrix, dist: np.ndarray) -> np.ndarray:
-    """Rows that H does not lengthen: true at row i when every vertex v
-    is dist[i]'s source, has dist[i, v] = inf, or has an edge (p, v) of H,
-    the symmetric CSR matrix csr, with fl(dist[i, p] + w) <= dist[i, v].
+def _codes(csr: csr_matrix, lo: int, hi: int) -> np.ndarray:
+    """The codes v * n + p of csr's entries (v, p) in rows lo to hi - 1, in
+    csr's order: sorted, when csr is scipy's canonical layout."""
+    n = csr.shape[0]
+    rows = np.arange(lo, hi, dtype=np.int64) * n
+    return np.repeat(rows, np.diff(csr.indptr[lo : hi + 1])) + csr.indices[csr.indptr[lo] : csr.indptr[hi]]
 
-    dist holds G's exact rows, as scipy's Dijkstra gives them.  Where
-    absorb_free(G, csr) holds, Dijkstra on H from a true row's source
-    returns a row <= dist[i] bit for bit, and on a subgraph of G with G's
-    weights exactly dist[i] (module docstring).  One gather over
-    csr.indices, an add, a minimum.reduceat over csr.indptr and a compare,
-    in runs of rows whose temporaries fit _BLOCK_BYTES: 8 bytes per H entry
-    and 24 per vertex per row, beside the entries' indices as intp (np.take
-    would convert them on every call) and 40 bytes per vertex.
+
+def open_columns(g: WeightedGraph, h: csr_matrix) -> tuple:
+    """The columns of G's rows that the row test must read, with H's
+    entries there, for covered_rows.
+
+    Column v is open when G has an edge (p, v) that H, a symmetric CSR
+    matrix on g's vertices, lacks or holds at a larger weight.  Every other
+    column passes the row test on every exact row of G (module docstring).
+    G's and H's entries are merged by code, a run of rows v at a time whose
+    temporaries fit _BLOCK_BYTES (about 48 bytes per entry of either); a
+    stable sort of two sorted runs is a linear merge.
+
+    Returns (cols, nbr, w, start, has): the open columns; the other
+    endpoints (as intp, which np.take would otherwise convert on every
+    call) and weights of their H entries, column by column; and, for the
+    open columns holding an H entry, where their entries start in nbr and
+    their positions in cols.  When every column is open, cols is
+    slice(None) and w is h.data itself, so only the endpoints are copied.
     """
+    n, gc = g.n, g.csr()
+    is_open = np.zeros(n, dtype=bool)
+    cost = 48 * (gc.indptr.astype(np.int64) + h.indptr)
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(cost, cost[lo] + _BLOCK_BYTES, side="right")) - 1)
+        g0, g1, h0, h1 = gc.indptr[lo], gc.indptr[hi], h.indptr[lo], h.indptr[hi]
+        code = np.concatenate([_codes(gc, lo, hi), _codes(h, lo, hi)])
+        order = np.argsort(code, kind="stable")
+        code = code[order]
+        w = np.concatenate([gc.data[g0:g1], h.data[h0:h1]])[order]
+        from_g = order < g1 - g0
+        del order
+        # G's entry of a code comes first (G has no repeated entry), then H's
+        # entries of that code, if any: G's is closed when the next is H's at
+        # a weight no larger
+        closed = np.zeros(len(code), dtype=bool)
+        closed[:-1] = from_g[:-1] & (code[:-1] == code[1:]) & (w[1:] <= w[:-1])
+        is_open[code[from_g & ~closed] // n] = True
+        lo = hi
+    if is_open.all():
+        cols, nbr, w, ptr = slice(None), h.indices, h.data, h.indptr
+    else:
+        cols = np.flatnonzero(is_open)
+        first, size = h.indptr[cols], np.diff(h.indptr)[cols]
+        ptr = np.zeros(len(cols) + 1, dtype=np.int64)
+        np.cumsum(size, out=ptr[1:])
+        at = np.arange(ptr[-1]) + np.repeat(first - ptr[:-1], size)
+        nbr, w = h.indices[at], h.data[at]
+    deg = np.diff(ptr) > 0
+    return cols, nbr.astype(np.intp), w, ptr[:-1][deg], np.flatnonzero(deg)
+
+
+def covered_rows(part: tuple, dist: np.ndarray) -> np.ndarray:
+    """Rows that H does not lengthen: true at row i when every vertex v
+    is dist[i]'s source, has dist[i, v] = inf, or has an edge (p, v) of H
+    with fl(dist[i, p] + w) <= dist[i, v].
+
+    dist holds G's exact rows, as scipy's Dijkstra gives them, and part is
+    open_columns(G, H): only the open columns are read, since every other
+    one passes on every such row.  Where absorb_free(G, H) holds, Dijkstra
+    on H from a true row's source returns a row <= dist[i] bit for bit, and
+    on a subgraph of G with G's weights exactly dist[i] (module docstring).
+    With no column open, every row is true and nothing is gathered.
+
+    One gather over the open columns' H entries, an add, a minimum.reduceat
+    over their starts and a compare with those columns of dist, in runs of
+    rows whose temporaries fit _BLOCK_BYTES beside part's arrays: 8 bytes
+    per entry and 24 per open column per row, and 8 more per column to
+    gather dist's open columns, unless every column is open.  part holds 8
+    bytes per entry, 8 more when its weights are a copy, and 40 per open
+    column.
+    """
+    cols, nbr, w, start, has = part
     k, n = dist.shape
-    nbr = csr.indices.astype(np.intp)
-    deg = np.diff(csr.indptr) > 0
-    start, has = csr.indptr[:-1][deg], np.flatnonzero(deg)
-    step = max(1, (_BLOCK_BYTES - 8 * len(nbr) - 40 * n) // (8 * len(nbr) + 24 * n))
+    if isinstance(cols, slice):  # every column: dist is read in place, w is H's own
+        c, fixed, per_col = n, 8 * len(nbr), 24
+    else:
+        c, fixed, per_col = len(cols), 16 * len(nbr), 32
+    step = max(1, (_BLOCK_BYTES - fixed - 40 * c) // max(1, 8 * len(nbr) + per_col * c))
     sums = np.empty((min(k, step), len(nbr)))
-    low = np.full((min(k, step), n), INF)  # a vertex with no H edge keeps inf
+    low = np.full((min(k, step), c), INF)  # an open column with no H entry keeps inf
     out = np.empty(k, dtype=bool)
     for lo in range(0, k, step):
         d = dist[lo : lo + step]
         s, m = sums[: len(d)], low[: len(d)]
         # mode clip: the ids are in range, and the default mode copies through a buffer
         np.take(d, nbr, axis=1, out=s, mode="clip")
-        s += csr.data
+        s += w
         m[:, has] = np.minimum.reduceat(s, start, axis=1)
+        d = d[:, cols]  # a view when every column is open
         out[lo : lo + len(d)] = ((m <= d) | (d == 0)).all(axis=1)
     return out
 
@@ -737,16 +817,18 @@ def sweep(
     Yields (lo, dist, run) per block: dist holds index_rows of S[lo : lo +
     len(dist)], and run the positions in the block of the rows that h, a
     symmetric CSR matrix on G's vertices, may lengthen (covered_rows).  run
-    is every row when h is None or absorb_free(g, h) does not hold.  The
+    is every row when h is None or absorb_free(g, h) does not hold; else
+    the open columns and h's entries there (open_columns) are found once
+    per call, and every block's test reads those columns alone.  The
     verifier's sweep and edge checks and path buying's candidate pass read
     G's rows through this alone.
     """
     S = np.asarray(S, dtype=np.int64)
-    cover = h is not None and absorb_free(g, h)
+    part = open_columns(g, h) if h is not None and absorb_free(g, h) else None
     rows = _sweep_rows(g.n)
     for lo in range(0, len(S), rows):
         dist = index_rows(g, idx, S[lo : lo + rows])
-        yield lo, dist, np.flatnonzero(~covered_rows(h, dist)) if cover else np.arange(len(dist))
+        yield lo, dist, np.arange(len(dist)) if part is None else np.flatnonzero(~covered_rows(part, dist))
 
 
 def path_vertices(g: WeightedGraph, u: int, v: int, idx: np.ndarray | None = None) -> list[int]:

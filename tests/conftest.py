@@ -27,7 +27,10 @@ path_buying_reference are the verifier's sweep and path buying's candidate
 pass as they were when every row took W and ran Dijkstra on H (H0): the
 oracles for the rows that now take W on demand and H's rows from G's.
 shared_rows is the row test shortest.covered_rows replaced, with == in place
-of <=: the oracle for the kernel's mask on subgraphs.  clustered_graphs draws
+of <=: the oracle for the kernel's mask on subgraphs.  covered_rows_reference
+is the same <= test read on every column, as the kernel read it before it
+took only the open columns (shortest.open_columns): the oracle for its mask
+on any H.  clustered_graphs draws
 graphs on which path buying buys paths, and buying_graphs mixes them with
 small_graphs.
 """
@@ -340,6 +343,21 @@ def shared_rows(csr: csr_matrix, dist: np.ndarray) -> np.ndarray:
         sums = dist[:, csr.indices] + csr.data
         low[:, has] = np.minimum.reduceat(sums, csr.indptr[:-1][has], axis=1)
     return ((low == dist) | (dist == 0)).all(axis=1)
+
+
+def covered_rows_reference(csr: csr_matrix, dist: np.ndarray) -> np.ndarray:
+    """Rows of G's exact rows dist that H, the symmetric CSR matrix csr on
+    G's vertices, does not lengthen, every column read: true at row i iff
+    every vertex v is the source, at 0, or has dist[i, v] >= the min over
+    v's H edges (p, v) of fl(dist[i, p] + w), inf for a vertex with no H
+    edge."""
+    k, n = dist.shape
+    low = np.full((k, n), math.inf)
+    has = np.diff(csr.indptr) > 0
+    if has.any():
+        sums = dist[:, csr.indices] + csr.data
+        low[:, has] = np.minimum.reduceat(sums, csr.indptr[:-1][has], axis=1)
+    return ((low <= dist) | (dist == 0)).all(axis=1)
 
 
 def path_buying_reference(g, idx, S, start, c, by_dist):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wspan import GenSpec, WeightedGraph, generate
+import wspan.io
 from wspan.emulator import EmulatorResult
 from wspan.io import (
     GraphFormatError,
@@ -50,6 +53,34 @@ def test_first_bad_line_is_reported(tmp_path):
     path.write_text("4 4\n0 1 1.0\n1 0 2.0\n2 3 1.0\n3 2 1.0\n")
     with pytest.raises(GraphFormatError, match=r"bad\.txt:3: duplicate edge \(0, 1\)"):
         read_graph(path)
+
+
+def read_or_error(read, *args):
+    try:
+        return [x.tolist() if isinstance(x, np.ndarray) else x for x in read(*args)]
+    except GraphFormatError as exc:
+        return str(exc)
+
+
+TOKENS = ["0", "1", "2", "4", "9", "-1", "x", "1.5", "0.5", "2.0", "-2", "0", "nan", "inf", "1e400",
+          "9" * 25, "g", "v", "q", ""]
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=st.sampled_from([3, 4]), n=st.integers(1, 5), data=st.data())
+def test_one_pass_read_matches_the_line_by_line_parse(tmp_path_factory, columns, n, data):
+    # well-formed files, and files whose first bad line is malformed, out of
+    # range, a self-loop, a bad weight or tag, or a repeated pair, blank
+    # lines among them: the same arrays, or the same located message
+    ids = st.integers(0, n - 1).map(str)
+    edge = st.tuples(ids, ids, st.sampled_from(["1.5", "0.5", "2.0", "3"]), st.sampled_from(["g", "v", "q"]))
+    good = edge.map(lambda parts: list(parts[:columns]))
+    line = st.one_of(good, good, good, st.lists(st.sampled_from(TOKENS), max_size=5))
+    body = [" ".join(parts) for parts in data.draw(st.lists(line, max_size=8), label="lines")]
+    path = tmp_path_factory.mktemp("io") / "g.txt"
+    path.write_text("\n".join([f"{n} {sum(bool(ln.strip()) for ln in body)}", *body]) + "\n")
+    want = read_or_error(wspan.io._read_line_by_line, path, path.read_text().splitlines(), n, columns)
+    assert read_or_error(wspan.io._read_edge_lines, path, columns) == want
 
 
 def test_negative_weight_rejected(tmp_path):

@@ -31,6 +31,7 @@ from wspan.shortest import (
     canonical_tree_from_dist,
     distance_matrix,
     covered_rows,
+    open_columns,
     path_vertices,
 )
 
@@ -38,6 +39,7 @@ from conftest import (
     brute_force_apsp,
     canonical_paths,
     canonical_rows,
+    covered_rows_reference,
     mask_keys,
     mixed_graphs,
     neighbor_lists,
@@ -741,19 +743,33 @@ def test_shared_rows_are_the_rows_dijkstra_on_h_returns(g, data):
     dist = distance_matrix(g.csr(), sources)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shortest, "_BLOCK_BYTES", budget)
-        got = covered_rows(h, dist)
+        got = covered_rows(open_columns(g, h), dist)
     want = [same_bits(x, y) for x, y in zip(distance_matrix(h, sources), dist)]
-    assert got.tolist() == want == shared_rows(h, dist).tolist()
+    assert got.tolist() == want == shared_rows(h, dist).tolist() == covered_rows_reference(h, dist).tolist()
 
 
 @st.composite
 def other_h(draw, g: WeightedGraph):
     """An H on g's vertices that is not in general a subgraph: some of g's
-    edges, and extra edges between random pairs weighing d_G of the pair,
-    an ulp above or below it, half or twice it, or 1 where g keeps the pair
-    apart.  An extra edge on a pair of g replaces g's weight there."""
-    keep = draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m), label="H's edges of G")
+    edges, or all of them, or all with one at an ulp or twice its weight
+    (its columns open) or at an ulp or half below (closed); and extra edges
+    between random pairs weighing d_G of the pair, an ulp above or below
+    it, half or twice it, or 1 where g keeps the pair apart.  An extra edge
+    on a pair of g replaces g's weight there, except in an H drawn to hold
+    all of g, where it only lowers it."""
+    share = draw(st.sampled_from(["some", "all", "heavier", "lighter"]), label="H's share of G")
+    if share == "some":
+        keep = draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m), label="H's edges of G")
+    else:
+        keep = [True] * g.m
     edges = {(u, v): w for (u, v, w), k in zip(g.edge_items(), keep) if k}
+    if share in ("heavier", "lighter") and g.m:
+        u, v, w = g.edge_items()[draw(st.integers(0, g.m - 1), label="reweighted edge")]
+        up = share == "heavier"
+        edges[u, v] = float(draw(
+            st.sampled_from([np.nextafter(w, math.inf if up else 0), 2 * w if up else w / 2]),
+            label="its weight",
+        ))
     d = distance_matrix(g.csr())
     pairs = st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1)).filter(lambda p: p[0] != p[1])
     for u, v in draw(st.lists(pairs, max_size=2 * g.n), label="extra pairs"):
@@ -765,7 +781,8 @@ def other_h(draw, g: WeightedGraph):
                 st.sampled_from([at, np.nextafter(at, math.inf), np.nextafter(at, 0), at / 2, 2 * at]),
                 label="extra weight",
             )
-        edges[min(u, v), max(u, v)] = float(w)
+        key = min(u, v), max(u, v)
+        edges[key] = min(float(w), edges.get(key, math.inf)) if share == "all" else float(w)
     return WeightedGraph(g.n, [(u, v, w) for (u, v), w in edges.items()])
 
 
@@ -787,8 +804,79 @@ def test_covered_rows_are_rows_h_does_not_lengthen(rows, g, data):
         for lo, dist, run in shortest.sweep(g, idx, S, h):
             covered = np.ones(len(dist), dtype=bool)
             covered[run] = False
-            assert covered.tolist() == covered_rows(h, dist).tolist()
+            assert covered.tolist() == covered_rows_reference(h, dist).tolist()
             assert (d_h[lo : lo + rows][covered] <= dist[covered]).all()
+
+
+def open_reference(g: WeightedGraph, h: WeightedGraph) -> list[int]:
+    """The endpoints of g's edges that h lacks or holds at a larger weight."""
+    held = {(u, v): w for u, v, w in h.edge_items()}
+    return sorted({x for u, v, w in g.edge_items() if held.get((u, v), math.inf) > w for x in (u, v)})
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(g=mixed_graphs(), data=st.data())
+def test_sweep_runs_match_the_all_columns_reference(rows, g, data):
+    # the kernel reads the open columns alone, yet every block's run is the
+    # one the test over every column gives, on subgraphs, supersets of G,
+    # G with one edge reweighted and H with extra edges alike
+    h = data.draw(other_h(g), label="H")
+    S = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n), label="sources")
+    budget = data.draw(st.sampled_from([0, 4096, shortest._BLOCK_BYTES]), label="budget")
+    idx = build_index(g) if data.draw(st.booleans(), label="indexed") else None
+    cols = open_columns(g, h.csr())[0]
+    assert np.arange(g.n)[cols].tolist() == open_reference(g, h)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shortest, "_sweep_rows", lambda n: rows)
+        mp.setattr(shortest, "_BLOCK_BYTES", budget)
+        blocks = list(shortest.sweep(g, idx, S, h.csr()))
+    d_g = distance_matrix(g.csr(), S)
+    assert [lo for lo, _, _ in blocks] == list(range(0, len(S), rows))
+    for lo, dist, run in blocks:
+        assert np.array_equal(dist, d_g[lo : lo + rows])
+        if shortest.absorb_free(g, h.csr()):
+            assert run.tolist() == np.flatnonzero(~covered_rows_reference(h.csr(), dist)).tolist()
+        else:
+            assert run.tolist() == list(range(len(dist)))
+
+
+def test_emulator_and_g_itself_open_no_column():
+    # the +4W emulator of a graph keeps all of G's edges at G's weights
+    # once its per-vertex quota reaches the largest degree, and so does H =
+    # G: no column is open, the kernel gathers nothing, and the checks'
+    # reports are those of the kernel that read every column
+    g = sparse_800("geometric")
+    idx = build_index(g)
+    emulator = build_4w_emulator(g, seed=1, idx=idx).to_graph()
+    for h in (emulator, g):
+        cols, *entries = open_columns(g, h.csr())
+        assert np.arange(g.n)[cols].size == 0 and all(len(x) == 0 for x in entries)
+    kernel, gathered = shortest.covered_rows, []
+
+    def spy(part, dist):
+        gathered.append(len(part[1]))
+        return kernel(part, dist)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shortest, "covered_rows", spy)
+        for h, c, h_rows in ((emulator, 4.0, 1), (g, 2.0, 0)):
+            for given_idx in (idx, None):
+                rep = verify_additive_W(g, h, c, idx=given_idx).to_dict()
+                assert rep == {
+                    "bound_kind": "additive-cW",
+                    "params": {"c": c, "pair_class": "all"},
+                    "pairs_checked": 319600,
+                    "passed": True,
+                    "violation_count": 0,
+                    "violations": [],
+                    "max_slack_ratio": 0.0,
+                    "size": h.m,
+                    "w_rows": 0,
+                    "h_rows": h_rows,
+                }
+    assert len(gathered) == 4 * math.ceil(g.n / wspan.graph._sweep_rows(g.n))
+    assert not any(gathered)
 
 
 def test_shared_rows_settle_an_isolated_source_of_an_edgeless_h():
@@ -796,10 +884,12 @@ def test_shared_rows_settle_an_isolated_source_of_an_edgeless_h():
     dist = distance_matrix(g.csr())
     # 0 is isolated in G too; 1, 2 and 3 reach one another in G only
     for mask in ([False, False], [True, False]):
-        assert covered_rows(masked_csr(g, mask), dist).tolist() == [True, False, False, False]
-    assert covered_rows(g.csr(), dist).all()
+        h = masked_csr(g, mask)
+        assert covered_rows(open_columns(g, h), dist).tolist() == [True, False, False, False]
+        assert covered_rows_reference(h, dist).tolist() == [True, False, False, False]
+    assert covered_rows(open_columns(g, g.csr()), dist).all()
     one = WeightedGraph(1, [])
-    assert covered_rows(one.csr(), distance_matrix(one.csr())).tolist() == [True]
+    assert covered_rows(open_columns(one, one.csr()), distance_matrix(one.csr())).tolist() == [True]
 
 
 @settings(max_examples=100, deadline=None)
@@ -882,15 +972,16 @@ def test_covered_rows_temporaries_stay_within_block_budget(family):
     g = sparse_800(family)
     dist = distance_matrix(g.csr(), np.arange(0, g.n, 2))
     # a third of G's edges dropped (no row is covered), G itself and its +4W
-    # emulator, with more entries than G (every row is)
+    # emulator, with more entries than G (every row is, and neither opens a
+    # column); the open columns' slice and its temporaries are counted
     emulator = build_4w_emulator(g, seed=1).to_graph().csr()
     assert emulator.nnz > g.csr().nnz
     for h, settled in ((masked_csr(g, np.arange(g.m) % 3 != 0), 0), (g.csr(), len(dist)), (emulator, len(dist))):
-        covered_rows(h, dist[:1])  # warm up
+        covered_rows(open_columns(g, h), dist[:1])  # warm up
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = covered_rows(h, dist)
+            out = covered_rows(open_columns(g, h), dist)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
