@@ -11,7 +11,9 @@ neighbor lists in id order, is derived from them on first use and cached.
 Lookups binary-search the arrays and equality compares them.  The builders
 hold a subset of a graph's edges as a boolean mask over its edge arrays;
 edge_ids gives the positions of endpoint pairs there, searching the sorted
-codes a*n + b, which are cached beside the CSR.
+codes a*n + b, which are cached beside the CSR, as are the codes v*n + p of
+the CSR's entries (csr_codes) and the incident edges sorted by weight
+(incident_by_weight).
 
 _BLOCK_BYTES is the one budget for the temporaries of work done a block of
 sources or rows at a time (shortest, verify, greedy, fast2w, generators),
@@ -150,12 +152,12 @@ class WeightedGraph:
 
     Rejects a non-integer or negative vertex count, and the first bad edge
     in the given order (_checked_edges), at construction time.  The vertex
-    count is stored as a Python int.  The CSR matrix and the edge codes are
-    computed on first use; two threads filling one at once compute the same
-    value twice.
+    count is stored as a Python int.  The CSR matrix, the edge and entry
+    codes and the incident edges by weight are computed on first use; two
+    threads filling one at once compute the same value twice.
     """
 
-    __slots__ = ("n", "_arrays", "_csr", "_codes")
+    __slots__ = ("n", "_arrays", "_csr", "_codes", "_csr_codes", "_incident")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
         n = vertex_count(n)
@@ -165,7 +167,7 @@ class WeightedGraph:
             v.append(y)
             w.append(z)
         self.n, self._arrays = n, _checked_edges(n, u, v, w)
-        self._csr = self._codes = None
+        self._csr = self._codes = self._csr_codes = self._incident = None
 
     @classmethod
     def _from_arrays(cls, n: int, u, v, w) -> "WeightedGraph":
@@ -174,7 +176,7 @@ class WeightedGraph:
         g = cls.__new__(cls)
         g.n = vertex_count(n)
         g._arrays = _checked_edges(g.n, u, v, w)
-        g._csr = g._codes = None
+        g._csr = g._codes = g._csr_codes = g._incident = None
         return g
 
     @property
@@ -234,17 +236,34 @@ class WeightedGraph:
             self._csr = graph_csr(self.n, *self.edge_arrays())
         return self._csr
 
+    def csr_codes(self) -> np.ndarray:
+        """Read-only codes v * n + p of csr()'s entries (row v, column p), in
+        csr()'s order, and so sorted."""
+        if self._csr_codes is None:
+            csr = self.csr()
+            codes = np.repeat(np.arange(self.n, dtype=np.int64) * self.n, np.diff(csr.indptr))
+            codes += csr.indices
+            codes.flags.writeable = False
+            self._csr_codes = codes
+        return self._csr_codes
+
     def incident_by_weight(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Both directions of every edge as (tail, head, w), sorted by (tail, w, head).
+        """Both directions of every edge as read-only (tail, head, w), sorted
+        by (tail, w, head).
 
         Vertex u's entries, lightest first, sit at csr().indptr[u] up to
         csr().indptr[u + 1].
         """
-        csr = self.csr()
-        tail = np.repeat(np.arange(self.n), np.diff(csr.indptr))
-        # stable, and each CSR row is sorted by head, so equal weights keep head order
-        order = np.lexsort((csr.data, tail))
-        return tail, csr.indices[order], csr.data[order]
+        if self._incident is None:
+            csr = self.csr()
+            tail = np.repeat(np.arange(self.n), np.diff(csr.indptr))
+            # stable, and each CSR row is sorted by head, so equal weights keep head order
+            order = np.lexsort((csr.data, tail))
+            arrays = tail, csr.indices[order], csr.data[order]
+            for x in arrays:
+                x.flags.writeable = False
+            self._incident = arrays
+        return self._incident
 
     def edge_items(self) -> list[tuple[int, int, float]]:
         """Edges as (u, v, w) Python scalars with u < v, in sorted order."""

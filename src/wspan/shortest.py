@@ -34,7 +34,8 @@ key; binary-lifting tables answer that for a whole layer in one vectorized
 climb.  Blocks and runs are sized from n, m and the tight edges so that the
 temporaries beyond the returned arrays stay within graph._BLOCK_BYTES
 (1 MiB).  The CSR and the edge arrays are the graph's own cached layouts
-(WeightedGraph.csr, edge_arrays).
+(WeightedGraph.csr, edge_arrays); with G's index, the edge arrays are cut
+to the edges that may be tight (Essential, below).
 
 W rows of a graph whose edges all weigh one w0, as on unit weights, need
 neither step: W(s, v) is w0 at every reachable v != s, 0 at s and inf
@@ -102,6 +103,53 @@ has d_G(v) = inf, or has an H edge (p, v) with fl(d_G(p) + w) <= d_G(v).
   or lighter, G itself or the +4W emulator once each vertex's quota of
   light edges reaches its degree, opens no column: every row is covered
   with no gather at all.
+
+Most of G's edges are tight on no row at all: on uniform random weights
+about a quarter lie on a shortest path, the essential subgraph (Karger,
+Koller and Phillips, "Finding the hidden path", SIAM J. Comput. 1993;
+McGeoch, "All-pairs shortest paths and the essential subgraph",
+Algorithmica 1995).  Given G's index, Essential finds a superset of those
+edges, exactly in floats, with one gather of 2m entries from it, and the
+row test and the W kernel leave the others out:
+- The lemma.  Write d for G's exact rows, e = 2^-53, and call p -> v, of
+  weight w, tight on row s when fl(d(s, p) + w) = d(s, v).  Then w <=
+  d(p, v) + 1.03 (n^2 + 2 n) e w_max, for n < 2^26 and weights within
+  [2^-960, 2^960], so that no sum leaves the normal range.  Let D = d(s,
+  p), the float sum along s's tree path to p, and P Dijkstra's tree path
+  from p to v, of k <= n - 1 edges and real length R.  Dijkstra's d(s, v)
+  is at most the left-to-right float sum of any walk, here s ~> p and
+  then P, and each of its k roundings adds at most a factor 1 + e, so
+  d(s, v) <= (D + R)(1 + e)^k.  Tightness gives d(s, v) >= (D + w)(1 -
+  e), and d(p, v), the float sum along P, is at least R (1 - e)^k.  So
+  w <= D ((1 + e)^k / (1 - e) - 1) + d(p, v) (1 + e)^k / (1 - e)^(k+1)
+  <= d(p, v) + 1.01 n e D + 2.02 n e d(p, v).  D is a float sum of at
+  most n - 1 weights, below 1.01 n w_max, and d(p, v) <= w <= w_max, as
+  the edge is itself a path: the bound follows.  The test keeps p -> v
+  when w <= fl(d(p, v) + delta), delta being w_max times the exact 4 n^2
+  e; its two roundings lower the threshold by at most e (w_max + 2
+  delta), which the margin of 4 n^2 over 1.03 (n^2 + 2 n) covers for n >=
+  2.
+- The masks.  d may read differently each way in floats (two sums of
+  one path in opposite orders), so a CSR entry (v, p) takes d(p, v), its
+  own direction, and an undirected edge either direction's value.  The
+  lemma holds on every row, so the masks need no source.  Where every
+  edge may be tight, as on Euclidean or one-weight graphs, they are None,
+  and so they are without an index or where absorb_free(G) fails (there
+  every row's W is computed, to raise on an absorbed weight).
+- The open columns.  The G edge whose relaxation set d(s, v) is tight, so
+  a G entry that can never be tight opens no column, and the column
+  argument above is unchanged.
+- The gather.  Take an H entry (v, p, w_H) where G holds p -> v at w_G <=
+  w_H and p -> v is never tight.  Dijkstra relaxed G's edge, so fl(d(s,
+  p) + w_H) >= fl(d(s, p) + w_G) > d(s, v) on every row where d(s, v) is
+  finite: the entry never passes, and covered_rows gathers without it.
+- The W kernel.  tree_rows takes the edges that may be tight alone.
+  Their tight sets are the tight sets, so the parents, W, the detected
+  ties and the absorbed-weight error are unchanged, and a subset of the
+  sorted edge arrays is sorted, so edge keys still compare as indices.
+The masks are found once per check, and each only where it is read: none
+for an H that holds all of G, none for W when no row needs it.
+
 fast2w needs scipy's predecessors, not distances, so it keeps its own
 searches.
 
@@ -122,6 +170,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -620,45 +669,116 @@ def _codes(csr: csr_matrix, lo: int, hi: int) -> np.ndarray:
     return np.repeat(rows, np.diff(csr.indptr[lo : hi + 1])) + csr.indices[csr.indptr[lo] : csr.indptr[hi]]
 
 
-def open_columns(g: WeightedGraph, h: csr_matrix) -> tuple:
+class Essential:
+    """The edges of G that may be tight on some exact row of G, read from
+    idx, G's index, on first use (module docstring).
+
+    edges is a boolean mask over g.edge_arrays(), true where either
+    direction of the edge may be tight; entries is one over g.csr()'s
+    entries, true at entry (v, p) where p -> v may be tight.  Each takes one
+    gather of 2m entries of idx on first use, and is None where it holds
+    every edge, as on Euclidean weights.  Both are None, so that every edge
+    counts, without an index, where absorb_free(g) fails, where a weight
+    lies outside [2^-960, 2^960], or where every edge weighs the same (each
+    edge is then a shortest path of its ends).
+    """
+
+    def __init__(self, g: WeightedGraph, idx: np.ndarray | None):
+        self.g, self.idx = g, idx
+
+    @cached_property
+    def _margin(self) -> float | None:
+        """delta, w_max times the exact 4 n^2 2^-53; or None where every edge counts."""
+        g, w = self.g, self.g.edge_arrays()[2]
+        if self.idx is None or not len(w) or w.min() == w.max() or not absorb_free(g):
+            return None
+        if not (2.0**-960 <= w.min() and w.max() <= 2.0**960):
+            return None
+        return float(w.max() * (4.0 * g.n * g.n * 2.0**-53))
+
+    @cached_property
+    def edges(self) -> np.ndarray | None:
+        if self._margin is None:
+            return None
+        a, b, w = self.g.edge_arrays()
+        d = _read(self.g, self.idx, (np.concatenate([a, b]), np.concatenate([b, a])))
+        # d may differ each way in floats: either direction's own value holds it
+        return _some(w <= np.maximum(d[: len(w)], d[len(w) :]) + self._margin)
+
+    @cached_property
+    def entries(self) -> np.ndarray | None:
+        if self._margin is None:
+            return None
+        csr = self.g.csr()
+        heads = np.repeat(np.arange(self.g.n), np.diff(csr.indptr))
+        # entry (v, p) is the edge p -> v, tight when d(p, v) is within delta of its weight
+        return _some(csr.data <= _read(self.g, self.idx, (csr.indices, heads)) + self._margin)
+
+
+def _some(mask: np.ndarray) -> np.ndarray | None:
+    """mask, or None where it holds every edge."""
+    return None if mask.all() else mask
+
+
+def open_columns(g: WeightedGraph, h: csr_matrix, ess: Essential | None = None) -> tuple:
     """The columns of G's rows that the row test must read, with H's
     entries there, for covered_rows.
 
     Column v is open when G has an edge (p, v) that H, a symmetric CSR
     matrix on g's vertices, lacks or holds at a larger weight.  Every other
     column passes the row test on every exact row of G (module docstring).
-    G's and H's entries are merged by code, a run of rows v at a time whose
-    temporaries fit _BLOCK_BYTES (about 48 bytes per entry of either); a
-    stable sort of two sorted runs is a linear merge.
+    With ess given, only G's entries that may be tight (Essential.entries)
+    open a column, and H's entries (v, p, w) where G holds p -> v at a
+    weight <= w and never tight are left out, as they pass on no row; the
+    mask is read only for rows that H does not close.  G's entries (its
+    cached csr_codes) and H's are merged by code, a run of rows v at a time
+    whose temporaries fit _BLOCK_BYTES (about 48 bytes per entry of
+    either); a stable sort of two sorted runs is a linear merge.
 
     Returns (cols, nbr, w, start, has): the open columns; the other
     endpoints (as intp, which np.take would otherwise convert on every
     call) and weights of their H entries, column by column; and, for the
     open columns holding an H entry, where their entries start in nbr and
-    their positions in cols.  When every column is open, cols is
-    slice(None) and w is h.data itself, so only the endpoints are copied.
+    their positions in cols.  When every column is open and no entry is
+    left out, cols is slice(None) and w is h.data itself, so only the
+    endpoints are copied.
     """
-    n, gc = g.n, g.csr()
+    n, gc, code = g.n, g.csr(), g.csr_codes()
     is_open = np.zeros(n, dtype=bool)
+    tight = dead = None
     cost = 48 * (gc.indptr.astype(np.int64) + h.indptr)
     lo = 0
     while lo < n:
         hi = max(lo + 1, int(np.searchsorted(cost, cost[lo] + _BLOCK_BYTES, side="right")) - 1)
         g0, g1, h0, h1 = gc.indptr[lo], gc.indptr[hi], h.indptr[lo], h.indptr[hi]
-        code = np.concatenate([_codes(gc, lo, hi), _codes(h, lo, hi)])
-        order = np.argsort(code, kind="stable")
-        code = code[order]
-        w = np.concatenate([gc.data[g0:g1], h.data[h0:h1]])[order]
+        merged = np.concatenate([code[g0:g1], _codes(h, lo, hi)])
+        order = np.argsort(merged, kind="stable")
+        merged = merged[order]
         from_g = order < g1 - g0
-        del order
+        w = np.concatenate([gc.data[g0:g1], h.data[h0:h1]])[order]
         # G's entry of a code comes first (G has no repeated entry), then H's
-        # entries of that code, if any: G's is closed when the next is H's at
-        # a weight no larger
-        closed = np.zeros(len(code), dtype=bool)
-        closed[:-1] = from_g[:-1] & (code[:-1] == code[1:]) & (w[1:] <= w[:-1])
-        is_open[code[from_g & ~closed] // n] = True
+        # entries of that code, if any: pair[i] when entry i is G's and i + 1
+        # H's copy of it, which closes it at a weight no larger
+        pair = from_g[:-1] & (merged[:-1] == merged[1:])
+        del merged
+        live = from_g.copy()
+        live[:-1] &= ~(pair & (w[1:] <= w[:-1]))
+        if live.any():
+            if ess is not None and tight is None:
+                tight = ess.entries
+                if tight is not None:
+                    dead = np.zeros(len(h.data), dtype=bool)
+            if tight is not None:
+                may = np.concatenate([tight[g0:g1], np.ones(h1 - h0, dtype=bool)])[order]
+                live &= may
+                gone = pair & (w[:-1] <= w[1:]) & ~may[:-1]
+                dead[order[1:][gone] - (g1 - g0) + h0] = True
+            # each row's entries, G's and H's, are contiguous in the merged order
+            start = gc.indptr[lo:hi] - g0 + h.indptr[lo:hi] - h0
+            rows = np.diff(start, append=len(order)) > 0
+            is_open[lo:hi][rows] = np.logical_or.reduceat(live, start[rows])
         lo = hi
-    if is_open.all():
+    if is_open.all() and (dead is None or not dead.any()):
         cols, nbr, w, ptr = slice(None), h.indices, h.data, h.indptr
     else:
         cols = np.flatnonzero(is_open)
@@ -666,6 +786,11 @@ def open_columns(g: WeightedGraph, h: csr_matrix) -> tuple:
         ptr = np.zeros(len(cols) + 1, dtype=np.int64)
         np.cumsum(size, out=ptr[1:])
         at = np.arange(ptr[-1]) + np.repeat(first - ptr[:-1], size)
+        if dead is not None:
+            alive = ~dead[at]
+            at = at[alive]
+            # a column's entries start after the live entries of the columns before it
+            ptr = np.concatenate([[0], np.cumsum(alive)])[ptr]
         nbr, w = h.indices[at], h.data[at]
     deg = np.diff(ptr) > 0
     return cols, nbr.astype(np.intp), w, ptr[:-1][deg], np.flatnonzero(deg)
@@ -678,7 +803,8 @@ def covered_rows(part: tuple, dist: np.ndarray) -> np.ndarray:
 
     dist holds G's exact rows, as scipy's Dijkstra gives them, and part is
     open_columns(G, H): only the open columns are read, since every other
-    one passes on every such row.  Where absorb_free(G, H) holds, Dijkstra
+    one passes on every such row, and only the H entries there that may
+    pass (module docstring).  Where absorb_free(G, H) holds, Dijkstra
     on H from a true row's source returns a row <= dist[i] bit for bit, and
     on a subgraph of G with G's weights exactly dist[i] (module docstring).
     With no column open, every row is true and nothing is gathered.
@@ -714,7 +840,7 @@ def covered_rows(part: tuple, dist: np.ndarray) -> np.ndarray:
 
 
 def tree_rows(
-    g: WeightedGraph, dist: np.ndarray, sources, parents: bool = False
+    g: WeightedGraph, dist: np.ndarray, sources, parents: bool = False, edges: np.ndarray | None = None
 ) -> np.ndarray:
     """W rows of the canonical trees from the given sources, given their
     exact distance rows (dist[i] from sources[i], as scipy's Dijkstra gives
@@ -725,6 +851,8 @@ def tree_rows(
     _tie_block the sources whose distances tie, in the runs _tie_runs
     sizes.  Both stay within _BLOCK_BYTES of temporaries.  Raises
     ValueError when a float sum absorbed an edge weight (_tie_block).
+    edges, Essential.edges of G, restricts both to the edges that may be
+    tight; the others are tight on no exact row, so the output is the same.
 
     W rows of a graph whose edges all weigh one w0 skip both: W is w0 where
     dist is finite, 0 at the source and inf elsewhere, exact and never
@@ -733,9 +861,9 @@ def tree_rows(
     n = g.n
     a, b, w = g.edge_arrays()
     src = np.asarray(sources, dtype=np.int64)
-    k, m = len(src), len(w)
+    k = len(src)
     out = np.full((k, n), -1, dtype=np.int32) if parents else np.empty((k, n))
-    if not parents and m and w.min() == w.max():
+    if not parents and len(w) and w.min() == w.max():
         step = _sweep_rows(n)
         for lo in range(0, k, step):
             blk = out[lo : lo + step]
@@ -743,6 +871,10 @@ def tree_rows(
             np.copyto(blk, w[0], where=np.isfinite(dist[lo : lo + step]))
         out[np.arange(k), src] = 0.0
         return out
+    if edges is not None:
+        # a subset of the sorted arrays is sorted, so edge keys still compare as indices
+        a, b, w = a[edges], b[edges], w[edges]
+    m = len(w)
     ea = (a, b, w, np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w]))
     rows = max(1, min(k, _block_rows(n, m)))
     buf = _edge_buffers(rows, m)
@@ -777,9 +909,14 @@ def build_index(g: WeightedGraph) -> np.ndarray:
 
 
 def _read(g: WeightedGraph, idx: np.ndarray, at) -> np.ndarray:
-    """idx[at], once idx is checked to have g's shape: the one read of an index."""
+    """idx[at], once idx is checked to have g's shape: the one read of an
+    index.  A pair of id arrays is read at the flat positions u * n + v
+    where idx is C-contiguous, as build_index's is: several times faster
+    than numpy's two-index gather."""
     if idx.shape != (g.n, g.n):
         raise ValueError(f"index of shape {idx.shape} given for a graph of shape {(g.n, g.n)}")
+    if isinstance(at, tuple) and idx.flags.c_contiguous:
+        return idx.take(np.asarray(at[0], dtype=np.int64) * g.n + at[1])
     return idx[at]
 
 
@@ -811,6 +948,7 @@ def sweep(
     idx: np.ndarray | None,
     S: Sequence[int] | np.ndarray,
     h: csr_matrix | None = None,
+    ess: Essential | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """G's distance rows of the sources S, a _sweep_rows(n) block at a time.
 
@@ -818,25 +956,31 @@ def sweep(
     len(dist)], and run the positions in the block of the rows that h, a
     symmetric CSR matrix on G's vertices, may lengthen (covered_rows).  run
     is every row when h is None or absorb_free(g, h) does not hold; else
-    the open columns and h's entries there (open_columns) are found once
-    per call, and every block's test reads those columns alone.  The
-    verifier's sweep and edge checks and path buying's candidate pass read
-    G's rows through this alone.
+    the open columns and h's entries there (open_columns, given the edges of
+    G that may be tight: ess, or Essential(g, idx) when ess is None) are
+    found once per call, and every block's test reads those columns alone.
+    The verifier's sweep and edge checks and path buying's candidate pass
+    read G's rows through this alone.
     """
     S = np.asarray(S, dtype=np.int64)
-    part = open_columns(g, h) if h is not None and absorb_free(g, h) else None
+    part = None
+    if h is not None and absorb_free(g, h):
+        part = open_columns(g, h, Essential(g, idx) if ess is None else ess)
     rows = _sweep_rows(g.n)
     for lo in range(0, len(S), rows):
         dist = index_rows(g, idx, S[lo : lo + rows])
         yield lo, dist, np.arange(len(dist)) if part is None else np.flatnonzero(~covered_rows(part, dist))
 
 
-def path_vertices(g: WeightedGraph, u: int, v: int, idx: np.ndarray | None = None) -> list[int]:
+def path_vertices(
+    g: WeightedGraph, u: int, v: int, idx: np.ndarray | None = None, edges: np.ndarray | None = None
+) -> list[int]:
     """Vertex sequence of the canonical u-v path.
 
     Walks v up u's canonical parent row, which tree_rows computes from u's
     distance row (index_rows: a slice of idx, G's index, when given, else
-    one Dijkstra from u).
+    one Dijkstra from u), over the edges that may be tight (edges,
+    Essential.edges of G) when given.
     """
     for x in (u, v):
         if not 0 <= x < g.n:
@@ -844,7 +988,7 @@ def path_vertices(g: WeightedGraph, u: int, v: int, idx: np.ndarray | None = Non
     if u == v:
         return [u]
     dist = index_rows(g, idx, [u])
-    prow = tree_rows(g, dist, [u], parents=True)[0]
+    prow = tree_rows(g, dist, [u], parents=True, edges=edges)[0]
     if not np.isfinite(dist[0, v]):
         raise ValueError(f"no path between {u} and {v}")
     seq = [v]

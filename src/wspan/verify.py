@@ -12,7 +12,8 @@ check holds O(block * n) memory beyond H and any index given.
 W is computed (shortest.tree_rows, one call per run of rows checked) only
 on the rows whose outcome the lower bound L(u, v) = max(minw(u), minw(v))
 <= W(u, v) cannot settle (shortest.w_floor); StretchReport.w_rows counts
-them.  The result is exactly the all-rows one, because rounding is monotone:
+them.  With an index, W and the row test below read only the edges of G
+that may be tight (shortest.Essential), found once per check.  The result is exactly the all-rows one, because rounding is monotone:
 - Violations.  The bound b = fl(d_G + fl(c * W)) only grows with W, and the
   test d_H - b > REL_TOL * max(1, b) only weakens as b grows.  So a pair
   that passes with L in place of W passes with W, and a row needs W only
@@ -58,6 +59,9 @@ weights are integers.  Each edge check runs Dijkstra from its edges'
 distinct tails only (shortest._edge_distances): on G for the lower bound
 when no index is given (shortest.pair_distances), and on H for the
 multiplicative one, which reads G's rows of its failing edges' tails only.
+Without an index, the lower bound skips the H edges that G holds at their
+weight or lighter, which meet it exactly: of an emulator, only its virtual
+edges are searched.
 
 A passing report is a proof for the instance at hand (up to the stated
 float tolerance).  Pairs that are connected in the base graph but not in the
@@ -73,7 +77,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .graph import WeightedGraph, subset_vertices
-from .shortest import _edge_distances, distance_matrix, pair_distances, sweep, tree_rows, w_floor
+from .shortest import Essential, _edge_distances, distance_matrix, pair_distances, sweep, tree_rows, w_floor
 
 REL_TOL = 1e-9
 
@@ -150,13 +154,14 @@ def _tail_rows(
     b: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """G's (d_G, W) of the pairs (a[i], b[i]), read from the rows of the
-    distinct a[i], a sweep block of them at a time; report.w_rows counts
-    those rows."""
+    distinct a[i], a sweep block of them at a time, W over the edges that
+    may be tight (shortest.Essential); report.w_rows counts those rows."""
     tails, at = np.unique(a, return_inverse=True)
     dg, wh = np.empty(len(a)), np.empty(len(a))
+    ess = Essential(g, idx)
     for lo, dist, _ in sweep(g, idx, tails):
         sel = (at >= lo) & (at < lo + len(dist))
-        W = tree_rows(g, dist, tails[lo : lo + len(dist)])
+        W = tree_rows(g, dist, tails[lo : lo + len(dist)], edges=ess.edges)
         dg[sel], wh[sel] = dist[at[sel] - lo, b[sel]], W[at[sel] - lo, b[sel]]
     report.w_rows += len(tails)
     return dg, wh
@@ -208,11 +213,13 @@ def _rows_needing_w(
 def _check_rows(
     report: StretchReport, found: list, g: WeightedGraph, csr, cols: np.ndarray,
     at: np.ndarray, dist: np.ndarray, minw: np.ndarray | None, c: float, top: float,
+    ess: Essential,
 ) -> float:
     """Check the rows at (positions in cols) against H's Dijkstra rows,
     given G's rows dist, taking W only on the rows that need it (module
-    docstring).  Appends their violations to found; returns the largest
-    ratio found so far.  A pair with d_H = d_G has the ratio 0 exactly."""
+    docstring), over the edges of G that may be tight (ess).  Appends their
+    violations to found; returns the largest ratio found so far.  A pair
+    with d_H = d_G has the ratio 0 exactly."""
     dg = dist[:, cols]
     dh = distance_matrix(csr, cols[at])[:, cols]
     report.h_rows += len(at)
@@ -229,7 +236,7 @@ def _check_rows(
     if not len(rows):
         return top
     report.w_rows += len(rows)
-    wb = tree_rows(g, dist[rows], cols[at[rows]])[:, cols]
+    wb = tree_rows(g, dist[rows], cols[at[rows]], edges=ess.edges)[:, cols]
     dg, dh, connected, sel = dg[rows], dh[rows], connected[rows], sel[rows]
     with np.errstate(invalid="ignore"):  # inf-inf and 0*inf on pairs the mask discards
         slack = dg + c * wb  # the bound, then d_H less it
@@ -250,7 +257,9 @@ def _sweep(
     S is sorted and duplicate-free; the pairs u < v of S connected in g are
     checked.  G's distance rows of each block come from shortest.sweep,
     with the rows H does not lengthen, and W only on the rows that need it
-    (module docstring).  max_slack_ratio is the largest (d_H - d_G) / W.
+    (module docstring).  The edges of G that may be tight
+    (shortest.Essential) are found once, for the sweep's row test and W.
+    max_slack_ratio is the largest (d_H - d_G) / W.
     """
     cols = np.asarray(S)
     csr = h.csr()
@@ -259,7 +268,8 @@ def _sweep(
     found = [(cols[:0], cols[:0], *(np.zeros(0) for _ in range(4)))]
     top = -math.inf  # the largest ratio of the rows checked so far
     held = [cols[:0]]  # covered rows with a pair to check, of an H not a subgraph
-    for lo, dist, run in sweep(g, idx, cols, csr):
+    ess = Essential(g, idx)
+    for lo, dist, run in sweep(g, idx, cols, csr, ess):
         at = np.arange(lo, lo + len(dist))
         connected = (np.arange(len(S)) > at[:, None]) & np.isfinite(dist[:, cols])
         report.pairs_checked += int(np.count_nonzero(connected))
@@ -272,7 +282,7 @@ def _sweep(
         elif covered.any():
             held.append(at[covered])
         if len(run):
-            top = _check_rows(report, found, g, csr, cols, at[run], dist[run], minw, c, top)
+            top = _check_rows(report, found, g, csr, cols, at[run], dist[run], minw, c, top, ess)
     # the held rows matter only while no ratio reaches 0: check them in
     # runs of 1, 2, 4, ... rows until one does
     held = np.concatenate(held)
@@ -282,7 +292,9 @@ def _sweep(
             i = 0
             while i < len(dist) and top < 0:
                 j = min(i + k, len(dist))
-                top = _check_rows(report, found, g, csr, cols, held[lo + i : lo + j], dist[i:j], minw, c, top)
+                top = _check_rows(
+                    report, found, g, csr, cols, held[lo + i : lo + j], dist[i:j], minw, c, top, ess
+                )
                 i, k = j, 2 * k
             if top >= 0:
                 break
@@ -379,10 +391,20 @@ def verify_non_contracting(
     (module docstring): pairs_checked counts them, each violation is an edge
     with d_h its weight, and max_slack_ratio stays NaN.  An edge between two
     components of g is a violation: it connects a pair that g keeps apart.
+    An edge (a, b, w) that g holds at a weight <= w is none, since Dijkstra
+    from a relaxes g's edge, so d_G(a, b) <= w exactly.  Without an index,
+    d_G is computed for the other edges only (for an emulator, its virtual
+    edges); with one, reading every edge's d_G is one gather, cheaper than
+    finding the edges g holds.
     """
     if h.n != g.n:
         raise ValueError(f"vertex set mismatch: g has n={g.n}, h has n={h.n}")
     a, b, w = h.edge_arrays()
+    if idx is None:
+        at = g.edge_ids(a, b)
+        held = at >= 0
+        held[held] = g.edge_arrays()[2][at[held]] <= w[held]
+        a, b, w = (x[~held] for x in (a, b, w))
     dg = pair_distances(g, idx, a, b)
     # inf - w > REL_TOL * inf is false, so non-finite d_G is flagged on its own
     bad = np.flatnonzero(~np.isfinite(dg) | (dg - w > REL_TOL * np.maximum(1.0, dg)))

@@ -30,7 +30,10 @@ shared_rows is the row test shortest.covered_rows replaced, with == in place
 of <=: the oracle for the kernel's mask on subgraphs.  covered_rows_reference
 is the same <= test read on every column, as the kernel read it before it
 took only the open columns (shortest.open_columns): the oracle for its mask
-on any H.  clustered_graphs draws
+on any H.  tree_rows_reference is tree_rows over every edge of G, as it read
+them before it took only the edges that may be tight (shortest.Essential),
+and tight_reference lists the edges tight on some row by brute force: the
+oracles for that mask.  clustered_graphs draws
 graphs on which path buying buys paths, and buying_graphs mixes them with
 small_graphs.
 """
@@ -279,12 +282,12 @@ def forbid_full_index(monkeypatch) -> list:
             raise AssertionError("full index built")
         return dijkstra(csr, *args, indices=indices, **kwargs)
 
-    def some_rows(g, dist, sources, parents=False):
+    def some_rows(g, dist, sources, parents=False, edges=None):
         sources = np.asarray(sources).tolist()
         if len(set(sources)) == g.n:
             raise AssertionError("W or parent rows of every vertex computed")
         calls.append(sources)
-        return rows(g, dist, sources, parents)
+        return rows(g, dist, sources, parents, edges)
 
     monkeypatch.setattr(wspan.shortest, "_sp_dijkstra", no_full_dijkstra)
     # the verifier and the path buyers bind the kernel by name
@@ -358,6 +361,23 @@ def covered_rows_reference(csr: csr_matrix, dist: np.ndarray) -> np.ndarray:
         sums = dist[:, csr.indices] + csr.data
         low[:, has] = np.minimum.reduceat(sums, csr.indptr[:-1][has], axis=1)
     return ((low <= dist) | (dist == 0)).all(axis=1)
+
+
+def tree_rows_reference(g: WeightedGraph, dist: np.ndarray, sources, parents: bool = False) -> np.ndarray:
+    """W rows (parent rows with parents true) of the canonical trees from
+    sources over every edge of g: tree_rows with no edge left out."""
+    return tree_rows(g, dist, sources, parents)
+
+
+def tight_reference(g: WeightedGraph, dist: np.ndarray) -> set[tuple[int, int]]:
+    """The directed edges (p, v) of g tight on some row of dist, exact rows
+    of g: fl(dist[i, p] + w) == dist[i, v] with dist[i, v] finite."""
+    out = set()
+    for u, v, w in g.edge_items():
+        for p, q in ((u, v), (v, u)):
+            if (np.isfinite(dist[:, q]) & (dist[:, p] + w == dist[:, q])).any():
+                out.add((p, q))
+    return out
 
 
 def path_buying_reference(g, idx, S, start, c, by_dist):

@@ -199,7 +199,7 @@ def test_spt_sources_counts_the_dijkstra_roots(monkeypatch):
 def test_fast2w_peak_stays_below_16_mib():
     n = 2048
     g = gnp(n, 2 * math.sqrt(n) / (n - 1), 5)
-    g.edge_arrays(), g.csr()  # the graph's own cached layouts
+    g.edge_arrays(), g.csr(), g.incident_by_weight()  # the graph's own cached layouts
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -298,6 +298,10 @@ def test_edge_arrays_and_csr_are_one_cached_layout(g):
             x[:1] = 0
     csr = g.csr()
     assert csr is g.csr() and g.edge_arrays()[0] is a
+    codes = g.csr_codes()
+    assert codes is g.csr_codes() and not codes.flags.writeable
+    rows = np.repeat(np.arange(g.n), np.diff(csr.indptr))
+    assert codes.tolist() == (rows * g.n + csr.indices).tolist() == sorted(codes.tolist())
     dense = csr.toarray()
     assert np.array_equal(dense, dense.T)
     assert csr.nnz == 2 * g.m and csr.has_sorted_indices

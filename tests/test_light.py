@@ -103,6 +103,28 @@ def test_array_selections_match_per_vertex_reference(g, t, seed):
     assert {i: mask_keys(g, x) for i, x in ls.E.items()} == E
 
 
+@settings(max_examples=40, deadline=None)
+@given(g=small_graphs(max_n=12), t=st.integers(min_value=1, max_value=12), seed=st.integers(0, 3))
+def test_incident_edges_are_sorted_once_per_graph(g, t, seed):
+    # every light init and fast2w's levels read one cached, read-only sort,
+    # and their outputs are those of the per-vertex references every time
+    first = g.incident_by_weight()
+    for _ in range(2):
+        assert mask_keys(g, t_light_init(g, t).kept) == light_kept_edges(g, t)
+        ls = sample_levels(g, 1.0, seed)
+        D, _, estar, E = levels_reference(g, 1.0, seed)
+        assert ls.D == D and [mask_keys(g, x) for x in ls.estar] == estar
+        assert {i: mask_keys(g, x) for i, x in ls.E.items()} == E
+        again = g.incident_by_weight()
+        assert all(x is y for x, y in zip(again, first))
+    for x in first:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[:1] = 0
+    rows = list(zip(*(x.tolist() for x in (first[0], first[2], first[1]))))
+    assert rows == sorted(rows)  # by (tail, w, head)
+
+
 @settings(max_examples=50, deadline=None)
 @given(small_graphs(max_n=10))
 def test_monotone_in_t(g):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -49,6 +50,8 @@ from conftest import (
     sparse_800,
     sssp_canonical,
     tied_source,
+    tight_reference,
+    tree_rows_reference,
 )
 
 
@@ -839,6 +842,122 @@ def test_sweep_runs_match_the_all_columns_reference(rows, g, data):
             assert run.tolist() == np.flatnonzero(~covered_rows_reference(h.csr(), dist)).tolist()
         else:
             assert run.tolist() == list(range(len(dist)))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(
+    g=st.one_of(mixed_graphs(), spread_graphs(), small_graphs(max_n=8, weights=ABSORBING)),
+    data=st.data(),
+)
+def test_edges_never_tight_leave_runs_w_and_parents_unchanged(rows, g, data):
+    # decimal near-ties, tied, multi-part and absorbing graphs: every edge
+    # tight on some row of G is in the mask, and the sweep's runs, the W
+    # rows and the parent rows over the masked edges are those over every
+    # edge, the absorbed-weight error included; without an index, or where
+    # a weight may be absorbed, the mask is None
+    idx = distance_matrix(g.csr())  # G's index, as build_index returns it where nothing is absorbed
+    idx.flags.writeable = False
+    ess = shortest.Essential(g, idx)
+    assert shortest.Essential(g, None).edges is None and shortest.Essential(g, None).entries is None
+    if not shortest.absorb_free(g):
+        assert ess.edges is None and ess.entries is None
+    tight = tight_reference(g, idx)
+    a, b, _ = g.edge_arrays()
+    if ess.edges is not None:
+        assert {(min(p, v), max(p, v)) for p, v in tight} <= set(zip(a[ess.edges].tolist(), b[ess.edges].tolist()))
+    if ess.entries is not None:
+        csr = g.csr()
+        heads = np.repeat(np.arange(g.n), np.diff(csr.indptr))
+        assert tight <= set(zip(csr.indices[ess.entries].tolist(), heads[ess.entries].tolist()))
+    h = data.draw(other_h(g), label="H").csr()
+    S = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n), label="sources")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shortest, "_sweep_rows", lambda n: rows)
+        blocks = list(shortest.sweep(g, idx, S, h, ess))
+    for lo, dist, run in blocks:
+        if shortest.absorb_free(g, h):
+            assert run.tolist() == np.flatnonzero(~covered_rows_reference(h, dist)).tolist()
+        else:
+            assert run.tolist() == list(range(len(dist)))
+        src = S[lo : lo + rows]
+        for parents in (False, True):
+            try:
+                want = tree_rows_reference(g, dist, src, parents)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    shortest.tree_rows(g, dist, src, parents, ess.edges)
+                continue
+            got = shortest.tree_rows(g, dist, src, parents, ess.edges)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            if src:
+                u, v = src[0], int(np.argmax(np.isfinite(dist[0]) & (np.arange(g.n) != src[0])))
+                if math.isfinite(dist[0, v]) and v != u:
+                    assert path_vertices(g, u, v, idx, ess.edges) == path_vertices(g, u, v)
+
+
+def test_an_edge_longer_than_its_ends_distance_can_be_tight():
+    # 1 -> 3 weighs an ulp more than 1 -> 2 -> 3, yet from 0 both reach 3 at
+    # 4.0 in floats, and the direct edge is the canonical parent's: the
+    # mask's margin keeps it
+    g = WeightedGraph(4, [(0, 1, 3.0), (1, 2, 0.5), (2, 3, 0.5), (1, 3, 1.0000000000000002)])
+    idx = build_index(g)
+    assert idx[1, 3] < g.weight(1, 3) and idx[0, 3] == 3.0 + g.weight(1, 3) == 4.0
+    ess = shortest.Essential(g, idx)
+    assert ess.edges.all() if ess.edges is not None else True
+    assert shortest.tree_rows(g, idx[:1], [0], parents=True, edges=ess.edges)[0].tolist() == [-1, 0, 1, 1]
+    assert path_vertices(g, 0, 3, idx, ess.edges) == [0, 1, 3]
+
+
+def test_a_lighter_copy_of_an_edge_never_tight_stays_in_the_gather():
+    # G's 0 - 2 is never tight (0 - 1 - 2 is shorter), and column 2 opens,
+    # as H lacks 1 - 2: H's copy of 0 - 2 at 1.5 < 3 covers row 0, so only a
+    # copy at G's weight or heavier may leave the gather
+    g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0)])
+    idx = build_index(g)
+    ess = shortest.Essential(g, idx)
+    assert ess.edges.tolist() == [True, False, True]
+    for w02, covered in ((1.5, [True, False, False]), (3.0, [False, False, False]), (4.0, [False, False, False])):
+        h = WeightedGraph(3, [(0, 1, 1.0), (0, 2, w02)]).csr()
+        cols, nbr = open_columns(g, h, ess)[:2]
+        # one H entry at each open column, 1 - 0 and 2 - 0, unless 2 - 0 never passes
+        assert np.arange(3)[cols].tolist() == [1, 2] and len(nbr) == (1 if w02 >= 3.0 else 2)
+        assert covered_rows_reference(h, idx).tolist() == covered
+        run = next(shortest.sweep(g, idx, [0, 1, 2], h))[2]
+        assert run.tolist() == np.flatnonzero(~np.array(covered)).tolist()
+
+
+@pytest.mark.parametrize(
+    "n, kept, sixw_open",
+    [(128, 408, 50), (256, 923, 91)],
+)
+def test_mask_counts_on_the_benchmark_gnp(n, kept, sixw_open):
+    # the benchmark's gnp-uniform instances at seed 1: about a quarter of
+    # the edges may be tight, the poly and +2W spanners hold all of those,
+    # so their checks open no column, and the +(6+eps)W spanner opens fewer
+    g = generate(GenSpec(family="gnp", n=n, p=2 * math.sqrt(n) / (n - 1), wmodel="uniform", seed=1000 + n))
+    idx = build_index(g)
+    ess = shortest.Essential(g, idx)
+    assert g.m == {128: 1429, 256: 4005}[n] and np.count_nonzero(ess.edges) == kept
+    outputs = {
+        "poly": (build_poly_spanner(g, 0.5, 16.0, idx=idx), 0),
+        "fast2w": (build_fast_2w(g, 4.0, 1), 0),
+        "6w": (build_6eps_spanner(g, 1.0, idx=idx), sixw_open),
+    }
+    # the W kernel reads the masked edges alone
+    seen, real = [], shortest._tight_edges
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shortest, "_tight_edges", lambda dist, ea, buf: seen.append(len(ea[2])) or real(dist, ea, buf))
+        W = shortest.tree_rows(g, idx[:3], [0, 1, 2], edges=ess.edges)
+    assert seen and set(seen) == {kept}
+    assert np.array_equal(W, tree_rows_reference(g, idx[:3], [0, 1, 2]))
+    for name, (res, opened) in outputs.items():
+        h = res.to_graph(g).csr()
+        assert np.arange(n)[open_columns(g, h)[0]].size >= n - 1, name
+        cols, nbr = open_columns(g, h, ess)[:2]
+        assert np.arange(n)[cols].size == opened, name
+        if not opened:
+            assert len(nbr) == 0
 
 
 def test_emulator_and_g_itself_open_no_column():

@@ -267,7 +267,6 @@ def test_non_contraction_without_index_builds_no_full_index(monkeypatch, medium_
     idx = build_index(g)
     # every third edge halved: contractions, some sharing a tail
     h = lowered(build_4w_emulator(g, seed=3, idx=idx).to_graph())
-    a = h.edge_arrays()[0]
     expected = verify_non_contracting(g, h, idx=idx)
     assert len({v.u for v in expected.violations}) < len(expected.violations)
     calls = counted_distance_matrix(monkeypatch, wspan.shortest)
@@ -275,14 +274,32 @@ def test_non_contraction_without_index_builds_no_full_index(monkeypatch, medium_
     monkeypatch.setattr(wspan.shortest, "_sweep_rows", lambda n: 7)
     got = verify_non_contracting(g, h)
     assert got.violations == expected.violations and got.to_dict() == expected.to_dict()
-    tails = np.unique(a).tolist()
+    # an H edge that G holds at its weight or lighter is no violation, so d_G
+    # is read for the others only
+    tails = sorted({u for u, v, w in h.edge_items() if not (g.has_edge(u, v) and g.weight(u, v) <= w)})
     bad = sorted({v.u for v in expected.violations})
-    # d_G of H's edges from their tails, then G's rows of the violations' tails,
-    # each in blocks of 7
+    # d_G of those edges from their tails, then G's rows of the violations'
+    # tails, each in blocks of 7
     blocks = [bad[i : i + 7] for i in range(0, len(bad), 7)]
     assert len(blocks) > 1
     assert calls == [tails[i : i + 7] for i in range(0, len(tails), 7)] + blocks
     assert rows == blocks
+
+
+def test_non_contraction_without_index_reads_virtual_edges_only(monkeypatch):
+    # the emulator keeps G's edges at G's weights, which hold the bound
+    # exactly; without an index, G's Dijkstra runs from its virtual edges'
+    # tails alone, a few of the sampled vertices, not from nearly every vertex
+    g = sparse_800("geometric")
+    res = build_4w_emulator(g, seed=1)
+    h = res.to_graph()
+    expected = verify_non_contracting(g, h, idx=build_index(g)).to_dict()
+    calls = counted_distance_matrix(monkeypatch, wspan.shortest)
+    assert verify_non_contracting(g, h).to_dict() == expected
+    virtual = {u for (u, v), (w, tag) in res.edges.items() if tag == "v"}
+    sources = [s for call in calls for s in call]
+    assert len(set(sources)) == len(sources) and set(sources) <= virtual
+    assert 0 < len(sources) <= len(res.S) < g.n / 4
 
 
 def lowered(g: WeightedGraph, every: int = 3) -> WeightedGraph:
