@@ -12,13 +12,14 @@ Lookups binary-search the arrays and equality compares them.  The builders
 hold a subset of a graph's edges as a boolean mask over its edge arrays;
 edge_ids gives the positions of endpoint pairs there, searching the sorted
 codes a*n + b, which are cached beside the CSR, as are the codes v*n + p of
-the CSR's entries (csr_codes) and the incident edges sorted by weight
-(incident_by_weight).
+the CSR's entries (csr_codes), the incident edges sorted by weight
+(incident_by_weight) and, once shortest.build_index has read the graph's
+distances, the masks of the edges that may be tight on some shortest path
+(_tight, which only shortest writes and reads).
 
 _BLOCK_BYTES is the one budget for the temporaries of work done a block of
-sources or rows at a time (shortest, verify, greedy, fast2w, generators),
-and _sweep_rows turns it into the sources per block of a sweep over a
-graph's rows.
+sources or rows at a time (shortest, fast2w, generators), and _sweep_rows
+turns it into the sources per block of a sweep over a graph's rows.
 """
 
 from __future__ import annotations
@@ -154,10 +155,12 @@ class WeightedGraph:
     in the given order (_checked_edges), at construction time.  The vertex
     count is stored as a Python int.  The CSR matrix, the edge and entry
     codes and the incident edges by weight are computed on first use; two
-    threads filling one at once compute the same value twice.
+    threads filling one at once compute the same value twice.  _tight holds
+    shortest.build_index's masks of the edges that may be tight, None
+    until then or where every edge counts.
     """
 
-    __slots__ = ("n", "_arrays", "_csr", "_codes", "_csr_codes", "_incident")
+    __slots__ = ("n", "_arrays", "_csr", "_codes", "_csr_codes", "_incident", "_tight")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
         n = vertex_count(n)
@@ -167,7 +170,7 @@ class WeightedGraph:
             v.append(y)
             w.append(z)
         self.n, self._arrays = n, _checked_edges(n, u, v, w)
-        self._csr = self._codes = self._csr_codes = self._incident = None
+        self._csr = self._codes = self._csr_codes = self._incident = self._tight = None
 
     @classmethod
     def _from_arrays(cls, n: int, u, v, w) -> "WeightedGraph":
@@ -176,7 +179,7 @@ class WeightedGraph:
         g = cls.__new__(cls)
         g.n = vertex_count(n)
         g._arrays = _checked_edges(g.n, u, v, w)
-        g._csr = g._codes = g._csr_codes = g._incident = None
+        g._csr = g._codes = g._csr_codes = g._incident = g._tight = None
         return g
 
     @property

@@ -10,17 +10,16 @@ forest cannot decide (greedy_multiplicative).
 The spanner only gains edges, so only the candidates, the pairs with
 d_H0(u->v) > d_G + c*W, can be bought.  One pass over blocks of sources
 finds them: shortest.sweep gives G's distance rows of each block and the
-rows that H0, a CSR of H0's edges (graph_csr), shares with G (exact where
-w_floor gives a bound).  A shared row holds no candidate, as no threshold
-lies below d_G = d_H0 there, so Dijkstra on H0 runs from the other sources
-only; stats["h_rows"] counts them.  W is computed (shortest.tree_rows) only
-on the rows with a pair d_H0 > d_G + c*L, where L(u, v) = max(minw(u),
-minw(v)) <= W(u, v) (shortest.w_floor): rounding is monotone, so fl(d_G +
-fl(c*L)) <= fl(d_G + fl(c*W)), and a pair at or below the first threshold
-is at or below the second.  stats["w_rows"] counts those rows.  With G's
-index, the row test, W and the bought paths' parent rows read only the
-edges of G that may be tight (shortest.Essential).  No n x n array is
-held, and on random graphs there are usually no candidates.
+rows that H0, a CSR of H0's edges (graph_csr), does not lengthen
+(shortest.covered_rows).  A covered row holds no candidate, as no
+threshold lies below d_G = d_H0 there, so Dijkstra on H0 runs from the
+other sources only; stats["h_rows"] counts them.  W is computed
+(shortest.tree_rows) only on the rows with a pair d_H0 > d_G + c*L, where
+L(u, v) = max(minw(u), minw(v)) <= W(u, v) (shortest.w_floor): rounding is
+monotone, so fl(d_G + fl(c*L)) <= fl(d_G + fl(c*W)), and a pair at or
+below the first threshold is at or below the second.  stats["w_rows"]
+counts those rows.  No n x n array is held, and on random graphs there
+are usually no candidates.
 
 The growing spanner, in path buying and in the multiplicative greedy alike,
 is one copy of G's CSR whose entries are inf until their edge is kept
@@ -50,7 +49,7 @@ from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .graph import WeightedGraph, graph_csr, subset_vertices
 from .light import t_light_init
-from .shortest import INF, Essential, _edge_distances, path_vertices, sweep, tree_rows, w_floor
+from .shortest import INF, _edge_distances, path_vertices, sweep, tree_rows, w_floor
 
 
 @dataclass(eq=False)
@@ -106,15 +105,13 @@ def _buy_paths(
     thresh: np.ndarray,
     pairs: np.ndarray,
     idx: np.ndarray | None = None,
-    ess: Essential | None = None,
 ) -> tuple[np.ndarray, list[tuple[int, int]], int]:
     """Scan pairs (k x 2, in order) against their thresholds, buying paths
     into a copy of kept, H0's edge mask.
 
     A pair's canonical path is added (path_vertices, reading u's row of
-    idx, G's index, when given, over the edges of G that may be tight, when
-    ess gives them) only when the current spanner distance strictly
-    exceeds its threshold.  The spanner is an _inf_csr matrix; a
+    idx, G's index, when given) only when the current spanner distance
+    strictly exceeds its threshold.  The spanner is an _inf_csr matrix; a
     row is one single-source run on it, kept as an upper bound on every
     later distance, so a pair that an earlier row of u or v puts within its
     threshold is skipped.  Memory is O(m + r * n), r the
@@ -137,7 +134,7 @@ def _buy_paths(
         rows[u] = _sp_dijkstra(h, directed=True, indices=u)
         if rows[u][v] <= t:
             continue
-        seq = path_vertices(g, u, v, idx, None if ess is None else ess.edges)
+        seq = path_vertices(g, u, v, idx)
         ids = g.edge_ids(seq[:-1], seq[1:])
         new = ids[~kept[ids]]
         kept[new] = True
@@ -162,12 +159,10 @@ def _path_buying(
 
     S is sorted and unique.  A candidate has d_H0(u->v) > d_G(u,v) + c*W(u,v),
     read from u's rows; an infinite threshold fails no comparison, so
-    disconnected pairs drop out.  A row H0 shares with G (shortest.sweep)
+    disconnected pairs drop out.  A row H0 does not lengthen (shortest.sweep)
     holds none, and W is read only on the rows that may hold one (module
     docstring); where w_floor gives no bound, every row takes both.  The
-    edges of G that may be tight (shortest.Essential) are found once, for
-    the row test, W and the bought paths.  The order key is (W, d, u, v)
-    when by_dist, else (W, u, v).
+    order key is (W, d, u, v) when by_dist, else (W, u, v).
     """
     a, b, w = g.edge_arrays()
     h0 = graph_csr(g.n, a[start], b[start], w[start])
@@ -176,9 +171,8 @@ def _path_buying(
     found = [np.zeros((0, 2), dtype=np.int64)]
     keys = [np.zeros((3, 0))]
     counts = {"w_rows": 0, "h_rows": 0}
-    ess = Essential(g, idx)
-    for lo, dist, run in sweep(g, idx, cols, h0, ess):
-        # d_H0 = d_G on a shared row, and no threshold lies below d_G
+    for lo, dist, run in sweep(g, idx, cols, h0):
+        # d_H0 = d_G on a covered row (H0 is a subgraph), and no threshold lies below d_G
         if not len(run):
             continue
         src, dist = cols[lo + run], dist[run]
@@ -194,7 +188,7 @@ def _path_buying(
         if not len(need):
             continue
         counts["w_rows"] += len(need)
-        wg = tree_rows(g, dist[need], src[need], edges=ess.edges)[:, cols]
+        wg = tree_rows(g, dist[need], src[need])[:, cols]
         dg = dist[need][:, cols]
         thresh = dg + c * wg
         i, j = np.nonzero((dh[need] > thresh) & later[need])
@@ -203,7 +197,7 @@ def _path_buying(
     pairs = np.concatenate(found)
     thresh, W, d = np.concatenate(keys, axis=1)
     order = make_pair_order(pairs, W, d if by_dist else None)
-    return (*_buy_paths(g, start, thresh[order], pairs[order], idx, ess), counts)
+    return (*_buy_paths(g, start, thresh[order], pairs[order], idx), counts)
 
 
 def _forest_mask(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -34,8 +34,8 @@ key; binary-lifting tables answer that for a whole layer in one vectorized
 climb.  Blocks and runs are sized from n, m and the tight edges so that the
 temporaries beyond the returned arrays stay within graph._BLOCK_BYTES
 (1 MiB).  The CSR and the edge arrays are the graph's own cached layouts
-(WeightedGraph.csr, edge_arrays); with G's index, the edge arrays are cut
-to the edges that may be tight (Essential, below).
+(WeightedGraph.csr, edge_arrays); once build_index has run on G, the edge
+arrays are cut to the edges that may be tight (below).
 
 W rows of a graph whose edges all weigh one w0, as on unit weights, need
 neither step: W(s, v) is w0 at every reachable v != s, 0 at s and inf
@@ -108,9 +108,11 @@ Most of G's edges are tight on no row at all: on uniform random weights
 about a quarter lie on a shortest path, the essential subgraph (Karger,
 Koller and Phillips, "Finding the hidden path", SIAM J. Comput. 1993;
 McGeoch, "All-pairs shortest paths and the essential subgraph",
-Algorithmica 1995).  Given G's index, Essential finds a superset of those
-edges, exactly in floats, with one gather of 2m entries from it, and the
-row test and the W kernel leave the others out:
+Algorithmica 1995).  build_index finds a superset of those edges, exactly
+in floats, from the distances it has just computed, with a gather of 2m
+entries per mask (_tight_masks), and records it on the graph; from then
+on the row test and the W kernel leave the others out, on every call on
+that graph, with or without the index:
 - The lemma.  Write d for G's exact rows, e = 2^-53, and call p -> v, of
   weight w, tight on row s when fl(d(s, p) + w) = d(s, v).  Then w <=
   d(p, v) + 1.03 (n^2 + 2 n) e w_max, for n < 2^26 and weights within
@@ -132,10 +134,12 @@ row test and the W kernel leave the others out:
 - The masks.  d may read differently each way in floats (two sums of
   one path in opposite orders), so a CSR entry (v, p) takes d(p, v), its
   own direction, and an undirected edge either direction's value.  The
-  lemma holds on every row, so the masks need no source.  Where every
+  lemma holds on every row, so the masks need no source, and it is about
+  G's exact rows, which index_rows returns bit for bit with or without
+  the index: the masks hold for every caller's rows of G.  Where every
   edge may be tight, as on Euclidean or one-weight graphs, they are None,
-  and so they are without an index or where absorb_free(G) fails (there
-  every row's W is computed, to raise on an absorbed weight).
+  and so they are before build_index runs or where absorb_free(G) fails
+  (there every row's W is computed, to raise on an absorbed weight).
 - The open columns.  The G edge whose relaxation set d(s, v) is tight, so
   a G entry that can never be tight opens no column, and the column
   argument above is unchanged.
@@ -147,8 +151,6 @@ row test and the W kernel leave the others out:
   Their tight sets are the tight sets, so the parents, W, the detected
   ties and the absorbed-weight error are unchanged, and a subset of the
   sorted edge arrays is sorted, so edge keys still compare as indices.
-The masks are found once per check, and each only where it is read: none
-for an H that holds all of G, none for W when no row needs it.
 
 fast2w needs scipy's predecessors, not distances, so it keeps its own
 searches.
@@ -170,7 +172,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -669,71 +670,19 @@ def _codes(csr: csr_matrix, lo: int, hi: int) -> np.ndarray:
     return np.repeat(rows, np.diff(csr.indptr[lo : hi + 1])) + csr.indices[csr.indptr[lo] : csr.indptr[hi]]
 
 
-class Essential:
-    """The edges of G that may be tight on some exact row of G, read from
-    idx, G's index, on first use (module docstring).
-
-    edges is a boolean mask over g.edge_arrays(), true where either
-    direction of the edge may be tight; entries is one over g.csr()'s
-    entries, true at entry (v, p) where p -> v may be tight.  Each takes one
-    gather of 2m entries of idx on first use, and is None where it holds
-    every edge, as on Euclidean weights.  Both are None, so that every edge
-    counts, without an index, where absorb_free(g) fails, where a weight
-    lies outside [2^-960, 2^960], or where every edge weighs the same (each
-    edge is then a shortest path of its ends).
-    """
-
-    def __init__(self, g: WeightedGraph, idx: np.ndarray | None):
-        self.g, self.idx = g, idx
-
-    @cached_property
-    def _margin(self) -> float | None:
-        """delta, w_max times the exact 4 n^2 2^-53; or None where every edge counts."""
-        g, w = self.g, self.g.edge_arrays()[2]
-        if self.idx is None or not len(w) or w.min() == w.max() or not absorb_free(g):
-            return None
-        if not (2.0**-960 <= w.min() and w.max() <= 2.0**960):
-            return None
-        return float(w.max() * (4.0 * g.n * g.n * 2.0**-53))
-
-    @cached_property
-    def edges(self) -> np.ndarray | None:
-        if self._margin is None:
-            return None
-        a, b, w = self.g.edge_arrays()
-        d = _read(self.g, self.idx, (np.concatenate([a, b]), np.concatenate([b, a])))
-        # d may differ each way in floats: either direction's own value holds it
-        return _some(w <= np.maximum(d[: len(w)], d[len(w) :]) + self._margin)
-
-    @cached_property
-    def entries(self) -> np.ndarray | None:
-        if self._margin is None:
-            return None
-        csr = self.g.csr()
-        heads = np.repeat(np.arange(self.g.n), np.diff(csr.indptr))
-        # entry (v, p) is the edge p -> v, tight when d(p, v) is within delta of its weight
-        return _some(csr.data <= _read(self.g, self.idx, (csr.indices, heads)) + self._margin)
-
-
-def _some(mask: np.ndarray) -> np.ndarray | None:
-    """mask, or None where it holds every edge."""
-    return None if mask.all() else mask
-
-
-def open_columns(g: WeightedGraph, h: csr_matrix, ess: Essential | None = None) -> tuple:
+def open_columns(g: WeightedGraph, h: csr_matrix) -> tuple:
     """The columns of G's rows that the row test must read, with H's
     entries there, for covered_rows.
 
     Column v is open when G has an edge (p, v) that H, a symmetric CSR
     matrix on g's vertices, lacks or holds at a larger weight.  Every other
     column passes the row test on every exact row of G (module docstring).
-    With ess given, only G's entries that may be tight (Essential.entries)
+    Where build_index recorded G's entries that may be tight, only those
     open a column, and H's entries (v, p, w) where G holds p -> v at a
-    weight <= w and never tight are left out, as they pass on no row; the
-    mask is read only for rows that H does not close.  G's entries (its
-    cached csr_codes) and H's are merged by code, a run of rows v at a time
-    whose temporaries fit _BLOCK_BYTES (about 48 bytes per entry of
-    either); a stable sort of two sorted runs is a linear merge.
+    weight <= w and never tight are left out, as they pass on no row.  G's
+    entries (its cached csr_codes) and H's are merged by code, a run of
+    rows v at a time whose temporaries fit _BLOCK_BYTES (about 48 bytes per
+    entry of either); a stable sort of two sorted runs is a linear merge.
 
     Returns (cols, nbr, w, start, has): the open columns; the other
     endpoints (as intp, which np.take would otherwise convert on every
@@ -745,7 +694,8 @@ def open_columns(g: WeightedGraph, h: csr_matrix, ess: Essential | None = None) 
     """
     n, gc, code = g.n, g.csr(), g.csr_codes()
     is_open = np.zeros(n, dtype=bool)
-    tight = dead = None
+    tight = None if g._tight is None else g._tight[1]
+    dead = np.zeros(len(h.data), dtype=bool)
     cost = 48 * (gc.indptr.astype(np.int64) + h.indptr)
     lo = 0
     while lo < n:
@@ -764,10 +714,6 @@ def open_columns(g: WeightedGraph, h: csr_matrix, ess: Essential | None = None) 
         live = from_g.copy()
         live[:-1] &= ~(pair & (w[1:] <= w[:-1]))
         if live.any():
-            if ess is not None and tight is None:
-                tight = ess.entries
-                if tight is not None:
-                    dead = np.zeros(len(h.data), dtype=bool)
             if tight is not None:
                 may = np.concatenate([tight[g0:g1], np.ones(h1 - h0, dtype=bool)])[order]
                 live &= may
@@ -778,7 +724,8 @@ def open_columns(g: WeightedGraph, h: csr_matrix, ess: Essential | None = None) 
             rows = np.diff(start, append=len(order)) > 0
             is_open[lo:hi][rows] = np.logical_or.reduceat(live, start[rows])
         lo = hi
-    if is_open.all() and (dead is None or not dead.any()):
+    pruned = dead.any()
+    if is_open.all() and not pruned:
         cols, nbr, w, ptr = slice(None), h.indices, h.data, h.indptr
     else:
         cols = np.flatnonzero(is_open)
@@ -786,7 +733,7 @@ def open_columns(g: WeightedGraph, h: csr_matrix, ess: Essential | None = None) 
         ptr = np.zeros(len(cols) + 1, dtype=np.int64)
         np.cumsum(size, out=ptr[1:])
         at = np.arange(ptr[-1]) + np.repeat(first - ptr[:-1], size)
-        if dead is not None:
+        if pruned:
             alive = ~dead[at]
             at = at[alive]
             # a column's entries start after the live entries of the columns before it
@@ -839,9 +786,7 @@ def covered_rows(part: tuple, dist: np.ndarray) -> np.ndarray:
     return out
 
 
-def tree_rows(
-    g: WeightedGraph, dist: np.ndarray, sources, parents: bool = False, edges: np.ndarray | None = None
-) -> np.ndarray:
+def tree_rows(g: WeightedGraph, dist: np.ndarray, sources, parents: bool = False) -> np.ndarray:
     """W rows of the canonical trees from the given sources, given their
     exact distance rows (dist[i] from sources[i], as scipy's Dijkstra gives
     them); with parents true, the canonical parent rows instead (int32; -1
@@ -851,8 +796,8 @@ def tree_rows(
     _tie_block the sources whose distances tie, in the runs _tie_runs
     sizes.  Both stay within _BLOCK_BYTES of temporaries.  Raises
     ValueError when a float sum absorbed an edge weight (_tie_block).
-    edges, Essential.edges of G, restricts both to the edges that may be
-    tight; the others are tight on no exact row, so the output is the same.
+    Where build_index recorded G's edges that may be tight, both read those
+    alone; the others are tight on no exact row, so the output is the same.
 
     W rows of a graph whose edges all weigh one w0 skip both: W is w0 where
     dist is finite, 0 at the source and inf elsewhere, exact and never
@@ -871,6 +816,7 @@ def tree_rows(
             np.copyto(blk, w[0], where=np.isfinite(dist[lo : lo + step]))
         out[np.arange(k), src] = 0.0
         return out
+    edges = None if g._tight is None else g._tight[0]
     if edges is not None:
         # a subset of the sorted arrays is sorted, so edge keys still compare as indices
         a, b, w = a[edges], b[edges], w[edges]
@@ -892,6 +838,38 @@ def tree_rows(
     return out
 
 
+def _tight_masks(g: WeightedGraph, dist: np.ndarray) -> tuple | None:
+    """(edges, entries), the edges of G that may be tight on some exact row
+    of G, given dist, G's exact n x n distances (module docstring).
+
+    entries is a boolean mask over g.csr()'s entries, true at entry (v, p)
+    where p -> v may be tight; edges is one over g.edge_arrays(), true where
+    either direction may be tight, or None where that is every edge.  Each
+    is one gather of 2m entries of dist: the second costs less than finding
+    each edge's two entries in the CSR.  None, so that every edge counts,
+    where absorb_free(g) fails, where a weight lies outside [2^-960,
+    2^960], where every edge weighs the same (each edge is then a shortest
+    path of its ends), or where every entry may be tight, as on Euclidean
+    weights.
+    """
+    a, b, w = g.edge_arrays()
+    if not len(w) or w.min() == w.max() or not absorb_free(g):
+        return None
+    if not (2.0**-960 <= w.min() and w.max() <= 2.0**960):
+        return None
+    n, csr = g.n, g.csr()
+    delta = float(w.max() * (4.0 * n * n * 2.0**-53))
+    heads = np.repeat(np.arange(n), np.diff(csr.indptr))
+    # entry (v, p) is the edge p -> v, tight when d(p, v) is within delta of its weight
+    entries = csr.data <= _read(g, dist, (csr.indices, heads)) + delta
+    if entries.all():
+        return None
+    # d may differ each way in floats: either direction's own value holds the edge
+    d = _read(g, dist, (np.concatenate([a, b]), np.concatenate([b, a])))
+    edges = w <= np.maximum(d[: len(w)], d[len(w) :]) + delta
+    return (None if edges.all() else edges), entries
+
+
 def build_index(g: WeightedGraph) -> np.ndarray:
     """G's index: its n x n all-pairs distance matrix (one scipy call, 8 * n^2 bytes).
 
@@ -899,12 +877,15 @@ def build_index(g: WeightedGraph) -> np.ndarray:
     stored (tree_rows computes it on demand).  On a graph where a float
     sum might absorb an edge weight (not absorb_free) the W rows of every
     source are computed and dropped, so that an absorbed weight raises
-    ValueError here, as it would on any row read later.
+    ValueError here, as it would on any row read later.  The edges of G
+    that may be tight (_tight_masks) are recorded on g, for open_columns
+    and tree_rows to read on every later call, with or without the index.
     """
     dist = distance_matrix(g.csr())
     if not absorb_free(g):
         tree_rows(g, dist, np.arange(g.n))
     dist.flags.writeable = False
+    g._tight = _tight_masks(g, dist)
     return dist
 
 
@@ -948,7 +929,6 @@ def sweep(
     idx: np.ndarray | None,
     S: Sequence[int] | np.ndarray,
     h: csr_matrix | None = None,
-    ess: Essential | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """G's distance rows of the sources S, a _sweep_rows(n) block at a time.
 
@@ -956,31 +936,27 @@ def sweep(
     len(dist)], and run the positions in the block of the rows that h, a
     symmetric CSR matrix on G's vertices, may lengthen (covered_rows).  run
     is every row when h is None or absorb_free(g, h) does not hold; else
-    the open columns and h's entries there (open_columns, given the edges of
-    G that may be tight: ess, or Essential(g, idx) when ess is None) are
-    found once per call, and every block's test reads those columns alone.
+    the open columns and h's entries there (open_columns) are found once
+    per call, and every block's test reads those columns alone.
     The verifier's sweep and edge checks and path buying's candidate pass
     read G's rows through this alone.
     """
     S = np.asarray(S, dtype=np.int64)
     part = None
     if h is not None and absorb_free(g, h):
-        part = open_columns(g, h, Essential(g, idx) if ess is None else ess)
+        part = open_columns(g, h)
     rows = _sweep_rows(g.n)
     for lo in range(0, len(S), rows):
         dist = index_rows(g, idx, S[lo : lo + rows])
         yield lo, dist, np.arange(len(dist)) if part is None else np.flatnonzero(~covered_rows(part, dist))
 
 
-def path_vertices(
-    g: WeightedGraph, u: int, v: int, idx: np.ndarray | None = None, edges: np.ndarray | None = None
-) -> list[int]:
+def path_vertices(g: WeightedGraph, u: int, v: int, idx: np.ndarray | None = None) -> list[int]:
     """Vertex sequence of the canonical u-v path.
 
     Walks v up u's canonical parent row, which tree_rows computes from u's
     distance row (index_rows: a slice of idx, G's index, when given, else
-    one Dijkstra from u), over the edges that may be tight (edges,
-    Essential.edges of G) when given.
+    one Dijkstra from u).
     """
     for x in (u, v):
         if not 0 <= x < g.n:
@@ -988,7 +964,7 @@ def path_vertices(
     if u == v:
         return [u]
     dist = index_rows(g, idx, [u])
-    prow = tree_rows(g, dist, [u], parents=True, edges=edges)[0]
+    prow = tree_rows(g, dist, [u], parents=True)[0]
     if not np.isfinite(dist[0, v]):
         raise ValueError(f"no path between {u} and {v}")
     seq = [v]

@@ -12,8 +12,8 @@ check holds O(block * n) memory beyond H and any index given.
 W is computed (shortest.tree_rows, one call per run of rows checked) only
 on the rows whose outcome the lower bound L(u, v) = max(minw(u), minw(v))
 <= W(u, v) cannot settle (shortest.w_floor); StretchReport.w_rows counts
-them.  With an index, W and the row test below read only the edges of G
-that may be tight (shortest.Essential), found once per check.  The result is exactly the all-rows one, because rounding is monotone:
+them.  The result is exactly the all-rows one, because rounding is
+monotone:
 - Violations.  The bound b = fl(d_G + fl(c * W)) only grows with W, and the
   test d_H - b > REL_TOL * max(1, b) only weakens as b grows.  So a pair
   that passes with L in place of W passes with W, and a row needs W only
@@ -77,7 +77,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .graph import WeightedGraph, subset_vertices
-from .shortest import Essential, _edge_distances, distance_matrix, pair_distances, sweep, tree_rows, w_floor
+from .shortest import _edge_distances, distance_matrix, pair_distances, sweep, tree_rows, w_floor
 
 REL_TOL = 1e-9
 
@@ -154,14 +154,13 @@ def _tail_rows(
     b: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """G's (d_G, W) of the pairs (a[i], b[i]), read from the rows of the
-    distinct a[i], a sweep block of them at a time, W over the edges that
-    may be tight (shortest.Essential); report.w_rows counts those rows."""
+    distinct a[i], a sweep block of them at a time; report.w_rows counts
+    those rows."""
     tails, at = np.unique(a, return_inverse=True)
     dg, wh = np.empty(len(a)), np.empty(len(a))
-    ess = Essential(g, idx)
     for lo, dist, _ in sweep(g, idx, tails):
         sel = (at >= lo) & (at < lo + len(dist))
-        W = tree_rows(g, dist, tails[lo : lo + len(dist)], edges=ess.edges)
+        W = tree_rows(g, dist, tails[lo : lo + len(dist)])
         dg[sel], wh[sel] = dist[at[sel] - lo, b[sel]], W[at[sel] - lo, b[sel]]
     report.w_rows += len(tails)
     return dg, wh
@@ -213,13 +212,11 @@ def _rows_needing_w(
 def _check_rows(
     report: StretchReport, found: list, g: WeightedGraph, csr, cols: np.ndarray,
     at: np.ndarray, dist: np.ndarray, minw: np.ndarray | None, c: float, top: float,
-    ess: Essential,
 ) -> float:
     """Check the rows at (positions in cols) against H's Dijkstra rows,
     given G's rows dist, taking W only on the rows that need it (module
-    docstring), over the edges of G that may be tight (ess).  Appends their
-    violations to found; returns the largest ratio found so far.  A pair
-    with d_H = d_G has the ratio 0 exactly."""
+    docstring).  Appends their violations to found; returns the largest
+    ratio found so far.  A pair with d_H = d_G has the ratio 0 exactly."""
     dg = dist[:, cols]
     dh = distance_matrix(csr, cols[at])[:, cols]
     report.h_rows += len(at)
@@ -236,7 +233,7 @@ def _check_rows(
     if not len(rows):
         return top
     report.w_rows += len(rows)
-    wb = tree_rows(g, dist[rows], cols[at[rows]], edges=ess.edges)[:, cols]
+    wb = tree_rows(g, dist[rows], cols[at[rows]])[:, cols]
     dg, dh, connected, sel = dg[rows], dh[rows], connected[rows], sel[rows]
     with np.errstate(invalid="ignore"):  # inf-inf and 0*inf on pairs the mask discards
         slack = dg + c * wb  # the bound, then d_H less it
@@ -257,9 +254,7 @@ def _sweep(
     S is sorted and duplicate-free; the pairs u < v of S connected in g are
     checked.  G's distance rows of each block come from shortest.sweep,
     with the rows H does not lengthen, and W only on the rows that need it
-    (module docstring).  The edges of G that may be tight
-    (shortest.Essential) are found once, for the sweep's row test and W.
-    max_slack_ratio is the largest (d_H - d_G) / W.
+    (module docstring).  max_slack_ratio is the largest (d_H - d_G) / W.
     """
     cols = np.asarray(S)
     csr = h.csr()
@@ -268,8 +263,7 @@ def _sweep(
     found = [(cols[:0], cols[:0], *(np.zeros(0) for _ in range(4)))]
     top = -math.inf  # the largest ratio of the rows checked so far
     held = [cols[:0]]  # covered rows with a pair to check, of an H not a subgraph
-    ess = Essential(g, idx)
-    for lo, dist, run in sweep(g, idx, cols, csr, ess):
+    for lo, dist, run in sweep(g, idx, cols, csr):
         at = np.arange(lo, lo + len(dist))
         connected = (np.arange(len(S)) > at[:, None]) & np.isfinite(dist[:, cols])
         report.pairs_checked += int(np.count_nonzero(connected))
@@ -282,7 +276,7 @@ def _sweep(
         elif covered.any():
             held.append(at[covered])
         if len(run):
-            top = _check_rows(report, found, g, csr, cols, at[run], dist[run], minw, c, top, ess)
+            top = _check_rows(report, found, g, csr, cols, at[run], dist[run], minw, c, top)
     # the held rows matter only while no ratio reaches 0: check them in
     # runs of 1, 2, 4, ... rows until one does
     held = np.concatenate(held)
@@ -292,9 +286,7 @@ def _sweep(
             i = 0
             while i < len(dist) and top < 0:
                 j = min(i + k, len(dist))
-                top = _check_rows(
-                    report, found, g, csr, cols, held[lo + i : lo + j], dist[i:j], minw, c, top, ess
-                )
+                top = _check_rows(report, found, g, csr, cols, held[lo + i : lo + j], dist[i:j], minw, c, top)
                 i, k = j, 2 * k
             if top >= 0:
                 break

@@ -30,9 +30,11 @@ shared_rows is the row test shortest.covered_rows replaced, with == in place
 of <=: the oracle for the kernel's mask on subgraphs.  covered_rows_reference
 is the same <= test read on every column, as the kernel read it before it
 took only the open columns (shortest.open_columns): the oracle for its mask
-on any H.  tree_rows_reference is tree_rows over every edge of G, as it read
-them before it took only the edges that may be tight (shortest.Essential),
-and tight_reference lists the edges tight on some row by brute force: the
+on any H.  unindexed gives a twin of a graph that build_index never read,
+so that no mask of the edges that may be tight is recorded on it;
+tree_rows_reference is tree_rows on that twin, over every edge of G, as it
+read them before it took only the edges that may be tight, and
+tight_reference lists the edges tight on some row by brute force: the
 oracles for that mask.  clustered_graphs draws
 graphs on which path buying buys paths, and buying_graphs mixes them with
 small_graphs.
@@ -282,12 +284,12 @@ def forbid_full_index(monkeypatch) -> list:
             raise AssertionError("full index built")
         return dijkstra(csr, *args, indices=indices, **kwargs)
 
-    def some_rows(g, dist, sources, parents=False, edges=None):
+    def some_rows(g, dist, sources, parents=False):
         sources = np.asarray(sources).tolist()
         if len(set(sources)) == g.n:
             raise AssertionError("W or parent rows of every vertex computed")
         calls.append(sources)
-        return rows(g, dist, sources, parents, edges)
+        return rows(g, dist, sources, parents)
 
     monkeypatch.setattr(wspan.shortest, "_sp_dijkstra", no_full_dijkstra)
     # the verifier and the path buyers bind the kernel by name
@@ -363,10 +365,15 @@ def covered_rows_reference(csr: csr_matrix, dist: np.ndarray) -> np.ndarray:
     return ((low <= dist) | (dist == 0)).all(axis=1)
 
 
+def unindexed(g: WeightedGraph) -> WeightedGraph:
+    """A graph equal to g that build_index never read: every edge counts."""
+    return WeightedGraph._from_arrays(g.n, *g.edge_arrays())
+
+
 def tree_rows_reference(g: WeightedGraph, dist: np.ndarray, sources, parents: bool = False) -> np.ndarray:
     """W rows (parent rows with parents true) of the canonical trees from
     sources over every edge of g: tree_rows with no edge left out."""
-    return tree_rows(g, dist, sources, parents)
+    return tree_rows(unindexed(g), dist, sources, parents)
 
 
 def tight_reference(g: WeightedGraph, dist: np.ndarray) -> set[tuple[int, int]]:

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 import tracemalloc
@@ -40,6 +41,7 @@ from conftest import (
     brute_force_apsp,
     canonical_paths,
     canonical_rows,
+    clustered_graphs,
     covered_rows_reference,
     mask_keys,
     mixed_graphs,
@@ -52,6 +54,7 @@ from conftest import (
     tied_source,
     tight_reference,
     tree_rows_reference,
+    unindexed,
 )
 
 
@@ -827,9 +830,10 @@ def test_sweep_runs_match_the_all_columns_reference(rows, g, data):
     h = data.draw(other_h(g), label="H")
     S = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n), label="sources")
     budget = data.draw(st.sampled_from([0, 4096, shortest._BLOCK_BYTES]), label="budget")
-    idx = build_index(g) if data.draw(st.booleans(), label="indexed") else None
+    # before build_index records which edges may be tight, every edge counts
     cols = open_columns(g, h.csr())[0]
     assert np.arange(g.n)[cols].tolist() == open_reference(g, h)
+    idx = build_index(g) if data.draw(st.booleans(), label="indexed") else None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shortest, "_sweep_rows", lambda n: rows)
         mp.setattr(shortest, "_BLOCK_BYTES", budget)
@@ -852,29 +856,32 @@ def test_sweep_runs_match_the_all_columns_reference(rows, g, data):
 )
 def test_edges_never_tight_leave_runs_w_and_parents_unchanged(rows, g, data):
     # decimal near-ties, tied, multi-part and absorbing graphs: every edge
-    # tight on some row of G is in the mask, and the sweep's runs, the W
-    # rows and the parent rows over the masked edges are those over every
-    # edge, the absorbed-weight error included; without an index, or where
-    # a weight may be absorbed, the mask is None
+    # tight on some row of G is in the mask build_index records, and the
+    # sweep's runs, the W rows and the parent rows over the masked edges are
+    # those over every edge, the absorbed-weight error included; on a twin
+    # never indexed, or where a weight may be absorbed, the mask is None
+    twin = unindexed(g)
     idx = distance_matrix(g.csr())  # G's index, as build_index returns it where nothing is absorbed
     idx.flags.writeable = False
-    ess = shortest.Essential(g, idx)
-    assert shortest.Essential(g, None).edges is None and shortest.Essential(g, None).entries is None
+    with contextlib.suppress(ValueError):  # an absorbed weight raises there, recording no mask
+        assert np.array_equal(build_index(g), idx)
+    assert twin._tight is None
     if not shortest.absorb_free(g):
-        assert ess.edges is None and ess.entries is None
+        assert g._tight is None
+    edges, entries = g._tight or (None, None)
     tight = tight_reference(g, idx)
     a, b, _ = g.edge_arrays()
-    if ess.edges is not None:
-        assert {(min(p, v), max(p, v)) for p, v in tight} <= set(zip(a[ess.edges].tolist(), b[ess.edges].tolist()))
-    if ess.entries is not None:
+    if edges is not None:
+        assert {(min(p, v), max(p, v)) for p, v in tight} <= set(zip(a[edges].tolist(), b[edges].tolist()))
+    if entries is not None:
         csr = g.csr()
         heads = np.repeat(np.arange(g.n), np.diff(csr.indptr))
-        assert tight <= set(zip(csr.indices[ess.entries].tolist(), heads[ess.entries].tolist()))
+        assert tight <= set(zip(csr.indices[entries].tolist(), heads[entries].tolist()))
     h = data.draw(other_h(g), label="H").csr()
     S = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n), label="sources")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shortest, "_sweep_rows", lambda n: rows)
-        blocks = list(shortest.sweep(g, idx, S, h, ess))
+        blocks = list(shortest.sweep(g, idx, S, h))
     for lo, dist, run in blocks:
         if shortest.absorb_free(g, h):
             assert run.tolist() == np.flatnonzero(~covered_rows_reference(h, dist)).tolist()
@@ -886,14 +893,14 @@ def test_edges_never_tight_leave_runs_w_and_parents_unchanged(rows, g, data):
                 want = tree_rows_reference(g, dist, src, parents)
             except ValueError as exc:
                 with pytest.raises(ValueError, match=re.escape(str(exc))):
-                    shortest.tree_rows(g, dist, src, parents, ess.edges)
+                    shortest.tree_rows(g, dist, src, parents)
                 continue
-            got = shortest.tree_rows(g, dist, src, parents, ess.edges)
+            got = shortest.tree_rows(g, dist, src, parents)
             assert got.dtype == want.dtype and np.array_equal(got, want)
             if src:
                 u, v = src[0], int(np.argmax(np.isfinite(dist[0]) & (np.arange(g.n) != src[0])))
                 if math.isfinite(dist[0, v]) and v != u:
-                    assert path_vertices(g, u, v, idx, ess.edges) == path_vertices(g, u, v)
+                    assert path_vertices(g, u, v, idx) == path_vertices(twin, u, v)
 
 
 def test_an_edge_longer_than_its_ends_distance_can_be_tight():
@@ -903,10 +910,10 @@ def test_an_edge_longer_than_its_ends_distance_can_be_tight():
     g = WeightedGraph(4, [(0, 1, 3.0), (1, 2, 0.5), (2, 3, 0.5), (1, 3, 1.0000000000000002)])
     idx = build_index(g)
     assert idx[1, 3] < g.weight(1, 3) and idx[0, 3] == 3.0 + g.weight(1, 3) == 4.0
-    ess = shortest.Essential(g, idx)
-    assert ess.edges.all() if ess.edges is not None else True
-    assert shortest.tree_rows(g, idx[:1], [0], parents=True, edges=ess.edges)[0].tolist() == [-1, 0, 1, 1]
-    assert path_vertices(g, 0, 3, idx, ess.edges) == [0, 1, 3]
+    edges = (g._tight or (None, None))[0]
+    assert edges.all() if edges is not None else True
+    assert shortest.tree_rows(g, idx[:1], [0], parents=True)[0].tolist() == [-1, 0, 1, 1]
+    assert path_vertices(g, 0, 3, idx) == [0, 1, 3]
 
 
 def test_a_lighter_copy_of_an_edge_never_tight_stays_in_the_gather():
@@ -915,11 +922,10 @@ def test_a_lighter_copy_of_an_edge_never_tight_stays_in_the_gather():
     # copy at G's weight or heavier may leave the gather
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0)])
     idx = build_index(g)
-    ess = shortest.Essential(g, idx)
-    assert ess.edges.tolist() == [True, False, True]
+    assert g._tight[0].tolist() == [True, False, True]
     for w02, covered in ((1.5, [True, False, False]), (3.0, [False, False, False]), (4.0, [False, False, False])):
         h = WeightedGraph(3, [(0, 1, 1.0), (0, 2, w02)]).csr()
-        cols, nbr = open_columns(g, h, ess)[:2]
+        cols, nbr = open_columns(g, h)[:2]
         # one H entry at each open column, 1 - 0 and 2 - 0, unless 2 - 0 never passes
         assert np.arange(3)[cols].tolist() == [1, 2] and len(nbr) == (1 if w02 >= 3.0 else 2)
         assert covered_rows_reference(h, idx).tolist() == covered
@@ -936,9 +942,10 @@ def test_mask_counts_on_the_benchmark_gnp(n, kept, sixw_open):
     # the edges may be tight, the poly and +2W spanners hold all of those,
     # so their checks open no column, and the +(6+eps)W spanner opens fewer
     g = generate(GenSpec(family="gnp", n=n, p=2 * math.sqrt(n) / (n - 1), wmodel="uniform", seed=1000 + n))
+    twin = unindexed(g)
     idx = build_index(g)
-    ess = shortest.Essential(g, idx)
-    assert g.m == {128: 1429, 256: 4005}[n] and np.count_nonzero(ess.edges) == kept
+    edges = g._tight[0]
+    assert g.m == {128: 1429, 256: 4005}[n] and np.count_nonzero(edges) == kept
     outputs = {
         "poly": (build_poly_spanner(g, 0.5, 16.0, idx=idx), 0),
         "fast2w": (build_fast_2w(g, 4.0, 1), 0),
@@ -948,16 +955,100 @@ def test_mask_counts_on_the_benchmark_gnp(n, kept, sixw_open):
     seen, real = [], shortest._tight_edges
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shortest, "_tight_edges", lambda dist, ea, buf: seen.append(len(ea[2])) or real(dist, ea, buf))
-        W = shortest.tree_rows(g, idx[:3], [0, 1, 2], edges=ess.edges)
+        W = shortest.tree_rows(g, idx[:3], [0, 1, 2])
     assert seen and set(seen) == {kept}
     assert np.array_equal(W, tree_rows_reference(g, idx[:3], [0, 1, 2]))
     for name, (res, opened) in outputs.items():
         h = res.to_graph(g).csr()
-        assert np.arange(n)[open_columns(g, h)[0]].size >= n - 1, name
-        cols, nbr = open_columns(g, h, ess)[:2]
+        assert np.arange(n)[open_columns(twin, h)[0]].size >= n - 1, name
+        cols, nbr = open_columns(g, h)[:2]
         assert np.arange(n)[cols].size == opened, name
         if not opened:
             assert len(nbr) == 0
+
+
+def test_the_mask_is_gathered_once_per_index():
+    # the benchmark's gnp-uniform n = 256 graph at seed 1: build_index reads
+    # the 2m entries of each of the two masks from the distances once, and
+    # the builds and checks given the index after it read what it recorded
+    n = 256
+    g = generate(GenSpec(family="gnp", n=n, p=2 * math.sqrt(n) / (n - 1), wmodel="uniform", seed=1000 + n))
+    S = sorted(np.random.default_rng(np.random.SeedSequence([1, 1])).choice(n, 16, replace=False).tolist())
+    gathers, real = [], shortest._read
+
+    def counted(graph, idx, at):
+        if isinstance(at, tuple) and len(at[0]) == 2 * g.m:
+            gathers.append(len(at[0]))
+        return real(graph, idx, at)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shortest, "_read", counted)
+        idx = build_index(g)
+        recorded = g._tight
+        for res, c, pairs in (
+            (build_6eps_spanner(g, 1.0, idx=idx), 7.0, None),
+            (build_poly_spanner(g, 0.5, 16.0, idx=idx), 16.0 * n**0.25 * math.log2(n), None),
+            (build_subsetwise_spanner(g, S, 0.5, idx=idx), 2.5, S),
+        ):
+            assert verify_additive_W(g, res.to_graph(g), c, pair_class=pairs, idx=idx).passed
+        emulator = build_4w_emulator(g, 1, idx=idx).to_graph()
+        assert emulator.m != 2 * g.m  # its lower-bound check reads one entry per edge
+        assert verify_non_contracting(g, emulator, idx=idx).passed
+        assert verify_additive_W(g, emulator, 4.0, idx=idx).passed
+    assert gathers == [2 * g.m, 2 * g.m] and g._tight is recorded and recorded is not None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    g=st.one_of(mixed_graphs(), spread_graphs(), small_graphs(max_n=8, weights=ABSORBING), clustered_graphs()),
+    data=st.data(),
+)
+def test_an_indexed_graph_gives_its_unindexed_twins_results(g, data):
+    # without the index, a graph build_index has read uses its recorded
+    # mask: every builder's output, stats and bought paths (clustered
+    # graphs buy some) and every checker's report equal those of a twin
+    # never indexed, and so does an absorbed weight's ValueError
+    twin = unindexed(g)
+    with contextlib.suppress(ValueError):
+        build_index(g)
+    S = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n), label="subset")
+    c = data.draw(st.sampled_from([0.0, 0.5, 2.0, 7.0]), label="c")
+
+    def outcome(call):
+        try:
+            return call()
+        except ValueError as exc:
+            return str(exc)
+
+    def results(x):
+        out = []
+        for build in (
+            lambda: build_6eps_spanner(x, 1.0),
+            lambda: build_poly_spanner(x, 0.5, 1.0),
+            lambda: build_subsetwise_spanner(x, S, 0.5),
+            lambda: wspan.greedy.greedy_multiplicative(x, 2),
+        ):
+            res = outcome(build)
+            if isinstance(res, str):
+                out.append(res)
+                continue
+            h = res.to_graph(x)
+            out.append((res.kept.tolist(), res.paths_added, res.stats))
+            for check in (
+                lambda: verify_additive_W(x, h, c),
+                lambda: verify_additive_W(x, h, c, pair_class=S),
+                lambda: verify_multiplicative(x, h, 3.0),
+            ):
+                rep = outcome(check)
+                out.append(rep if isinstance(rep, str) else rep.to_dict())
+        if x.n >= 2:
+            em = build_4w_emulator(x, 1).to_graph()
+            for check in (lambda: verify_non_contracting(x, em), lambda: verify_additive_W(x, em, 4.0)):
+                rep = outcome(check)
+                out.append(rep if isinstance(rep, str) else rep.to_dict())
+        return out
+
+    assert results(g) == results(twin)
 
 
 def test_emulator_and_g_itself_open_no_column():
