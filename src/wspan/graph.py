@@ -1,8 +1,10 @@
 """Undirected weighted graph with strictly positive edge weights.
 
 Vertices are integer ids 0..n-1.  An edge is an unordered pair, keyed
-(min(u,v), max(u,v)).  Instances are immutable after construction and safe
-to share between threads.
+(min(u,v), max(u,v)).  A graph's edges never change after construction;
+what it holds besides them are caches whose presence changes no result, so
+instances are safe to share between threads, and a thread that reads a
+cache while another fills it may see either state.
 
 This module is the one place that knows how edges are laid out.  A graph is
 its edge arrays (a, b, w), a < b, sorted by (a, b) and validated in one
@@ -12,10 +14,11 @@ Lookups binary-search the arrays and equality compares them.  The builders
 hold a subset of a graph's edges as a boolean mask over its edge arrays;
 edge_ids gives the positions of endpoint pairs there, searching the sorted
 codes a*n + b, which are cached beside the CSR, as are the codes v*n + p of
-the CSR's entries (csr_codes), the incident edges sorted by weight
-(incident_by_weight) and, once shortest.build_index has read the graph's
-distances, the masks of the edges that may be tight on some shortest path
-(_tight, which only shortest writes and reads).
+the CSR's entries (csr_codes; _entry_codes computes them for any CSR
+matrix), the incident edges sorted by weight (incident_by_weight) and, once
+shortest.build_index has read the graph's distances, the masks of the edges
+that may be tight on some shortest path (_tight, which only shortest writes
+and reads, and where every edge counts without it).
 
 _BLOCK_BYTES is the one budget for the temporaries of work done a block of
 sources or rows at a time (shortest, fast2w, generators), and _sweep_rows
@@ -83,6 +86,14 @@ def graph_csr(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> csr_matrix
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
     return csr_matrix((np.concatenate([w, w])[order], heads[order], indptr), shape=(n, n))
+
+
+def _entry_codes(csr: csr_matrix, lo: int, hi: int) -> np.ndarray:
+    """The codes v * n + p of csr's entries (v, p) in rows lo to hi - 1, in
+    csr's order: sorted, when csr is scipy's canonical layout."""
+    n = csr.shape[0]
+    rows = np.arange(lo, hi, dtype=np.int64) * n
+    return np.repeat(rows, np.diff(csr.indptr[lo : hi + 1])) + csr.indices[csr.indptr[lo] : csr.indptr[hi]]
 
 
 def _column(x, kinds: str, convert, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -241,11 +252,9 @@ class WeightedGraph:
 
     def csr_codes(self) -> np.ndarray:
         """Read-only codes v * n + p of csr()'s entries (row v, column p), in
-        csr()'s order, and so sorted."""
+        csr()'s order, and so sorted (_entry_codes)."""
         if self._csr_codes is None:
-            csr = self.csr()
-            codes = np.repeat(np.arange(self.n, dtype=np.int64) * self.n, np.diff(csr.indptr))
-            codes += csr.indices
+            codes = _entry_codes(self.csr(), 0, self.n)
             codes.flags.writeable = False
             self._csr_codes = codes
         return self._csr_codes

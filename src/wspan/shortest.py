@@ -102,7 +102,9 @@ has d_G(v) = inf, or has an H edge (p, v) with fl(d_G(p) + w) <= d_G(v).
   all of them, bit for bit.  An H that holds every edge of G at G's weight
   or lighter, G itself or the +4W emulator once each vertex's quota of
   light edges reaches its degree, opens no column: every row is covered
-  with no gather at all.
+  with no gather at all.  open_columns finds the open columns with one
+  search of H's entry codes v * n + p (graph._entry_codes) in G's, and
+  covered_rows gathers every H entry there.
 
 Most of G's edges are tight on no row at all: on uniform random weights
 about a quarter lie on a shortest path, the essential subgraph (Karger,
@@ -143,10 +145,6 @@ that graph, with or without the index:
 - The open columns.  The G edge whose relaxation set d(s, v) is tight, so
   a G entry that can never be tight opens no column, and the column
   argument above is unchanged.
-- The gather.  Take an H entry (v, p, w_H) where G holds p -> v at w_G <=
-  w_H and p -> v is never tight.  Dijkstra relaxed G's edge, so fl(d(s,
-  p) + w_H) >= fl(d(s, p) + w_G) > d(s, v) on every row where d(s, v) is
-  finite: the entry never passes, and covered_rows gathers without it.
 - The W kernel.  tree_rows takes the edges that may be tight alone.
   Their tight sets are the tight sets, so the parents, W, the detected
   ties and the absorbed-weight error are unchanged, and a subset of the
@@ -178,7 +176,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order as _sp_bfs
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-from .graph import _BLOCK_BYTES, WeightedGraph, _sweep_rows
+from .graph import _BLOCK_BYTES, WeightedGraph, _entry_codes, _sweep_rows
 
 INF = math.inf
 
@@ -662,14 +660,6 @@ def w_floor(g: WeightedGraph) -> np.ndarray | None:
     return minw
 
 
-def _codes(csr: csr_matrix, lo: int, hi: int) -> np.ndarray:
-    """The codes v * n + p of csr's entries (v, p) in rows lo to hi - 1, in
-    csr's order: sorted, when csr is scipy's canonical layout."""
-    n = csr.shape[0]
-    rows = np.arange(lo, hi, dtype=np.int64) * n
-    return np.repeat(rows, np.diff(csr.indptr[lo : hi + 1])) + csr.indices[csr.indptr[lo] : csr.indptr[hi]]
-
-
 def open_columns(g: WeightedGraph, h: csr_matrix) -> tuple:
     """The columns of G's rows that the row test must read, with H's
     entries there, for covered_rows.
@@ -678,69 +668,37 @@ def open_columns(g: WeightedGraph, h: csr_matrix) -> tuple:
     matrix on g's vertices, lacks or holds at a larger weight.  Every other
     column passes the row test on every exact row of G (module docstring).
     Where build_index recorded G's entries that may be tight, only those
-    open a column, and H's entries (v, p, w) where G holds p -> v at a
-    weight <= w and never tight are left out, as they pass on no row.  G's
-    entries (its cached csr_codes) and H's are merged by code, a run of
-    rows v at a time whose temporaries fit _BLOCK_BYTES (about 48 bytes per
-    entry of either); a stable sort of two sorted runs is a linear merge.
+    open a column.  A run of rows v at a time, H's entry codes are searched
+    in G's cached csr_codes, and a G entry is closed where H holds its code
+    at a weight no larger; the run's temporaries, about 40 bytes per H
+    entry and 20 per G entry, fit _BLOCK_BYTES.
 
-    Returns (cols, nbr, w, start, has): the open columns; the other
-    endpoints (as intp, which np.take would otherwise convert on every
-    call) and weights of their H entries, column by column; and, for the
-    open columns holding an H entry, where their entries start in nbr and
-    their positions in cols.  When every column is open and no entry is
-    left out, cols is slice(None) and w is h.data itself, so only the
-    endpoints are copied.
+    Returns (cols, nbr, w, start, has): the open columns, as an index
+    array; the other endpoints (as intp, which np.take would otherwise
+    convert on every call) and weights of their H entries, column by
+    column; and, for the open columns holding an H entry, where their
+    entries start in nbr and their positions in cols.
     """
     n, gc, code = g.n, g.csr(), g.csr_codes()
-    is_open = np.zeros(n, dtype=bool)
     tight = None if g._tight is None else g._tight[1]
-    dead = np.zeros(len(h.data), dtype=bool)
-    cost = 48 * (gc.indptr.astype(np.int64) + h.indptr)
+    is_open = np.zeros(n, dtype=bool)
+    cost = 40 * h.indptr.astype(np.int64) + 20 * gc.indptr
     lo = 0
     while lo < n:
         hi = max(lo + 1, int(np.searchsorted(cost, cost[lo] + _BLOCK_BYTES, side="right")) - 1)
-        g0, g1, h0, h1 = gc.indptr[lo], gc.indptr[hi], h.indptr[lo], h.indptr[hi]
-        merged = np.concatenate([code[g0:g1], _codes(h, lo, hi)])
-        order = np.argsort(merged, kind="stable")
-        merged = merged[order]
-        from_g = order < g1 - g0
-        w = np.concatenate([gc.data[g0:g1], h.data[h0:h1]])[order]
-        # G's entry of a code comes first (G has no repeated entry), then H's
-        # entries of that code, if any: pair[i] when entry i is G's and i + 1
-        # H's copy of it, which closes it at a weight no larger
-        pair = from_g[:-1] & (merged[:-1] == merged[1:])
-        del merged
-        live = from_g.copy()
-        live[:-1] &= ~(pair & (w[1:] <= w[:-1]))
-        if live.any():
-            if tight is not None:
-                may = np.concatenate([tight[g0:g1], np.ones(h1 - h0, dtype=bool)])[order]
-                live &= may
-                gone = pair & (w[:-1] <= w[1:]) & ~may[:-1]
-                dead[order[1:][gone] - (g1 - g0) + h0] = True
-            # each row's entries, G's and H's, are contiguous in the merged order
-            start = gc.indptr[lo:hi] - g0 + h.indptr[lo:hi] - h0
-            rows = np.diff(start, append=len(order)) > 0
-            is_open[lo:hi][rows] = np.logical_or.reduceat(live, start[rows])
+        g0, g1 = gc.indptr[lo], gc.indptr[hi]
+        if g1 > g0:  # else the run's rows hold no G entry, and open nothing
+            hc, gcode = _entry_codes(h, lo, hi), code[g0:g1]
+            at = np.minimum(np.searchsorted(gcode, hc), g1 - g0 - 1)
+            held = (gcode[at] == hc) & (h.data[h.indptr[lo] : h.indptr[hi]] <= gc.data[g0:g1][at])
+            live = np.ones(g1 - g0, dtype=bool) if tight is None else tight[g0:g1].copy()
+            live[at[held]] = False
+            is_open[gcode[live] // n] = True
         lo = hi
-    pruned = dead.any()
-    if is_open.all() and not pruned:
-        cols, nbr, w, ptr = slice(None), h.indices, h.data, h.indptr
-    else:
-        cols = np.flatnonzero(is_open)
-        first, size = h.indptr[cols], np.diff(h.indptr)[cols]
-        ptr = np.zeros(len(cols) + 1, dtype=np.int64)
-        np.cumsum(size, out=ptr[1:])
-        at = np.arange(ptr[-1]) + np.repeat(first - ptr[:-1], size)
-        if pruned:
-            alive = ~dead[at]
-            at = at[alive]
-            # a column's entries start after the live entries of the columns before it
-            ptr = np.concatenate([[0], np.cumsum(alive)])[ptr]
-        nbr, w = h.indices[at], h.data[at]
-    deg = np.diff(ptr) > 0
-    return cols, nbr.astype(np.intp), w, ptr[:-1][deg], np.flatnonzero(deg)
+    cols, size = np.flatnonzero(is_open), np.diff(h.indptr)
+    at, size = np.repeat(is_open, size), size[cols]
+    deg = size > 0
+    return cols, h.indices[at].astype(np.intp), h.data[at], (np.cumsum(size) - size)[deg], np.flatnonzero(deg)
 
 
 def covered_rows(part: tuple, dist: np.ndarray) -> np.ndarray:
@@ -750,27 +708,21 @@ def covered_rows(part: tuple, dist: np.ndarray) -> np.ndarray:
 
     dist holds G's exact rows, as scipy's Dijkstra gives them, and part is
     open_columns(G, H): only the open columns are read, since every other
-    one passes on every such row, and only the H entries there that may
-    pass (module docstring).  Where absorb_free(G, H) holds, Dijkstra
-    on H from a true row's source returns a row <= dist[i] bit for bit, and
-    on a subgraph of G with G's weights exactly dist[i] (module docstring).
-    With no column open, every row is true and nothing is gathered.
+    one passes on every such row (module docstring).  Where absorb_free(G,
+    H) holds, Dijkstra on H from a true row's source returns a row <=
+    dist[i] bit for bit, and on a subgraph of G with G's weights exactly
+    dist[i] (module docstring).  With no column open, every row is true and
+    nothing is gathered.
 
     One gather over the open columns' H entries, an add, a minimum.reduceat
     over their starts and a compare with those columns of dist, in runs of
     rows whose temporaries fit _BLOCK_BYTES beside part's arrays: 8 bytes
-    per entry and 24 per open column per row, and 8 more per column to
-    gather dist's open columns, unless every column is open.  part holds 8
-    bytes per entry, 8 more when its weights are a copy, and 40 per open
-    column.
+    per entry and 32 per open column per row.  part holds 16 bytes per
+    entry and 40 per open column.
     """
     cols, nbr, w, start, has = part
-    k, n = dist.shape
-    if isinstance(cols, slice):  # every column: dist is read in place, w is H's own
-        c, fixed, per_col = n, 8 * len(nbr), 24
-    else:
-        c, fixed, per_col = len(cols), 16 * len(nbr), 32
-    step = max(1, (_BLOCK_BYTES - fixed - 40 * c) // max(1, 8 * len(nbr) + per_col * c))
+    k, c = len(dist), len(cols)
+    step = max(1, (_BLOCK_BYTES - 16 * len(nbr) - 40 * c) // max(1, 8 * len(nbr) + 32 * c))
     sums = np.empty((min(k, step), len(nbr)))
     low = np.full((min(k, step), c), INF)  # an open column with no H entry keeps inf
     out = np.empty(k, dtype=bool)
@@ -781,7 +733,7 @@ def covered_rows(part: tuple, dist: np.ndarray) -> np.ndarray:
         np.take(d, nbr, axis=1, out=s, mode="clip")
         s += w
         m[:, has] = np.minimum.reduceat(s, start, axis=1)
-        d = d[:, cols]  # a view when every column is open
+        d = d[:, cols]
         out[lo : lo + len(d)] = ((m <= d) | (d == 0)).all(axis=1)
     return out
 

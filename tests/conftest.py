@@ -30,8 +30,11 @@ shared_rows is the row test shortest.covered_rows replaced, with == in place
 of <=: the oracle for the kernel's mask on subgraphs.  covered_rows_reference
 is the same <= test read on every column, as the kernel read it before it
 took only the open columns (shortest.open_columns): the oracle for its mask
-on any H.  unindexed gives a twin of a graph that build_index never read,
-so that no mask of the edges that may be tight is recorded on it;
+on any H.  open_columns_reference finds those columns one G entry at a
+time, taking the recorded mask of the entries that may be tight as given:
+the oracle for open_columns' search.  unindexed gives a twin of a graph
+that build_index never read, so that no mask of the edges that may be
+tight is recorded on it;
 tree_rows_reference is tree_rows on that twin, over every edge of G, as it
 read them before it took only the edges that may be tight, and
 tight_reference lists the edges tight on some row by brute force: the
@@ -363,6 +366,19 @@ def covered_rows_reference(csr: csr_matrix, dist: np.ndarray) -> np.ndarray:
         sums = dist[:, csr.indices] + csr.data
         low[:, has] = np.minimum.reduceat(sums, csr.indptr[:-1][has], axis=1)
     return ((low <= dist) | (dist == 0)).all(axis=1)
+
+
+def open_columns_reference(g: WeightedGraph, h: WeightedGraph) -> list[int]:
+    """The columns v where g has an entry (v, p) that may be tight and that
+    h lacks or holds at a larger weight, entry by entry.  The mask of the
+    entries that may be tight, g._tight[1] over the CSR entries in (v, p)
+    order, is taken as recorded; every entry counts without it."""
+    held = {}
+    for u, v, w in h.edge_items():
+        held[u, v] = held[v, u] = w
+    entries = sorted((v, p, w) for u, x, w in g.edge_items() for v, p in ((u, x), (x, u)))
+    may = [True] * len(entries) if g._tight is None else g._tight[1].tolist()
+    return sorted({v for (v, p, w), t in zip(entries, may) if t and held.get((v, p), math.inf) > w})
 
 
 def unindexed(g: WeightedGraph) -> WeightedGraph:

@@ -1,6 +1,9 @@
-"""The public name list and the README's Layout block match the package, and
-the README's quick start runs as written."""
+"""The public name list and the README's Layout block match the package, the
+README's quick start runs as written, and the dotted names of the package's
+modules that the README and the docstrings cite exist."""
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -30,3 +33,31 @@ def test_readme_quick_start_runs():
     block = re.search(r"## Library quick start\s+```python\n(.*?)```", readme, re.S)
     assert block, "README has no Library quick start code block"
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+def test_dotted_module_names_in_docs_resolve():
+    # module.name (or wspan.module.name, module.Class.method) in README.md and
+    # in every docstring of the package names an attribute that exists; a
+    # module's file name, module.py, is no attribute
+    src = ROOT / "src" / "wspan"
+    modules = sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__")
+    dotted = re.compile(rf"\b(?:wspan\.)?({'|'.join(modules)})((?:\.[A-Za-z_]\w*)+)")
+    texts = [("README.md", (ROOT / "README.md").read_text())]
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                doc = ast.get_docstring(node)
+                if doc:
+                    texts.append((f"{path.name}:{getattr(node, 'name', '')}", doc))
+    missing = []
+    for where, text in texts:
+        for module, names in dotted.findall(text):
+            if names == ".py":
+                continue
+            obj = importlib.import_module(f"wspan.{module}")
+            for name in names[1:].split("."):
+                if not hasattr(obj, name):
+                    missing.append(f"{where}: {module}{names}")
+                    break
+                obj = getattr(obj, name)
+    assert missing == []
