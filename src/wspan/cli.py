@@ -149,21 +149,14 @@ def _cmd_build(args) -> int:
     }
     res = algo.build(g, params, idx=None, seed=seed, subset=subset)
 
-    stats = {"algo": name, "params": res.params, "n": g.n, "m_in": g.m, "m_out": res.m}
     if algo.emulator:
         write_emulator(res, args.out)
-        stats.update(
-            paths_bought=0,
-            phase_edge_counts={"light_init": res.m - res.virtual_count, "virtual": res.virtual_count},
-            sampled_set_size=len(res.S),
-            virtual_edges=res.virtual_count,
-        )
+        paths = 0
     else:
         write_graph(res.to_graph(g), args.out)
-        stats["paths_bought"] = len(res.paths_added)
-        stats["phase_edge_counts"] = res.stats.get("phase_edge_counts", {})
-        echoed = ("levels", "spt_sources", "searched_edges", "w_rows", "h_rows")
-        stats.update((key, res.stats[key]) for key in echoed if key in res.stats)
+        paths = len(res.paths_added)
+    stats = {"algo": name, "params": res.params, "n": g.n, "m_in": g.m, "m_out": res.m, "paths_bought": paths}
+    stats.update(res.stats)
     out = json.dumps(stats, sort_keys=True)
     print(out)
     if args.stats:

@@ -13,7 +13,7 @@ Dijkstra per sampled vertex).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,7 @@ class EmulatorResult:
     The edges are the arrays (a, b, w), a < b, sorted by (a, b); virtual is
     False for an original graph edge at its original weight and True for a
     virtual edge weighted with the exact graph distance of its endpoints.
+    stats holds the builder's counts (empty on an emulator read from a file).
     """
 
     n: int
@@ -38,6 +39,7 @@ class EmulatorResult:
     virtual: np.ndarray
     S: tuple[int, ...]
     params: dict
+    stats: dict = field(default_factory=dict)
 
     @property
     def edges(self) -> dict[tuple[int, int], tuple[float, str]]:
@@ -90,5 +92,12 @@ def build_4w_emulator(
     codes = a * n + b
     order = np.lexsort((virtual, w, codes))
     order = order[np.diff(codes[order], prepend=-1) != 0]
+    virtual = virtual[order]
+    v = int(np.count_nonzero(virtual))
     params = {"algo": "emulator4w", "seed": seed, "t": t, "sample_prob": n ** (-1.0 / 3.0)}
-    return EmulatorResult(n, a[order], b[order], w[order], virtual[order], tuple(sample.tolist()), params)
+    stats = {
+        "phase_edge_counts": {"light_init": len(order) - v, "virtual": v},
+        "sampled_set_size": len(sample),
+        "virtual_edges": v,
+    }
+    return EmulatorResult(n, a[order], b[order], w[order], virtual, tuple(sample.tolist()), params, stats)

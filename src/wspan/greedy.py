@@ -172,7 +172,7 @@ def _path_buying(
     keys = [np.zeros((3, 0))]
     counts = {"w_rows": 0, "h_rows": 0}
     for lo, dist, run in sweep(g, idx, cols, h0):
-        # d_H0 = d_G on a covered row (H0 is a subgraph), and no threshold lies below d_G
+        # d_H0 <= d_G on a covered row, and no threshold lies below d_G
         if not len(run):
             continue
         src, dist = cols[lo + run], dist[run]

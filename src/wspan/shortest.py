@@ -90,8 +90,9 @@ has d_G(v) = inf, or has an H edge (p, v) with fl(d_G(p) + w) <= d_G(v).
   with fl(d_G(p) + w) = d_G(v).  absorb_free(G) implies absorb_free(G, H).
 - On an H that is not a subgraph, such as the +4W emulator (its virtual
   edges' float sums read an ulp below d_G on most rows), a covered row has
-  d_H <= d_G, but not always d_H = d_G: the verifier runs Dijkstra on the
-  covered rows only while their ratios may decide the largest one.
+  d_H <= d_G, but not always d_H = d_G.  Either way its ratios are <= 0:
+  the verifier runs Dijkstra on the covered rows only while their ratios
+  may decide the largest one, on every H.
 - Only the open columns need reading (open_columns): v is open when G has
   an edge (p, v) that H lacks or holds at a larger weight.  Any other v
   passes on every row, exactly in floats.  For v != u with d_G(v) finite,

@@ -37,14 +37,14 @@ shortest.sweep names the rows of each block that H does not lengthen
 where no float sum absorbs a weight of G or H), and the sweep runs Dijkstra
 on H from the other sources; StretchReport.h_rows counts the rows Dijkstra
 computed.  A covered row holds no violation, as d_H <= d_G <= d_G + c * W,
-and every ratio on it is <= 0.  When H is a subgraph of G (verify_subgraph)
-d_H >= d_G too, so a covered row is G's and its ratios are exactly 0: it
-raises the maximum to 0 and takes neither Dijkstra nor W.  On any other H,
-the +4W emulator's output among them, the covered rows with a pair to
-check matter only while the maximum stays below 0.  The sweep then runs
-Dijkstra on H from them in runs of 1, 2, 4, ... rows, a sweep block at a
-time, and checks them like the others, until the maximum reaches 0.  On
-any rows, a pair with d_H = d_G has the ratio 0 exactly, with no W.
+and every ratio on it is <= 0, whatever H is: a subgraph of G, where the
+row is G's and its ratios are 0, or another H such as the +4W emulator,
+whose virtual edges may read an ulp below d_G.  So the covered rows with a
+pair to check matter only while the maximum stays below 0: after each
+block's other rows, the sweep runs Dijkstra on H from them in runs of 1, 2,
+4, ... rows, the length doubling across blocks, and checks them like the
+others, until the maximum reaches 0.  On any rows, a pair with d_H = d_G
+has the ratio 0 exactly, with no W.
 
 The other two bounds are local, and are checked on edges.  d_H >= d_G holds
 for every pair iff every edge (a, b) of H has w_H(a, b) >= d_G(a, b): chain
@@ -105,9 +105,8 @@ class Violation:
 class StretchReport:
     """Outcome of one verification pass; w_rows counts the rows of G whose
     W was computed, h_rows the additive sweep's rows of H that Dijkstra
-    computed: the rows H may lengthen, and on an H that is not a subgraph
-    the rows it does not lengthen that the ratio maximum needed (module
-    docstring)."""
+    computed: the rows H may lengthen, and the rows it does not lengthen
+    that the ratio maximum needed (module docstring)."""
 
     bound_kind: str
     params: dict
@@ -258,38 +257,24 @@ def _sweep(
     """
     cols = np.asarray(S)
     csr = h.csr()
-    subgraph = verify_subgraph(g, h)
     minw = w_floor(g)
     found = [(cols[:0], cols[:0], *(np.zeros(0) for _ in range(4)))]
     top = -math.inf  # the largest ratio of the rows checked so far
-    held = [cols[:0]]  # covered rows with a pair to check, of an H not a subgraph
+    k = 1  # the length of the next run of covered rows
     for lo, dist, run in sweep(g, idx, cols, csr):
         at = np.arange(lo, lo + len(dist))
         connected = (np.arange(len(S)) > at[:, None]) & np.isfinite(dist[:, cols])
         report.pairs_checked += int(np.count_nonzero(connected))
-        # a covered row holds no violation, and its ratios are <= 0; exactly 0
-        # on a subgraph, whose covered rows are G's
-        covered = connected.any(axis=1)
-        covered[run] = False
-        if subgraph and covered.any():
-            top = max(top, 0.0)
-        elif covered.any():
-            held.append(at[covered])
         if len(run):
             top = _check_rows(report, found, g, csr, cols, at[run], dist[run], minw, c, top)
-    # the held rows matter only while no ratio reaches 0: check them in
-    # runs of 1, 2, 4, ... rows until one does
-    held = np.concatenate(held)
-    if top < 0 and len(held):
-        k = 1
-        for lo, dist, _ in sweep(g, idx, cols[held]):
-            i = 0
-            while i < len(dist) and top < 0:
-                j = min(i + k, len(dist))
-                top = _check_rows(report, found, g, csr, cols, held[lo + i : lo + j], dist[i:j], minw, c, top)
-                i, k = j, 2 * k
-            if top >= 0:
-                break
+        # a covered row holds no violation, and its ratios are <= 0: check
+        # those with a pair in runs of 1, 2, 4, ... rows while top < 0
+        covered = connected.any(axis=1)
+        covered[run] = False
+        rows = np.flatnonzero(covered)
+        while len(rows) and top < 0:
+            top = _check_rows(report, found, g, csr, cols, at[rows[:k]], dist[rows[:k]], minw, c, top)
+            rows, k = rows[k:], 2 * k
     report.violations = _violations(*(np.concatenate(x) for x in zip(*found)))
     report.max_slack_ratio = top if top > -math.inf else math.nan
     return report

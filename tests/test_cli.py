@@ -119,6 +119,45 @@ def test_build_fast2w_reports_its_dijkstra_sources(capsys, tmp_path):
     assert stats["levels"] == res.stats["levels"] and stats["m_out"] == res.m
 
 
+def test_build_prints_the_builders_stats_whole(capsys, tmp_path):
+    graph, _ = gen_graph(capsys, tmp_path, n=40, p=0.3)
+    g = read_graph(graph)
+    sfile, subset = tmp_path / "s.txt", [0, 3, 7, 11, 19]
+    write_subset(subset, sfile)
+    cases = {
+        "mult": (["--k", "2"], {"k": 2}),
+        "6w": (["--eps", "1"], {"eps": 1.0}),
+        "subsetwise": (["--eps", "0.5", "--subset", str(sfile)], {"eps": 0.5}),
+        "poly": (["--eps", "0.5"], {"eps": 0.5, "c": 16.0}),
+        "fast2w": (["--c", "4"], {"c": 4.0}),
+        "emulator4w": ([], {}),
+    }
+    assert sorted(cases) == sorted(ALGOS)
+    for name, (flags, params) in cases.items():
+        argv = ["--algo", name, *flags, "--seed", "3", "--graph", str(graph), "-o", str(tmp_path / "h.txt")]
+        code, out, _ = run(capsys, "build", *argv)
+        assert code == 0
+        algo = ALGOS[name]
+        res = algo.build(g, params, None, 3, subset if algo.takes_subset else None)
+        want = {
+            "algo": name,
+            "params": res.params,
+            "n": g.n,
+            "m_in": g.m,
+            "m_out": res.m,
+            "paths_bought": 0 if algo.emulator else len(res.paths_added),
+            **res.stats,
+        }
+        assert out == json.dumps(want, sort_keys=True) + "\n"
+    # the emulator's stats count its edges by origin and its sample
+    v = res.virtual_count
+    assert res.stats == {
+        "phase_edge_counts": {"light_init": res.m - v, "virtual": v},
+        "sampled_set_size": len(res.S),
+        "virtual_edges": v,
+    }
+
+
 def test_build_subsetwise_with_subset_file(capsys, tmp_path):
     graph, _ = gen_graph(capsys, tmp_path)
     sfile = tmp_path / "s.txt"

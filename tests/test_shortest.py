@@ -1105,7 +1105,7 @@ def test_emulator_and_g_itself_open_no_column():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shortest, "covered_rows", spy)
-        for h, c, h_rows in ((emulator, 4.0, 1), (g, 2.0, 0)):
+        for h, c in ((emulator, 4.0), (g, 2.0)):
             for given_idx in (idx, None):
                 rep = verify_additive_W(g, h, c, idx=given_idx).to_dict()
                 assert rep == {
@@ -1118,7 +1118,7 @@ def test_emulator_and_g_itself_open_no_column():
                     "max_slack_ratio": 0.0,
                     "size": h.m,
                     "w_rows": 0,
-                    "h_rows": h_rows,
+                    "h_rows": 1,
                 }
     assert len(gathered) == 4 * math.ceil(g.n / wspan.graph._sweep_rows(g.n))
     assert not any(gathered)

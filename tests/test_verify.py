@@ -15,6 +15,7 @@ from wspan import (
     WeightedGraph,
     build_4w_emulator,
     build_6eps_spanner,
+    build_fast_2w,
     build_index,
     build_poly_spanner,
     build_subsetwise_spanner,
@@ -401,12 +402,13 @@ def test_sweep_runs_dijkstra_on_h_only_where_h_shares_no_row_of_g(monkeypatch):
         assert [s for srcs in calls for s in srcs] == rows and got.h_rows == len(rows)
 
 
-def fallback_runs(held: int, rows: int) -> list[int]:
-    """The run lengths in which the check takes H's rows from held covered
-    rows: 1, 2, 4, ... rows, cut at each sweep block's end."""
+def fallback_runs(held: list[int]) -> list[int]:
+    """The run lengths in which the check takes H's rows from the covered
+    rows, held[b] of them in S's sweep block b: 1, 2, 4, ... rows, the
+    length doubling across blocks, cut at each block's end."""
     sizes, k = [], 1
-    for lo in range(0, held, rows):
-        i, end = 0, min(rows, held - lo)
+    for end in held:
+        i = 0
         while i < end:
             j = min(i + k, end)
             sizes.append(j - i)
@@ -432,7 +434,8 @@ def test_covered_rows_check_matches_the_all_rows_reference(rows, g, data):
     cols = list(range(g.n)) if S is None else sorted(set(S))
     d_g = distance_matrix(g.csr(), cols)[:, cols]
     later = np.arange(len(cols)) > np.arange(len(cols))[:, None]
-    held = int(np.count_nonzero((np.isfinite(d_g) & later).any(axis=1)))
+    paired = (np.isfinite(d_g) & later).any(axis=1)
+    held = [int(np.count_nonzero(paired[lo : lo + rows])) for lo in range(0, len(cols), rows)]
     for idx in (None, build_index(g)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(wspan.shortest, "_sweep_rows", lambda n: rows)
@@ -441,8 +444,55 @@ def test_covered_rows_check_matches_the_all_rows_reference(rows, g, data):
             want = sweep_reference(g, h, c, S, idx)
         same_report(got, want)
         if kind == "halved":
-            assert [len(x) for x in calls] == fallback_runs(held, rows) and got.h_rows == held
+            assert [len(x) for x in calls] == fallback_runs(held) and got.h_rows == sum(held)
             assert not got.max_slack_ratio >= 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=mixed_graphs(), data=st.data())
+def test_a_fully_covered_h_takes_one_row_of_h_and_each_row_of_g_once(g, data):
+    # G itself and its fast +2W spanner are subgraphs, whose covered rows
+    # are G's: where every row of S is covered, the first row with a pair
+    # gives the largest ratio, 0, and no other row takes Dijkstra on H.
+    # Index-free, each row of G is computed once, for any H
+    seed = data.draw(st.integers(0, 3), label="seed")
+    emulator = build_4w_emulator(g, seed=seed).to_graph()
+    fast = build_fast_2w(g, seed=seed).to_graph(g)
+    S = data.draw(st.none() | st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n), label="S")
+    cols = list(range(g.n)) if S is None else sorted(set(S))
+    d_g = distance_matrix(g.csr(), cols)
+    later = np.arange(len(cols)) > np.arange(len(cols))[:, None]
+    paired = bool((np.isfinite(d_g[:, cols]) & later).any())
+    for h in (g, fast, emulator):
+        full = (
+            h is not emulator
+            and paired
+            and wspan.shortest.absorb_free(g, h.csr())
+            and wspan.shortest.covered_rows(wspan.shortest.open_columns(g, h.csr()), d_g).all()
+        )
+        for idx in (None, build_index(g)):
+            with pytest.MonkeyPatch.context() as mp:
+                subgraph_calls, g_rows = [], []
+                real_subgraph, real_rows = wspan.verify.verify_subgraph, wspan.shortest.distance_matrix
+
+                def counted_subgraph(*args):
+                    subgraph_calls.append(args)
+                    return real_subgraph(*args)
+
+                def counted_rows(csr, sources=None, *args):
+                    if csr is g.csr():
+                        g_rows.extend(range(g.n) if sources is None else sources)
+                    return real_rows(csr, sources, *args)
+
+                mp.setattr(wspan.verify, "verify_subgraph", counted_subgraph)
+                mp.setattr(wspan.shortest, "distance_matrix", counted_rows)
+                got = verify_additive_W(g, h, 2.0, pair_class=S, idx=idx)
+            same_report(got, sweep_reference(g, h, 2.0, S, idx))
+            assert subgraph_calls == []
+            if idx is None:
+                assert sorted(g_rows) == cols
+            if full:
+                assert (got.h_rows, got.w_rows, got.max_slack_ratio) == (1, 0, 0.0)
 
 
 def test_w_rows_counts_on_a_fixed_instance():
@@ -471,8 +521,7 @@ def test_w_rows_counts_on_a_fixed_instance():
     }
     # no candidate pass needs W here; 6w's check at c = 7 needs it on a
     # quarter of the rows, where (d_H - d_G) / L may beat the ratio found;
-    # poly's spanner shares every row of G, whose ratios are all 0 without
-    # Dijkstra or W; the emulator lengthens no row, and H's row from 0
+    # poly's spanner and the emulator lengthen no row, and H's row from 0
     # alone, which holds pairs with d_H = d_G, gives the largest ratio, 0,
     # without W
     assert counts == {
@@ -481,7 +530,7 @@ def test_w_rows_counts_on_a_fixed_instance():
         "subset build": 0,
         "6w verify": 33,
         "poly verify": 0,
-        "poly verify h_rows": 0,
+        "poly verify h_rows": 1,
         "subset verify": 4,
         "emulator verify": 0,
         "emulator verify h_rows": 1,
